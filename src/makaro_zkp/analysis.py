@@ -35,6 +35,8 @@ from .protocol import (
     run_full_protocol,
     simulate_transcript,
 )
+# `stats` is unused here but the benchmark's traced run rebinds it in this
+# module (tests/test_benchmark_contract.py)
 from .puzzle import Assignment, Grid, PuzzleStats, stats
 
 MIN_EXPECTED = 5.0
@@ -127,11 +129,6 @@ class SiteHistograms:
         self.families = site_plan(grid, marginal_threshold)
         self.counts: dict[str, Counter] = {fam.key: Counter() for fam in self.families}
         self._family_by_key = {fam.key: fam for fam in self.families}
-        # original site key -> whole-pattern site or per-position split
-        self._marginal: dict[str, bool] = {}
-        for key, kind, support, take in reveal_site_plan(grid):
-            fam = SiteFamily(key, kind, support, take)
-            self._marginal[key] = fam.size() > marginal_threshold
         self.transcripts = 0
 
     def family(self, key: str) -> SiteFamily:
@@ -140,14 +137,16 @@ class SiteHistograms:
     def add_transcript(self, transcript: Transcript) -> None:
         self.transcripts += 1
         for site, pattern in transcript.site_patterns:
-            split = self._marginal.get(site)
-            if split is None:
-                raise ValueError(f"transcript reveals at unknown site {site!r}")
-            if split:
-                for pos, card in enumerate(pattern, start=1):
-                    self.counts[f"{site}/pos{pos}"][(card,)] += 1
-            else:
-                self.counts[site][pattern] += 1
+            counter = self.counts.get(site)
+            if counter is not None:
+                counter[pattern] += 1
+                continue
+            # a site split into per-position families (see site_plan)
+            for pos, card in enumerate(pattern, start=1):
+                counter = self.counts.get(f"{site}/pos{pos}")
+                if counter is None:
+                    raise ValueError(f"transcript reveals at unknown site {site!r}")
+                counter[(card,)] += 1
 
     def merge(self, other: "SiteHistograms") -> None:
         if [f.key for f in other.families] != [f.key for f in self.families]:
@@ -366,8 +365,13 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _bonferroni(label: str, raw: list[SiteReport], alpha: float) -> ComparisonReport:
+def _bonferroni(label: str, families: list[SiteFamily], raw: list[SiteReport],
+                alpha: float) -> ComparisonReport:
     tested = sum(1 for report in raw if report.df >= 1)
+    if not tested and all(r.passed for r in raw) and any(f.size() > 1 for f in families):
+        # nothing that could vary was tested, so a pass would be vacuous;
+        # a site that failed outright still stands as a failure
+        raise InsufficientTrials(f"{label}: no site could be tested; collect more trials")
     alpha_site = alpha / tested if tested else alpha
     sites = tuple(
         report if report.df == 0
@@ -387,7 +391,7 @@ def compare_collections(label: str, hist_a: SiteHistograms, hist_b: SiteHistogra
         compare_histograms(family, hist_a.counts[family.key], hist_b.counts[family.key])
         for family in hist_a.families
     ]
-    return _bonferroni(label, raw, alpha)
+    return _bonferroni(label, hist_a.families, raw, alpha)
 
 
 def uniformity_sweep(hist: SiteHistograms, label: str = "uniformity",
@@ -395,7 +399,7 @@ def uniformity_sweep(hist: SiteHistograms, label: str = "uniformity",
     """Goodness-of-fit at every site against its theoretical distribution,
     familywise level alpha across the testable sites."""
     raw = [uniformity_test(family, hist.counts[family.key]) for family in hist.families]
-    return _bonferroni(label, raw, alpha)
+    return _bonferroni(label, hist.families, raw, alpha)
 
 
 def zk_comparison(grid: Grid, solution: Assignment, seed: str, trials: int,

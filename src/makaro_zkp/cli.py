@@ -28,6 +28,7 @@ from .analysis import (
 from .deck import RandomSource
 from .protocol import ProtocolError, make_prover, run_full_protocol
 from .puzzle import (
+    DEFAULT_SEARCH_BOUND,
     Grid,
     PuzzleError,
     assignment_from_grid,
@@ -190,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find all solutions by exhaustive search")
     add_puzzle(p)
-    p.add_argument("--bound", type=int, default=10_000_000,
-                   help="abort after this many candidate assignments (default %(default)s)")
+    p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND,
+                   help="refuse the puzzle up front when the product of its rooms' "
+                        "permutation counts exceeds this (default %(default)s)")
     p.set_defaults(fn=cmd_solve)
 
     def positive(raw: str) -> int:

@@ -11,7 +11,7 @@ cards never put their identity into the transcript.
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class DeckError(Exception):
@@ -130,45 +130,11 @@ def collect_site_patterns(events: Iterable[tuple]) -> list[tuple[str, tuple[Card
     return out
 
 
-def _fmt_pos(pos: tuple[int, int]) -> str:
-    return f"{pos[0]},{pos[1]}"
+class _Field(NamedTuple):
+    """How one event field is written and read back."""
 
-
-def _format_event(ev: tuple) -> str:
-    kind = ev[0]
-    if kind == "place":
-        return f"place pos={_fmt_pos(ev[1])} card={ev[2]}"
-    if kind == "place-hidden":
-        return f"place-hidden pos={_fmt_pos(ev[1])}"
-    if kind == "collect":
-        return f"collect src={ev[1]} row={ev[2]} count={ev[3]}"
-    if kind == "helps":
-        return f"helps row={ev[1]} count={ev[2]}"
-    if kind == "marker":
-        return f"marker card={ev[1]} row={ev[2]} col={ev[3]}"
-    if kind == "hidden-fill":
-        return f"hidden-fill row={ev[1]} count={ev[2]}"
-    if kind == "shuffle":
-        return f"shuffle kind={ev[1]}"
-    if kind == "site":
-        return f"site key={ev[1]}"
-    if kind == "reveal":
-        return f"reveal pos={_fmt_pos(ev[1])} card={ev[2]}"
-    if kind == "rearrange":
-        return "rearrange perm=" + ",".join(str(i) for i in ev[1])
-    if kind == "turn-down":
-        return "turn-down"
-    if kind == "extract":
-        return f"extract row={ev[1]} count={ev[2]}"
-    if kind == "tail":
-        return f"tail count={ev[1]}"
-    if kind == "restore":
-        return f"restore dst={ev[1]} count={ev[2]}"
-    if kind == "begin":
-        return f"begin kind={ev[1]} key={ev[2]}"
-    if kind == "end":
-        return f"end kind={ev[1]} key={ev[2]} result={'pass' if ev[3] else 'fail'}"
-    raise DeckError(f"unknown event {ev!r}")
+    format: Callable[[Any], str]
+    parse: Callable[[str], Any]
 
 
 def _parse_pos(text: str) -> tuple[int, int]:
@@ -176,48 +142,53 @@ def _parse_pos(text: str) -> tuple[int, int]:
     return (int(r), int(c))
 
 
+_TEXT = _Field(str, str)
+_INT = _Field(str, int)
+_POS = _Field(lambda pos: f"{pos[0]},{pos[1]}", _parse_pos)
+_CARD = _Field(str, parse_card)
+_ORDER = _Field(lambda order: ",".join(str(i) for i in order),
+                lambda text: tuple(int(i) for i in text.split(",")))
+_RESULT = _Field(lambda ok: "pass" if ok else "fail", {"pass": True, "fail": False}.__getitem__)
+
+# The text form of each event kind: its fields after the kind, in order.
+_EVENT_FIELDS: dict[str, tuple[tuple[str, _Field], ...]] = {
+    "place": (("pos", _POS), ("card", _CARD)),
+    "place-hidden": (("pos", _POS),),
+    "collect": (("src", _TEXT), ("row", _INT), ("count", _INT)),
+    "helps": (("row", _INT), ("count", _INT)),
+    "marker": (("card", _CARD), ("row", _INT), ("col", _INT)),
+    "hidden-fill": (("row", _INT), ("count", _INT)),
+    "shuffle": (("kind", _TEXT),),
+    "site": (("key", _TEXT),),
+    "reveal": (("pos", _POS), ("card", _CARD)),
+    "rearrange": (("perm", _ORDER),),
+    "turn-down": (),
+    "extract": (("row", _INT), ("count", _INT)),
+    "tail": (("count", _INT),),
+    "restore": (("dst", _TEXT), ("count", _INT)),
+    "begin": (("kind", _TEXT), ("key", _TEXT)),
+    "end": (("kind", _TEXT), ("key", _TEXT), ("result", _RESULT)),
+}
+
+
+def _format_event(ev: tuple) -> str:
+    spec = _EVENT_FIELDS.get(ev[0])
+    if spec is None or len(ev) != len(spec) + 1:
+        raise DeckError(f"unknown event {ev!r}")
+    return " ".join([ev[0], *(f"{name}={field.format(value)}"
+                              for (name, field), value in zip(spec, ev[1:]))])
+
+
 def _parse_event(line: str) -> tuple:
     kind, _, rest = line.partition(" ")
-    fields = {}
-    for item in rest.split() if rest else []:
-        key, _, value = item.partition("=")
-        fields[key] = value
+    spec = _EVENT_FIELDS.get(kind)
+    items = [item.partition("=") for item in rest.split()]
+    if spec is None or [key for key, _, _ in items] != [name for name, _ in spec]:
+        raise DeckError(f"bad transcript line {line!r}")
     try:
-        if kind == "place":
-            return ("place", _parse_pos(fields["pos"]), parse_card(fields["card"]))
-        if kind == "place-hidden":
-            return ("place-hidden", _parse_pos(fields["pos"]))
-        if kind == "collect":
-            return ("collect", fields["src"], int(fields["row"]), int(fields["count"]))
-        if kind == "helps":
-            return ("helps", int(fields["row"]), int(fields["count"]))
-        if kind == "marker":
-            return ("marker", parse_card(fields["card"]), int(fields["row"]), int(fields["col"]))
-        if kind == "hidden-fill":
-            return ("hidden-fill", int(fields["row"]), int(fields["count"]))
-        if kind == "shuffle":
-            return ("shuffle", fields["kind"])
-        if kind == "site":
-            return ("site", fields["key"])
-        if kind == "reveal":
-            return ("reveal", _parse_pos(fields["pos"]), parse_card(fields["card"]))
-        if kind == "rearrange":
-            return ("rearrange", tuple(int(i) for i in fields["perm"].split(",")))
-        if kind == "turn-down":
-            return ("turn-down",)
-        if kind == "extract":
-            return ("extract", int(fields["row"]), int(fields["count"]))
-        if kind == "tail":
-            return ("tail", int(fields["count"]))
-        if kind == "restore":
-            return ("restore", fields["dst"], int(fields["count"]))
-        if kind == "begin":
-            return ("begin", fields["kind"], fields["key"])
-        if kind == "end":
-            return ("end", fields["kind"], fields["key"], fields["result"] == "pass")
+        return (kind, *(field.parse(value) for (_, field), (_, _, value) in zip(spec, items)))
     except (KeyError, ValueError) as exc:
         raise DeckError(f"bad transcript line {line!r}") from exc
-    raise DeckError(f"bad transcript line {line!r}")
 
 
 class CardMatrix:

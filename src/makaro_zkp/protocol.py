@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .deck import (
     CardId,
@@ -131,15 +132,11 @@ class TableState:
         self.k = st.k
         self.enc_len = 2 * st.k - 1
         self.cell_cards: dict[Coord, CardId | None] = {}
-        self.room_cards = {
-            room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
-            for room, cells in grid.rooms.items()
-        }
-        self.helps = tuple(help_card(i) for i in range(1, st.k + 1))
-        self.enc = {
-            letter: tuple(encoding_card(letter, i) for i in range(1, self.enc_len + 1))
-            for letter in ENC_LETTERS
-        }
+        # the card sets are public and fixed by the grid: shared by every run
+        schedule = _schedule(grid)
+        self.room_cards = schedule.room_cards
+        self.helps = schedule.helps
+        self.enc = schedule.enc
         self._help_out = 0
         self._enc_out = dict.fromkeys(ENC_LETTERS, 0)
         self._in_play = 0
@@ -226,12 +223,169 @@ def _sort_order(revealed: list[CardId], canonical: tuple[CardId, ...]) -> tuple[
     return tuple(pos[card] for card in canonical)
 
 
-def _reveal_row(matrix: CardMatrix, row: int, transcript: Transcript,
-                site: str) -> list[CardId]:
+# --- the check schedule --------------------------------------------------------
+#
+# Which checks run, in what order, under which keys, which cells each one
+# converts and with which sequence lengths and letters, and what every reveal
+# may show: all of it follows from the grid alone.  It is compiled once per
+# grid and read by the live run, the simulator and reveal_site_plan, so the
+# three cannot drift apart.
+
+class _Site(NamedTuple):
+    """One reveal site and its pattern family (see reveal_site_plan)."""
+
+    key: str
+    kind: str
+    support: tuple[CardId, ...]
+    take: int
+
+
+class _Conversion(NamedTuple):
+    """A cell turned into an encoding sequence inside a check."""
+
+    cell: Coord
+    letter: str
+    length: int
+    key: str
+    room: str
+    column: int                  # the cell's place in its room: where the marker goes
+    sites: tuple[_Site, _Site]   # the room's cards, then the helping cards
+
+
+class _Check(NamedTuple):
+    kind: str                    # "room" | "neighbor" | "arrow"
+    subject: object              # as in FailedCheck
+    key: str                     # of the begin and end events
+    conversions: tuple[_Conversion, ...]
+    # rooms: the room's cards, then the helping cards; neighbors and arrows:
+    # the first row, whose marker is looked for, then one window per other row
+    sites: tuple[_Site, ...]
+
+
+def _collection_sites(key: str, cards: tuple[CardId, ...],
+                      helps: tuple[CardId, ...]) -> tuple[_Site, _Site]:
+    """A room's cards, then as many helping cards, each revealed in uniform
+    order after a scramble."""
+    p = len(cards)
+    return (_Site(f"{key}/cells", "perm", cards, p),
+            _Site(f"{key}/helps", "perm", helps[:p], p))
+
+
+class _Schedule:
+    """Everything public about the runs on one grid: the cards of each set,
+    and every check, in run order, keyed by (kind, subject)."""
+
+    def __init__(self, grid: Grid):
+        k = stats(grid).k
+        self.grid = grid
+        self.room_cards = {
+            room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
+            for room, cells in grid.rooms.items()
+        }
+        self.helps = tuple(help_card(i) for i in range(1, k + 1))
+        self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * k))
+                    for letter in ENC_LETTERS}
+        self._conversions: dict[tuple, _Conversion] = {}
+        checks = [_Check("room", room, room, (),
+                         _collection_sites(f"room/{room}", self.room_cards[room], self.helps))
+                  for room in sorted(grid.rooms)]
+        for a, b in white_neighbor_pairs(grid):
+            checks.append(self._windows("neighbor", (a, b), f"neighbor/{a[0]}.{a[1]}-{b[0]}.{b[1]}",
+                                        [a, b], neighbor_length(grid, a, b), 1))
+        for rc in black_coords(grid):
+            m = arrow_length(grid, rc)
+            checks.append(self._windows("arrow", rc, f"arrow/{rc[0]}.{rc[1]}",
+                                        arrow_check_cells(grid, rc), 2 * m - 1, m))
+        self.checks = {(check.kind, check.subject): check for check in checks}
+
+    def _windows(self, kind: str, subject: object, key: str, cells: list[Coord],
+                 length: int, window: int) -> _Check:
+        letters = ENC_LETTERS[:len(cells)]
+        sites = [_Site(f"{key}/row1", "perm", self.enc["a"][:length], length)]
+        for row, letter in enumerate(letters[1:], start=2):
+            # a one-card sequence is its marker, so the window can only show
+            # it (unsatisfiable grids only)
+            support = self.enc[letter][1 if length > 1 else 0:length]
+            sites.append(_Site(f"{key}/probe" if kind == "neighbor" else f"{key}/row{row}",
+                               "pick" if window == 1 else "arrangement", support, window))
+        conversions = tuple(self.conversion(rc, letter, length, key)
+                            for letter, rc in zip(letters, cells))
+        return _Check(kind, subject, key, conversions, tuple(sites))
+
+    def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Conversion:
+        """The conversion of a cell inside the check keyed `prefix`, built
+        once per grid."""
+        conv = self._conversions.get((rc, letter, length, prefix))
+        if conv is None:
+            room = self.grid.room_of(rc)
+            key = f"{prefix}/conv-{letter}"
+            conv = _Conversion(rc, letter, length, key, room, self.grid.rooms[room].index(rc),
+                               _collection_sites(key, self.room_cards[room], self.helps))
+            self._conversions[rc, letter, length, prefix] = conv
+        return conv
+
+
+# Grid holds a dict, so it cannot key a cache; every hot loop runs one grid.
+# The entry is one (grid, schedule) tuple swapped inside the list, so a reader
+# never pairs a grid with another grid's schedule and the module attribute
+# itself never changes (perfbench's traced run checks that it does not).
+_last_schedule: list[tuple[Grid | None, _Schedule | None]] = [(None, None)]
+
+
+def _schedule(grid: Grid) -> _Schedule:
+    last_grid, schedule = _last_schedule[0]
+    if last_grid is not grid:
+        schedule = _Schedule(grid)
+        _last_schedule[0] = (grid, schedule)
+    return schedule
+
+
+# --- the live run ---------------------------------------------------------------
+
+def _reveal_row(matrix: CardMatrix, row: int, transcript: Transcript, site: str,
+                cols: Iterable[int] | None = None) -> list[CardId]:
+    """Reveal a row, or the given columns of it, as one site."""
     transcript.append(("site", site))
-    cards = [reveal(matrix, row, col, transcript) for col in range(matrix.cols)]
+    cards = [reveal(matrix, row, col, transcript)
+             for col in (range(matrix.cols) if cols is None else cols)]
     transcript.add_pattern(site, tuple(cards))
     return cards
+
+
+def _sort_columns(matrix: CardMatrix, revealed: list[CardId],
+                  canonical: tuple[CardId, ...], transcript: Transcript) -> None:
+    order = _sort_order(revealed, canonical)
+    matrix.permute_columns(order)
+    transcript.append(("rearrange", order))
+
+
+def _collect_room(table: TableState, matrix: CardMatrix, room: str,
+                  transcript: Transcript) -> None:
+    """Row 0: the room's cards, taken off the grid; row 1: as many helping
+    cards in canonical order."""
+    cells = table.grid.rooms[room]
+    p = len(cells)
+    for col, rc in enumerate(cells):
+        matrix.place(0, col, table.remove_cell(rc))
+    transcript.append(("collect", f"room:{room}", 0, p))
+    for col, card in enumerate(table.take_helps(p)):
+        matrix.place(1, col, card)
+    transcript.append(("helps", 1, p))
+
+
+def _return_room(table: TableState, matrix: CardMatrix, room: str, helps_site: _Site,
+                 source: RandomSource, transcript: Transcript) -> None:
+    """Hide the room's sorted cards behind one more scramble, then sort by
+    the helping cards, which puts the room's cards back in cell order."""
+    turn_all_down(matrix)
+    transcript.append(("turn-down",))
+    pile_scramble_shuffle(matrix, source, transcript)
+    helped = _reveal_row(matrix, 1, transcript, helps_site.key)
+    _sort_columns(matrix, helped, helps_site.support, transcript)
+    for col, rc in enumerate(table.grid.rooms[room]):
+        table.put_cell(rc, matrix.card_at(0, col))
+    transcript.append(("restore", f"room:{room}", helps_site.take))
+    table.return_helps()
 
 
 def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> TableState:
@@ -273,37 +427,16 @@ def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
     shuffled order.  Restores the cards to their cells on success."""
-    grid = table.grid
-    cells = grid.rooms[room]
-    p = len(cells)
-    canonical = table.room_cards[room]
+    cells_site, helps_site = _schedule(table.grid).checks["room", room].sites
     transcript.append(("begin", "room", room))
-    matrix = CardMatrix(2, p)
-    for col, rc in enumerate(cells):
-        matrix.place(0, col, table.remove_cell(rc))
-    transcript.append(("collect", f"room:{room}", 0, p))
-    helps = table.take_helps(p)
-    for col, card in enumerate(helps):
-        matrix.place(1, col, card)
-    transcript.append(("helps", 1, p))
+    matrix = CardMatrix(2, cells_site.take)
+    _collect_room(table, matrix, room, transcript)
     pile_scramble_shuffle(matrix, source, transcript)
-    revealed = _reveal_row(matrix, 0, transcript, f"room/{room}/cells")
-    ok = set(revealed) == set(canonical)
+    revealed = _reveal_row(matrix, 0, transcript, cells_site.key)
+    ok = set(revealed) == set(cells_site.support)
     if ok:
-        order = _sort_order(revealed, canonical)
-        matrix.permute_columns(order)
-        transcript.append(("rearrange", order))
-        turn_all_down(matrix)
-        transcript.append(("turn-down",))
-        pile_scramble_shuffle(matrix, source, transcript)
-        helped = _reveal_row(matrix, 1, transcript, f"room/{room}/helps")
-        order = _sort_order(helped, helps)
-        matrix.permute_columns(order)
-        transcript.append(("rearrange", order))
-        for col, rc in enumerate(cells):
-            table.put_cell(rc, matrix.card_at(0, col))
-        transcript.append(("restore", f"room:{room}", p))
-        table.return_helps()
+        _sort_columns(matrix, revealed, cells_site.support, transcript)
+        _return_room(table, matrix, room, helps_site, source, transcript)
     transcript.append(("end", "room", room, ok))
     return ok
 
@@ -319,44 +452,32 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     encoding card to the position of its cell's value, so the extracted row
     encodes the target value without anyone seeing it.
     """
-    grid = table.grid
-    room = grid.room_of(rc)
-    cells = grid.rooms[room]
-    p = len(cells)
-    if length < p:
-        raise ProtocolError(f"sequence of {length} too short for a room of {p}")
-    canonical = table.room_cards[room]
-    col_of_target = cells.index(rc)
     if site_prefix is None:
         site_prefix = f"cell/{rc[0]}.{rc[1]}"
-    key = f"{site_prefix}/conv-{letter}"
-    transcript.append(("begin", "convert", key))
+    conv = _schedule(table.grid).conversion(rc, letter, length, site_prefix)
+    cells_site, helps_site = conv.sites
+    p = cells_site.take
+    if length < p:
+        raise ProtocolError(f"sequence of {length} too short for a room of {p}")
+    transcript.append(("begin", "convert", conv.key))
 
     matrix = CardMatrix(3, p)
-    for col, cell in enumerate(cells):
-        matrix.place(0, col, table.remove_cell(cell))
-    transcript.append(("collect", f"room:{room}", 0, p))
-    helps = table.take_helps(p)
-    for col, card in enumerate(helps):
-        matrix.place(1, col, card)
-    transcript.append(("helps", 1, p))
+    _collect_room(table, matrix, conv.room, transcript)
     enc = table.take_encoding(letter, length)
-    matrix.place(2, col_of_target, enc[0])
-    transcript.append(("marker", enc[0], 2, col_of_target))
+    matrix.place(2, conv.column, enc[0])
+    transcript.append(("marker", enc[0], 2, conv.column))
     secret = list(enc[1:])
     prover.rng.shuffle(secret)
     fill = iter(secret)
     for col in range(p):
-        if col != col_of_target:
+        if col != conv.column:
             matrix.place(2, col, next(fill))
     transcript.append(("hidden-fill", 2, p - 1))
     tail = secret[p - 1:]
 
     pile_scramble_shuffle(matrix, source, transcript)
-    revealed = _reveal_row(matrix, 0, transcript, f"{key}/cells")
-    order = _sort_order(revealed, canonical)
-    matrix.permute_columns(order)
-    transcript.append(("rearrange", order))
+    revealed = _reveal_row(matrix, 0, transcript, cells_site.key)
+    _sort_columns(matrix, revealed, cells_site.support, transcript)
     sequence = matrix.take_row(2) + tail
     transcript.append(("extract", 2, p))
     transcript.append(("tail", length - p))
@@ -365,31 +486,45 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     for col in range(p):
         lower.place(0, col, matrix.card_at(0, col), matrix.is_face_up(0, col))
         lower.place(1, col, matrix.card_at(1, col), matrix.is_face_up(1, col))
-    turn_all_down(lower)
-    transcript.append(("turn-down",))
-    pile_scramble_shuffle(lower, source, transcript)
-    helped = _reveal_row(lower, 1, transcript, f"{key}/helps")
-    order = _sort_order(helped, helps)
-    lower.permute_columns(order)
-    transcript.append(("rearrange", order))
-    for col, cell in enumerate(cells):
-        table.put_cell(cell, lower.card_at(0, col))
-    transcript.append(("restore", f"room:{room}", p))
-    table.return_helps()
-    transcript.append(("end", "convert", key, True))
+    _return_room(table, lower, conv.room, helps_site, source, transcript)
+    transcript.append(("end", "convert", conv.key, True))
     return EncodingSequence(letter, length, sequence)
-
-
-def _pair_key(a: Coord, b: Coord) -> str:
-    return f"neighbor/{a[0]}.{a[1]}-{b[0]}.{b[1]}"
-
-
-def _arrow_key(rc: Coord) -> str:
-    return f"arrow/{rc[0]}.{rc[1]}"
 
 
 def neighbor_length(grid: Grid, a: Coord, b: Coord) -> int:
     return max(grid.room_size(grid.room_of(a)), grid.room_size(grid.room_of(b)))
+
+
+def _verify_windows(table: TableState, check: _Check, prover: ProverState,
+                    source: RandomSource, transcript: Transcript) -> bool:
+    """Convert the check's cells into sequences, stack them as rows, shuffle
+    the columns, find the marker of the first row and reveal each other
+    row's window starting in that column.  Any marker in a window rejects."""
+    transcript.append(("begin", check.kind, check.key))
+    sequences = [
+        convert_cell(table, conv.cell, conv.letter, conv.length, prover, source, transcript,
+                     site_prefix=check.key)
+        for conv in check.conversions
+    ]
+    first, *windows = check.sites
+    length = first.take
+    matrix = CardMatrix(len(sequences), length)
+    for row, seq in enumerate(sequences):
+        for col, card in enumerate(seq.cards):
+            matrix.place(row, col, card)
+        transcript.append(("collect", f"seq:{seq.letter}", row, length))
+    shuffle = pile_shifting_shuffle if check.kind == "arrow" else pile_scramble_shuffle
+    shuffle(matrix, source, transcript)
+    start = _reveal_row(matrix, 0, transcript, first.key).index(first.support[0])
+    ok = True
+    for row, site in enumerate(windows, start=1):
+        cards = _reveal_row(matrix, row, transcript, site.key,
+                            [(start + off) % length for off in range(site.take)])
+        ok = ok and all(card.index != 1 for card in cards)
+    for seq in sequences:
+        table.return_encoding(seq.letter)
+    transcript.append(("end", check.kind, check.key, ok))
+    return ok
 
 
 def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
@@ -397,29 +532,8 @@ def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
     """Check two adjacent cells differ: convert both to sequences of equal
     length, scramble the two rows as columns, find one marker, and look at the
     card sharing its column.  Equal values pair the markers in every shuffle."""
-    grid = table.grid
-    m = neighbor_length(grid, a, b)
-    key = _pair_key(a, b)
-    transcript.append(("begin", "neighbor", key))
-    seq_a = convert_cell(table, a, "a", m, prover, source, transcript, site_prefix=key)
-    seq_b = convert_cell(table, b, "b", m, prover, source, transcript, site_prefix=key)
-    matrix = CardMatrix(2, m)
-    for row, seq in enumerate((seq_a, seq_b)):
-        for col, card in enumerate(seq.cards):
-            matrix.place(row, col, card)
-        transcript.append(("collect", f"seq:{seq.letter}", row, m))
-    pile_scramble_shuffle(matrix, source, transcript)
-    revealed = _reveal_row(matrix, 0, transcript, f"{key}/row1")
-    col = revealed.index(table.enc["a"][0])
-    site = f"{key}/probe"
-    transcript.append(("site", site))
-    card = reveal(matrix, 1, col, transcript)
-    transcript.add_pattern(site, (card,))
-    ok = card.index != 1
-    table.return_encoding("a")
-    table.return_encoding("b")
-    transcript.append(("end", "neighbor", key, ok))
-    return ok
+    return _verify_windows(table, _schedule(table.grid).checks["neighbor", (a, b)],
+                           prover, source, transcript)
 
 
 def arrow_check_cells(grid: Grid, black_rc: Coord) -> list[Coord]:
@@ -449,38 +563,8 @@ def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
     column shift, the m columns starting at the pointed marker are revealed in
     each rival row; a rival marker lands there exactly when rival >= pointed.
     """
-    grid = table.grid
-    cells = arrow_check_cells(grid, black_rc)
-    m = arrow_length(grid, black_rc)
-    length = 2 * m - 1
-    key = _arrow_key(black_rc)
-    transcript.append(("begin", "arrow", key))
-    letters = ENC_LETTERS[:len(cells)]
-    sequences = [
-        convert_cell(table, rc, letter, length, prover, source, transcript, site_prefix=key)
-        for letter, rc in zip(letters, cells)
-    ]
-    matrix = CardMatrix(len(cells), length)
-    for row, seq in enumerate(sequences):
-        for col, card in enumerate(seq.cards):
-            matrix.place(row, col, card)
-        transcript.append(("collect", f"seq:{seq.letter}", row, length))
-    pile_shifting_shuffle(matrix, source, transcript)
-    revealed = _reveal_row(matrix, 0, transcript, f"{key}/row1")
-    start = revealed.index(table.enc["a"][0])
-    ok = True
-    for row in range(1, len(cells)):
-        site = f"{key}/row{row + 1}"
-        transcript.append(("site", site))
-        cards = [reveal(matrix, row, (start + off) % length, transcript)
-                 for off in range(m)]
-        transcript.add_pattern(site, tuple(cards))
-        if any(card.index == 1 for card in cards):
-            ok = False
-    for letter in letters:
-        table.return_encoding(letter)
-    transcript.append(("end", "arrow", key, ok))
-    return ok
+    return _verify_windows(table, _schedule(table.grid).checks["arrow", black_rc],
+                           prover, source, transcript)
 
 
 def run_full_protocol_with_table(
@@ -495,17 +579,15 @@ def run_full_protocol_with_table(
     except SetupError as err:
         return (Verdict(False, FailedCheck("room", err.room, at_setup=True)),
                 transcript, None)
-    for room in sorted(grid.rooms):
-        if not verify_room(table, room, source, transcript):
-            return Verdict(False, FailedCheck("room", room)), transcript, table
-        table.assert_settled()
-    for a, b in white_neighbor_pairs(grid):
-        if not verify_neighbor(table, a, b, prover, source, transcript):
-            return Verdict(False, FailedCheck("neighbor", (a, b))), transcript, table
-        table.assert_settled()
-    for rc in black_coords(grid):
-        if not verify_arrow(table, rc, prover, source, transcript):
-            return Verdict(False, FailedCheck("arrow", rc)), transcript, table
+    for check in _schedule(grid).checks.values():
+        if check.kind == "room":
+            ok = verify_room(table, check.subject, source, transcript)
+        elif check.kind == "neighbor":
+            ok = verify_neighbor(table, *check.subject, prover, source, transcript)
+        else:
+            ok = verify_arrow(table, check.subject, prover, source, transcript)
+        if not ok:
+            return Verdict(False, FailedCheck(check.kind, check.subject)), transcript, table
         table.assert_settled()
     return Verdict(True, None), transcript, table
 
@@ -526,146 +608,59 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 # the zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
 
-def _sim_reveal_row(transcript: Transcript, row: int, cards: list[CardId],
-                    site: str) -> None:
-    transcript.append(("site", site))
-    for col, card in enumerate(cards):
-        transcript.append(("reveal", (row, col), card))
-    transcript.add_pattern(site, tuple(cards))
+def _draw(rng: random.Random, site: _Site) -> list[CardId]:
+    if site.kind == "perm":
+        pattern = list(site.support)
+        rng.shuffle(pattern)
+        return pattern
+    if site.kind == "arrangement":
+        return rng.sample(site.support, site.take)
+    if site.support[0].index == 1:
+        # the window of a one-card sequence can only show its marker
+        # (unsatisfiable grids only): nothing to draw
+        return list(site.support)
+    return [rng.choice(site.support)]
 
 
-def _sim_room_segment(helper: "_SimHelper", room: str) -> None:
-    t = helper.transcript
-    canonical = helper.room_cards[room]
-    p = len(canonical)
-    t.append(("begin", "room", room))
+def _sim_reveal(t: Transcript, rng: random.Random, row: int, cols: Iterable[int],
+                site: _Site) -> list[CardId]:
+    pattern = _draw(rng, site)
+    t.append(("site", site.key))
+    for col, card in zip(cols, pattern):
+        t.append(("reveal", (row, col), card))
+    t.add_pattern(site.key, tuple(pattern))
+    return pattern
+
+
+def _sim_collection(t: Transcript, rng: random.Random, room: str,
+                    sites: tuple[_Site, _Site], conv: _Conversion | None = None) -> None:
+    """A room check's events, or a conversion's when conv is given."""
+    cells_site, helps_site = sites
+    p = cells_site.take
     t.append(("collect", f"room:{room}", 0, p))
     t.append(("helps", 1, p))
+    if conv is not None:
+        t.append(("marker", encoding_card(conv.letter, 1), 2, conv.column))
+        t.append(("hidden-fill", 2, p - 1))
     t.append(("shuffle", "scramble"))
-    cells_perm = helper.perm_of(canonical)
-    _sim_reveal_row(t, 0, cells_perm, f"room/{room}/cells")
-    t.append(("rearrange", _sort_order(cells_perm, canonical)))
+    revealed = _sim_reveal(t, rng, 0, range(p), cells_site)
+    t.append(("rearrange", _sort_order(revealed, cells_site.support)))
+    if conv is not None:
+        t.append(("extract", 2, p))
+        t.append(("tail", conv.length - p))
     t.append(("turn-down",))
     t.append(("shuffle", "scramble"))
-    helps = helper.helps[:p]
-    helps_perm = helper.perm_of(helps)
-    _sim_reveal_row(t, 1, helps_perm, f"room/{room}/helps")
-    t.append(("rearrange", _sort_order(helps_perm, helps)))
+    helped = _sim_reveal(t, rng, 1, range(p), helps_site)
+    t.append(("rearrange", _sort_order(helped, helps_site.support)))
     t.append(("restore", f"room:{room}", p))
-    t.append(("end", "room", room, True))
-
-
-def _sim_convert(helper: "_SimHelper", rc: Coord, letter: str, length: int,
-                 site_prefix: str) -> None:
-    t = helper.transcript
-    grid = helper.grid
-    room = grid.room_of(rc)
-    canonical = helper.room_cards[room]
-    p = len(canonical)
-    key = f"{site_prefix}/conv-{letter}"
-    t.append(("begin", "convert", key))
-    t.append(("collect", f"room:{room}", 0, p))
-    t.append(("helps", 1, p))
-    t.append(("marker", encoding_card(letter, 1), 2, grid.rooms[room].index(rc)))
-    t.append(("hidden-fill", 2, p - 1))
-    t.append(("shuffle", "scramble"))
-    cells_perm = helper.perm_of(canonical)
-    _sim_reveal_row(t, 0, cells_perm, f"{key}/cells")
-    t.append(("rearrange", _sort_order(cells_perm, canonical)))
-    t.append(("extract", 2, p))
-    t.append(("tail", length - p))
-    t.append(("turn-down",))
-    t.append(("shuffle", "scramble"))
-    helps = helper.helps[:p]
-    helps_perm = helper.perm_of(helps)
-    _sim_reveal_row(t, 1, helps_perm, f"{key}/helps")
-    t.append(("rearrange", _sort_order(helps_perm, helps)))
-    t.append(("restore", f"room:{room}", p))
-    t.append(("end", "convert", key, True))
-
-
-def _sim_neighbor_segment(helper: "_SimHelper", a: Coord, b: Coord) -> None:
-    t = helper.transcript
-    m = neighbor_length(helper.grid, a, b)
-    key = _pair_key(a, b)
-    t.append(("begin", "neighbor", key))
-    _sim_convert(helper, a, "a", m, key)
-    _sim_convert(helper, b, "b", m, key)
-    t.append(("collect", "seq:a", 0, m))
-    t.append(("collect", "seq:b", 1, m))
-    t.append(("shuffle", "scramble"))
-    a_cards = helper.perm_of(helper.enc_prefix("a", m))
-    _sim_reveal_row(t, 0, a_cards, f"{key}/row1")
-    col = a_cards.index(encoding_card("a", 1))
-    site = f"{key}/probe"
-    t.append(("site", site))
-    if m > 1:
-        card = encoding_card("b", helper.rng.randrange(2, m + 1))
-    else:
-        card = encoding_card("b", 1)  # adjacent forced-1 rooms: unsatisfiable grid
-    t.append(("reveal", (1, col), card))
-    t.add_pattern(site, (card,))
-    t.append(("end", "neighbor", key, True))
-
-
-def _sim_arrow_segment(helper: "_SimHelper", black_rc: Coord) -> None:
-    t = helper.transcript
-    grid = helper.grid
-    cells = arrow_check_cells(grid, black_rc)
-    m = arrow_length(grid, black_rc)
-    length = 2 * m - 1
-    key = _arrow_key(black_rc)
-    t.append(("begin", "arrow", key))
-    letters = ENC_LETTERS[:len(cells)]
-    for letter, rc in zip(letters, cells):
-        _sim_convert(helper, rc, letter, length, key)
-    for row, letter in enumerate(letters):
-        t.append(("collect", f"seq:{letter}", row, length))
-    t.append(("shuffle", "shift"))
-    a_cards = helper.perm_of(helper.enc_prefix("a", length))
-    _sim_reveal_row(t, 0, a_cards, f"{key}/row1")
-    start = a_cards.index(encoding_card("a", 1))
-    for row in range(1, len(cells)):
-        site = f"{key}/row{row + 1}"
-        t.append(("site", site))
-        if length > 1:
-            window = helper.rng.sample(helper.enc_prefix(letters[row], length)[1:], m)
-        else:
-            window = [encoding_card(letters[row], 1)]  # unsatisfiable grid
-        for off, card in enumerate(window):
-            t.append(("reveal", (row, (start + off) % length), card))
-        t.add_pattern(site, tuple(window))
-    t.append(("end", "arrow", key, True))
-
-
-class _SimHelper:
-    def __init__(self, grid: Grid, rng: random.Random):
-        self.grid = grid
-        self.rng = rng
-        self.transcript = Transcript()
-        st = stats(grid)
-        self.room_cards = {
-            room: [cell_card(room, v) for v in range(1, len(cells) + 1)]
-            for room, cells in grid.rooms.items()
-        }
-        self.helps = [help_card(i) for i in range(1, st.k + 1)]
-        self.enc_len = 2 * st.k - 1
-
-    def perm_of(self, cards: list[CardId]) -> list[CardId]:
-        out = cards[:]
-        self.rng.shuffle(out)
-        return out
-
-    def enc_prefix(self, letter: str, count: int) -> list[CardId]:
-        return [encoding_card(letter, i) for i in range(1, count + 1)]
 
 
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """A transcript with the exact event structure of an accepting run, every
     reveal drawn from its solution-independent distribution.  Needs no
     assignment; meaningful for satisfiable grids."""
-    helper = _SimHelper(grid, source.shuffle_stream)
-    t = helper.transcript
+    rng = source.shuffle_stream
+    t = Transcript()
     for rc in grid.white_coords():
         cell = grid.cell(rc)
         if cell.clue is not None:
@@ -673,12 +668,25 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     for rc in grid.white_coords():
         if grid.cell(rc).clue is None:
             t.append(("place-hidden", rc))
-    for room in sorted(grid.rooms):
-        _sim_room_segment(helper, room)
-    for a, b in white_neighbor_pairs(grid):
-        _sim_neighbor_segment(helper, a, b)
-    for rc in black_coords(grid):
-        _sim_arrow_segment(helper, rc)
+    for check in _schedule(grid).checks.values():
+        t.append(("begin", check.kind, check.key))
+        if check.kind == "room":
+            _sim_collection(t, rng, check.subject, check.sites)
+        else:
+            for conv in check.conversions:
+                t.append(("begin", "convert", conv.key))
+                _sim_collection(t, rng, conv.room, conv.sites, conv)
+                t.append(("end", "convert", conv.key, True))
+            first, *windows = check.sites
+            length = first.take
+            for row, conv in enumerate(check.conversions):
+                t.append(("collect", f"seq:{conv.letter}", row, length))
+            t.append(("shuffle", "shift" if check.kind == "arrow" else "scramble"))
+            start = _sim_reveal(t, rng, 0, range(length), first).index(first.support[0])
+            for row, site in enumerate(windows, start=1):
+                _sim_reveal(t, rng, row, [(start + off) % length for off in range(site.take)],
+                            site)
+        t.append(("end", check.kind, check.key, True))
     return t
 
 
@@ -691,52 +699,7 @@ def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int
     kind "arrangement": `take` distinct cards from the support, ordered,
     uniform over all such sequences.
     """
-    helps = tuple(help_card(i) for i in range(1, stats(grid).k + 1))
-    room_cards = {
-        room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
-        for room, cells in grid.rooms.items()
-    }
-
-    plan: list[tuple[str, str, tuple[CardId, ...], int]] = []
-
-    def add_conversion(rc: Coord, letter: str, prefix: str) -> None:
-        room = grid.room_of(rc)
-        p = len(room_cards[room])
-        key = f"{prefix}/conv-{letter}"
-        plan.append((f"{key}/cells", "perm", room_cards[room], p))
-        plan.append((f"{key}/helps", "perm", helps[:p], p))
-
-    for room in sorted(grid.rooms):
-        p = len(room_cards[room])
-        plan.append((f"room/{room}/cells", "perm", room_cards[room], p))
-        plan.append((f"room/{room}/helps", "perm", helps[:p], p))
-    for a, b in white_neighbor_pairs(grid):
-        m = neighbor_length(grid, a, b)
-        key = _pair_key(a, b)
-        add_conversion(a, "a", key)
-        add_conversion(b, "b", key)
-        a_cards = tuple(encoding_card("a", i) for i in range(1, m + 1))
-        plan.append((f"{key}/row1", "perm", a_cards, m))
-        if m > 1:
-            probe = tuple(encoding_card("b", i) for i in range(2, m + 1))
-        else:
-            probe = (encoding_card("b", 1),)
-        plan.append((f"{key}/probe", "pick", probe, 1))
-    for black_rc in black_coords(grid):
-        cells = arrow_check_cells(grid, black_rc)
-        m = arrow_length(grid, black_rc)
-        length = 2 * m - 1
-        key = _arrow_key(black_rc)
-        letters = ENC_LETTERS[:len(cells)]
-        for letter, rc in zip(letters, cells):
-            add_conversion(rc, letter, key)
-        a_cards = tuple(encoding_card("a", i) for i in range(1, length + 1))
-        plan.append((f"{key}/row1", "perm", a_cards, length))
-        for row, letter in enumerate(letters[1:], start=2):
-            if length > 1:
-                support = tuple(encoding_card(letter, i) for i in range(2, length + 1))
-                plan.append((f"{key}/row{row}", "arrangement", support, m))
-            else:
-                plan.append((f"{key}/row{row}", "pick",
-                             (encoding_card(letter, 1),), 1))
-    return plan
+    return [tuple(site)
+            for check in _schedule(grid).checks.values()
+            for sites in (*(conv.sites for conv in check.conversions), check.sites)
+            for site in sites]

@@ -405,6 +405,15 @@ class TestComparisonReports:
         with pytest.raises(InsufficientTrials):
             uniformity_sweep(hist)  # 6-bin sites need at least 30 draws
 
+    def test_a_comparison_that_tests_no_site_raises(self, example_grid, example_solution):
+        # one run per side pools every site to a single bin: a PASS would be vacuous
+        with pytest.raises(InsufficientTrials):
+            zk_comparison(example_grid, example_solution, "one", trials=1)
+        # a grid whose every site has a single possible pattern still passes
+        single = parse_puzzle("makaro 1 1\nA\n")
+        report = zk_comparison(single, {(0, 0): 1}, "one", trials=1)
+        assert report.passed and report.tested_sites == 0
+
     def test_text_report_is_deterministic_and_readable(self, quad_grid):
         a = zk_comparison(quad_grid, QUAD_SOLUTION, "rep", trials=400)
         b = zk_comparison(quad_grid, QUAD_SOLUTION, "rep", trials=400)

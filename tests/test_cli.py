@@ -232,6 +232,13 @@ class TestZkTest:
         assert code == 2
         assert "no solution" in err
 
+    def test_too_few_trials_to_test_any_site_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "zk-test", "--puzzle", EXAMPLE,
+                                 "--solution", EXAMPLE_SOLUTION, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: protocol vs simulator: no site could be tested; "
+                       "collect more trials\n")
+
     def test_output_is_reproducible_and_worker_independent(self, capsys):
         base = run_cli(capsys, "zk-test", "--puzzle", QUAD, "--seed", "w",
                        "--trials", "300", "--report-format", "json")

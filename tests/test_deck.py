@@ -21,6 +21,28 @@ from makaro_zkp import (
     reveal,
     turn_all_down,
 )
+from makaro_zkp.deck import _EVENT_FIELDS
+
+# One malformed line per event kind: a field missing, extra, out of order,
+# or with a value its kind cannot hold.
+MALFORMED_LINES = {
+    "place": "place pos=0;1 card=room:A#3",
+    "place-hidden": "place-hidden pos=2,2,2",
+    "collect": "collect src=room:A row=zero count=3",
+    "helps": "helps row=1",
+    "marker": "marker card=enc:a row=2 col=1 extra=1",
+    "hidden-fill": "hidden-fill count=2 row=2",
+    "shuffle": "shuffle",
+    "site": "site room/A/cells",
+    "reveal": "reveal pos=0,0 card=room:A",
+    "rearrange": "rearrange perm=1,,0",
+    "turn-down": "turn-down face=up",
+    "extract": "extract row=2 count=",
+    "tail": "tail count=2.5",
+    "restore": "restore src=room:A count=3",
+    "begin": "begin kind=room",
+    "end": "end kind=room key=A result=maybe",
+}
 
 
 def fresh_matrix(rows, cols, prefix="x"):
@@ -288,6 +310,15 @@ class TestTranscript:
         back = Transcript.from_text(t.to_text())
         assert back == t
         assert back.site_patterns == t.site_patterns
+
+    def test_every_event_kind_has_a_round_trip_and_a_malformed_line(self):
+        kinds = {ev[0] for ev in self.all_kinds_transcript().events}
+        assert kinds == set(_EVENT_FIELDS) == set(MALFORMED_LINES)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_LINES))
+    def test_malformed_line_is_rejected(self, kind):
+        with pytest.raises(DeckError):
+            Transcript.from_text(MALFORMED_LINES[kind] + "\n")
 
     def test_to_text_is_line_per_event(self):
         t = self.all_kinds_transcript()
