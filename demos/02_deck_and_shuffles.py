@@ -56,7 +56,7 @@ def main() -> None:
     for _ in range(trials):
         matrix = fresh_row(cards)
         pile_shifting_shuffle(matrix, source)
-        offsets[matrix.find_in_row(0, help_card(1))] += 1
+        offsets[[matrix.card_at(0, c) for c in range(5)].index(help_card(1))] += 1
     print(f"Offsets of {trials} pile-shifting shuffles (5 columns):")
     for offset in sorted(offsets):
         share = offsets[offset] / trials

@@ -57,11 +57,11 @@ from .deck import (
 )
 from .protocol import (
     CardsUnavailable,
-    EncodingSequence,
     FailedCheck,
     ProtocolError,
     ProverState,
     SetupError,
+    SiteFamily,
     TableState,
     Verdict,
     arrow_check_cells,
@@ -83,7 +83,6 @@ from .analysis import (
     CardBudget,
     ComparisonReport,
     InsufficientTrials,
-    SiteFamily,
     SiteHistograms,
     SiteReport,
     card_budget,
@@ -110,13 +109,13 @@ __all__ = [
     "CardId", "CardMatrix", "DeckError", "RandomSource", "Transcript",
     "cell_card", "encoding_card", "help_card", "parse_card",
     "pile_scramble_shuffle", "pile_shifting_shuffle", "reveal", "turn_all_down",
-    "CardsUnavailable", "EncodingSequence", "FailedCheck", "ProtocolError",
-    "ProverState", "SetupError", "TableState", "Verdict", "arrow_check_cells",
+    "CardsUnavailable", "FailedCheck", "ProtocolError", "ProverState",
+    "SetupError", "SiteFamily", "TableState", "Verdict", "arrow_check_cells",
     "arrow_length", "neighbor_length", "collect_site_patterns",
     "convert_cell", "make_encoding", "make_prover", "reveal_site_plan",
     "run_full_protocol", "run_full_protocol_with_table", "setup_placement",
     "simulate_transcript", "verify_arrow", "verify_neighbor", "verify_room",
-    "CardBudget", "ComparisonReport", "InsufficientTrials", "SiteFamily",
+    "CardBudget", "ComparisonReport", "InsufficientTrials",
     "SiteHistograms", "SiteReport", "card_budget",
     "collect_protocol_histograms", "collect_simulator_histograms",
     "compare_collections", "compare_histograms", "site_plan", "solution_comparison",

@@ -30,6 +30,7 @@ from scipy.stats import chi2 as _chi2_dist
 from .deck import CardId, RandomSource, Transcript
 from .protocol import (
     ProtocolError,
+    SiteFamily,
     make_prover,
     reveal_site_plan,
     run_full_protocol,
@@ -72,38 +73,6 @@ def card_budget(st: PuzzleStats) -> CardBudget:
 
 # --- site families -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SiteFamily:
-    """The theoretical pattern distribution at one reveal site.
-
-    kind "perm": uniform permutation of the support (take == len(support)).
-    kind "pick": one uniform card from the support (take == 1).
-    kind "arrangement": `take` distinct support cards in uniform order.
-    """
-
-    key: str
-    kind: str
-    support: tuple[CardId, ...]
-    take: int
-
-    def size(self) -> int:
-        if self.kind == "perm":
-            return math.factorial(len(self.support))
-        if self.kind == "pick":
-            return len(self.support)
-        return math.perm(len(self.support), self.take)
-
-    def contains(self, pattern: tuple[CardId, ...]) -> bool:
-        if len(pattern) != self.take:
-            return False
-        members = set(self.support)
-        if self.kind == "perm":
-            return set(pattern) == members
-        if self.kind == "pick":
-            return pattern[0] in members
-        return len(set(pattern)) == self.take and all(c in members for c in pattern)
-
-
 def site_plan(grid: Grid, marginal_threshold: int = MARGINAL_THRESHOLD) -> list[SiteFamily]:
     """Every tested pattern family for a grid, in schedule order.  A site
     whose full pattern space exceeds marginal_threshold is replaced by one
@@ -128,11 +97,7 @@ class SiteHistograms:
         self.marginal_threshold = marginal_threshold
         self.families = site_plan(grid, marginal_threshold)
         self.counts: dict[str, Counter] = {fam.key: Counter() for fam in self.families}
-        self._family_by_key = {fam.key: fam for fam in self.families}
         self.transcripts = 0
-
-    def family(self, key: str) -> SiteFamily:
-        return self._family_by_key[key]
 
     def add_transcript(self, transcript: Transcript) -> None:
         self.transcripts += 1

@@ -42,11 +42,15 @@ from .puzzle import (
 
 
 def _load_grid(path: str) -> Grid:
-    return parse_puzzle(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise PuzzleError(f"{path}: not UTF-8 text (byte {err.start})") from err
+    return parse_puzzle(text)
 
 
 def _load_solution(grid: Grid, path: str) -> dict:
-    solved = parse_puzzle(Path(path).read_text(encoding="utf-8"))
+    solved = _load_grid(path)
     if not same_layout(grid, solved):
         raise PuzzleError(f"{path}: layout does not match the puzzle")
     for rc in solved.white_coords():

@@ -192,67 +192,55 @@ def _parse_event(line: str) -> tuple:
 
 
 class CardMatrix:
-    """A rows x cols arrangement of card slots, shuffled by whole columns."""
+    """A rows x cols arrangement of card slots, shuffled by whole columns.
 
-    __slots__ = ("rows", "cols", "_ids", "_faces")
+    Slots are stored column by column, so a column shuffle reorders one list.
+    Every card is distinct, so whether a card lies face up travels with it.
+    """
+
+    __slots__ = ("rows", "cols", "_cols", "_up")
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise DeckError("matrix needs at least one row and column")
         self.rows = rows
         self.cols = cols
-        self._ids: list[CardId | None] = [None] * (rows * cols)
-        self._faces = bytearray(rows * cols)  # 1 = face up
+        self._cols: list[list[CardId | None]] = [[None] * rows for _ in range(cols)]
+        self._up: set[CardId] = set()
 
-    def place(self, row: int, col: int, card: CardId, face_up: bool = False) -> None:
-        i = row * self.cols + col
-        if self._ids[i] is not None:
+    def place(self, row: int, col: int, card: CardId) -> None:
+        """Lay a card face down in an empty slot."""
+        column = self._cols[col]
+        if column[row] is not None:
             raise DeckError(f"slot ({row},{col}) already holds a card")
-        self._ids[i] = card
-        self._faces[i] = 1 if face_up else 0
+        column[row] = card
 
     def card_at(self, row: int, col: int) -> CardId | None:
-        return self._ids[row * self.cols + col]
+        return self._cols[col][row]
 
     def is_face_up(self, row: int, col: int) -> bool:
-        return bool(self._faces[row * self.cols + col])
+        return self._cols[col][row] in self._up
 
     def is_full(self) -> bool:
-        return all(c is not None for c in self._ids)
-
-    def row_cards(self, row: int) -> list[CardId | None]:
-        return self._ids[row * self.cols:(row + 1) * self.cols]
+        return all(None not in column for column in self._cols)
 
     def take_row(self, row: int) -> list[CardId]:
-        """Remove and return a full row, left to right."""
-        start = row * self.cols
-        cards = self._ids[start:start + self.cols]
-        if any(c is None for c in cards):
+        """Remove a full row and return it, left to right; the rows below
+        move up by one."""
+        cards = [column[row] for column in self._cols]
+        if None in cards:
             raise DeckError(f"row {row} is not fully occupied")
-        for i in range(start, start + self.cols):
-            self._ids[i] = None
-            self._faces[i] = 0
+        for column in self._cols:
+            del column[row]
+        self.rows -= 1
+        self._up.difference_update(cards)
         return cards  # type: ignore[return-value]
 
     def permute_columns(self, order: tuple[int, ...]) -> None:
         """Reorder columns so that new column j is old column order[j]."""
         if sorted(order) != list(range(self.cols)):
             raise DeckError(f"bad column order {order!r}")
-        ids, faces = self._ids, self._faces
-        new_ids: list[CardId | None] = [None] * len(ids)
-        new_faces = bytearray(len(ids))
-        for j, src in enumerate(order):
-            for r in range(self.rows):
-                new_ids[r * self.cols + j] = ids[r * self.cols + src]
-                new_faces[r * self.cols + j] = faces[r * self.cols + src]
-        self._ids = new_ids
-        self._faces = new_faces
-
-    def find_in_row(self, row: int, card: CardId) -> int:
-        for c in range(self.cols):
-            if self._ids[row * self.cols + c] == card:
-                return c
-        raise DeckError(f"{card} not in row {row}")
+        self._cols = [self._cols[src] for src in order]
 
 
 def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource,
@@ -291,14 +279,12 @@ def reveal(matrix: CardMatrix, row: int, col: int, transcript: Transcript) -> Ca
         raise DeckError(f"no card at ({row},{col})")
     if matrix.is_face_up(row, col):
         raise DeckError(f"card at ({row},{col}) is already face up")
-    matrix._faces[row * matrix.cols + col] = 1
+    matrix._up.add(card)
     transcript.append(("reveal", (row, col), card))
     return card
 
 
 def turn_all_down(matrix: CardMatrix) -> CardMatrix:
     """Flip every face-up card face down; identities are unchanged."""
-    for i in range(len(matrix._faces)):
-        if matrix._faces[i]:
-            matrix._faces[i] = 0
+    matrix._up.clear()
     return matrix

@@ -26,6 +26,7 @@ reproduces without seeing any solution.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -85,16 +86,6 @@ def make_prover(assignment: Assignment, source: RandomSource) -> ProverState:
     return ProverState(dict(assignment), source.prover_stream)
 
 
-@dataclass
-class EncodingSequence:
-    """m face-down cards of one set; the marker (index 1) sits at the position
-    equal to the encoded value, the rest are in an order only the prover knows."""
-
-    letter: str
-    length: int
-    cards: list[CardId]
-
-
 @dataclass(frozen=True)
 class FailedCheck:
     kind: str        # "room" | "neighbor" | "arrow"
@@ -127,13 +118,12 @@ class TableState:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        st = stats(grid)
-        self.n = st.n
-        self.k = st.k
-        self.enc_len = 2 * st.k - 1
-        self.cell_cards: dict[Coord, CardId | None] = {}
-        # the card sets are public and fixed by the grid: shared by every run
+        # the sizes and card sets are public and fixed by the grid: shared by every run
         schedule = _schedule(grid)
+        self.n = schedule.n
+        self.k = schedule.k
+        self.enc_len = 2 * schedule.k - 1
+        self.cell_cards: dict[Coord, CardId | None] = {}
         self.room_cards = schedule.room_cards
         self.helps = schedule.helps
         self.enc = schedule.enc
@@ -201,20 +191,16 @@ class TableState:
 
 
 def make_encoding(letter: str, length: int, value: int, prover: ProverState,
-                  table: TableState | None = None) -> EncodingSequence:
-    """Encode `value` as a card sequence: marker at that position, the other
-    length-1 cards in a secret uniform order.  With a table, the set's cards
-    1..length are drawn from (and tracked in) its free pool."""
+                  table: TableState) -> list[CardId]:
+    """Encode `value` as a card sequence: marker (index 1) at that position,
+    the other length-1 cards in an order only the prover knows.  The set's
+    cards 1..length are drawn from (and tracked in) the table's free pool."""
     if not 1 <= value <= length:
         raise ProtocolError(f"cannot encode {value} in a sequence of {length}")
-    if table is not None:
-        cards = table.take_encoding(letter, length)
-    else:
-        cards = tuple(encoding_card(letter, i) for i in range(1, length + 1))
+    cards = table.take_encoding(letter, length)
     rest = list(cards[1:])
     prover.rng.shuffle(rest)
-    return EncodingSequence(letter, length,
-                            rest[:value - 1] + [cards[0]] + rest[value - 1:])
+    return rest[:value - 1] + [cards[0]] + rest[value - 1:]
 
 
 def _sort_order(revealed: list[CardId], canonical: tuple[CardId, ...]) -> tuple[int, ...]:
@@ -231,13 +217,35 @@ def _sort_order(revealed: list[CardId], canonical: tuple[CardId, ...]) -> tuple[
 # grid and read by the live run, the simulator and reveal_site_plan, so the
 # three cannot drift apart.
 
-class _Site(NamedTuple):
-    """One reveal site and its pattern family (see reveal_site_plan)."""
+class SiteFamily(NamedTuple):
+    """One reveal site and the theoretical distribution of its pattern.
+
+    kind "perm": uniform permutation of the support (take == len(support)).
+    kind "pick": one uniform card from the support (take == 1).
+    kind "arrangement": `take` distinct support cards in uniform order.
+    """
 
     key: str
     kind: str
     support: tuple[CardId, ...]
     take: int
+
+    def size(self) -> int:
+        if self.kind == "perm":
+            return math.factorial(len(self.support))
+        if self.kind == "pick":
+            return len(self.support)
+        return math.perm(len(self.support), self.take)
+
+    def contains(self, pattern: tuple[CardId, ...]) -> bool:
+        if len(pattern) != self.take:
+            return False
+        members = set(self.support)
+        if self.kind == "perm":
+            return set(pattern) == members
+        if self.kind == "pick":
+            return pattern[0] in members
+        return len(set(pattern)) == self.take and all(c in members for c in pattern)
 
 
 class _Conversion(NamedTuple):
@@ -249,7 +257,7 @@ class _Conversion(NamedTuple):
     key: str
     room: str
     column: int                  # the cell's place in its room: where the marker goes
-    sites: tuple[_Site, _Site]   # the room's cards, then the helping cards
+    sites: tuple[SiteFamily, SiteFamily]  # the room's cards, then the helping cards
 
 
 class _Check(NamedTuple):
@@ -259,31 +267,32 @@ class _Check(NamedTuple):
     conversions: tuple[_Conversion, ...]
     # rooms: the room's cards, then the helping cards; neighbors and arrows:
     # the first row, whose marker is looked for, then one window per other row
-    sites: tuple[_Site, ...]
+    sites: tuple[SiteFamily, ...]
 
 
 def _collection_sites(key: str, cards: tuple[CardId, ...],
-                      helps: tuple[CardId, ...]) -> tuple[_Site, _Site]:
+                      helps: tuple[CardId, ...]) -> tuple[SiteFamily, SiteFamily]:
     """A room's cards, then as many helping cards, each revealed in uniform
     order after a scramble."""
     p = len(cards)
-    return (_Site(f"{key}/cells", "perm", cards, p),
-            _Site(f"{key}/helps", "perm", helps[:p], p))
+    return (SiteFamily(f"{key}/cells", "perm", cards, p),
+            SiteFamily(f"{key}/helps", "perm", helps[:p], p))
 
 
 class _Schedule:
-    """Everything public about the runs on one grid: the cards of each set,
-    and every check, in run order, keyed by (kind, subject)."""
+    """Everything public about the runs on one grid: its white-cell count n
+    and largest room size k, the cards of each set, and every check, in run
+    order, keyed by (kind, subject)."""
 
     def __init__(self, grid: Grid):
-        k = stats(grid).k
+        self.n, self.k = stats(grid)
         self.grid = grid
         self.room_cards = {
             room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
             for room, cells in grid.rooms.items()
         }
-        self.helps = tuple(help_card(i) for i in range(1, k + 1))
-        self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * k))
+        self.helps = tuple(help_card(i) for i in range(1, self.k + 1))
+        self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
                     for letter in ENC_LETTERS}
         self._conversions: dict[tuple, _Conversion] = {}
         checks = [_Check("room", room, room, (),
@@ -301,13 +310,13 @@ class _Schedule:
     def _windows(self, kind: str, subject: object, key: str, cells: list[Coord],
                  length: int, window: int) -> _Check:
         letters = ENC_LETTERS[:len(cells)]
-        sites = [_Site(f"{key}/row1", "perm", self.enc["a"][:length], length)]
+        sites = [SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)]
         for row, letter in enumerate(letters[1:], start=2):
             # a one-card sequence is its marker, so the window can only show
             # it (unsatisfiable grids only)
             support = self.enc[letter][1 if length > 1 else 0:length]
-            sites.append(_Site(f"{key}/probe" if kind == "neighbor" else f"{key}/row{row}",
-                               "pick" if window == 1 else "arrangement", support, window))
+            sites.append(SiteFamily(f"{key}/probe" if kind == "neighbor" else f"{key}/row{row}",
+                                    "pick" if window == 1 else "arrangement", support, window))
         conversions = tuple(self.conversion(rc, letter, length, key)
                             for letter, rc in zip(letters, cells))
         return _Check(kind, subject, key, conversions, tuple(sites))
@@ -373,8 +382,8 @@ def _collect_room(table: TableState, matrix: CardMatrix, room: str,
     transcript.append(("helps", 1, p))
 
 
-def _return_room(table: TableState, matrix: CardMatrix, room: str, helps_site: _Site,
-                 source: RandomSource, transcript: Transcript) -> None:
+def _return_room(table: TableState, matrix: CardMatrix, room: str,
+                 helps_site: SiteFamily, source: RandomSource, transcript: Transcript) -> None:
     """Hide the room's sorted cards behind one more scramble, then sort by
     the helping cards, which puts the room's cards back in cell order."""
     turn_all_down(matrix)
@@ -443,17 +452,16 @@ def verify_room(table: TableState, room: str, source: RandomSource,
 
 def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
                  prover: ProverState, source: RandomSource, transcript: Transcript,
-                 site_prefix: str | None = None) -> EncodingSequence:
+                 site_prefix: str) -> list[CardId]:
     """Turn a cell's hidden value into an encoding sequence of the given
     length, leaving the room's cards back on the grid exactly as they were.
 
     The room's cards and the prepared encoding row ride the same column
     scramble; sorting the revealed room cards into canonical order drags each
     encoding card to the position of its cell's value, so the extracted row
-    encodes the target value without anyone seeing it.
+    encodes the target value without anyone seeing it.  The reveal sites
+    are keyed under `site_prefix/conv-<letter>`.
     """
-    if site_prefix is None:
-        site_prefix = f"cell/{rc[0]}.{rc[1]}"
     conv = _schedule(table.grid).conversion(rc, letter, length, site_prefix)
     cells_site, helps_site = conv.sites
     p = cells_site.take
@@ -463,32 +471,24 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
 
     matrix = CardMatrix(3, p)
     _collect_room(table, matrix, conv.room, transcript)
-    enc = table.take_encoding(letter, length)
-    matrix.place(2, conv.column, enc[0])
-    transcript.append(("marker", enc[0], 2, conv.column))
-    secret = list(enc[1:])
-    prover.rng.shuffle(secret)
-    fill = iter(secret)
-    for col in range(p):
-        if col != conv.column:
-            matrix.place(2, col, next(fill))
+    # the marker lands in the cell's column of row 2, so the first p cards of
+    # the encoding fill that row and the rest wait as its tail
+    encoding = make_encoding(letter, length, conv.column + 1, prover, table)
+    transcript.append(("marker", encoding[conv.column], 2, conv.column))
+    for col, card in enumerate(encoding[:p]):
+        matrix.place(2, col, card)
     transcript.append(("hidden-fill", 2, p - 1))
-    tail = secret[p - 1:]
 
     pile_scramble_shuffle(matrix, source, transcript)
     revealed = _reveal_row(matrix, 0, transcript, cells_site.key)
     _sort_columns(matrix, revealed, cells_site.support, transcript)
-    sequence = matrix.take_row(2) + tail
+    sequence = matrix.take_row(2) + encoding[p:]
     transcript.append(("extract", 2, p))
     transcript.append(("tail", length - p))
 
-    lower = CardMatrix(2, p)
-    for col in range(p):
-        lower.place(0, col, matrix.card_at(0, col), matrix.is_face_up(0, col))
-        lower.place(1, col, matrix.card_at(1, col), matrix.is_face_up(1, col))
-    _return_room(table, lower, conv.room, helps_site, source, transcript)
+    _return_room(table, matrix, conv.room, helps_site, source, transcript)
     transcript.append(("end", "convert", conv.key, True))
-    return EncodingSequence(letter, length, sequence)
+    return sequence
 
 
 def neighbor_length(grid: Grid, a: Coord, b: Coord) -> int:
@@ -503,16 +503,16 @@ def _verify_windows(table: TableState, check: _Check, prover: ProverState,
     transcript.append(("begin", check.kind, check.key))
     sequences = [
         convert_cell(table, conv.cell, conv.letter, conv.length, prover, source, transcript,
-                     site_prefix=check.key)
+                     check.key)
         for conv in check.conversions
     ]
     first, *windows = check.sites
     length = first.take
     matrix = CardMatrix(len(sequences), length)
-    for row, seq in enumerate(sequences):
-        for col, card in enumerate(seq.cards):
+    for row, (conv, seq) in enumerate(zip(check.conversions, sequences)):
+        for col, card in enumerate(seq):
             matrix.place(row, col, card)
-        transcript.append(("collect", f"seq:{seq.letter}", row, length))
+        transcript.append(("collect", f"seq:{conv.letter}", row, length))
     shuffle = pile_shifting_shuffle if check.kind == "arrow" else pile_scramble_shuffle
     shuffle(matrix, source, transcript)
     start = _reveal_row(matrix, 0, transcript, first.key).index(first.support[0])
@@ -521,8 +521,8 @@ def _verify_windows(table: TableState, check: _Check, prover: ProverState,
         cards = _reveal_row(matrix, row, transcript, site.key,
                             [(start + off) % length for off in range(site.take)])
         ok = ok and all(card.index != 1 for card in cards)
-    for seq in sequences:
-        table.return_encoding(seq.letter)
+    for conv in check.conversions:
+        table.return_encoding(conv.letter)
     transcript.append(("end", check.kind, check.key, ok))
     return ok
 
@@ -608,7 +608,7 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 # the zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
 
-def _draw(rng: random.Random, site: _Site) -> list[CardId]:
+def _draw(rng: random.Random, site: SiteFamily) -> list[CardId]:
     if site.kind == "perm":
         pattern = list(site.support)
         rng.shuffle(pattern)
@@ -623,7 +623,7 @@ def _draw(rng: random.Random, site: _Site) -> list[CardId]:
 
 
 def _sim_reveal(t: Transcript, rng: random.Random, row: int, cols: Iterable[int],
-                site: _Site) -> list[CardId]:
+                site: SiteFamily) -> list[CardId]:
     pattern = _draw(rng, site)
     t.append(("site", site.key))
     for col, card in zip(cols, pattern):
@@ -633,7 +633,8 @@ def _sim_reveal(t: Transcript, rng: random.Random, row: int, cols: Iterable[int]
 
 
 def _sim_collection(t: Transcript, rng: random.Random, room: str,
-                    sites: tuple[_Site, _Site], conv: _Conversion | None = None) -> None:
+                    sites: tuple[SiteFamily, SiteFamily],
+                    conv: _Conversion | None = None) -> None:
     """A room check's events, or a conversion's when conv is given."""
     cells_site, helps_site = sites
     p = cells_site.take

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 Coord = tuple[int, int]
 Assignment = dict[Coord, int]
@@ -284,8 +284,8 @@ def _require_domain(grid: Grid, assignment: Assignment) -> None:
             raise ValueError(f"assignment value at {rc} must be a positive integer")
 
 
-def violations(grid: Grid, assignment: Assignment) -> list[tuple]:
-    """Every violated condition, in the canonical check order.
+def _broken_rules(grid: Grid, assignment: Assignment) -> Iterator[tuple]:
+    """Every broken rule, in the canonical check order.
 
     Entries are ("room", room_id), ("neighbor", (a, b)), or ("arrow", cell).
     Rooms are scanned in sorted id order, pairs and arrows row-major, matching
@@ -293,21 +293,24 @@ def violations(grid: Grid, assignment: Assignment) -> list[tuple]:
     check a rejecting protocol run fails on.
     """
     _require_domain(grid, assignment)
-    out: list[tuple] = []
     for room in sorted(grid.rooms):
         coords = grid.rooms[room]
         if sorted(assignment[rc] for rc in coords) != list(range(1, len(coords) + 1)):
-            out.append(("room", room))
+            yield ("room", room)
     for a, b in white_neighbor_pairs(grid):
         if assignment[a] == assignment[b]:
-            out.append(("neighbor", (a, b)))
+            yield ("neighbor", (a, b))
     for rc in black_coords(grid):
         target = grid.arrow_target(rc)
         tv = assignment[target]
-        others = [nb for nb in grid.white_neighbors(rc) if nb != target]
-        if any(assignment[nb] >= tv for nb in others):
-            out.append(("arrow", rc))
-    return out
+        if any(assignment[nb] >= tv for nb in grid.white_neighbors(rc) if nb != target):
+            yield ("arrow", rc)
+
+
+def violations(grid: Grid, assignment: Assignment) -> list[tuple]:
+    """Every violated condition, in the canonical check order (see
+    _broken_rules)."""
+    return list(_broken_rules(grid, assignment))
 
 
 def check_solution(grid: Grid, assignment: Assignment) -> bool:
@@ -316,20 +319,7 @@ def check_solution(grid: Grid, assignment: Assignment) -> bool:
     The assignment must cover exactly the white cells; clues are not consulted
     (they constrain search, not validity of a filled grid).
     """
-    _require_domain(grid, assignment)
-    for coords in grid.rooms.values():
-        if sorted(assignment[rc] for rc in coords) != list(range(1, len(coords) + 1)):
-            return False
-    for a, b in white_neighbor_pairs(grid):
-        if assignment[a] == assignment[b]:
-            return False
-    for rc in black_coords(grid):
-        target = grid.arrow_target(rc)
-        tv = assignment[target]
-        for nb in grid.white_neighbors(rc):
-            if nb != target and assignment[nb] >= tv:
-                return False
-    return True
+    return next(_broken_rules(grid, assignment), None) is None
 
 
 def solve_brute_force(grid: Grid, bound: int = DEFAULT_SEARCH_BOUND) -> list[Assignment]:

@@ -17,6 +17,16 @@ def load_solution(name: str):
     return assignment_from_grid(load_grid(name))
 
 
+def row_cards(matrix, row: int) -> list:
+    """The cards of one matrix row, left to right (None for an empty slot)."""
+    return [matrix.card_at(row, col) for col in range(matrix.cols)]
+
+
+def find_in_row(matrix, row: int, card) -> int:
+    """The column holding `card` in one matrix row."""
+    return row_cards(matrix, row).index(card)
+
+
 @pytest.fixture(scope="session")
 def puzzles_dir() -> Path:
     return PUZZLES

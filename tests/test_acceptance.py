@@ -56,7 +56,7 @@ from makaro_zkp import (
     Transcript,
 )
 
-from conftest import PUZZLES, load_grid, load_solution
+from conftest import PUZZLES, find_in_row, load_grid, load_solution
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -219,7 +219,7 @@ def test_arrow_window_oracle():
                             matrix.place(row, col, encoding_card(letter, index))
                     matrix.permute_columns(
                         tuple((j - shift) % length for j in range(length)))
-                    begin = matrix.find_in_row(0, encoding_card("a", 1))
+                    begin = find_in_row(matrix, 0, encoding_card("a", 1))
                     window = [matrix.card_at(1, (begin + off) % length)
                               for off in range(m)]
                     caught = encoding_card("b", 1) in window
@@ -265,7 +265,7 @@ def test_shuffle_uniformity():
         for col in range(cols):
             matrix.place(0, col, help_card(col + 1))
         pile_shifting_shuffle(matrix, source)
-        shifts[matrix.find_in_row(0, help_card(1))] += 1
+        shifts[find_in_row(matrix, 0, help_card(1))] += 1
     expected = trials / cols
     shift_stat = sum((shifts[s] - expected) ** 2 / expected for s in range(cols))
     shift_family = SiteFamily("shift/offset", "pick",
@@ -315,9 +315,9 @@ def test_conversion_round_trip(example_grid, example_solution):
             room_size = example_grid.room_size(example_grid.room_of(rc))
             length = full_length if (round_ + i) % 2 else room_size
             sequence = convert_cell(table, rc, letter, length, prover, source,
-                                    transcript)
+                                    transcript, "cell")
             assert table.cell_cards == before, (round_, rc)
-            marker_at = sequence.cards.index(encoding_card(letter, 1))
+            marker_at = sequence.index(encoding_card(letter, 1))
             assert marker_at == example_solution[rc] - 1, (round_, rc)
             table.return_encoding(letter)
             table.assert_settled()

@@ -1,6 +1,7 @@
-"""What the benchmark's traced run relies on in the package.
+"""What the benchmark relies on in the package.
 
-perfbench/spans.py lists the functions, methods and constructors it traces
+perfbench/workloads.py reaches the library only through `api.<name>`
+attributes of the package.  perfbench/spans.py lists the functions, methods and constructors it traces
 as (layer, name) pairs and rebinds every module-level copy of them, which
 includes `stats` in protocol and analysis.  Afterwards it checks that every
 module attribute is back to what it was, so the package itself must not
@@ -10,6 +11,7 @@ should fail here, not only when the benchmark runs.
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,11 @@ from makaro_zkp import (
 
 from conftest import load_grid, load_solution
 
-SPANS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_FILE = PERFBENCH / "spans.py"
+# every package attribute the workloads reach, as `api.<name>`
+WORKLOAD_API = sorted(set(re.findall(r"\bapi\.(\w+)",
+                                     (PERFBENCH / "workloads.py").read_text(encoding="utf-8"))))
 
 
 def load_spans_module():
@@ -45,6 +51,15 @@ def test_every_traced_name_resolves(layer, name):
     for part in name.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_the_workloads_reach_the_package_through_api_names():
+    assert len(WORKLOAD_API) >= 14
+
+
+@pytest.mark.parametrize("name", WORKLOAD_API)
+def test_every_workload_name_resolves(name):
+    assert callable(getattr(makaro_zkp, name))
 
 
 @pytest.mark.parametrize("layer", ["protocol", "analysis"])

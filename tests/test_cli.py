@@ -109,6 +109,17 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("which", ["--puzzle", "--solution"])
+    def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path, which):
+        binary = tmp_path / "binary.makaro"
+        binary.write_bytes(b"\xff\xfe")
+        files = {"--puzzle": EXAMPLE, "--solution": EXAMPLE_SOLUTION, which: str(binary)}
+        code, out, err = run_cli(capsys, "check", "--puzzle", files["--puzzle"],
+                                 "--solution", files["--solution"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not UTF-8" in err
+
 
 class TestSolve:
     def test_quad_lists_both_solutions(self, capsys):
@@ -267,6 +278,14 @@ class TestStats:
         code, out, _ = run_cli(capsys, "stats", "--puzzle", puzzle)
         assert code == 0
         assert "deck: 1 cell + 1 helping + 4 encoding (4 sets of 1) = 6 cards" in out
+
+    def test_puzzle_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        binary = tmp_path / "binary.makaro"
+        binary.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "stats", "--puzzle", str(binary))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not UTF-8" in err
 
 
 class TestUsageErrors:

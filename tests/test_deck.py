@@ -23,6 +23,8 @@ from makaro_zkp import (
 )
 from makaro_zkp.deck import _EVENT_FIELDS
 
+from conftest import find_in_row, row_cards
+
 # One malformed line per event kind: a field missing, extra, out of order,
 # or with a value its kind cannot hold.
 MALFORMED_LINES = {
@@ -138,18 +140,25 @@ class TestCardMatrix:
     def test_permute_columns_moves_whole_columns(self):
         m = fresh_matrix(2, 3)
         m.permute_columns((2, 0, 1))   # new column j takes old column order[j]
-        assert [c.index for c in m.row_cards(0)] == [3, 1, 2]
-        assert [c.index for c in m.row_cards(1)] == [3, 1, 2]
+        assert [c.index for c in row_cards(m, 0)] == [3, 1, 2]
+        assert [c.index for c in row_cards(m, 1)] == [3, 1, 2]
 
-    def test_take_row_empties_it(self):
-        m = fresh_matrix(2, 3)
+    def test_take_row_removes_it(self):
+        m = fresh_matrix(3, 3)
+        t = Transcript()
+        reveal(m, 1, 0, t)
         cards = m.take_row(1)
         assert [c.index for c in cards] == [1, 2, 3]
-        assert m.row_cards(1) == [None, None, None]
+        assert m.rows == 2
+        assert row_cards(m, 0) == [CardId("x0", c) for c in (1, 2, 3)]
+        assert row_cards(m, 1) == [CardId("x2", c) for c in (1, 2, 3)]  # moved up
+        assert not any(m.is_face_up(r, c) for r in range(2) for c in range(3))
 
-    def test_find_in_row(self):
-        m = fresh_matrix(1, 4)
-        assert m.find_in_row(0, CardId("x0", 3)) == 2
+    def test_take_row_needs_a_full_row(self):
+        m = CardMatrix(2, 2)
+        m.place(0, 0, cell_card("A", 1))
+        with pytest.raises(DeckError):
+            m.take_row(0)
 
 
 class TestReveal:
@@ -196,7 +205,7 @@ class TestShifting:
     def test_shift_of_one_rotates_right(self):
         m = fresh_matrix(1, 3)
         pile_shifting_shuffle(m, StubSource(shifts=[1]))
-        assert [c.index for c in m.row_cards(0)] == [3, 1, 2]
+        assert [c.index for c in row_cards(m, 0)] == [3, 1, 2]
 
     def test_partial_matrix_rejected(self):
         m = CardMatrix(1, 2)
@@ -221,7 +230,7 @@ class TestShifting:
         for _ in range(trials):
             m = fresh_matrix(1, 5)
             pile_shifting_shuffle(m, src)
-            counts[m.find_in_row(0, CardId("x0", 1))] += 1
+            counts[find_in_row(m, 0, CardId("x0", 1))] += 1
         assert set(counts) <= set(range(5))
         for col in range(5):
             assert abs(counts[col] / trials - 0.2) <= 0.02
@@ -258,7 +267,7 @@ class TestScramble:
         for _ in range(trials):
             m = fresh_matrix(1, 3)
             pile_scramble_shuffle(m, src)
-            counts[tuple(c.index for c in m.row_cards(0))] += 1
+            counts[tuple(c.index for c in row_cards(m, 0))] += 1
         assert len(counts) == 6
         for n in counts.values():
             assert abs(n / trials - 1 / 6) <= 0.02

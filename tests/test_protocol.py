@@ -27,6 +27,7 @@ from makaro_zkp import (
     reveal_site_plan,
     run_full_protocol,
     run_full_protocol_with_table,
+    serialize_puzzle,
     setup_placement,
     simulate_transcript,
     stats,
@@ -35,6 +36,7 @@ from makaro_zkp import (
     verify_room,
     violations,
 )
+from makaro_zkp import protocol
 
 # 2x3 grid whose arrow check has m=2 (window length 3): the black cell points
 # up at a size-2 room and its rivals sit in a size-2 and a size-1 room.
@@ -128,35 +130,42 @@ class TestSetup:
 
 
 class TestEncoding:
-    def test_marker_sits_at_the_encoded_position(self):
+    # the example's largest room has 5 cells, so each encoding set holds 9 cards
+
+    def test_marker_sits_at_the_encoded_position(self, example_grid):
+        table = TableState(example_grid)
         source = RandomSource.from_seed("enc")
         prover = make_prover({}, source)
         for value in range(1, 5):
-            seq = make_encoding("a", 4, value, prover)
-            assert seq.cards[value - 1] == encoding_card("a", 1)
-            assert sorted(seq.cards) == [encoding_card("a", i) for i in range(1, 5)]
+            seq = make_encoding("a", 4, value, prover, table)
+            table.return_encoding("a")
+            assert seq[value - 1] == encoding_card("a", 1)
+            assert sorted(seq) == [encoding_card("a", i) for i in range(1, 5)]
 
-    def test_single_card_sequence(self):
+    def test_single_card_sequence(self, example_grid):
         prover = make_prover({}, RandomSource.from_seed("enc"))
-        seq = make_encoding("b", 1, 1, prover)
-        assert seq.cards == [encoding_card("b", 1)]
+        seq = make_encoding("b", 1, 1, prover, TableState(example_grid))
+        assert seq == [encoding_card("b", 1)]
 
-    def test_value_outside_sequence_is_an_error(self):
+    def test_value_outside_sequence_is_an_error(self, example_grid):
+        table = TableState(example_grid)
         prover = make_prover({}, RandomSource.from_seed("enc"))
         with pytest.raises(ProtocolError):
-            make_encoding("a", 4, 5, prover)
+            make_encoding("a", 4, 5, prover, table)
         with pytest.raises(ProtocolError):
-            make_encoding("a", 4, 0, prover)
+            make_encoding("a", 4, 0, prover, table)
 
-    def test_non_marker_order_is_uniform(self):
+    def test_non_marker_order_is_uniform(self, example_grid):
         # value fixed at 2 in a length-4 sequence: the other three cards land
         # in positions (0, 2, 3) in one of 3! secret orders, each equally often
+        table = TableState(example_grid)
         prover = make_prover({}, RandomSource.from_seed("enc-orders"))
         trials = 6000
         orders = Counter()
         for _ in range(trials):
-            seq = make_encoding("a", 4, 2, prover)
-            orders[(seq.cards[0], seq.cards[2], seq.cards[3])] += 1
+            seq = make_encoding("a", 4, 2, prover, table)
+            table.return_encoding("a")
+            orders[(seq[0], seq[2], seq[3])] += 1
         assert len(orders) == 6
         for count in orders.values():
             assert abs(count / trials - 1 / 6) < 0.03
@@ -192,17 +201,17 @@ class TestConvertCell:
     def test_marker_encodes_the_hidden_value(self, example_grid, example_solution):
         source, prover, transcript, table = fresh_table(
             example_grid, example_solution, "conv")
-        seq = convert_cell(table, (0, 1), "b", 3, prover, source, transcript)
-        assert seq.length == 3
-        assert seq.cards[example_solution[(0, 1)] - 1] == encoding_card("b", 1)
-        assert sorted(seq.cards) == [encoding_card("b", i) for i in range(1, 4)]
+        seq = convert_cell(table, (0, 1), "b", 3, prover, source, transcript, "cell")
+        assert len(seq) == 3
+        assert seq[example_solution[(0, 1)] - 1] == encoding_card("b", 1)
+        assert sorted(seq) == [encoding_card("b", i) for i in range(1, 4)]
 
     def test_room_returns_to_the_grid_untouched(self, example_grid, example_solution):
         source, prover, transcript, table = fresh_table(
             example_grid, example_solution, "conv2")
         before = dict(table.cell_cards)
-        seq = convert_cell(table, (2, 3), "c", 5, prover, source, transcript)
-        assert seq.cards[example_solution[(2, 3)] - 1] == encoding_card("c", 1)
+        seq = convert_cell(table, (2, 3), "c", 5, prover, source, transcript, "cell")
+        assert seq[example_solution[(2, 3)] - 1] == encoding_card("c", 1)
         assert table.cell_cards == before
         table.return_encoding("c")
         table.assert_settled()
@@ -211,15 +220,15 @@ class TestConvertCell:
         grid = parse_puzzle("makaro 1 2\nA B\n")
         source, prover, transcript, table = fresh_table(
             grid, {(0, 0): 1, (0, 1): 1}, "conv1")
-        seq = convert_cell(table, (0, 0), "a", 1, prover, source, transcript)
-        assert seq.cards == [encoding_card("a", 1)]
+        seq = convert_cell(table, (0, 0), "a", 1, prover, source, transcript, "cell")
+        assert seq == [encoding_card("a", 1)]
 
     def test_sequence_shorter_than_the_room_is_an_error(self, example_grid,
                                                         example_solution):
         source, prover, transcript, table = fresh_table(
             example_grid, example_solution, "conv3")
         with pytest.raises(ProtocolError):
-            convert_cell(table, (2, 3), "a", 4, prover, source, transcript)
+            convert_cell(table, (2, 3), "a", 4, prover, source, transcript, "cell")
 
     def test_every_cell_converts_to_its_value(self, example_grid, example_solution):
         length = 2 * stats(example_grid).k - 1
@@ -228,8 +237,8 @@ class TestConvertCell:
                 example_grid, example_solution, seed)
             before = dict(table.cell_cards)
             for rc in example_grid.white_coords():
-                seq = convert_cell(table, rc, "d", length, prover, source, transcript)
-                assert seq.cards.index(encoding_card("d", 1)) == example_solution[rc] - 1
+                seq = convert_cell(table, rc, "d", length, prover, source, transcript, "cell")
+                assert seq.index(encoding_card("d", 1)) == example_solution[rc] - 1
                 assert table.cell_cards == before
                 table.return_encoding("d")
                 table.assert_settled()
@@ -432,6 +441,17 @@ class TestFullProtocol:
             assert verdict.accepted
             assert table is not None
             assert table.peak_cards == budget.total == 61
+
+    def test_grid_sizes_are_computed_once_per_grid(self, monkeypatch, quad_grid):
+        grid = parse_puzzle(serialize_puzzle(quad_grid))  # a fresh grid: nothing cached
+        calls = []
+        monkeypatch.setattr(protocol, "stats", lambda g: calls.append(g) or stats(g))
+        for seed in ("once", "twice"):
+            prover = make_prover({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                 RandomSource.from_seed(seed))
+            verdict, _ = run_full_protocol(grid, prover, RandomSource.from_seed(seed))
+            assert verdict.accepted
+        assert len(calls) <= 1
 
 
 class TestSimulator:
