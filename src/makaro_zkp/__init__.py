@@ -24,10 +24,11 @@ from .puzzle import (
     PuzzleSemanticError,
     PuzzleSyntaxError,
     PuzzleStats,
+    Rule,
     SearchBoundExceeded,
+    arrow_check_cells,
     assignment_from_grid,
     assignment_text,
-    black_coords,
     build_grid,
     check_solution,
     parse_puzzle,
@@ -64,12 +65,9 @@ from .protocol import (
     SiteFamily,
     TableState,
     Verdict,
-    arrow_check_cells,
-    arrow_length,
     convert_cell,
     make_encoding,
     make_prover,
-    neighbor_length,
     reveal_site_plan,
     run_full_protocol,
     run_full_protocol_with_table,
@@ -101,8 +99,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "Coord", "Grid", "PuzzleError", "PuzzleSemanticError",
-    "PuzzleSyntaxError", "PuzzleStats", "SearchBoundExceeded",
-    "assignment_from_grid", "assignment_text", "black_coords", "build_grid",
+    "PuzzleSyntaxError", "PuzzleStats", "Rule", "SearchBoundExceeded",
+    "arrow_check_cells", "assignment_from_grid", "assignment_text", "build_grid",
     "check_solution", "parse_puzzle", "same_layout", "serialize_puzzle",
     "solve_brute_force", "stats", "violations", "white_neighbor_pairs",
     "all_value_assignments", "enumerate_small_grids",
@@ -110,8 +108,7 @@ __all__ = [
     "cell_card", "encoding_card", "help_card", "parse_card",
     "pile_scramble_shuffle", "pile_shifting_shuffle", "reveal", "turn_all_down",
     "CardsUnavailable", "FailedCheck", "ProtocolError", "ProverState",
-    "SetupError", "SiteFamily", "TableState", "Verdict", "arrow_check_cells",
-    "arrow_length", "neighbor_length", "collect_site_patterns",
+    "SetupError", "SiteFamily", "TableState", "Verdict", "collect_site_patterns",
     "convert_cell", "make_encoding", "make_prover", "reveal_site_plan",
     "run_full_protocol", "run_full_protocol_with_table", "setup_placement",
     "simulate_transcript", "verify_arrow", "verify_neighbor", "verify_room",

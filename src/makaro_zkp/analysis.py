@@ -24,6 +24,8 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from scipy.stats import chi2 as _chi2_dist
 
@@ -234,47 +236,45 @@ def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counte
 
 # --- collection over many runs -------------------------------------------------
 
-def _protocol_chunk(grid: Grid, solution: Assignment, seed: str,
-                    start: int, stop: int, threshold: int) -> SiteHistograms:
+def _honest_transcript(grid: Grid, solution: Assignment, seed: str, trial: int) -> Transcript:
+    source = RandomSource.for_trial(seed, trial)
+    verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
+    if not verdict.accepted:
+        raise ProtocolError(
+            f"run {trial} rejected ({verdict.failing_check}); "
+            "histograms need an honest prover with a valid solution")
+    return transcript
+
+
+def _simulated_transcript(grid: Grid, seed: str, trial: int) -> Transcript:
+    return simulate_transcript(grid, RandomSource.for_trial(seed, trial))
+
+
+def _chunk(transcript_of: Callable[[int], Transcript], grid: Grid, threshold: int,
+           start: int, stop: int) -> SiteHistograms:
     hist = SiteHistograms(grid, threshold)
     for trial in range(start, stop):
-        source = RandomSource.for_trial(seed, trial)
-        verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
-        if not verdict.accepted:
-            raise ProtocolError(
-                f"run {trial} rejected ({verdict.failing_check}); "
-                "histograms need an honest prover with a valid solution")
-        hist.add_transcript(transcript)
+        hist.add_transcript(transcript_of(trial))
     return hist
 
 
-def _simulator_chunk(grid: Grid, seed: str, start: int, stop: int,
-                     threshold: int) -> SiteHistograms:
-    hist = SiteHistograms(grid, threshold)
-    for trial in range(start, stop):
-        hist.add_transcript(simulate_transcript(grid, RandomSource.for_trial(seed, trial)))
-    return hist
-
-
-def _collect(chunk_fn, chunk_args: tuple, trials: int, workers: int) -> SiteHistograms:
+def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int,
+             workers: int, threshold: int) -> SiteHistograms:
+    """Histograms over trials 0..trials-1, split into contiguous chunks, one
+    per worker process; transcript_of must pickle when workers > 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    chunk = partial(_chunk, transcript_of, grid, threshold)
     if workers <= 1:
-        return chunk_fn(*chunk_args[:-1], 0, trials, chunk_args[-1])
+        return chunk(0, trials)
     bounds = [trials * i // workers for i in range(workers + 1)]
-    jobs = [(chunk_args[:-1] + (bounds[i], bounds[i + 1], chunk_args[-1]))
-            for i in range(workers) if bounds[i] < bounds[i + 1]]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        parts = list(pool.map(_star, [(chunk_fn,) + job for job in jobs]))
+    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        parts = list(pool.map(chunk, *zip(*spans)))
     merged = parts[0]
     for part in parts[1:]:
         merged.merge(part)
     return merged
-
-
-def _star(packed):
-    fn, *args = packed
-    return fn(*args)
 
 
 def collect_protocol_histograms(grid: Grid, solution: Assignment, seed: str,
@@ -282,15 +282,15 @@ def collect_protocol_histograms(grid: Grid, solution: Assignment, seed: str,
                                 marginal_threshold: int = MARGINAL_THRESHOLD) -> SiteHistograms:
     """Histograms over `trials` real runs; trial i draws all randomness from
     a seed derived from (seed, i), so results do not depend on workers."""
-    return _collect(_protocol_chunk, (grid, solution, seed, marginal_threshold),
-                    trials, workers)
+    return _collect(partial(_honest_transcript, grid, solution, seed), grid, trials,
+                    workers, marginal_threshold)
 
 
 def collect_simulator_histograms(grid: Grid, seed: str, trials: int, workers: int = 1,
                                  marginal_threshold: int = MARGINAL_THRESHOLD) -> SiteHistograms:
     """Histograms over `trials` simulated transcripts (no solution involved)."""
-    return _collect(_simulator_chunk, (grid, seed, marginal_threshold),
-                    trials, workers)
+    return _collect(partial(_simulated_transcript, grid, seed), grid, trials,
+                    workers, marginal_threshold)
 
 
 # --- sweep reports -------------------------------------------------------------

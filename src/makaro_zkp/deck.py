@@ -42,9 +42,12 @@ def encoding_card(letter: str, index: int) -> CardId:
 
 def parse_card(text: str) -> CardId:
     set_name, sep, index = text.rpartition("#")
-    if not sep or not index.isdigit():
-        raise DeckError(f"bad card {text!r}")
-    return CardId(set_name, int(index))
+    try:
+        if sep and index.isdecimal():
+            return CardId(set_name, int(index))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise DeckError(f"bad card {text!r}")
 
 
 class RandomSource:

@@ -44,18 +44,11 @@ from .deck import (
     reveal,
     turn_all_down,
 )
-from .puzzle import (
-    ARROW_DELTAS,
-    Assignment,
-    Coord,
-    Grid,
-    black_coords,
-    stats,
-    white_neighbor_pairs,
-)
+# `arrow_check_cells` is unused here but the benchmark's traced run rebinds
+# it in this module (tests/test_benchmark_contract.py)
+from .puzzle import Assignment, Coord, Grid, arrow_check_cells, stats
 
 ENC_LETTERS = ("a", "b", "c", "d")
-_CLOCKWISE = ("^", ">", "v", "<")
 
 
 class ProtocolError(Exception):
@@ -295,31 +288,30 @@ class _Schedule:
         self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
                     for letter in ENC_LETTERS}
         self._conversions: dict[tuple, _Conversion] = {}
-        checks = [_Check("room", room, room, (),
-                         _collection_sites(f"room/{room}", self.room_cards[room], self.helps))
-                  for room in sorted(grid.rooms)]
-        for a, b in white_neighbor_pairs(grid):
-            checks.append(self._windows("neighbor", (a, b), f"neighbor/{a[0]}.{a[1]}-{b[0]}.{b[1]}",
-                                        [a, b], neighbor_length(grid, a, b), 1))
-        for rc in black_coords(grid):
-            m = arrow_length(grid, rc)
-            checks.append(self._windows("arrow", rc, f"arrow/{rc[0]}.{rc[1]}",
-                                        arrow_check_cells(grid, rc), 2 * m - 1, m))
-        self.checks = {(check.kind, check.subject): check for check in checks}
-
-    def _windows(self, kind: str, subject: object, key: str, cells: list[Coord],
-                 length: int, window: int) -> _Check:
-        letters = ENC_LETTERS[:len(cells)]
-        sites = [SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)]
-        for row, letter in enumerate(letters[1:], start=2):
-            # a one-card sequence is its marker, so the window can only show
-            # it (unsatisfiable grids only)
-            support = self.enc[letter][1 if length > 1 else 0:length]
-            sites.append(SiteFamily(f"{key}/probe" if kind == "neighbor" else f"{key}/row{row}",
-                                    "pick" if window == 1 else "arrangement", support, window))
-        conversions = tuple(self.conversion(rc, letter, length, key)
-                            for letter, rc in zip(letters, cells))
-        return _Check(kind, subject, key, conversions, tuple(sites))
+        self.checks: dict[tuple[str, object], _Check] = {}
+        for kind, subject, cells in grid.rules:
+            if kind == "room":
+                self.checks[kind, subject] = _Check(kind, subject, subject, (), _collection_sites(
+                    f"room/{subject}", self.room_cards[subject], self.helps))
+                continue
+            where = cells if kind == "neighbor" else (subject,)
+            key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
+            # every sequence is as long as the largest room among the cells
+            # needs: m for a neighbor check, 2m-1 for an arrow
+            m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
+            length, window = (m, 1) if kind == "neighbor" else (2 * m - 1, m)
+            letters = ENC_LETTERS[:len(cells)]
+            sites = [SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)]
+            for row, letter in enumerate(letters[1:], start=2):
+                # a one-card sequence is its marker, so the window can only
+                # show it (unsatisfiable grids only)
+                support = self.enc[letter][1 if length > 1 else 0:length]
+                sites.append(SiteFamily(
+                    f"{key}/probe" if kind == "neighbor" else f"{key}/row{row}",
+                    "pick" if window == 1 else "arrangement", support, window))
+            conversions = tuple(self.conversion(rc, letter, length, key)
+                                for letter, rc in zip(letters, cells))
+            self.checks[kind, subject] = _Check(kind, subject, key, conversions, tuple(sites))
 
     def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Conversion:
         """The conversion of a cell inside the check keyed `prefix`, built
@@ -402,7 +394,7 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     the rest hidden.  Raises SetupError when a needed card does not exist or
     was already used, which is how bad rooms surface."""
     secret = prover.secret
-    if set(secret) != set(grid.white_coords()):
+    if secret.keys() != grid.white_set:
         raise ValueError("prover assignment must cover exactly the white cells")
     table = TableState(grid)
     seen: dict[str, set[int]] = {room: set() for room in grid.rooms}
@@ -491,10 +483,6 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     return sequence
 
 
-def neighbor_length(grid: Grid, a: Coord, b: Coord) -> int:
-    return max(grid.room_size(grid.room_of(a)), grid.room_size(grid.room_of(b)))
-
-
 def _verify_windows(table: TableState, check: _Check, prover: ProverState,
                     source: RandomSource, transcript: Transcript) -> bool:
     """Convert the check's cells into sequences, stack them as rows, shuffle
@@ -534,25 +522,6 @@ def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
     card sharing its column.  Equal values pair the markers in every shuffle."""
     return _verify_windows(table, _schedule(table.grid).checks["neighbor", (a, b)],
                            prover, source, transcript)
-
-
-def arrow_check_cells(grid: Grid, black_rc: Coord) -> list[Coord]:
-    """White neighbors of a black cell: the arrow's target first, then the
-    rest clockwise from it."""
-    arrow = grid.cell(black_rc).arrow  # type: ignore[union-attr]
-    start = _CLOCKWISE.index(arrow)
-    out = []
-    for step in range(4):
-        dr, dc = ARROW_DELTAS[_CLOCKWISE[(start + step) % 4]]
-        nb = (black_rc[0] + dr, black_rc[1] + dc)
-        if grid.in_bounds(nb) and grid.is_white(nb):
-            out.append(nb)
-    return out
-
-
-def arrow_length(grid: Grid, black_rc: Coord) -> int:
-    cells = arrow_check_cells(grid, black_rc)
-    return max(grid.room_size(grid.room_of(rc)) for rc in cells)
 
 
 def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,

@@ -19,13 +19,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property
+from itertools import chain, permutations, product
 from typing import Iterator, NamedTuple
 
 Coord = tuple[int, int]
 Assignment = dict[Coord, int]
 
 ARROW_DELTAS = {"^": (-1, 0), "v": (1, 0), "<": (0, -1), ">": (0, 1)}
+_CLOCKWISE = ("^", ">", "v", "<")
 _ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _ROOM_ID_RE = re.compile(r"[A-Za-z0-9]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -72,6 +74,16 @@ class Black:
 Cell = White | Black
 
 
+class Rule(NamedTuple):
+    """One rule a filled grid must keep, and the cells it reads: a room's
+    cells, a neighbor pair (a, b), or an arrow's target and then the other
+    white cells around its black cell, clockwise (see arrow_check_cells)."""
+
+    kind: str
+    subject: object
+    cells: tuple[Coord, ...]
+
+
 @dataclass(frozen=True)
 class Grid:
     """A validated puzzle grid.
@@ -89,12 +101,6 @@ class Grid:
     def cell(self, rc: Coord) -> Cell:
         return self.cells[rc[0]][rc[1]]
 
-    def is_white(self, rc: Coord) -> bool:
-        return isinstance(self.cells[rc[0]][rc[1]], White)
-
-    def in_bounds(self, rc: Coord) -> bool:
-        return 0 <= rc[0] < self.height and 0 <= rc[1] < self.width
-
     def room_of(self, rc: Coord) -> str:
         cell = self.cell(rc)
         if not isinstance(cell, White):
@@ -108,6 +114,10 @@ class Grid:
         return [(r, c) for r in range(self.height) for c in range(self.width)
                 if isinstance(self.cells[r][c], White)]
 
+    @cached_property
+    def white_set(self) -> frozenset[Coord]:
+        return frozenset(self.white_coords())
+
     def clues(self) -> dict[Coord, int]:
         out = {}
         for rc in self.white_coords():
@@ -116,20 +126,24 @@ class Grid:
                 out[rc] = cell.clue
         return out
 
-    def white_neighbors(self, rc: Coord) -> list[Coord]:
-        out = []
-        for dr, dc in _ORTHO:
-            nb = (rc[0] + dr, rc[1] + dc)
-            if self.in_bounds(nb) and self.is_white(nb):
-                out.append(nb)
-        return out
-
     def arrow_target(self, rc: Coord) -> Coord:
         cell = self.cell(rc)
         if not isinstance(cell, Black):
             raise ValueError(f"cell {rc} is not black")
         dr, dc = ARROW_DELTAS[cell.arrow]
         return (rc[0] + dr, rc[1] + dc)
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """Every rule of the grid, in the canonical check order: rooms by
+        sorted id, then neighbor pairs and arrows row-major.  The rule
+        checker, the solver and the card protocol's check schedule all read
+        this list, so they check the same rules in the same order."""
+        arrows = [(r, c) for r in range(self.height) for c in range(self.width)
+                  if isinstance(self.cells[r][c], Black)]
+        return (*(Rule("room", room, self.rooms[room]) for room in sorted(self.rooms)),
+                *(Rule("neighbor", pair, pair) for pair in white_neighbor_pairs(self)),
+                *(Rule("arrow", rc, tuple(arrow_check_cells(self, rc))) for rc in arrows))
 
 
 def build_grid(cells: list[list[Cell]]) -> Grid:
@@ -178,9 +192,9 @@ def _validate(grid: Grid) -> None:
             cell = grid.cells[r][c]
             if isinstance(cell, Black):
                 target = grid.arrow_target((r, c))
-                if not grid.in_bounds(target):
+                if not (0 <= target[0] < grid.height and 0 <= target[1] < grid.width):
                     raise PuzzleSemanticError("arrow points off the grid", (r, c))
-                if not grid.is_white(target):
+                if not isinstance(grid.cell(target), White):
                     raise PuzzleSemanticError("arrow points at a black cell", (r, c))
 
 
@@ -200,9 +214,9 @@ def parse_puzzle(text: str) -> Grid:
         raise PuzzleSyntaxError("header must read 'makaro <height> <width>'", 1, header[0][1])
     dims = []
     for tok, col in header[1:]:
-        if not tok.isdigit() or int(tok) < 1:
+        if (size := _natural(tok)) < 1:
             raise PuzzleSyntaxError(f"bad dimension {tok!r}", 1, col)
-        dims.append(int(tok))
+        dims.append(size)
     height, width = dims
 
     if len(tokens_by_line) < height + 1:
@@ -233,9 +247,17 @@ def _parse_token(tok: str, line: int, col: int) -> Cell:
         raise PuzzleSyntaxError(f"bad cell token {tok!r}", line, col)
     if not eq:
         return White(room)
-    if not clue.isdigit() or int(clue) < 1:
+    if (value := _natural(clue)) < 1:
         raise PuzzleSyntaxError(f"bad clue in token {tok!r}", line, col)
-    return White(room, int(clue))
+    return White(room, value)
+
+
+def _natural(tok: str) -> int:
+    """The value of a token of decimal digits, or 0 for any other token."""
+    try:
+        return int(tok) if tok.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        return 0
 
 
 def serialize_puzzle(grid: Grid) -> str:
@@ -259,25 +281,22 @@ def white_neighbor_pairs(grid: Grid) -> list[tuple[Coord, Coord]]:
 
     This is the canonical order in which the pair condition is checked.
     """
-    pairs = []
-    for r in range(grid.height):
-        for c in range(grid.width):
-            if not grid.is_white((r, c)):
-                continue
-            here = grid.room_of((r, c))
-            for nb in ((r, c + 1), (r + 1, c)):
-                if grid.in_bounds(nb) and grid.is_white(nb) and grid.room_of(nb) != here:
-                    pairs.append(((r, c), nb))
-    return pairs
+    return [(rc, nb) for rc in grid.white_coords()
+            for nb in ((rc[0], rc[1] + 1), (rc[0] + 1, rc[1]))
+            if nb in grid.white_set and grid.room_of(nb) != grid.room_of(rc)]
 
 
-def black_coords(grid: Grid) -> list[Coord]:
-    return [(r, c) for r in range(grid.height) for c in range(grid.width)
-            if isinstance(grid.cells[r][c], Black)]
+def arrow_check_cells(grid: Grid, black_rc: Coord) -> list[Coord]:
+    """White neighbors of a black cell: the arrow's target first, then the
+    rest clockwise from it."""
+    turn = _CLOCKWISE.index(grid.cell(black_rc).arrow)  # type: ignore[union-attr]
+    around = [ARROW_DELTAS[arrow] for arrow in _CLOCKWISE[turn:] + _CLOCKWISE[:turn]]
+    return [nb for nb in ((black_rc[0] + dr, black_rc[1] + dc) for dr, dc in around)
+            if nb in grid.white_set]
 
 
 def _require_domain(grid: Grid, assignment: Assignment) -> None:
-    if set(assignment) != set(grid.white_coords()):
+    if assignment.keys() != grid.white_set:
         raise ValueError("assignment must cover exactly the white cells")
     for rc, v in assignment.items():
         if not isinstance(v, int) or v < 1:
@@ -285,26 +304,21 @@ def _require_domain(grid: Grid, assignment: Assignment) -> None:
 
 
 def _broken_rules(grid: Grid, assignment: Assignment) -> Iterator[tuple]:
-    """Every broken rule, in the canonical check order.
-
-    Entries are ("room", room_id), ("neighbor", (a, b)), or ("arrow", cell).
-    Rooms are scanned in sorted id order, pairs and arrows row-major, matching
-    the order the card protocol runs its checks, so the first entry is the
-    check a rejecting protocol run fails on.
-    """
+    """Every broken rule of grid.rules, in that order, as (kind, subject):
+    ("room", room_id), ("neighbor", (a, b)) or ("arrow", cell).  The card
+    protocol runs its checks in the same order, so the first entry is the
+    check a rejecting protocol run fails on."""
     _require_domain(grid, assignment)
-    for room in sorted(grid.rooms):
-        coords = grid.rooms[room]
-        if sorted(assignment[rc] for rc in coords) != list(range(1, len(coords) + 1)):
-            yield ("room", room)
-    for a, b in white_neighbor_pairs(grid):
-        if assignment[a] == assignment[b]:
-            yield ("neighbor", (a, b))
-    for rc in black_coords(grid):
-        target = grid.arrow_target(rc)
-        tv = assignment[target]
-        if any(assignment[nb] >= tv for nb in grid.white_neighbors(rc) if nb != target):
-            yield ("arrow", rc)
+    for kind, subject, cells in grid.rules:
+        values = [assignment[rc] for rc in cells]
+        if kind == "room":
+            broken = sorted(values) != list(range(1, len(values) + 1))
+        elif kind == "neighbor":
+            broken = values[0] == values[1]
+        else:
+            broken = max(values[1:], default=0) >= values[0]
+        if broken:
+            yield kind, subject
 
 
 def violations(grid: Grid, assignment: Assignment) -> list[tuple]:
@@ -344,23 +358,12 @@ def solve_brute_force(grid: Grid, bound: int = DEFAULT_SEARCH_BOUND) -> list[Ass
                  if all(p[i] == v for i, v in fixed)]
         room_choices.append(perms)
 
+    cells = [rc for room in rooms for rc in grid.rooms[room]]
     solutions: list[Assignment] = []
-    assignment: Assignment = {}
-
-    def fill(idx: int) -> None:
-        if idx == len(rooms):
-            if check_solution(grid, assignment):
-                solutions.append(dict(assignment))
-            return
-        coords = grid.rooms[rooms[idx]]
-        for perm in room_choices[idx]:
-            for rc, v in zip(coords, perm):
-                assignment[rc] = v
-            fill(idx + 1)
-            for rc in coords:
-                del assignment[rc]
-
-    fill(0)
+    for choice in product(*room_choices):
+        assignment = dict(zip(cells, chain.from_iterable(choice)))
+        if check_solution(grid, assignment):
+            solutions.append(assignment)
     return solutions
 
 

@@ -7,7 +7,8 @@ figures (visible with `pytest -s`, or in the captured output on failure).
   completeness     1,000 seeded honest runs all accept, in under 10 seconds
   soundness        every single-rule perturbation rejects in 1,000 runs each,
                    naming the violated condition; protocol verdict matches the
-                   plain rule checker on every filling of every small grid
+                   plain rule checker on every filling of every small grid,
+                   and a rejected run fails the checker's first violation
   card-budget      the worked example needs exactly 61 cards and no run ever
                    has more in play at once
   arrow-window     the shifted reveal window catches a rival marker exactly
@@ -34,7 +35,6 @@ from makaro_zkp import (
     SiteFamily,
     all_value_assignments,
     card_budget,
-    check_solution,
     convert_cell,
     encoding_card,
     enumerate_small_grids,
@@ -100,19 +100,22 @@ def single_rule_perturbations(grid, solution):
 @pytest.fixture(scope="session")
 def small_grid_sweep():
     """Protocol verdict vs. plain rule checker over every clue-consistent
-    filling of every generated grid (≤ 3x3), with per-run card accounting
-    and a full solver cross-check per grid."""
+    filling of every generated grid (≤ 3x3), with per-run card accounting,
+    the failing check of every rejection set against the checker's
+    violations, and a full solver cross-check per grid."""
     grids = enumerate_small_grids()
     totals = SimpleNamespace(
         grids=grids, assignments=0, placeable=0, accepted=0,
+        setup_rejects=0, check_rejects=0,
         verdict_mismatches=[], solver_mismatches=[], budget_breaches=[],
-        elapsed=0.0)
+        setup_mismatches=[], order_mismatches=[], elapsed=0.0)
     start = time.perf_counter()
     for gi, grid in enumerate(grids):
         budget = card_budget(stats(grid)).total
         valid = set()
         for ai, assignment in enumerate(all_value_assignments(grid)):
-            truth = check_solution(grid, assignment)
+            found = violations(grid, assignment)
+            truth = not found
             source = RandomSource.for_trial(f"sweep:{gi}", ai)
             verdict, _, table = run_full_protocol_with_table(
                 grid, make_prover(assignment, source), source)
@@ -123,6 +126,17 @@ def small_grid_sweep():
                     totals.budget_breaches.append((gi, ai))
             if verdict.accepted != truth:
                 totals.verdict_mismatches.append((gi, ai))
+            failed = verdict.failing_check
+            if failed is not None and failed.at_setup:
+                # setup can only fail a room, and only one the checker finds broken
+                totals.setup_rejects += 1
+                if ("room", failed.subject) not in found:
+                    totals.setup_mismatches.append((gi, ai))
+            elif failed is not None:
+                # the checks run in the checker's order: the first one broken fails
+                totals.check_rejects += 1
+                if found[:1] != [(failed.kind, failed.subject)]:
+                    totals.order_mismatches.append((gi, ai))
             if truth:
                 totals.accepted += 1
                 valid.add(frozenset(assignment.items()))
@@ -182,6 +196,16 @@ def test_soundness_matches_the_rule_checker_exhaustively(small_grid_sweep):
            f"protocol verdict == rule checker on {s.assignments} fillings of "
            f"{len(s.grids)} grids ({s.placeable} placeable, {s.accepted} valid), "
            f"solver agrees on all grids, in {s.elapsed:.1f}s")
+
+
+def test_soundness_fails_on_the_rule_checkers_first_violation(small_grid_sweep):
+    s = small_grid_sweep
+    ok = not s.setup_mismatches and not s.order_mismatches and s.check_rejects > 0
+    report("soundness-order", ok,
+           f"{len(s.order_mismatches)} of {s.check_rejects} rejections after setup "
+           f"failed another check than the rule checker's first violation, and "
+           f"{len(s.setup_mismatches)} of {s.setup_rejects} rejections at setup "
+           f"named a room the checker finds intact")
 
 
 def test_card_budget(example_grid, example_solution, small_grid_sweep):

@@ -20,6 +20,7 @@ import makaro_zkp
 from makaro_zkp import (
     RandomSource,
     make_prover,
+    protocol,
     puzzle,
     reveal_site_plan,
     run_full_protocol,
@@ -66,6 +67,12 @@ def test_every_workload_name_resolves(name):
 def test_stats_is_bound_where_the_tracer_rebinds_it(layer):
     module = importlib.import_module(f"{makaro_zkp.__name__}.{layer}")
     assert module.stats is puzzle.stats
+
+
+def test_arrow_check_cells_is_bound_where_the_tracer_wraps_it():
+    # the tracer wraps protocol's binding and every copy of it, so the span
+    # counts the calls the grid's rule list makes in puzzle
+    assert protocol.arrow_check_cells is puzzle.arrow_check_cells
 
 
 def test_runs_rebind_no_module_attribute():

@@ -287,6 +287,17 @@ class TestStats:
         assert out == ""
         assert err.startswith("error:") and "not UTF-8" in err
 
+    # "²" is a digit to str.isdigit() but not a numeral int() reads
+    @pytest.mark.parametrize("text, where", [("makaro ² 1\nA\n", "line 1, column 8"),
+                                             ("makaro 1 1\nA=²\n", "line 2, column 1")],
+                             ids=["size", "clue"])
+    def test_non_decimal_digit_is_an_input_error(self, capsys, tmp_path, text, where):
+        puzzle = write(tmp_path, "digit.makaro", text)
+        code, out, err = run_cli(capsys, "stats", "--puzzle", puzzle)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and where in err
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):

@@ -92,7 +92,8 @@ class TestCardIds:
             assert parse_card(str(card)) == card
 
     def test_parse_card_rejects_garbage(self):
-        for bad in ("nohash", "x#", "x#abc"):
+        # "²" and a numeral longer than int() converts are digits, not decimals
+        for bad in ("nohash", "x#", "x#abc", "help#²", "help#" + "1" * 5000):
             with pytest.raises(DeckError):
                 parse_card(bad)
 

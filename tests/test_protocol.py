@@ -14,15 +14,13 @@ from makaro_zkp import (
     SetupError,
     TableState,
     Transcript,
-    arrow_check_cells,
-    arrow_length,
     card_budget,
     cell_card,
+    check_solution,
     convert_cell,
     encoding_card,
     make_encoding,
     make_prover,
-    neighbor_length,
     parse_puzzle,
     reveal_site_plan,
     run_full_protocol,
@@ -30,13 +28,16 @@ from makaro_zkp import (
     serialize_puzzle,
     setup_placement,
     simulate_transcript,
+    solve_brute_force,
     stats,
     verify_arrow,
     verify_neighbor,
     verify_room,
     violations,
 )
-from makaro_zkp import protocol
+from makaro_zkp import protocol, puzzle
+
+from conftest import load_grid
 
 # 2x3 grid whose arrow check has m=2 (window length 3): the black cell points
 # up at a size-2 room and its rivals sit in a size-2 and a size-1 room.
@@ -59,6 +60,18 @@ def fresh_table(grid, assignment, seed):
 
 def patterns_by_site(transcript):
     return dict(transcript.site_patterns)
+
+
+def rule_cells(grid, kind, subject) -> list:
+    """The cells a rule of the grid reads, in check order."""
+    return next(list(rule.cells) for rule in grid.rules if rule[:2] == (kind, subject))
+
+
+def sequence_length(grid, check_key) -> int:
+    """The length of a window check's sequences: its row1 site reveals one
+    whole sequence."""
+    return next(take for site, _, _, take in reveal_site_plan(grid)
+                if site == f"{check_key}/row1")
 
 
 class TestSetup:
@@ -278,7 +291,7 @@ class TestVerifyNeighbor:
                                                       example_solution):
         a, b = (2, 0), (3, 0)
         assert example_solution[a] != example_solution[b]
-        assert neighbor_length(example_grid, a, b) == 3
+        assert sequence_length(example_grid, "neighbor/2.0-3.0") == 3
         source, prover, transcript, table = fresh_table(
             example_grid, example_solution, "vn")
         before = dict(table.cell_cards)
@@ -313,15 +326,15 @@ class TestVerifyNeighbor:
 
     def test_rooms_of_unequal_size_use_the_larger_length(self, example_grid):
         # (2,2) in a 5-room beside (3,2): both sequences padded to length 5
-        assert neighbor_length(example_grid, (2, 2), (2, 3)) == 5
-        assert neighbor_length(example_grid, (4, 0), (4, 1)) == 3
+        assert sequence_length(example_grid, "neighbor/2.2-2.3") == 5
+        assert sequence_length(example_grid, "neighbor/4.0-4.1") == 3
 
 
 class TestVerifyArrow:
     def test_example_arrow_passes(self, example_grid, example_solution):
         black = (4, 3)
-        assert arrow_check_cells(example_grid, black) == [(3, 3), (4, 4), (4, 2)]
-        assert arrow_length(example_grid, black) == 5
+        assert rule_cells(example_grid, "arrow", black) == [(3, 3), (4, 4), (4, 2)]
+        assert sequence_length(example_grid, "arrow/4.3") == 2 * 5 - 1
         source, prover, transcript, table = fresh_table(
             example_grid, example_solution, "va")
         before = dict(table.cell_cards)
@@ -367,8 +380,8 @@ class TestVerifyArrow:
 
     def test_black_cell_with_four_rivals(self, cross_grid, cross_solution):
         black = (1, 1)
-        assert arrow_check_cells(cross_grid, black) == [(1, 2), (2, 1), (1, 0), (0, 1)]
-        assert arrow_length(cross_grid, black) == 4
+        assert rule_cells(cross_grid, "arrow", black) == [(1, 2), (2, 1), (1, 0), (0, 1)]
+        assert sequence_length(cross_grid, "arrow/1.1") == 2 * 4 - 1
         source, prover, transcript, table = fresh_table(
             cross_grid, cross_solution, "cross")
         assert verify_arrow(table, black, prover, source, transcript)
@@ -452,6 +465,26 @@ class TestFullProtocol:
             verdict, _ = run_full_protocol(grid, prover, RandomSource.from_seed(seed))
             assert verdict.accepted
         assert len(calls) <= 1
+
+    def test_rules_are_compiled_once_per_grid(self, monkeypatch, example_solution):
+        grid = load_grid("example5x5.makaro")  # a fresh grid: nothing cached
+        calls = Counter()
+        for name in ("white_neighbor_pairs", "arrow_check_cells"):
+            def counted(*args, _name=name, _original=getattr(puzzle, name)):
+                calls[(_name, *args[1:])] += 1
+                return _original(*args)
+            monkeypatch.setattr(puzzle, name, counted)
+        for _ in range(100):
+            assert check_solution(grid, example_solution)
+        assert solve_brute_force(grid) == [example_solution]
+        source = RandomSource.from_seed("once")
+        assert run_full_protocol(grid, make_prover(example_solution, source), source)[0].accepted
+        simulate_transcript(grid, RandomSource.from_seed("once"))
+        reveal_site_plan(grid)
+        # the pairs once per grid, the cells around each of the 5 arrows once
+        assert calls[("white_neighbor_pairs",)] == 1
+        assert sorted(n for n, *_ in calls) == ["arrow_check_cells"] * 5 + ["white_neighbor_pairs"]
+        assert set(calls.values()) == {1}
 
 
 class TestSimulator:

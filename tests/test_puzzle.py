@@ -1,5 +1,7 @@
 """Grid model, file format, rule checking, and the exhaustive solver."""
 
+import pickle
+
 import pytest
 
 from makaro_zkp import (
@@ -8,7 +10,6 @@ from makaro_zkp import (
     SearchBoundExceeded,
     assignment_from_grid,
     assignment_text,
-    black_coords,
     check_solution,
     parse_puzzle,
     same_layout,
@@ -49,11 +50,12 @@ class TestParsing:
         g = example_grid
         assert (g.height, g.width) == (5, 5)
         assert len(g.white_coords()) == 20
-        assert len(black_coords(g)) == 5
+        arrows = [rule.subject for rule in g.rules if rule.kind == "arrow"]
+        assert len(arrows) == 5
         assert sorted((room, len(cells)) for room, cells in g.rooms.items()) == [
             ("A", 3), ("B", 2), ("C", 5), ("D", 5), ("E", 2), ("F", 3)]
         assert g.clues() == {(0, 4): 2, (1, 0): 3, (4, 4): 1}
-        assert [g.cell(rc).arrow for rc in black_coords(g)] == ["<", ">", "v", "v", "^"]
+        assert [g.cell(rc).arrow for rc in arrows] == ["<", ">", "v", "v", "^"]
 
     def test_bundled_example_matches_frozen_text(self, puzzles_dir):
         assert (puzzles_dir / "example5x5.makaro").read_text() == EXAMPLE_TEXT
@@ -156,6 +158,31 @@ class TestNeighborPairs:
     def test_same_room_pairs_excluded(self):
         g = parse_puzzle("makaro 2 2\nA A\nA A\n")
         assert white_neighbor_pairs(g) == []
+
+
+class TestRuleList:
+    def test_example_rules_in_check_order(self, example_grid):
+        rules = example_grid.rules
+        assert [rule.kind for rule in rules] == ["room"] * 6 + ["neighbor"] * 9 + ["arrow"] * 5
+        assert rules[0] == ("room", "A", ((0, 0), (1, 0), (2, 0)))
+        assert [rule.subject for rule in rules[:6]] == sorted(example_grid.rooms)
+        assert [rule.subject for rule in rules[6:15]] == white_neighbor_pairs(example_grid)
+        assert all(rule.cells == rule.subject for rule in rules[6:15])
+        # the target first, then the rest clockwise; arrows row-major
+        assert [rule[1:] for rule in rules[15:]] == [
+            ((0, 2), ((0, 1), (0, 3))),
+            ((1, 2), ((1, 3), (2, 2), (1, 1))),
+            ((2, 1), ((3, 1), (2, 0), (1, 1), (2, 2))),
+            ((2, 4), ((3, 4), (2, 3), (1, 4))),
+            ((4, 3), ((3, 3), (4, 4), (4, 2))),
+        ]
+
+    def test_rules_survive_pickling(self, example_grid):
+        # worker processes receive the grid with its compiled rules
+        clone = pickle.loads(pickle.dumps(example_grid))
+        assert clone == example_grid
+        assert clone.rules == example_grid.rules
+        assert clone.white_set == example_grid.white_set == set(example_grid.white_coords())
 
 
 class TestSolver:
