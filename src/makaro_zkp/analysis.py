@@ -99,6 +99,13 @@ class SiteHistograms:
         self.marginal_threshold = marginal_threshold
         self.families = site_plan(grid, marginal_threshold)
         self.counts: dict[str, Counter] = {fam.key: Counter() for fam in self.families}
+        # the counters of each site split into per-position families, in
+        # position order (site_plan keys them "<site>/pos<i>")
+        self._positions: dict[str, list[Counter]] = {}
+        for key, counter in self.counts.items():
+            site, split, pos = key.rpartition("/pos")
+            if split and pos.isdecimal():
+                self._positions.setdefault(site, []).append(counter)
         self.transcripts = 0
 
     def add_transcript(self, transcript: Transcript) -> None:
@@ -108,11 +115,10 @@ class SiteHistograms:
             if counter is not None:
                 counter[pattern] += 1
                 continue
-            # a site split into per-position families (see site_plan)
-            for pos, card in enumerate(pattern, start=1):
-                counter = self.counts.get(f"{site}/pos{pos}")
-                if counter is None:
-                    raise ValueError(f"transcript reveals at unknown site {site!r}")
+            positions = self._positions.get(site, ())
+            if len(pattern) > len(positions):
+                raise ValueError(f"transcript reveals at unknown site {site!r}")
+            for counter, card in zip(positions, pattern):
                 counter[(card,)] += 1
 
     def merge(self, other: "SiteHistograms") -> None:

@@ -11,6 +11,8 @@ cards never put their identity into the transcript.
 from __future__ import annotations
 
 import random
+import re
+from functools import cached_property
 from typing import Any, Callable, Iterable, NamedTuple
 
 
@@ -40,37 +42,58 @@ def encoding_card(letter: str, index: int) -> CardId:
     return CardId(f"enc:{letter}", index)
 
 
+_CANONICAL_INT = re.compile("0|[1-9][0-9]*")
+
+
+def _parse_int(text: str) -> int:
+    """An integer as the writer emits it: ASCII digits, with no sign,
+    underscore or leading zero.  Anything else (`01`, `1_0`, `-0`, a
+    non-ASCII digit) raises ValueError, as does a numeral longer than int()
+    converts."""
+    if not _CANONICAL_INT.fullmatch(text):
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return int(text)
+
+
 def parse_card(text: str) -> CardId:
     set_name, sep, index = text.rpartition("#")
     try:
-        if sep and index.isdecimal():
-            return CardId(set_name, int(index))
-    except ValueError:  # more digits than int() converts
+        if sep:
+            return CardId(set_name, _parse_int(index))
+    except ValueError:
         pass
     raise DeckError(f"bad card {text!r}")
 
 
 class RandomSource:
-    """Two independent seeded streams.
+    """Two independent streams derived from one seed.
 
     shuffle_stream drives the public shuffles; prover_stream is the prover's
-    private randomness (secret card orders).  Seeding with the same value
-    reproduces a run bit for bit.  Trial i of a batch uses the derived seed
-    "<seed>:<i>", so results are independent of how trials are distributed
-    across workers.
+    private randomness (secret card orders).  Each stream is seeded on its
+    first read, so a run that never draws (one rejected at setup) seeds
+    nothing.  Seeding with the same value reproduces a run bit for bit.
+    Trial i of a batch uses the derived seed "<seed>:<i>", so results are
+    independent of how trials are distributed across workers.
     """
 
-    def __init__(self, shuffle_stream: random.Random, prover_stream: random.Random):
-        self.shuffle_stream = shuffle_stream
-        self.prover_stream = prover_stream
+    def __init__(self, seed: int | str):
+        self.seed = seed
+
+    @cached_property
+    def shuffle_stream(self) -> random.Random:
+        return random.Random(f"{self.seed}/shuffle")
+
+    @cached_property
+    def prover_stream(self) -> random.Random:
+        return random.Random(f"{self.seed}/prover")
 
     @classmethod
     def from_seed(cls, seed: int | str) -> "RandomSource":
-        return cls(random.Random(f"{seed}/shuffle"), random.Random(f"{seed}/prover"))
+        return cls(seed)
 
     @classmethod
     def for_trial(cls, seed: int | str, trial: int) -> "RandomSource":
-        return cls.from_seed(f"{seed}:{trial}")
+        return cls(f"{seed}:{trial}")
 
 
 class Transcript:
@@ -142,15 +165,15 @@ class _Field(NamedTuple):
 
 def _parse_pos(text: str) -> tuple[int, int]:
     r, c = text.split(",")
-    return (int(r), int(c))
+    return (_parse_int(r), _parse_int(c))
 
 
 _TEXT = _Field(str, str)
-_INT = _Field(str, int)
+_INT = _Field(str, _parse_int)
 _POS = _Field(lambda pos: f"{pos[0]},{pos[1]}", _parse_pos)
 _CARD = _Field(str, parse_card)
 _ORDER = _Field(lambda order: ",".join(str(i) for i in order),
-                lambda text: tuple(int(i) for i in text.split(",")))
+                lambda text: tuple(_parse_int(i) for i in text.split(",")))
 _RESULT = _Field(lambda ok: "pass" if ok else "fail", {"pass": True, "fail": False}.__getitem__)
 
 # The text form of each event kind: its fields after the kind, in order.
@@ -186,7 +209,7 @@ def _parse_event(line: str) -> tuple:
     kind, _, rest = line.partition(" ")
     spec = _EVENT_FIELDS.get(kind)
     items = [item.partition("=") for item in rest.split()]
-    if spec is None or [key for key, _, _ in items] != [name for name, _ in spec]:
+    if spec is None or [(key, sep) for key, sep, _ in items] != [(name, "=") for name, _ in spec]:
         raise DeckError(f"bad transcript line {line!r}")
     try:
         return (kind, *(field.parse(value) for (_, field), (_, _, value) in zip(spec, items)))

@@ -69,14 +69,19 @@ class CardsUnavailable(ProtocolError):
 
 @dataclass
 class ProverState:
-    """The prover's secret assignment and private randomness."""
+    """The prover's secret assignment and the source of their private
+    randomness, whose stream is seeded on the first draw."""
 
     secret: Assignment
-    rng: random.Random
+    source: RandomSource
+
+    @property
+    def rng(self) -> random.Random:
+        return self.source.prover_stream
 
 
 def make_prover(assignment: Assignment, source: RandomSource) -> ProverState:
-    return ProverState(dict(assignment), source.prover_stream)
+    return ProverState(dict(assignment), source)
 
 
 @dataclass(frozen=True)
@@ -274,8 +279,8 @@ def _collection_sites(key: str, cards: tuple[CardId, ...],
 
 class _Schedule:
     """Everything public about the runs on one grid: its white-cell count n
-    and largest room size k, the cards of each set, and every check, in run
-    order, keyed by (kind, subject)."""
+    and largest room size k, the cards of each set, the setup placement
+    plan, and every check, in run order, keyed by (kind, subject)."""
 
     def __init__(self, grid: Grid):
         self.n, self.k = stats(grid)
@@ -284,6 +289,12 @@ class _Schedule:
             room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
             for room, cells in grid.rooms.items()
         }
+        # setup places the clued cells (rc, room, clue) publicly, then the
+        # hidden cells (rc, room), each row-major
+        whites = [(rc, grid.cell(rc)) for rc in grid.white_coords()]
+        self.clued = tuple((rc, cell.room, cell.clue) for rc, cell in whites
+                           if cell.clue is not None)
+        self.hidden = tuple((rc, cell.room) for rc, cell in whites if cell.clue is None)
         self.helps = tuple(help_card(i) for i in range(1, self.k + 1))
         self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
                     for letter in ENC_LETTERS}
@@ -396,31 +407,35 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     secret = prover.secret
     if secret.keys() != grid.white_set:
         raise ValueError("prover assignment must cover exactly the white cells")
-    table = TableState(grid)
-    seen: dict[str, set[int]] = {room: set() for room in grid.rooms}
-    hidden: list[tuple[Coord, str, int]] = []
-    for rc in grid.white_coords():
-        cell = grid.cell(rc)
-        if cell.clue is None:
-            hidden.append((rc, cell.room, secret[rc]))
-            continue
-        if secret[rc] != cell.clue:
+    schedule = _schedule(grid)
+    placed: dict[Coord, CardId] = {}
+    used: set[CardId] = set()
+    for rc, room, clue in schedule.clued:
+        if secret[rc] != clue:
             raise ValueError(f"prover value at {rc} contradicts the clue")
-        if cell.clue in seen[cell.room]:
-            raise SetupError(f"two cards of value {cell.clue} needed in room {cell.room!r}",
-                             cell.room)
-        seen[cell.room].add(cell.clue)
-        card = cell_card(cell.room, cell.clue)
-        table.place_cell(rc, card)
+        card = schedule.room_cards[room][clue - 1]
+        if card in used:
+            raise SetupError(f"two cards of value {clue} needed in room {room!r}", room)
+        used.add(card)
+        placed[rc] = card
         transcript.append(("place", rc, card))
-    for rc, room, value in hidden:
-        if value > len(grid.rooms[room]):
+    for rc, room in schedule.hidden:
+        value = secret[rc]
+        cards = schedule.room_cards[room]
+        if value > len(cards):
             raise SetupError(f"no card of value {value} in room {room!r}", room)
-        if value in seen[room]:
+        # a value below 1 has no card either; it is placed as written and
+        # the room check rejects it
+        card = cards[value - 1] if value >= 1 else cell_card(room, value)
+        if card in used:
             raise SetupError(f"two cards of value {value} needed in room {room!r}", room)
-        seen[room].add(value)
-        table.place_cell(rc, cell_card(room, value))
+        used.add(card)
+        placed[rc] = card
         transcript.append(("place-hidden", rc))
+    # the table is built only once every card is known to exist
+    table = TableState(grid)
+    for rc, card in placed.items():
+        table.place_cell(rc, card)
     return table
 
 
@@ -630,15 +645,13 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     reveal drawn from its solution-independent distribution.  Needs no
     assignment; meaningful for satisfiable grids."""
     rng = source.shuffle_stream
+    schedule = _schedule(grid)
     t = Transcript()
-    for rc in grid.white_coords():
-        cell = grid.cell(rc)
-        if cell.clue is not None:
-            t.append(("place", rc, cell_card(cell.room, cell.clue)))
-    for rc in grid.white_coords():
-        if grid.cell(rc).clue is None:
-            t.append(("place-hidden", rc))
-    for check in _schedule(grid).checks.values():
+    for rc, room, clue in schedule.clued:
+        t.append(("place", rc, schedule.room_cards[room][clue - 1]))
+    for rc, _ in schedule.hidden:
+        t.append(("place-hidden", rc))
+    for check in schedule.checks.values():
         t.append(("begin", check.kind, check.key))
         if check.kind == "room":
             _sim_collection(t, rng, check.subject, check.sites)

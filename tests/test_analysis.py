@@ -155,6 +155,33 @@ class TestSiteHistograms:
             ((card,),) = counter  # a single one-card pattern
             assert card.set == "enc:a"
 
+    def test_split_site_counts_match_their_position_keys(self, example_grid,
+                                                         example_solution):
+        hist = SiteHistograms(example_grid)
+        expected = Counter()
+        for seed in ("p1", "p2"):
+            transcript = self.run_transcript(example_grid, example_solution, seed)
+            hist.add_transcript(transcript)
+            for site, pattern in transcript.site_patterns:
+                if site in hist.counts:
+                    expected[site, pattern] += 1
+                else:
+                    for pos, card in enumerate(pattern, start=1):
+                        expected[f"{site}/pos{pos}", (card,)] += 1
+        assert Counter({(key, pattern): n for key, counter in hist.counts.items()
+                        for pattern, n in counter.items()}) == expected
+
+    def test_over_long_pattern_at_a_split_site_is_rejected(self, example_grid,
+                                                           example_solution):
+        hist = SiteHistograms(example_grid)
+        transcript = self.run_transcript(example_grid, example_solution, "long")
+        site, pattern = next((site, pattern) for site, pattern in transcript.site_patterns
+                             if site not in hist.counts)
+        doctored = Transcript()
+        doctored.add_pattern(site, pattern + pattern[:1])
+        with pytest.raises(ValueError):
+            hist.add_transcript(doctored)
+
     def test_transcript_from_another_grid_is_rejected(self, quad_grid):
         other = parse_puzzle("makaro 1 1\nZ\n")
         source = RandomSource.from_seed("x")

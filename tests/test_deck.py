@@ -46,6 +46,19 @@ MALFORMED_LINES = {
     "end": "end kind=room key=A result=maybe",
 }
 
+# Lines that int() would read but the writer never emits: an integer field
+# takes only ASCII digits without sign, underscore or leading zero, and every
+# field needs its "=".
+NON_CANONICAL_LINES = [
+    "tail count=1_0",
+    "rearrange perm=1,-0",
+    "reveal pos=+0,1_1 card=help#1",
+    "tail count=01",
+    "tail count=\u0661",
+    "place pos=0,0 card=room:A#01",
+    "shuffle kind",
+]
+
 
 def fresh_matrix(rows, cols, prefix="x"):
     m = CardMatrix(rows, cols)
@@ -92,8 +105,10 @@ class TestCardIds:
             assert parse_card(str(card)) == card
 
     def test_parse_card_rejects_garbage(self):
-        # "²" and a numeral longer than int() converts are digits, not decimals
-        for bad in ("nohash", "x#", "x#abc", "help#²", "help#" + "1" * 5000):
+        # "²" and a numeral longer than int() converts are digits, not decimals;
+        # a sign, a leading zero or a non-ASCII digit is not canonical
+        for bad in ("nohash", "x#", "x#abc", "help#²", "help#" + "1" * 5000,
+                    "help#01", "help#+1", "help#\u0661"):
             with pytest.raises(DeckError):
                 parse_card(bad)
 
@@ -116,6 +131,15 @@ class TestRandomSource:
         src = RandomSource.from_seed("s")
         assert [src.shuffle_stream.randrange(1000) for _ in range(8)] != \
                [src.prover_stream.randrange(1000) for _ in range(8)]
+
+    @pytest.mark.parametrize("seed", ["s", 7, "7:3"])
+    def test_streams_draw_as_seeded_from_their_strings(self, seed):
+        src = RandomSource.from_seed(seed)
+        shuffle, prover = random.Random(f"{seed}/shuffle"), random.Random(f"{seed}/prover")
+        assert [src.shuffle_stream.random() for _ in range(5)] == \
+               [shuffle.random() for _ in range(5)]
+        assert [src.prover_stream.random() for _ in range(5)] == \
+               [prover.random() for _ in range(5)]
 
     def test_trials_get_distinct_seeds(self):
         a = RandomSource.for_trial("s", 0)
@@ -329,6 +353,11 @@ class TestTranscript:
     def test_malformed_line_is_rejected(self, kind):
         with pytest.raises(DeckError):
             Transcript.from_text(MALFORMED_LINES[kind] + "\n")
+
+    @pytest.mark.parametrize("line", NON_CANONICAL_LINES)
+    def test_non_canonical_line_is_rejected(self, line):
+        with pytest.raises(DeckError):
+            Transcript.from_text(line + "\n")
 
     def test_to_text_is_line_per_event(self):
         t = self.all_kinds_transcript()

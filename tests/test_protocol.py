@@ -2,6 +2,7 @@
 the room/neighbor/arrow verifications, full runs, and the transcript
 simulator that mirrors them without the solution."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -140,6 +141,31 @@ class TestSetup:
         short.pop((0, 0))
         with pytest.raises(ValueError):
             fresh_table(example_grid, short, "s")
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_value_below_one_is_rejected(self, value):
+        # no card exists for it; a one-cell room's last card must not stand in
+        grid = parse_puzzle("makaro 1 1\nA\n")
+        source = RandomSource.from_seed("low")
+        verdict, _ = run_full_protocol(grid, make_prover({(0, 0): value}, source), source)
+        assert not verdict.accepted
+        assert verdict.failing_check.kind == "room"
+
+    def test_setup_reads_the_compiled_placement_plan(self, monkeypatch, example_solution):
+        grid = load_grid("example5x5.makaro")  # a fresh grid: nothing cached
+        fresh_table(grid, example_solution, "first")
+        calls = []
+        original = puzzle.Grid.white_coords
+        monkeypatch.setattr(puzzle.Grid, "white_coords",
+                            lambda self: calls.append(self) or original(self))
+        for seed in ("again", "and again"):
+            _, _, transcript, _ = fresh_table(grid, example_solution, seed)
+            assert len(transcript) == 20
+        bad = dict(example_solution)
+        bad[(2, 0)] = bad[(0, 0)]
+        with pytest.raises(SetupError):
+            fresh_table(grid, bad, "bad")
+        assert calls == []
 
 
 class TestEncoding:
@@ -465,6 +491,28 @@ class TestFullProtocol:
             verdict, _ = run_full_protocol(grid, prover, RandomSource.from_seed(seed))
             assert verdict.accepted
         assert len(calls) <= 1
+
+    def test_random_streams_are_seeded_on_first_draw(self, monkeypatch, example_grid,
+                                                     example_solution):
+        seeded = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                seeded.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        bad = dict(example_solution)
+        bad[(2, 0)] = bad[(0, 0)]  # rejected at setup: nothing to draw
+        source = RandomSource.for_trial("lazy", 0)
+        verdict, _ = run_full_protocol(example_grid, make_prover(bad, source), source)
+        assert verdict.failing_check == FailedCheck("room", "A", at_setup=True)
+        assert seeded == []
+        source = RandomSource.for_trial("lazy", 1)
+        verdict, _ = run_full_protocol(example_grid, make_prover(example_solution, source),
+                                       source)
+        assert verdict.accepted
+        assert sorted(seeded) == [("lazy:1/prover",), ("lazy:1/shuffle",)]
 
     def test_rules_are_compiled_once_per_grid(self, monkeypatch, example_solution):
         grid = load_grid("example5x5.makaro")  # a fresh grid: nothing cached
