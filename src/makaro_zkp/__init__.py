@@ -16,6 +16,8 @@ Layout:
     cli       command-line front end
 """
 
+from types import ModuleType as _ModuleType
+
 from .puzzle import (
     Assignment,
     Coord,
@@ -54,6 +56,7 @@ from .deck import (
     pile_scramble_shuffle,
     pile_shifting_shuffle,
     reveal,
+    reveal_row,
     turn_all_down,
 )
 from .protocol import (
@@ -97,25 +100,6 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment", "Coord", "Grid", "PuzzleError", "PuzzleSemanticError",
-    "PuzzleSyntaxError", "PuzzleStats", "Rule", "SearchBoundExceeded",
-    "arrow_check_cells", "assignment_from_grid", "assignment_text", "build_grid",
-    "check_solution", "parse_puzzle", "same_layout", "serialize_puzzle",
-    "solve_brute_force", "stats", "violations", "white_neighbor_pairs",
-    "all_value_assignments", "enumerate_small_grids",
-    "CardId", "CardMatrix", "DeckError", "RandomSource", "Transcript",
-    "cell_card", "encoding_card", "help_card", "parse_card",
-    "pile_scramble_shuffle", "pile_shifting_shuffle", "reveal", "turn_all_down",
-    "CardsUnavailable", "FailedCheck", "ProtocolError", "ProverState",
-    "SetupError", "SiteFamily", "TableState", "Verdict", "collect_site_patterns",
-    "convert_cell", "make_encoding", "make_prover", "reveal_site_plan",
-    "run_full_protocol", "run_full_protocol_with_table", "setup_placement",
-    "simulate_transcript", "verify_arrow", "verify_neighbor", "verify_room",
-    "CardBudget", "ComparisonReport", "InsufficientTrials",
-    "SiteHistograms", "SiteReport", "card_budget",
-    "collect_protocol_histograms", "collect_simulator_histograms",
-    "compare_collections", "compare_histograms", "site_plan", "solution_comparison",
-    "uniformity_sweep", "uniformity_test", "zk_comparison",
-    "__version__",
-]
+# every name imported above, so the export list cannot drift from the imports
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

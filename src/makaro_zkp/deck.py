@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 
 class DeckError(Exception):
@@ -224,22 +224,42 @@ class CardMatrix:
     Every card is distinct, so whether a card lies face up travels with it.
     """
 
-    __slots__ = ("rows", "cols", "_cols", "_up")
+    __slots__ = ("rows", "cols", "_cols", "_up", "_identity")
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise DeckError("matrix needs at least one row and column")
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
         self._cols: list[list[CardId | None]] = [[None] * rows for _ in range(cols)]
         self._up: set[CardId] = set()
+        self._identity = list(range(cols))  # the column order every permutation sorts to
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[CardId]]) -> "CardMatrix":
+        """A matrix laid out in one move: the given rows of cards, face down."""
+        columns = list(map(list, zip(*rows)))
+        # zip stops at the shortest row, so equal rows fill every column
+        if not columns or sum(map(len, rows)) != len(rows) * len(columns):
+            raise DeckError("a matrix needs rows of one length, at least one card long")
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix._cols = len(rows), len(columns), columns
+        matrix._up, matrix._identity = set(), list(range(len(columns)))
+        return matrix
 
     def place(self, row: int, col: int, card: CardId) -> None:
         """Lay a card face down in an empty slot."""
-        column = self._cols[col]
-        if column[row] is not None:
-            raise DeckError(f"slot ({row},{col}) already holds a card")
-        column[row] = card
+        self.place_row(row, (card,), col)
+
+    def place_row(self, row: int, cards: Sequence[CardId], start: int = 0) -> None:
+        """Lay cards face down in empty slots of one row, left to right from
+        column `start`."""
+        if start + len(cards) > self.cols:
+            raise DeckError(f"{len(cards)} cards from column {start} overrun {self.cols} columns")
+        for col, card in enumerate(cards, start):
+            column = self._cols[col]
+            if column[row] is not None:
+                raise DeckError(f"slot ({row},{col}) already holds a card")
+            column[row] = card
 
     def card_at(self, row: int, col: int) -> CardId | None:
         return self._cols[col][row]
@@ -248,7 +268,8 @@ class CardMatrix:
         return self._cols[col][row] in self._up
 
     def is_full(self) -> bool:
-        return all(None not in column for column in self._cols)
+        # a card is a non-empty tuple, so only an empty slot is falsy
+        return all(map(all, self._cols))
 
     def take_row(self, row: int) -> list[CardId]:
         """Remove a full row and return it, left to right; the rows below
@@ -262,15 +283,14 @@ class CardMatrix:
         self._up.difference_update(cards)
         return cards  # type: ignore[return-value]
 
-    def permute_columns(self, order: tuple[int, ...]) -> None:
+    def permute_columns(self, order: Sequence[int]) -> None:
         """Reorder columns so that new column j is old column order[j]."""
-        if sorted(order) != list(range(self.cols)):
+        if sorted(order) != self._identity:
             raise DeckError(f"bad column order {order!r}")
         self._cols = [self._cols[src] for src in order]
 
 
-def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource,
-                          transcript: Transcript | None = None) -> CardMatrix:
+def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
     """Cyclically shift the columns by a uniform hidden offset.
 
     Old column c ends up at position (c + s) % cols.  Requires every slot
@@ -279,35 +299,43 @@ def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource,
     if not matrix.is_full():
         raise DeckError("pile-shifting shuffle needs a fully occupied matrix")
     s = source.shuffle_stream.randrange(matrix.cols)
-    matrix.permute_columns(tuple((j - s) % matrix.cols for j in range(matrix.cols)))
-    if transcript is not None:
-        transcript.append(("shuffle", "shift"))
+    matrix.permute_columns([(j - s) % matrix.cols for j in range(matrix.cols)])
     return matrix
 
 
-def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource,
-                          transcript: Transcript | None = None) -> CardMatrix:
+def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
     """Rearrange the columns by a uniform hidden permutation."""
     if not matrix.is_full():
         raise DeckError("pile-scramble shuffle needs a fully occupied matrix")
     order = list(range(matrix.cols))
     source.shuffle_stream.shuffle(order)
-    matrix.permute_columns(tuple(order))
-    if transcript is not None:
-        transcript.append(("shuffle", "scramble"))
+    matrix.permute_columns(order)
     return matrix
+
+
+def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
+               transcript: Transcript) -> tuple[CardId, ...]:
+    """Turn face up the face-down cards in the given columns of one row, in
+    that order, and record what each shows.  Nothing turns when a slot is
+    empty or a card is already up."""
+    columns, up = matrix._cols, matrix._up
+    cards = tuple([columns[col][row] for col in cols])
+    fresh = set(cards)
+    if None in fresh or len(fresh) < len(cards) or not up.isdisjoint(fresh):
+        seen = set(up)
+        for col, card in zip(cols, cards):
+            if card is None or card in seen:
+                raise DeckError(f"no card at ({row},{col})" if card is None
+                                else f"card at ({row},{col}) is already face up")
+            seen.add(card)
+    up |= fresh
+    transcript.events.extend([("reveal", (row, col), card) for col, card in zip(cols, cards)])
+    return cards
 
 
 def reveal(matrix: CardMatrix, row: int, col: int, transcript: Transcript) -> CardId:
     """Turn one face-down card face up and record what it shows."""
-    card = matrix.card_at(row, col)
-    if card is None:
-        raise DeckError(f"no card at ({row},{col})")
-    if matrix.is_face_up(row, col):
-        raise DeckError(f"card at ({row},{col}) is already face up")
-    matrix._up.add(card)
-    transcript.append(("reveal", (row, col), card))
-    return card
+    return reveal_row(matrix, row, (col,), transcript)[0]
 
 
 def turn_all_down(matrix: CardMatrix) -> CardMatrix:

@@ -24,7 +24,7 @@ import math
 from itertools import product
 from typing import Iterator
 
-from .puzzle import ARROW_DELTAS, Assignment, Black, Cell, Coord, Grid, White, build_grid
+from .puzzle import ARROW_DELTAS, Assignment, Black, Coord, Grid, White, build_grid
 
 _ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _ROOM_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -77,16 +77,8 @@ def _grids_for_mask(height: int, width: int, black: dict[Coord, str],
         for idx, part in enumerate(parts):
             for rc in part:
                 room_of[rc] = _ROOM_IDS[idx]
-        cells: list[list[Cell]] = []
-        for r in range(height):
-            row: list[Cell] = []
-            for c in range(width):
-                if (r, c) in black:
-                    row.append(Black(black[(r, c)]))
-                else:
-                    row.append(White(room_of[(r, c)]))
-            cells.append(row)
-        yield build_grid(cells)
+        yield build_grid([[Black(black[r, c]) if (r, c) in black else White(room_of[r, c])
+                           for c in range(width)] for r in range(height)])
 
 
 def enumerate_small_grids(max_height: int = 3, max_width: int = 3,

@@ -20,8 +20,13 @@ room).  Three check families then run, in a fixed public schedule:
 
 Conversions return each room's cards to the grid untouched, so checks can run
 in any number.  Each reveal shows a distribution that depends only on the
-grid, never on the hidden values, which is what simulate_transcript
-reproduces without seeing any solution.
+grid, never on the hidden values.
+
+Everything but the reveals is fixed by the grid, so each check is compiled
+once per grid into a template: runs of prebuilt events, with holes for the
+revealed cards, the rearrangements they imply and the window start.  Two interpreters
+fill it: the live run from card physics, and simulate_transcript by drawing
+each reveal from its distribution, without seeing any solution.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .deck import (
     CardId,
@@ -41,7 +47,7 @@ from .deck import (
     help_card,
     pile_scramble_shuffle,
     pile_shifting_shuffle,
-    reveal,
+    reveal_row,
     turn_all_down,
 )
 # `arrow_check_cells` is unused here but the benchmark's traced run rebinds
@@ -122,7 +128,6 @@ class TableState:
         self.k = schedule.k
         self.enc_len = 2 * schedule.k - 1
         self.cell_cards: dict[Coord, CardId | None] = {}
-        self.room_cards = schedule.room_cards
         self.helps = schedule.helps
         self.enc = schedule.enc
         self._help_out = 0
@@ -135,23 +140,21 @@ class TableState:
         if self._in_play > self.peak_cards:
             self.peak_cards = self._in_play
 
-    def place_cell(self, rc: Coord, card: CardId) -> None:
-        if self.cell_cards.get(rc) is not None:
-            raise ProtocolError(f"cell {rc} already holds a card")
-        self.cell_cards[rc] = card
-        self._bump(1)
+    def put_cells(self, cells: Sequence[Coord], cards: Sequence[CardId]) -> None:
+        """Lay cards on empty cells, in order."""
+        held = list(map(self.cell_cards.get, cells))
+        if any(held):
+            occupied = next(rc for rc, card in zip(cells, held) if card is not None)
+            raise ProtocolError(f"cell {occupied} already holds a card")
+        self.cell_cards.update(zip(cells, cards))
 
-    def remove_cell(self, rc: Coord) -> CardId:
-        card = self.cell_cards.get(rc)
-        if card is None:
-            raise ProtocolError(f"no card on cell {rc}")
-        self.cell_cards[rc] = None
-        return card
-
-    def put_cell(self, rc: Coord, card: CardId) -> None:
-        if self.cell_cards.get(rc) is not None:
-            raise ProtocolError(f"cell {rc} already holds a card")
-        self.cell_cards[rc] = card
+    def take_cells(self, cells: Sequence[Coord]) -> list[CardId]:
+        """Lift the cards off the given cells, in order."""
+        cards = list(map(self.cell_cards.get, cells))
+        if None in cards:
+            raise ProtocolError(f"no card on cell {cells[cards.index(None)]}")
+        self.cell_cards.update(dict.fromkeys(cells))
+        return cards
 
     def take_helps(self, count: int) -> tuple[CardId, ...]:
         if self._help_out:
@@ -181,7 +184,8 @@ class TableState:
 
     def assert_settled(self) -> None:
         # card conservation between checks: grid full, every pool card home
-        placed = sum(1 for card in self.cell_cards.values() if card is not None)
+        # (a card is a non-empty tuple, an empty cell None)
+        placed = sum(map(bool, self.cell_cards.values()))
         if placed != self.n or self._help_out or any(self._enc_out.values()):
             raise ProtocolError("table out of balance between checks")
         if self._in_play != self.n:
@@ -201,19 +205,23 @@ def make_encoding(letter: str, length: int, value: int, prover: ProverState,
     return rest[:value - 1] + [cards[0]] + rest[value - 1:]
 
 
-def _sort_order(revealed: list[CardId], canonical: tuple[CardId, ...]) -> tuple[int, ...]:
-    """Column order that rearranges a revealed row into canonical order."""
-    pos = {card: idx for idx, card in enumerate(revealed)}
-    return tuple(pos[card] for card in canonical)
+def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tuple:
+    """The rearrange event whose column order puts a revealed row into
+    canonical order."""
+    return ("rearrange", tuple(map(revealed.index, canonical)))
 
 
-# --- the check schedule --------------------------------------------------------
+# --- the check templates -------------------------------------------------------
 #
 # Which checks run, in what order, under which keys, which cells each one
 # converts and with which sequence lengths and letters, and what every reveal
-# may show: all of it follows from the grid alone.  It is compiled once per
-# grid and read by the live run, the simulator and reveal_site_plan, so the
-# three cannot drift apart.
+# may show: all of it follows from the grid alone.  So does every event of an
+# accepting run except the revealed cards, the rearrangements they imply and
+# the window start.  Each check is compiled once per grid into a template:
+# its steps, in run order, are runs of prebuilt events and holes for what the
+# run decides.  The live run fills the holes from the card matrix, the
+# simulator draws them from each site's family, and reveal_site_plan lists the
+# reveal holes, so the three cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern.
@@ -246,6 +254,53 @@ class SiteFamily(NamedTuple):
         return len(set(pattern)) == self.take and all(c in members for c in pattern)
 
 
+class _Reveal(NamedTuple):
+    """Hole: the site event, then the cards in columns `cols` of one row."""
+
+    site_event: tuple
+    site: SiteFamily
+    row: int
+    cols: tuple[int, ...]
+
+
+class _Window(NamedTuple):
+    """Hole: the site event, then the cards in columns `cols_from[start]`, a
+    cyclic run from the window start."""
+
+    site_event: tuple
+    site: SiteFamily
+    row: int
+    cols_from: tuple[tuple[int, ...], ...]
+
+
+class _Sort(NamedTuple):
+    """Hole: the rearrangement that puts the row just revealed in this order."""
+
+    canonical: tuple[CardId, ...]
+
+
+class _Start(NamedTuple):
+    """Hole: the window start, where the row just revealed shows `marker`."""
+
+    marker: CardId
+
+
+# Each event kind is written in one place (tests pin it), so the events that
+# several templates share are built by these three.
+def _hole(kind: type, site: SiteFamily, row: int, cols: tuple) -> tuple:
+    return kind(("site", site.key), site, row, cols)
+
+
+def _collect(src: str, row: int, count: int) -> tuple:
+    return ("collect", src, row, count)
+
+
+def _bracket(kind: str, key: str) -> tuple[tuple, tuple, tuple]:
+    """The begin event, and the end events of a pass and of a fail."""
+    end = ("end", kind, key)
+    return ("begin", kind, key), (*end, True), (*end, False)
+
+
 class _Conversion(NamedTuple):
     """A cell turned into an encoding sequence inside a check."""
 
@@ -255,7 +310,7 @@ class _Conversion(NamedTuple):
     key: str
     room: str
     column: int                  # the cell's place in its room: where the marker goes
-    sites: tuple[SiteFamily, SiteFamily]  # the room's cards, then the helping cards
+    steps: tuple                 # a collection template, as for a room check
 
 
 class _Check(NamedTuple):
@@ -263,24 +318,18 @@ class _Check(NamedTuple):
     subject: object              # as in FailedCheck
     key: str                     # of the begin and end events
     conversions: tuple[_Conversion, ...]
-    # rooms: the room's cards, then the helping cards; neighbors and arrows:
-    # the first row, whose marker is looked for, then one window per other row
-    sites: tuple[SiteFamily, ...]
-
-
-def _collection_sites(key: str, cards: tuple[CardId, ...],
-                      helps: tuple[CardId, ...]) -> tuple[SiteFamily, SiteFamily]:
-    """A room's cards, then as many helping cards, each revealed in uniform
-    order after a scramble."""
-    p = len(cards)
-    return (SiteFamily(f"{key}/cells", "perm", cards, p),
-            SiteFamily(f"{key}/helps", "perm", helps[:p], p))
+    # rooms: a collection template; neighbors and arrows: the begin event,
+    # the conversions, the rows stacked and shifted or scrambled, the first
+    # row (whose marker starts the windows), the start, one window per other
+    # row, and the end event of a pass
+    steps: tuple
+    rejected: tuple[tuple]       # the end event of a fail
 
 
 class _Schedule:
     """Everything public about the runs on one grid: its white-cell count n
     and largest room size k, the cards of each set, the setup placement
-    plan, and every check, in run order, keyed by (kind, subject)."""
+    plan, and every check's template, in run order, keyed by (kind, subject)."""
 
     def __init__(self, grid: Grid):
         self.n, self.k = stats(grid)
@@ -289,21 +338,25 @@ class _Schedule:
             room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
             for room, cells in grid.rooms.items()
         }
-        # setup places the clued cells (rc, room, clue) publicly, then the
-        # hidden cells (rc, room), each row-major
+        # setup places the clued cells publicly, then the hidden cells, each
+        # row-major: (rc, room, clue or None), and the event each one shows
         whites = [(rc, grid.cell(rc)) for rc in grid.white_coords()]
-        self.clued = tuple((rc, cell.room, cell.clue) for rc, cell in whites
-                           if cell.clue is not None)
-        self.hidden = tuple((rc, cell.room) for rc, cell in whites if cell.clue is None)
+        whites.sort(key=lambda white: white[1].clue is None)
+        self.setup = tuple((rc, cell.room, cell.clue) for rc, cell in whites)
+        self.placements = tuple(("place-hidden", rc) if clue is None
+                                else ("place", rc, self.room_cards[room][clue - 1])
+                                for rc, room, clue in self.setup)
         self.helps = tuple(help_card(i) for i in range(1, self.k + 1))
         self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
                     for letter in ENC_LETTERS}
+        self._shuffled = {kind: ("shuffle", kind) for kind in ("scramble", "shift")}
         self._conversions: dict[tuple, _Conversion] = {}
         self.checks: dict[tuple[str, object], _Check] = {}
         for kind, subject, cells in grid.rules:
             if kind == "room":
-                self.checks[kind, subject] = _Check(kind, subject, subject, (), _collection_sites(
-                    f"room/{subject}", self.room_cards[subject], self.helps))
+                begin, passed, failed = _bracket(kind, subject)
+                self.checks[kind, subject] = _Check(kind, subject, subject, (), self._collection(
+                    begin, passed, f"room/{subject}", subject), (failed,))
                 continue
             where = cells if kind == "neighbor" else (subject,)
             key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
@@ -312,27 +365,69 @@ class _Schedule:
             m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
             length, window = (m, 1) if kind == "neighbor" else (2 * m - 1, m)
             letters = ENC_LETTERS[:len(cells)]
-            sites = [SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)]
-            for row, letter in enumerate(letters[1:], start=2):
+            conversions = tuple(self.conversion(rc, letter, length, key)
+                                for letter, rc in zip(letters, cells))
+            first = SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)
+            cycle = tuple(range(length)) * 2
+            spans = tuple(cycle[start:start + window] for start in range(length))
+            windows = []
+            for row, letter in enumerate(letters[1:], start=1):
                 # a one-card sequence is its marker, so the window can only
                 # show it (unsatisfiable grids only)
                 support = self.enc[letter][1 if length > 1 else 0:length]
-                sites.append(SiteFamily(
-                    f"{key}/probe" if kind == "neighbor" else f"{key}/row{row}",
-                    "pick" if window == 1 else "arrangement", support, window))
-            conversions = tuple(self.conversion(rc, letter, length, key)
-                                for letter, rc in zip(letters, cells))
-            self.checks[kind, subject] = _Check(kind, subject, key, conversions, tuple(sites))
+                site = SiteFamily(
+                    f"{key}/probe" if kind == "neighbor" else f"{key}/row{row + 1}",
+                    "pick" if window == 1 else "arrangement", support, window)
+                windows.append(_hole(_Window, site, row, spans))
+            stacking = (*(_collect(f"seq:{letter}", row, length)
+                          for row, letter in enumerate(letters)),
+                        self._shuffled["shift" if kind == "arrow" else "scramble"])
+            begin, passed, failed = _bracket(kind, key)
+            self.checks[kind, subject] = _Check(kind, subject, key, conversions, (
+                (begin,), *conversions, stacking, _hole(_Reveal, first, 0, cycle[:length]),
+                _Start(first.support[0]), *windows, (passed,)), (failed,))
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The steps of a whole accepting run after setup, each conversion's
+        in its place: what the simulator and reveal_site_plan walk."""
+        return tuple(step for check in self.checks.values() for part in check.steps
+                     for step in (part.steps if type(part) is _Conversion else (part,)))
+
+    def _collection(self, begin: tuple, end: tuple, sites_key: str, room: str,
+                    marking: tuple = (), extraction: tuple = ()) -> tuple:
+        """The template of a room check, or of a conversion with its marking
+        and extraction events: the room's cards and as many helping cards are
+        collected and scrambled; the room's cards are revealed and sorted; one
+        more scramble, and the helping cards are revealed and sorted, which
+        puts the room's cards back in cell order."""
+        cards = self.room_cards[room]
+        p = len(cards)
+        cols = tuple(range(p))
+        src = f"room:{room}"
+        scramble = self._shuffled["scramble"]
+        cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
+        helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
+        return ((begin, _collect(src, 0, p), ("helps", 1, p), *marking, scramble),
+                _hole(_Reveal, cells, 0, cols), _Sort(cells.support),
+                (*extraction, ("turn-down",), scramble),
+                _hole(_Reveal, helps, 1, cols), _Sort(helps.support),
+                (("restore", src, p), end))
 
     def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Conversion:
-        """The conversion of a cell inside the check keyed `prefix`, built
+        """The conversion of a cell inside the check keyed `prefix`, compiled
         once per grid."""
         conv = self._conversions.get((rc, letter, length, prefix))
         if conv is None:
             room = self.grid.room_of(rc)
             key = f"{prefix}/conv-{letter}"
-            conv = _Conversion(rc, letter, length, key, room, self.grid.rooms[room].index(rc),
-                               _collection_sites(key, self.room_cards[room], self.helps))
+            column = self.grid.rooms[room].index(rc)
+            p = len(self.room_cards[room])
+            begin, passed, _ = _bracket("convert", key)
+            conv = _Conversion(rc, letter, length, key, room, column, self._collection(
+                begin, passed, key, room,
+                (("marker", self.enc[letter][0], 2, column), ("hidden-fill", 2, p - 1)),
+                (("extract", 2, p), ("tail", length - p))))
             self._conversions[rc, letter, length, prefix] = conv
         return conv
 
@@ -353,50 +448,41 @@ def _schedule(grid: Grid) -> _Schedule:
 
 
 # --- the live run ---------------------------------------------------------------
+#
+# Card physics produces every revealed card and every rearrangement, since
+# soundness rests on it; each run of fixed events is added in one piece.
 
-def _reveal_row(matrix: CardMatrix, row: int, transcript: Transcript, site: str,
-                cols: Iterable[int] | None = None) -> list[CardId]:
-    """Reveal a row, or the given columns of it, as one site."""
-    transcript.append(("site", site))
-    cards = [reveal(matrix, row, col, transcript)
-             for col in (range(matrix.cols) if cols is None else cols)]
-    transcript.add_pattern(site, tuple(cards))
+def _reveal_site(matrix: CardMatrix, hole: _Reveal | _Window, cols: tuple[int, ...],
+                 transcript: Transcript) -> tuple[CardId, ...]:
+    transcript.events.append(hole.site_event)
+    cards = reveal_row(matrix, hole.row, cols, transcript)
+    transcript.add_pattern(hole.site.key, cards)
     return cards
 
 
-def _sort_columns(matrix: CardMatrix, revealed: list[CardId],
-                  canonical: tuple[CardId, ...], transcript: Transcript) -> None:
-    order = _sort_order(revealed, canonical)
-    matrix.permute_columns(order)
-    transcript.append(("rearrange", order))
-
-
-def _collect_room(table: TableState, matrix: CardMatrix, room: str,
+def _sort_columns(matrix: CardMatrix, revealed: tuple[CardId, ...], sort: _Sort,
                   transcript: Transcript) -> None:
-    """Row 0: the room's cards, taken off the grid; row 1: as many helping
-    cards in canonical order."""
-    cells = table.grid.rooms[room]
-    p = len(cells)
-    for col, rc in enumerate(cells):
-        matrix.place(0, col, table.remove_cell(rc))
-    transcript.append(("collect", f"room:{room}", 0, p))
-    for col, card in enumerate(table.take_helps(p)):
-        matrix.place(1, col, card)
-    transcript.append(("helps", 1, p))
+    event = _rearrange(revealed, sort.canonical)
+    matrix.permute_columns(event[1])
+    transcript.events.append(event)
 
 
-def _return_room(table: TableState, matrix: CardMatrix, room: str,
-                 helps_site: SiteFamily, source: RandomSource, transcript: Transcript) -> None:
+def _collect_room(table: TableState, cells: Sequence[Coord]) -> list[list[CardId]]:
+    """A collection's first rows: the room's cards, then as many helping cards."""
+    return [table.take_cells(cells), table.take_helps(len(cells))]
+
+
+def _return_room(table: TableState, matrix: CardMatrix, cells: list[Coord], steps: tuple,
+                 source: RandomSource, transcript: Transcript) -> None:
     """Hide the room's sorted cards behind one more scramble, then sort by
     the helping cards, which puts the room's cards back in cell order."""
+    middle, helps, sort, closing = steps
     turn_all_down(matrix)
-    transcript.append(("turn-down",))
-    pile_scramble_shuffle(matrix, source, transcript)
-    helped = _reveal_row(matrix, 1, transcript, helps_site.key)
-    _sort_columns(matrix, helped, helps_site.support, transcript)
-    for col, rc in enumerate(table.grid.rooms[room]):
-        table.put_cell(rc, matrix.card_at(0, col))
-    transcript.append(("restore", f"room:{room}", helps_site.take))
+    pile_scramble_shuffle(matrix, source)
+    transcript.events.extend(middle)
+    _sort_columns(matrix, _reveal_site(matrix, helps, helps.cols, transcript), sort, transcript)
+    table.put_cells(cells, matrix.take_row(0))
+    transcript.events.extend(closing)
     table.return_helps()
 
 
@@ -408,34 +494,26 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     if secret.keys() != grid.white_set:
         raise ValueError("prover assignment must cover exactly the white cells")
     schedule = _schedule(grid)
-    placed: dict[Coord, CardId] = {}
+    placed: list[CardId] = []
     used: set[CardId] = set()
-    for rc, room, clue in schedule.clued:
-        if secret[rc] != clue:
-            raise ValueError(f"prover value at {rc} contradicts the clue")
-        card = schedule.room_cards[room][clue - 1]
-        if card in used:
-            raise SetupError(f"two cards of value {clue} needed in room {room!r}", room)
-        used.add(card)
-        placed[rc] = card
-        transcript.append(("place", rc, card))
-    for rc, room in schedule.hidden:
+    for rc, room, clue in schedule.setup:
         value = secret[rc]
+        if clue is not None and value != clue:
+            raise ValueError(f"prover value at {rc} contradicts the clue")
         cards = schedule.room_cards[room]
-        if value > len(cards):
-            raise SetupError(f"no card of value {value} in room {room!r}", room)
-        # a value below 1 has no card either; it is placed as written and
-        # the room check rejects it
-        card = cards[value - 1] if value >= 1 else cell_card(room, value)
-        if card in used:
-            raise SetupError(f"two cards of value {value} needed in room {room!r}", room)
+        card = cards[value - 1] if 1 <= value <= len(cards) else None
+        if card is None or card in used:
+            # the cards already laid stay on record
+            transcript.events.extend(schedule.placements[:len(placed)])
+            raise SetupError(f"no card of value {value} in room {room!r}" if card is None
+                             else f"two cards of value {value} needed in room {room!r}", room)
         used.add(card)
-        placed[rc] = card
-        transcript.append(("place-hidden", rc))
+        placed.append(card)
+    transcript.events.extend(schedule.placements)
     # the table is built only once every card is known to exist
     table = TableState(grid)
-    for rc, card in placed.items():
-        table.place_cell(rc, card)
+    table.put_cells([rc for rc, _, _ in schedule.setup], placed)
+    table._bump(len(placed))
     return table
 
 
@@ -443,18 +521,19 @@ def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
     shuffled order.  Restores the cards to their cells on success."""
-    cells_site, helps_site = _schedule(table.grid).checks["room", room].sites
-    transcript.append(("begin", "room", room))
-    matrix = CardMatrix(2, cells_site.take)
-    _collect_room(table, matrix, room, transcript)
-    pile_scramble_shuffle(matrix, source, transcript)
-    revealed = _reveal_row(matrix, 0, transcript, cells_site.key)
-    ok = set(revealed) == set(cells_site.support)
-    if ok:
-        _sort_columns(matrix, revealed, cells_site.support, transcript)
-        _return_room(table, matrix, room, helps_site, source, transcript)
-    transcript.append(("end", "room", room, ok))
-    return ok
+    check = _schedule(table.grid).checks["room", room]
+    opening, cells, sort, *rest = check.steps
+    members = table.grid.rooms[room]
+    matrix = CardMatrix.from_rows(_collect_room(table, members))
+    pile_scramble_shuffle(matrix, source)
+    transcript.events.extend(opening)
+    revealed = _reveal_site(matrix, cells, cells.cols, transcript)
+    if set(revealed) != set(sort.canonical):
+        transcript.events.extend(check.rejected)
+        return False
+    _sort_columns(matrix, revealed, sort, transcript)
+    _return_room(table, matrix, members, rest, source, transcript)
+    return True
 
 
 def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
@@ -470,31 +549,21 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     are keyed under `site_prefix/conv-<letter>`.
     """
     conv = _schedule(table.grid).conversion(rc, letter, length, site_prefix)
-    cells_site, helps_site = conv.sites
-    p = cells_site.take
+    opening, cells, sort, *rest = conv.steps
+    p = len(cells.cols)
     if length < p:
         raise ProtocolError(f"sequence of {length} too short for a room of {p}")
-    transcript.append(("begin", "convert", conv.key))
-
-    matrix = CardMatrix(3, p)
-    _collect_room(table, matrix, conv.room, transcript)
+    members = table.grid.rooms[conv.room]
+    rows = _collect_room(table, members)
     # the marker lands in the cell's column of row 2, so the first p cards of
     # the encoding fill that row and the rest wait as its tail
     encoding = make_encoding(letter, length, conv.column + 1, prover, table)
-    transcript.append(("marker", encoding[conv.column], 2, conv.column))
-    for col, card in enumerate(encoding[:p]):
-        matrix.place(2, col, card)
-    transcript.append(("hidden-fill", 2, p - 1))
-
-    pile_scramble_shuffle(matrix, source, transcript)
-    revealed = _reveal_row(matrix, 0, transcript, cells_site.key)
-    _sort_columns(matrix, revealed, cells_site.support, transcript)
+    matrix = CardMatrix.from_rows([*rows, encoding[:p]])
+    pile_scramble_shuffle(matrix, source)
+    transcript.events.extend(opening)
+    _sort_columns(matrix, _reveal_site(matrix, cells, cells.cols, transcript), sort, transcript)
     sequence = matrix.take_row(2) + encoding[p:]
-    transcript.append(("extract", 2, p))
-    transcript.append(("tail", length - p))
-
-    _return_room(table, matrix, conv.room, helps_site, source, transcript)
-    transcript.append(("end", "convert", conv.key, True))
+    _return_room(table, matrix, members, rest, source, transcript)
     return sequence
 
 
@@ -503,30 +572,25 @@ def _verify_windows(table: TableState, check: _Check, prover: ProverState,
     """Convert the check's cells into sequences, stack them as rows, shuffle
     the columns, find the marker of the first row and reveal each other
     row's window starting in that column.  Any marker in a window rejects."""
-    transcript.append(("begin", check.kind, check.key))
+    transcript.events.extend(check.steps[0])
     sequences = [
         convert_cell(table, conv.cell, conv.letter, conv.length, prover, source, transcript,
                      check.key)
         for conv in check.conversions
     ]
-    first, *windows = check.sites
-    length = first.take
-    matrix = CardMatrix(len(sequences), length)
-    for row, (conv, seq) in enumerate(zip(check.conversions, sequences)):
-        for col, card in enumerate(seq):
-            matrix.place(row, col, card)
-        transcript.append(("collect", f"seq:{conv.letter}", row, length))
+    stacking, first, start, *windows, closing = check.steps[1 + len(sequences):]
+    matrix = CardMatrix.from_rows(sequences)
     shuffle = pile_shifting_shuffle if check.kind == "arrow" else pile_scramble_shuffle
-    shuffle(matrix, source, transcript)
-    start = _reveal_row(matrix, 0, transcript, first.key).index(first.support[0])
+    shuffle(matrix, source)
+    transcript.events.extend(stacking)
+    at = _reveal_site(matrix, first, first.cols, transcript).index(start.marker)
     ok = True
-    for row, site in enumerate(windows, start=1):
-        cards = _reveal_row(matrix, row, transcript, site.key,
-                            [(start + off) % length for off in range(site.take)])
+    for window in windows:
+        cards = _reveal_site(matrix, window, window.cols_from[at], transcript)
         ok = ok and all(card.index != 1 for card in cards)
     for conv in check.conversions:
         table.return_encoding(conv.letter)
-    transcript.append(("end", check.kind, check.key, ok))
+    transcript.events.extend(closing if ok else check.rejected)
     return ok
 
 
@@ -587,9 +651,9 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 
 # --- transcript simulator ----------------------------------------------------
 #
-# Emits the exact event structure of an accepting run, drawing every reveal
-# from its run-independent distribution.  No assignment is involved, which is
-# the zero-knowledge argument made executable: if real transcripts match these
+# Fills the same templates as the live run, drawing every reveal from its
+# run-independent distribution.  No assignment is involved, which is the
+# zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
 
 def _draw(rng: random.Random, site: SiteFamily) -> list[CardId]:
@@ -606,40 +670,6 @@ def _draw(rng: random.Random, site: SiteFamily) -> list[CardId]:
     return [rng.choice(site.support)]
 
 
-def _sim_reveal(t: Transcript, rng: random.Random, row: int, cols: Iterable[int],
-                site: SiteFamily) -> list[CardId]:
-    pattern = _draw(rng, site)
-    t.append(("site", site.key))
-    for col, card in zip(cols, pattern):
-        t.append(("reveal", (row, col), card))
-    t.add_pattern(site.key, tuple(pattern))
-    return pattern
-
-
-def _sim_collection(t: Transcript, rng: random.Random, room: str,
-                    sites: tuple[SiteFamily, SiteFamily],
-                    conv: _Conversion | None = None) -> None:
-    """A room check's events, or a conversion's when conv is given."""
-    cells_site, helps_site = sites
-    p = cells_site.take
-    t.append(("collect", f"room:{room}", 0, p))
-    t.append(("helps", 1, p))
-    if conv is not None:
-        t.append(("marker", encoding_card(conv.letter, 1), 2, conv.column))
-        t.append(("hidden-fill", 2, p - 1))
-    t.append(("shuffle", "scramble"))
-    revealed = _sim_reveal(t, rng, 0, range(p), cells_site)
-    t.append(("rearrange", _sort_order(revealed, cells_site.support)))
-    if conv is not None:
-        t.append(("extract", 2, p))
-        t.append(("tail", conv.length - p))
-    t.append(("turn-down",))
-    t.append(("shuffle", "scramble"))
-    helped = _sim_reveal(t, rng, 1, range(p), helps_site)
-    t.append(("rearrange", _sort_order(helped, helps_site.support)))
-    t.append(("restore", f"room:{room}", p))
-
-
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """A transcript with the exact event structure of an accepting run, every
     reveal drawn from its solution-independent distribution.  Needs no
@@ -647,29 +677,24 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     rng = source.shuffle_stream
     schedule = _schedule(grid)
     t = Transcript()
-    for rc, room, clue in schedule.clued:
-        t.append(("place", rc, schedule.room_cards[room][clue - 1]))
-    for rc, _ in schedule.hidden:
-        t.append(("place-hidden", rc))
-    for check in schedule.checks.values():
-        t.append(("begin", check.kind, check.key))
-        if check.kind == "room":
-            _sim_collection(t, rng, check.subject, check.sites)
+    events = t.events
+    events.extend(schedule.placements)
+    shown: list[CardId] = []
+    start = 0
+    for step in schedule.steps:
+        kind = type(step)
+        if kind is tuple:
+            events.extend(step)
+        elif kind is _Sort:
+            events.append(_rearrange(shown, step.canonical))
+        elif kind is _Start:
+            start = shown.index(step.marker)
         else:
-            for conv in check.conversions:
-                t.append(("begin", "convert", conv.key))
-                _sim_collection(t, rng, conv.room, conv.sites, conv)
-                t.append(("end", "convert", conv.key, True))
-            first, *windows = check.sites
-            length = first.take
-            for row, conv in enumerate(check.conversions):
-                t.append(("collect", f"seq:{conv.letter}", row, length))
-            t.append(("shuffle", "shift" if check.kind == "arrow" else "scramble"))
-            start = _sim_reveal(t, rng, 0, range(length), first).index(first.support[0])
-            for row, site in enumerate(windows, start=1):
-                _sim_reveal(t, rng, row, [(start + off) % length for off in range(site.take)],
-                            site)
-        t.append(("end", check.kind, check.key, True))
+            shown = _draw(rng, step.site)
+            cols = step.cols if kind is _Reveal else step.cols_from[start]
+            events.append(step.site_event)
+            events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, shown)])
+            t.add_pattern(step.site.key, tuple(shown))
     return t
 
 
@@ -682,7 +707,5 @@ def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int
     kind "arrangement": `take` distinct cards from the support, ordered,
     uniform over all such sequences.
     """
-    return [tuple(site)
-            for check in _schedule(grid).checks.values()
-            for sites in (*(conv.sites for conv in check.conversions), check.sites)
-            for site in sites]
+    return [tuple(step.site) for step in _schedule(grid).steps
+            if type(step) in (_Reveal, _Window)]

@@ -119,12 +119,8 @@ class Grid:
         return frozenset(self.white_coords())
 
     def clues(self) -> dict[Coord, int]:
-        out = {}
-        for rc in self.white_coords():
-            cell = self.cells[rc[0]][rc[1]]
-            if cell.clue is not None:
-                out[rc] = cell.clue
-        return out
+        return {rc: self.cell(rc).clue for rc in self.white_coords()
+                if self.cell(rc).clue is not None}
 
     def arrow_target(self, rc: Coord) -> Coord:
         cell = self.cell(rc)
@@ -262,18 +258,12 @@ def _natural(tok: str) -> int:
 
 def serialize_puzzle(grid: Grid) -> str:
     """Canonical text form: single spaces, trailing newline. Inverse of parse_puzzle."""
-    out = [f"makaro {grid.height} {grid.width}"]
-    for row in grid.cells:
-        toks = []
-        for cell in row:
-            if isinstance(cell, Black):
-                toks.append("B" + cell.arrow)
-            elif cell.clue is None:
-                toks.append(cell.room)
-            else:
-                toks.append(f"{cell.room}={cell.clue}")
-        out.append(" ".join(toks))
-    return "\n".join(out) + "\n"
+    def token(cell: Cell) -> str:
+        if isinstance(cell, Black):
+            return "B" + cell.arrow
+        return cell.room if cell.clue is None else f"{cell.room}={cell.clue}"
+    rows = (" ".join(map(token, row)) for row in grid.cells)
+    return "\n".join([f"makaro {grid.height} {grid.width}", *rows]) + "\n"
 
 
 def white_neighbor_pairs(grid: Grid) -> list[tuple[Coord, Coord]]:
@@ -385,17 +375,9 @@ def assignment_text(grid: Grid, assignment: Assignment) -> str:
     A fully-clued puzzle file doubles as the solution file format.
     """
     _require_domain(grid, assignment)
-    cells: list[list[Cell]] = []
-    for r in range(grid.height):
-        row: list[Cell] = []
-        for c in range(grid.width):
-            cell = grid.cells[r][c]
-            if isinstance(cell, White):
-                row.append(White(cell.room, assignment[(r, c)]))
-            else:
-                row.append(cell)
-        cells.append(row)
-    return serialize_puzzle(build_grid(cells))
+    return serialize_puzzle(build_grid([
+        [White(cell.room, assignment[(r, c)]) if isinstance(cell, White) else cell
+         for c, cell in enumerate(row)] for r, row in enumerate(grid.cells)]))
 
 
 def assignment_from_grid(solution: Grid) -> Assignment:
@@ -411,16 +393,7 @@ def assignment_from_grid(solution: Grid) -> Assignment:
 
 def same_layout(puzzle: Grid, solution: Grid) -> bool:
     """True when two grids agree on shape, rooms, and arrows (clues aside)."""
-    if (puzzle.height, puzzle.width) != (solution.height, solution.width):
-        return False
-    for r in range(puzzle.height):
-        for c in range(puzzle.width):
-            a, b = puzzle.cells[r][c], solution.cells[r][c]
-            if isinstance(a, Black) != isinstance(b, Black):
-                return False
-            if isinstance(a, Black):
-                if a.arrow != b.arrow:
-                    return False
-            elif a.room != b.room:
-                return False
-    return True
+    def layout(grid: Grid) -> tuple:
+        return tuple(tuple(White(cell.room) if isinstance(cell, White) else cell for cell in row)
+                     for row in grid.cells)
+    return layout(puzzle) == layout(solution)

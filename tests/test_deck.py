@@ -19,6 +19,7 @@ from makaro_zkp import (
     pile_scramble_shuffle,
     pile_shifting_shuffle,
     reveal,
+    reveal_row,
     turn_all_down,
 )
 from makaro_zkp.deck import _EVENT_FIELDS
@@ -179,6 +180,42 @@ class TestCardMatrix:
         assert row_cards(m, 1) == [CardId("x2", c) for c in (1, 2, 3)]  # moved up
         assert not any(m.is_face_up(r, c) for r in range(2) for c in range(3))
 
+    def test_from_rows_lays_out_every_row_face_down(self):
+        top, bottom = [help_card(1), help_card(2)], [cell_card("A", 1), cell_card("A", 2)]
+        m = CardMatrix.from_rows([top, bottom])
+        assert (m.rows, m.cols) == (2, 2)
+        assert [row_cards(m, 0), row_cards(m, 1)] == [top, bottom]
+        assert m.is_full()
+        assert not any(m.is_face_up(r, c) for r in range(2) for c in range(2))
+        m.permute_columns((1, 0))
+        assert row_cards(m, 1) == bottom[::-1]
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[help_card(1)], [help_card(2), help_card(3)]]])
+    def test_from_rows_needs_equal_non_empty_rows(self, rows):
+        with pytest.raises(DeckError):
+            CardMatrix.from_rows(rows)
+
+    def test_place_row_fills_one_row_from_a_column(self):
+        m = CardMatrix(2, 3)
+        m.place_row(1, [help_card(1), help_card(2)])
+        m.place_row(0, [help_card(3)], 2)
+        assert row_cards(m, 1) == [help_card(1), help_card(2), None]
+        assert row_cards(m, 0) == [None, None, help_card(3)]
+
+    def test_place_row_rejects_an_occupied_slot(self):
+        m = CardMatrix(1, 3)
+        m.place(0, 1, cell_card("A", 1))
+        with pytest.raises(DeckError, match=r"slot \(0,1\) already holds a card"):
+            m.place_row(0, [help_card(1), help_card(2)])
+
+    def test_place_row_rejects_a_row_longer_than_the_matrix(self):
+        m = CardMatrix(1, 2)
+        with pytest.raises(DeckError):
+            m.place_row(0, [help_card(1), help_card(2), help_card(3)])
+        with pytest.raises(DeckError):
+            m.place_row(0, [help_card(1), help_card(2)], 1)
+        assert row_cards(m, 0) == [None, None]
+
     def test_take_row_needs_a_full_row(self):
         m = CardMatrix(2, 2)
         m.place(0, 0, cell_card("A", 1))
@@ -205,6 +242,47 @@ class TestReveal:
     def test_reveal_empty_slot_rejected(self):
         with pytest.raises(DeckError):
             reveal(CardMatrix(1, 1), 0, 0, Transcript())
+
+    def test_reveal_row_turns_the_given_columns_in_order(self):
+        m = fresh_matrix(2, 3)
+        t = Transcript()
+        assert reveal_row(m, 1, (2, 0), t) == (CardId("x1", 3), CardId("x1", 1))
+        assert t.events == [("reveal", (1, 2), CardId("x1", 3)),
+                            ("reveal", (1, 0), CardId("x1", 1))]
+        assert [m.is_face_up(r, c) for r in range(2) for c in range(3)] == \
+            [False] * 3 + [True, False, True]
+
+    def test_reveal_row_rejects_an_empty_slot_and_turns_nothing(self):
+        m = CardMatrix(1, 2)
+        m.place(0, 0, help_card(1))
+        t = Transcript()
+        with pytest.raises(DeckError, match=r"no card at \(0,1\)"):
+            reveal_row(m, 0, (0, 1), t)
+        assert t.events == []
+        assert not m.is_face_up(0, 0)
+
+    def test_reveal_row_rejects_a_card_already_face_up(self):
+        m = fresh_matrix(1, 3)
+        t = Transcript()
+        reveal(m, 0, 1, t)
+        with pytest.raises(DeckError, match=r"card at \(0,1\) is already face up"):
+            reveal_row(m, 0, (0, 1, 2), t)
+        assert len(t) == 1
+        assert [m.is_face_up(0, c) for c in range(3)] == [False, True, False]
+
+    def test_reveal_row_rejects_a_repeated_column(self):
+        with pytest.raises(DeckError, match=r"card at \(0,1\) is already face up"):
+            reveal_row(fresh_matrix(1, 2), 0, (1, 1), Transcript())
+
+    def test_reveal_is_the_one_column_row_reveal(self):
+        one, row = fresh_matrix(2, 3), fresh_matrix(2, 3)
+        t_one, t_row = Transcript(), Transcript()
+        assert reveal(one, 1, 2, t_one) == reveal_row(row, 1, (2,), t_row)[0]
+        assert t_one.events == t_row.events == [("reveal", (1, 2), CardId("x1", 3))]
+        for r in range(2):
+            assert row_cards(one, r) == row_cards(row, r)
+            assert [one.is_face_up(r, c) for c in range(3)] == \
+                [row.is_face_up(r, c) for c in range(3)]
 
     def test_turn_all_down(self):
         m = fresh_matrix(2, 2)

@@ -1,9 +1,14 @@
-"""Property test: the text parsers end in their own typed errors on any
-input, built from the formats' tokens mixed with arbitrary Unicode."""
+"""Property tests: the text parsers end in their own typed errors on any
+input, built from the formats' tokens mixed with arbitrary Unicode, and the
+command line ends in an exit code on any small puzzle and solution."""
 
-from hypothesis import assume, given, settings, strategies as st
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from makaro_zkp import DeckError, PuzzleError, Transcript, parse_puzzle
+from makaro_zkp.cli import main
 from makaro_zkp.deck import _EVENT_FIELDS
 
 # numerals, and digit characters that are not decimal numerals (such as "²")
@@ -81,3 +86,41 @@ def test_accepted_lines_write_back_canonically(line):
     except DeckError:
         return
     assert transcript.to_text() == " ".join(line.split()) + "\n"
+
+
+# Small puzzles and fillings of them, many of them valid: at most 2x3 cells,
+# so that `solve` stays fast whatever the rooms.  A cell is an arrow token, a
+# bad token or (room, clue or None); repeated choices weight the draw.
+SMALL_CELL = st.sampled_from(["B^", "Bv", "B<", "B>", "#", ("A", 1), ("A", 2), ("B", 1),
+                              ("A", 0), *[("A", None)] * 6, *[("B", None)] * 5])
+VALUE = st.sampled_from([1, 1, 1, 2, 2, 3, 0])
+
+
+@st.composite
+def puzzle_and_solution(draw):
+    height, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    cells = [draw(st.lists(SMALL_CELL, min_size=width, max_size=width)) for _ in range(height)]
+
+    def text(white):
+        rows = [" ".join(cell if isinstance(cell, str) else white(*cell) for cell in row)
+                for row in cells]
+        return "\n".join([f"makaro {height} {width}", *rows]) + "\n"
+
+    puzzle = text(lambda room, clue: room if clue is None else f"{room}={clue}")
+    filling = text(lambda room, clue: f"{room}={draw(VALUE)}")
+    return puzzle, draw(st.one_of(st.just(filling), st.just(filling), st.just(puzzle),
+                                  st.text(max_size=12)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(puzzle_and_solution())
+def test_cli_ends_in_an_exit_code(tmp_path, texts):
+    puzzle, solution = tmp_path / "puzzle.makaro", tmp_path / "solution.makaro"
+    for path, text in zip((puzzle, solution), texts):
+        path.write_text(text, encoding="utf-8")
+    for command in (["stats"], ["solve"], ["check", "--solution", str(solution)],
+                    ["prove", "--trials", "1", "--solution", str(solution)]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command[0], "--puzzle", str(puzzle), *command[1:]])
+        assert code in (0, 1, 2), command

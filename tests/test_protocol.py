@@ -2,8 +2,10 @@
 the room/neighbor/arrow verifications, full runs, and the transcript
 simulator that mirrors them without the solution."""
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from makaro_zkp import (
     card_budget,
     cell_card,
     check_solution,
+    collect_site_patterns,
     convert_cell,
     encoding_card,
     make_encoding,
@@ -37,8 +40,11 @@ from makaro_zkp import (
     violations,
 )
 from makaro_zkp import protocol, puzzle
+from makaro_zkp.deck import _EVENT_FIELDS
 
-from conftest import load_grid
+from conftest import PUZZLES, load_grid, load_solution
+
+BUNDLED = sorted(p.stem for p in PUZZLES.glob("*.makaro") if not p.stem.endswith("_solution"))
 
 # 2x3 grid whose arrow check has m=2 (window length 3): the black cell points
 # up at a size-2 room and its rivals sit in a size-2 and a size-1 room.
@@ -150,6 +156,9 @@ class TestSetup:
         verdict, _ = run_full_protocol(grid, make_prover({(0, 0): value}, source), source)
         assert not verdict.accepted
         assert verdict.failing_check.kind == "room"
+        assert verdict.failing_check.at_setup
+        with pytest.raises(SetupError, match=f"no card of value {value} in room 'A'"):
+            fresh_table(grid, {(0, 0): value}, "low")
 
     def test_setup_reads_the_compiled_placement_plan(self, monkeypatch, example_solution):
         grid = load_grid("example5x5.makaro")  # a fresh grid: nothing cached
@@ -304,10 +313,8 @@ class TestVerifyRoom:
         for seed in range(30):
             source, _, transcript, table = fresh_table(
                 quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, f"vrf{seed}")
-            a_card = table.remove_cell((0, 0))
-            b_card = table.remove_cell((1, 0))
-            table.put_cell((0, 0), b_card)
-            table.put_cell((1, 0), a_card)
+            a_card, b_card = table.take_cells([(0, 0), (1, 0)])
+            table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
             assert not verify_room(table, "A", source, transcript)
             assert transcript.events[-1] == ("end", "room", "A", False)
 
@@ -623,3 +630,52 @@ class TestSitePlan:
             kind, support, take = plan[site]
             assert len(pattern) == take
             assert set(pattern) <= set(support)
+
+
+def bundled_solution(name, grid):
+    path = PUZZLES / f"{name}_solution.makaro"
+    return load_solution(path.name) if path.exists() else solve_brute_force(grid)[0]
+
+
+class TestTemplates:
+    """The live run and the simulator fill one compiled template per check."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_live_and_simulated_runs_differ_only_in_holes(self, name):
+        grid = load_grid(f"{name}.makaro")
+        solution = bundled_solution(name, grid)
+        for seed in (0, 1, "demo"):
+            source = RandomSource.for_trial(seed, 0)
+            verdict, real = run_full_protocol(grid, make_prover(solution, source), source)
+            sim = simulate_transcript(grid, RandomSource.for_trial(seed, 0))
+            assert verdict.accepted
+            assert len(real) == len(sim)
+            for real_ev, sim_ev in zip(real.events, sim.events):
+                assert real_ev[0] == sim_ev[0]
+                if real_ev[0] not in ("reveal", "rearrange"):
+                    assert real_ev == sim_ev
+            for transcript in (real, sim):
+                assert collect_site_patterns(transcript.events) == transcript.site_patterns
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_fixed_events_are_built_once_per_grid(self, name):
+        grid = load_grid(f"{name}.makaro")
+        solution = bundled_solution(name, grid)
+        runs = []
+        for seed in ("once", "twice"):
+            source = RandomSource.from_seed(seed)
+            runs.append(run_full_protocol(grid, make_prover(solution, source), source)[1])
+        first, second = runs
+        assert len(first) == len(second)
+        fixed = [(a, b) for a, b in zip(first.events, second.events)
+                 if a[0] not in ("reveal", "rearrange")]
+        assert fixed
+        assert all(a is b for a, b in fixed)
+
+    def test_each_event_kind_is_written_once(self):
+        tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
+        kinds = Counter(node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and node.value in _EVENT_FIELDS)
+        assert kinds == Counter(dict.fromkeys(_EVENT_FIELDS, 1))
+        assert not hasattr(protocol, "_sim_collection")
+        assert not hasattr(protocol, "_sim_reveal")
