@@ -22,10 +22,7 @@ from makaro_zkp import (
 
 
 def fresh_row(cards):
-    matrix = CardMatrix(1, len(cards))
-    for col, card in enumerate(cards):
-        matrix.place(0, col, card)
-    return matrix
+    return CardMatrix.from_rows([cards])
 
 
 def main() -> None:

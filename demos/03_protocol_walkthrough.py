@@ -17,6 +17,7 @@ from makaro_zkp import (
     card_budget,
     make_prover,
     parse_puzzle,
+    reveal_site_plan,
     run_full_protocol_with_table,
     stats,
     violations,
@@ -44,7 +45,7 @@ def main() -> None:
 
     checks = [ev for ev in transcript.events if ev[0] == "begin"]
     reveals = sum(1 for ev in transcript.events if ev[0] == "reveal")
-    sites = len(transcript.site_patterns)
+    sites = len(reveal_site_plan(grid))
     print(f"The run performed {len(checks)} checks "
           f"({sum(1 for ev in checks if ev[1] == 'room')} rooms, "
           f"{sum(1 for ev in checks if ev[1] == 'neighbor')} neighbor pairs, "

@@ -49,7 +49,6 @@ from .deck import (
     RandomSource,
     Transcript,
     cell_card,
-    collect_site_patterns,
     encoding_card,
     help_card,
     parse_card,
@@ -74,6 +73,7 @@ from .protocol import (
     reveal_site_plan,
     run_full_protocol,
     run_full_protocol_with_table,
+    run_layout,
     setup_placement,
     simulate_transcript,
     verify_arrow,

@@ -25,6 +25,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable
 
 from scipy.stats import chi2 as _chi2_dist
@@ -34,8 +36,8 @@ from .protocol import (
     ProtocolError,
     SiteFamily,
     make_prover,
-    reveal_site_plan,
     run_full_protocol,
+    run_layout,
     simulate_transcript,
 )
 # `stats` is unused here but the benchmark's traced run rebinds it in this
@@ -80,46 +82,51 @@ def site_plan(grid: Grid, marginal_threshold: int = MARGINAL_THRESHOLD) -> list[
     whose full pattern space exceeds marginal_threshold is replaced by one
     single-position family per revealed position."""
     plan: list[SiteFamily] = []
-    for key, kind, support, take in reveal_site_plan(grid):
-        family = SiteFamily(key, kind, support, take)
+    for _, _, family in run_layout(grid).sites:
         if family.size() <= marginal_threshold:
             plan.append(family)
         else:
-            for pos in range(1, take + 1):
-                plan.append(SiteFamily(f"{key}/pos{pos}", "pick", support, 1))
+            plan.extend(SiteFamily(f"{family.key}/pos{pos}", "pick", family.support, 1)
+                        for pos in range(1, family.take + 1))
     return plan
 
 
 # --- histograms --------------------------------------------------------------
 
 class SiteHistograms:
-    """Observed pattern counts per tested site, over a set of transcripts."""
+    """Observed pattern counts per tested site, over accepting runs of one
+    grid, each site's cards read from its slot in the run."""
 
     def __init__(self, grid: Grid, marginal_threshold: int = MARGINAL_THRESHOLD):
-        self.marginal_threshold = marginal_threshold
+        layout = run_layout(grid)
+        # an accepting run is this long, with these events at these indices:
+        # each site event, and the closing event last.  Every run has two or
+        # more sites and reveals, so each getter returns a tuple.
+        self._length = layout.length
+        self._fixed_at = itemgetter(*[at for at, _, _ in layout.sites], layout.length - 1)
+        self._fixed = (*[event for _, event, _ in layout.sites], layout.closing)
+        self._reveals = itemgetter(*[at + 1 + i for at, _, site in layout.sites
+                                     for i in range(site.take)])
         self.families = site_plan(grid, marginal_threshold)
-        self.counts: dict[str, Counter] = {fam.key: Counter() for fam in self.families}
-        # the counters of each site split into per-position families, in
-        # position order (site_plan keys them "<site>/pos<i>")
-        self._positions: dict[str, list[Counter]] = {}
-        for key, counter in self.counts.items():
-            site, split, pos = key.rpartition("/pos")
-            if split and pos.isdecimal():
-                self._positions.setdefault(site, []).append(counter)
+        self.counts: dict[str, Counter] = {family.key: Counter() for family in self.families}
+        # the tested families take the revealed cards in turn: all of a
+        # site's, or one each when the site is split
+        ends = accumulate(family.take for family in self.families)
+        self._reads = [(self.counts[family.key], end - family.take, end)
+                       for family, end in zip(self.families, ends)]
         self.transcripts = 0
 
     def add_transcript(self, transcript: Transcript) -> None:
+        """Count the cards a transcript reveals at each site.  A transcript
+        not laid out as an accepting run of this grid raises ValueError and
+        counts nothing; the cards themselves are not checked."""
+        events = transcript.events
+        if len(events) != self._length or self._fixed_at(events) != self._fixed:
+            raise ValueError("transcript is not an accepting run of this grid")
+        cards = tuple(map(itemgetter(2), self._reveals(events)))
+        for counter, start, stop in self._reads:
+            counter[cards[start:stop]] += 1
         self.transcripts += 1
-        for site, pattern in transcript.site_patterns:
-            counter = self.counts.get(site)
-            if counter is not None:
-                counter[pattern] += 1
-                continue
-            positions = self._positions.get(site, ())
-            if len(pattern) > len(positions):
-                raise ValueError(f"transcript reveals at unknown site {site!r}")
-            for counter, card in zip(positions, pattern):
-                counter[(card,)] += 1
 
     def merge(self, other: "SiteHistograms") -> None:
         if [f.key for f in other.families] != [f.key for f in self.families]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 class DeckError(Exception):
@@ -97,25 +97,17 @@ class RandomSource:
 
 
 class Transcript:
-    """Everything the verifier observes, in order.
+    """Everything the verifier observes, in order: events, tuples whose first
+    element is the kind.  Nothing else is kept; which reveals form which site
+    follows from the grid (protocol.run_layout)."""
 
-    Events are tuples whose first element is the kind.  site_patterns mirrors
-    the reveal events grouped by reveal site, which is what the statistics
-    consume; it is derived data and is rebuilt when a transcript is parsed
-    back from text.
-    """
-
-    __slots__ = ("events", "site_patterns")
+    __slots__ = ("events",)
 
     def __init__(self) -> None:
         self.events: list[tuple] = []
-        self.site_patterns: list[tuple[str, tuple[CardId, ...]]] = []
 
     def append(self, event: tuple) -> None:
         self.events.append(event)
-
-    def add_pattern(self, site: str, pattern: tuple[CardId, ...]) -> None:
-        self.site_patterns.append((site, pattern))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Transcript) and self.events == other.events
@@ -132,28 +124,7 @@ class Transcript:
         for line in text.splitlines():
             if line.strip():
                 t.append(_parse_event(line))
-        t.site_patterns = collect_site_patterns(t.events)
         return t
-
-
-def collect_site_patterns(events: Iterable[tuple]) -> list[tuple[str, tuple[CardId, ...]]]:
-    """Group consecutive reveals under the preceding site marker."""
-    out: list[tuple[str, tuple[CardId, ...]]] = []
-    site: str | None = None
-    cards: list[CardId] = []
-    for ev in events:
-        kind = ev[0]
-        if kind == "reveal" and site is not None:
-            cards.append(ev[2])
-        else:
-            if site is not None:
-                out.append((site, tuple(cards)))
-                site, cards = None, []
-            if kind == "site":
-                site = ev[1]
-    if site is not None:
-        out.append((site, tuple(cards)))
-    return out
 
 
 class _Field(NamedTuple):
@@ -218,21 +189,14 @@ def _parse_event(line: str) -> tuple:
 
 
 class CardMatrix:
-    """A rows x cols arrangement of card slots, shuffled by whole columns.
+    """A rows x cols arrangement of cards, shuffled by whole columns.
 
+    A matrix is laid out whole (from_rows), so every slot holds a card.
     Slots are stored column by column, so a column shuffle reorders one list.
     Every card is distinct, so whether a card lies face up travels with it.
     """
 
-    __slots__ = ("rows", "cols", "_cols", "_up", "_identity")
-
-    def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise DeckError("matrix needs at least one row and column")
-        self.rows, self.cols = rows, cols
-        self._cols: list[list[CardId | None]] = [[None] * rows for _ in range(cols)]
-        self._up: set[CardId] = set()
-        self._identity = list(range(cols))  # the column order every permutation sorts to
+    __slots__ = ("rows", "cols", "_cols", "_up", "_identity", "_columns")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[CardId]]) -> "CardMatrix":
@@ -243,45 +207,26 @@ class CardMatrix:
             raise DeckError("a matrix needs rows of one length, at least one card long")
         matrix = cls.__new__(cls)
         matrix.rows, matrix.cols, matrix._cols = len(rows), len(columns), columns
-        matrix._up, matrix._identity = set(), list(range(len(columns)))
+        # the column order every permutation sorts to, and the column indices
+        matrix._identity = list(range(len(columns)))
+        matrix._up, matrix._columns = set(), frozenset(matrix._identity)
         return matrix
 
-    def place(self, row: int, col: int, card: CardId) -> None:
-        """Lay a card face down in an empty slot."""
-        self.place_row(row, (card,), col)
-
-    def place_row(self, row: int, cards: Sequence[CardId], start: int = 0) -> None:
-        """Lay cards face down in empty slots of one row, left to right from
-        column `start`."""
-        if start + len(cards) > self.cols:
-            raise DeckError(f"{len(cards)} cards from column {start} overrun {self.cols} columns")
-        for col, card in enumerate(cards, start):
-            column = self._cols[col]
-            if column[row] is not None:
-                raise DeckError(f"slot ({row},{col}) already holds a card")
-            column[row] = card
-
-    def card_at(self, row: int, col: int) -> CardId | None:
+    def card_at(self, row: int, col: int) -> CardId:
         return self._cols[col][row]
 
     def is_face_up(self, row: int, col: int) -> bool:
         return self._cols[col][row] in self._up
 
-    def is_full(self) -> bool:
-        # a card is a non-empty tuple, so only an empty slot is falsy
-        return all(map(all, self._cols))
-
     def take_row(self, row: int) -> list[CardId]:
-        """Remove a full row and return it, left to right; the rows below
-        move up by one."""
-        cards = [column[row] for column in self._cols]
-        if None in cards:
-            raise DeckError(f"row {row} is not fully occupied")
-        for column in self._cols:
-            del column[row]
+        """Remove a row and return it, left to right; the rows below move up
+        by one."""
+        if not 0 <= row < self.rows:
+            raise DeckError(f"no row {row} in a matrix of {self.rows}")
+        cards = [column.pop(row) for column in self._cols]
         self.rows -= 1
         self._up.difference_update(cards)
-        return cards  # type: ignore[return-value]
+        return cards
 
     def permute_columns(self, order: Sequence[int]) -> None:
         """Reorder columns so that new column j is old column order[j]."""
@@ -293,11 +238,9 @@ class CardMatrix:
 def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
     """Cyclically shift the columns by a uniform hidden offset.
 
-    Old column c ends up at position (c + s) % cols.  Requires every slot
-    occupied: piles must have equal height for the shuffle to hide anything.
+    Old column c ends up at position (c + s) % cols.  Every column is a
+    full pile, so the shuffle hides which is which.
     """
-    if not matrix.is_full():
-        raise DeckError("pile-shifting shuffle needs a fully occupied matrix")
     s = source.shuffle_stream.randrange(matrix.cols)
     matrix.permute_columns([(j - s) % matrix.cols for j in range(matrix.cols)])
     return matrix
@@ -305,8 +248,6 @@ def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatri
 
 def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
     """Rearrange the columns by a uniform hidden permutation."""
-    if not matrix.is_full():
-        raise DeckError("pile-scramble shuffle needs a fully occupied matrix")
     order = list(range(matrix.cols))
     source.shuffle_stream.shuffle(order)
     matrix.permute_columns(order)
@@ -316,17 +257,20 @@ def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatri
 def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
                transcript: Transcript) -> tuple[CardId, ...]:
     """Turn face up the face-down cards in the given columns of one row, in
-    that order, and record what each shows.  Nothing turns when a slot is
-    empty or a card is already up."""
+    that order, and record what each shows.  Nothing turns when a slot lies
+    outside the matrix or a card is already up."""
+    # checked, not indexed: a negative index would wrap to the far end
+    if not (0 <= row < matrix.rows and matrix._columns.issuperset(cols)):
+        raise DeckError(f"row {row}, columns {tuple(cols)} reach outside a "
+                        f"{matrix.rows}x{matrix.cols} matrix")
     columns, up = matrix._cols, matrix._up
     cards = tuple([columns[col][row] for col in cols])
     fresh = set(cards)
-    if None in fresh or len(fresh) < len(cards) or not up.isdisjoint(fresh):
+    if len(fresh) < len(cards) or not up.isdisjoint(fresh):
         seen = set(up)
         for col, card in zip(cols, cards):
-            if card is None or card in seen:
-                raise DeckError(f"no card at ({row},{col})" if card is None
-                                else f"card at ({row},{col}) is already face up")
+            if card in seen:
+                raise DeckError(f"card at ({row},{col}) is already face up")
             seen.add(card)
     up |= fresh
     transcript.events.extend([("reveal", (row, col), card) for col, card in zip(cols, cards)])

@@ -220,8 +220,8 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # the window start.  Each check is compiled once per grid into a template:
 # its steps, in run order, are runs of prebuilt events and holes for what the
 # run decides.  The live run fills the holes from the card matrix, the
-# simulator draws them from each site's family, and reveal_site_plan lists the
-# reveal holes, so the three cannot drift apart.
+# simulator draws them from each site's family, and run_layout finds where
+# each reveal hole lands in a run, so the three cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern.
@@ -299,6 +299,16 @@ def _bracket(kind: str, key: str) -> tuple[tuple, tuple, tuple]:
     """The begin event, and the end events of a pass and of a fail."""
     end = ("end", kind, key)
     return ("begin", kind, key), (*end, True), (*end, False)
+
+
+class RunLayout(NamedTuple):
+    """What every accepting run of a grid shares: its length, its last
+    event, and per reveal site, in run order, its slot: the index of its site
+    event, that event and its family, whose `take` reveals follow."""
+
+    length: int
+    closing: tuple
+    sites: tuple[tuple[int, tuple, SiteFamily], ...]
 
 
 class _Conversion(NamedTuple):
@@ -390,9 +400,24 @@ class _Schedule:
     @cached_property
     def steps(self) -> tuple:
         """The steps of a whole accepting run after setup, each conversion's
-        in its place: what the simulator and reveal_site_plan walk."""
+        in its place: what the simulator and the layout walk."""
         return tuple(step for check in self.checks.values() for part in check.steps
                      for step in (part.steps if type(part) is _Conversion else (part,)))
+
+    @cached_property
+    def layout(self) -> RunLayout:
+        """Where an accepting run puts its events, from the steps' lengths."""
+        at, sites = len(self.placements), []
+        for step in self.steps:
+            kind = type(step)
+            if kind is tuple:
+                at += len(step)
+            elif kind is _Sort:
+                at += 1
+            elif kind is not _Start:
+                sites.append((at, step.site_event, step.site))
+                at += 1 + step.site.take
+        return RunLayout(at, self.steps[-1][-1], tuple(sites))
 
     def _collection(self, begin: tuple, end: tuple, sites_key: str, room: str,
                     marking: tuple = (), extraction: tuple = ()) -> tuple:
@@ -455,9 +480,7 @@ def _schedule(grid: Grid) -> _Schedule:
 def _reveal_site(matrix: CardMatrix, hole: _Reveal | _Window, cols: tuple[int, ...],
                  transcript: Transcript) -> tuple[CardId, ...]:
     transcript.events.append(hole.site_event)
-    cards = reveal_row(matrix, hole.row, cols, transcript)
-    transcript.add_pattern(hole.site.key, cards)
-    return cards
+    return reveal_row(matrix, hole.row, cols, transcript)
 
 
 def _sort_columns(matrix: CardMatrix, revealed: tuple[CardId, ...], sort: _Sort,
@@ -694,7 +717,6 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
             cols = step.cols if kind is _Reveal else step.cols_from[start]
             events.append(step.site_event)
             events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, shown)])
-            t.add_pattern(step.site.key, tuple(shown))
     return t
 
 
@@ -707,5 +729,11 @@ def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int
     kind "arrangement": `take` distinct cards from the support, ordered,
     uniform over all such sequences.
     """
-    return [tuple(step.site) for step in _schedule(grid).steps
-            if type(step) in (_Reveal, _Window)]
+    return [tuple(family) for _, _, family in run_layout(grid).sites]
+
+
+def run_layout(grid: Grid) -> RunLayout:
+    """The layout that every accepting run of the grid shares, computed once
+    per grid: where each reveal site sits, so a transcript needs nothing but
+    its events."""
+    return _schedule(grid).layout

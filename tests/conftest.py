@@ -27,6 +27,27 @@ def find_in_row(matrix, row: int, card) -> int:
     return row_cards(matrix, row).index(card)
 
 
+def site_patterns(events) -> list:
+    """(site key, revealed cards) for every site event, in order: the
+    reveals that follow a site event, up to the next other event.  An
+    oracle that reads the events alone, independent of the compiled layout."""
+    out = []
+    site, cards = None, []
+    for ev in events:
+        kind = ev[0]
+        if kind == "reveal" and site is not None:
+            cards.append(ev[2])
+        else:
+            if site is not None:
+                out.append((site, tuple(cards)))
+                site, cards = None, []
+            if kind == "site":
+                site = ev[1]
+    if site is not None:
+        out.append((site, tuple(cards)))
+    return out
+
+
 @pytest.fixture(scope="session")
 def puzzles_dir() -> Path:
     return PUZZLES

@@ -235,12 +235,13 @@ def test_arrow_window_oracle():
         for x in range(1, m + 1):
             for y in range(1, m + 1):
                 for shift in range(length):
-                    matrix = CardMatrix(2, length)
-                    for letter, row, marker_pos in (("a", 0, x), ("b", 1, y)):
+                    rows = []
+                    for letter, marker_pos in (("a", x), ("b", y)):
                         rest = iter(range(2, length + 1))
-                        for col in range(length):
-                            index = 1 if col == marker_pos - 1 else next(rest)
-                            matrix.place(row, col, encoding_card(letter, index))
+                        rows.append([encoding_card(letter, 1 if col == marker_pos - 1
+                                                   else next(rest))
+                                     for col in range(length)])
+                    matrix = CardMatrix.from_rows(rows)
                     matrix.permute_columns(
                         tuple((j - shift) % length for j in range(length)))
                     begin = find_in_row(matrix, 0, encoding_card("a", 1))
@@ -285,9 +286,7 @@ def test_shuffle_uniformity():
     source = RandomSource.from_seed("acceptance:shift")
     shifts = Counter()
     for _ in range(trials):
-        matrix = CardMatrix(1, cols)
-        for col in range(cols):
-            matrix.place(0, col, help_card(col + 1))
+        matrix = CardMatrix.from_rows([[help_card(col + 1) for col in range(cols)]])
         pile_shifting_shuffle(matrix, source)
         shifts[find_in_row(matrix, 0, help_card(1))] += 1
     expected = trials / cols
@@ -303,9 +302,7 @@ def test_shuffle_uniformity():
         src = RandomSource.from_seed(f"acceptance:scramble{size}")
         patterns = Counter()
         for _ in range(n):
-            matrix = CardMatrix(1, size)
-            for col in range(size):
-                matrix.place(0, col, help_card(col + 1))
+            matrix = CardMatrix.from_rows([[help_card(col + 1) for col in range(size)]])
             pile_scramble_shuffle(matrix, src)
             patterns[tuple(matrix.card_at(0, c) for c in range(size))] += 1
         family = SiteFamily(f"scramble/{size}", "perm",

@@ -2,9 +2,11 @@
 chi-square tests, and the collection sweeps that drive the zero-knowledge
 comparison."""
 
+import ast
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,6 @@ from makaro_zkp import (
     RandomSource,
     SiteFamily,
     SiteHistograms,
-    Transcript,
     card_budget,
     cell_card,
     collect_protocol_histograms,
@@ -35,7 +36,10 @@ from makaro_zkp import (
     uniformity_test,
     zk_comparison,
 )
+from makaro_zkp import analysis
 from makaro_zkp.analysis import MARGINAL_THRESHOLD, MIN_EXPECTED
+
+from conftest import load_grid, site_patterns
 
 
 def perm_family(n: int) -> SiteFamily:
@@ -109,6 +113,17 @@ class TestSitePlan:
         for fam in site_plan(example_grid):
             assert fam.size() <= MARGINAL_THRESHOLD
 
+    def test_split_families_are_named_in_one_place(self):
+        # the "/pos" keys are made where site_plan splits a site, and never
+        # parsed back out of a key
+        tree = ast.parse(Path(analysis.__file__).read_text(encoding="utf-8"))
+        named = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and "/pos" in str(node.value)]
+        plan = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "site_plan")
+        assert len(named) == 1
+        assert named[0] in list(ast.walk(plan))
+
     def test_no_splitting_when_threshold_is_huge(self, example_grid):
         plan = site_plan(example_grid, marginal_threshold=10 ** 9)
         assert len(plan) == 111
@@ -162,7 +177,7 @@ class TestSiteHistograms:
         for seed in ("p1", "p2"):
             transcript = self.run_transcript(example_grid, example_solution, seed)
             hist.add_transcript(transcript)
-            for site, pattern in transcript.site_patterns:
+            for site, pattern in site_patterns(transcript.events):
                 if site in hist.counts:
                     expected[site, pattern] += 1
                 else:
@@ -171,16 +186,48 @@ class TestSiteHistograms:
         assert Counter({(key, pattern): n for key, counter in hist.counts.items()
                         for pattern, n in counter.items()}) == expected
 
-    def test_over_long_pattern_at_a_split_site_is_rejected(self, example_grid,
-                                                           example_solution):
+    def test_transcripts_that_are_not_accepting_runs_are_rejected(self, example_grid,
+                                                                  example_solution):
+        def doctored(edit):
+            transcript = self.run_transcript(example_grid, example_solution, "bad")
+            edit(transcript.events)
+            return transcript
+
+        def drop_a_reveal(events):
+            del events[next(i for i, ev in enumerate(events) if ev[0] == "reveal")]
+
+        def swap_a_site_event(events):
+            # with the event before it, so the run keeps its length
+            at = next(i for i, ev in enumerate(events) if ev[0] == "site")
+            events[at - 1], events[at] = events[at], events[at - 1]
+
+        other = parse_puzzle("makaro 1 1\nZ\n")
+        source = RandomSource.from_seed("other")
+        _, from_another_grid = run_full_protocol(other, make_prover({(0, 0): 1}, source),
+                                                 source)
         hist = SiteHistograms(example_grid)
-        transcript = self.run_transcript(example_grid, example_solution, "long")
-        site, pattern = next((site, pattern) for site, pattern in transcript.site_patterns
-                             if site not in hist.counts)
-        doctored = Transcript()
-        doctored.add_pattern(site, pattern + pattern[:1])
+        for transcript in (from_another_grid, doctored(drop_a_reveal),
+                           doctored(swap_a_site_event)):
+            with pytest.raises(ValueError):
+                hist.add_transcript(transcript)
+        assert hist.transcripts == 0
+        assert not any(hist.counts.values())
+
+    def test_a_rejected_run_is_rejected(self):
+        # line3 "A A B": values 2 1 1 pass both room checks and fail only the
+        # last check, so the rejected run is as long as an accepting one
+        grid = load_grid("line3.makaro")
+        source = RandomSource.from_seed("rejected")
+        verdict, transcript = run_full_protocol(
+            grid, make_prover({(0, 0): 2, (0, 1): 1, (0, 2): 1}, source), source)
+        assert not verdict.accepted
+        hist = SiteHistograms(grid)
+        accepted = self.run_transcript(grid, {(0, 0): 1, (0, 1): 2, (0, 2): 1}, "accepted")
+        assert len(transcript) == len(accepted)
         with pytest.raises(ValueError):
-            hist.add_transcript(doctored)
+            hist.add_transcript(transcript)
+        hist.add_transcript(accepted)
+        assert hist.transcripts == 1
 
     def test_transcript_from_another_grid_is_rejected(self, quad_grid):
         other = parse_puzzle("makaro 1 1\nZ\n")

@@ -24,7 +24,7 @@ from makaro_zkp import (
 )
 from makaro_zkp.deck import _EVENT_FIELDS
 
-from conftest import find_in_row, row_cards
+from conftest import find_in_row, row_cards, site_patterns
 
 # One malformed line per event kind: a field missing, extra, out of order,
 # or with a value its kind cannot hold.
@@ -62,11 +62,8 @@ NON_CANONICAL_LINES = [
 
 
 def fresh_matrix(rows, cols, prefix="x"):
-    m = CardMatrix(rows, cols)
-    for r in range(rows):
-        for c in range(cols):
-            m.place(r, c, CardId(f"{prefix}{r}", c + 1))
-    return m
+    return CardMatrix.from_rows([[CardId(f"{prefix}{r}", c + 1) for c in range(cols)]
+                                 for r in range(rows)])
 
 
 def chi_square_uniform(counts: Counter, bins: int, trials: int) -> float:
@@ -151,17 +148,17 @@ class TestRandomSource:
 
 class TestCardMatrix:
     def test_place_and_lookup(self):
-        m = CardMatrix(2, 3)
         card = cell_card("A", 1)
-        m.place(0, 2, card)
+        m = CardMatrix.from_rows([[help_card(1), help_card(2), card], [help_card(3)] * 3])
         assert m.card_at(0, 2) == card
         assert not m.is_face_up(0, 2)
-        assert not m.is_full()
 
-    def test_place_occupied_slot_rejected(self):
-        m = fresh_matrix(1, 2)
-        with pytest.raises(DeckError):
-            m.place(0, 0, cell_card("A", 9))
+    def test_a_matrix_is_only_built_whole(self):
+        assert not hasattr(CardMatrix, "place")
+        assert not hasattr(CardMatrix, "place_row")
+        assert not hasattr(CardMatrix, "is_full")
+        with pytest.raises(TypeError):
+            CardMatrix(2, 3)
 
     def test_permute_columns_moves_whole_columns(self):
         m = fresh_matrix(2, 3)
@@ -185,7 +182,6 @@ class TestCardMatrix:
         m = CardMatrix.from_rows([top, bottom])
         assert (m.rows, m.cols) == (2, 2)
         assert [row_cards(m, 0), row_cards(m, 1)] == [top, bottom]
-        assert m.is_full()
         assert not any(m.is_face_up(r, c) for r in range(2) for c in range(2))
         m.permute_columns((1, 0))
         assert row_cards(m, 1) == bottom[::-1]
@@ -195,38 +191,22 @@ class TestCardMatrix:
         with pytest.raises(DeckError):
             CardMatrix.from_rows(rows)
 
-    def test_place_row_fills_one_row_from_a_column(self):
-        m = CardMatrix(2, 3)
-        m.place_row(1, [help_card(1), help_card(2)])
-        m.place_row(0, [help_card(3)], 2)
-        assert row_cards(m, 1) == [help_card(1), help_card(2), None]
-        assert row_cards(m, 0) == [None, None, help_card(3)]
-
-    def test_place_row_rejects_an_occupied_slot(self):
-        m = CardMatrix(1, 3)
-        m.place(0, 1, cell_card("A", 1))
-        with pytest.raises(DeckError, match=r"slot \(0,1\) already holds a card"):
-            m.place_row(0, [help_card(1), help_card(2)])
-
-    def test_place_row_rejects_a_row_longer_than_the_matrix(self):
-        m = CardMatrix(1, 2)
-        with pytest.raises(DeckError):
-            m.place_row(0, [help_card(1), help_card(2), help_card(3)])
-        with pytest.raises(DeckError):
-            m.place_row(0, [help_card(1), help_card(2)], 1)
-        assert row_cards(m, 0) == [None, None]
-
     def test_take_row_needs_a_full_row(self):
-        m = CardMatrix(2, 2)
-        m.place(0, 0, cell_card("A", 1))
-        with pytest.raises(DeckError):
-            m.take_row(0)
+        # a matrix is full, so the only row without cards is one outside
+        # it; a negative row would otherwise count from the bottom
+        m = fresh_matrix(2, 2)
+        for row in (-1, 2, 5):
+            with pytest.raises(DeckError):
+                m.take_row(row)
+        assert m.rows == 2
+        assert [row_cards(m, 0), row_cards(m, 1)] == \
+            [[CardId(f"x{r}", c) for c in (1, 2)] for r in range(2)]
 
 
 class TestReveal:
     def test_reveal_records_event(self):
-        m = CardMatrix(2, 4)
-        m.place(1, 2, help_card(3))
+        m = CardMatrix.from_rows([[help_card(1), help_card(2)] * 2,
+                                  [help_card(4), help_card(5), help_card(3), cell_card("A", 1)]])
         t = Transcript()
         assert reveal(m, 1, 2, t) == help_card(3)
         assert m.is_face_up(1, 2)
@@ -240,8 +220,15 @@ class TestReveal:
             reveal(m, 0, 0, t)
 
     def test_reveal_empty_slot_rejected(self):
-        with pytest.raises(DeckError):
-            reveal(CardMatrix(1, 1), 0, 0, Transcript())
+        # a matrix is full, so the only slots without a card lie outside it;
+        # a negative index would otherwise wrap to the far end
+        m = fresh_matrix(1, 2)
+        t = Transcript()
+        for row, col in ((-1, 0), (0, -1), (0, 5), (1, 0)):
+            with pytest.raises(DeckError):
+                reveal(m, row, col, t)
+        assert t.events == []
+        assert not any(m.is_face_up(0, c) for c in range(2))
 
     def test_reveal_row_turns_the_given_columns_in_order(self):
         m = fresh_matrix(2, 3)
@@ -253,11 +240,11 @@ class TestReveal:
             [False] * 3 + [True, False, True]
 
     def test_reveal_row_rejects_an_empty_slot_and_turns_nothing(self):
-        m = CardMatrix(1, 2)
-        m.place(0, 0, help_card(1))
+        m = fresh_matrix(1, 2)
         t = Transcript()
-        with pytest.raises(DeckError, match=r"no card at \(0,1\)"):
-            reveal_row(m, 0, (0, 1), t)
+        for cols in ((0, 2), (0, -1), (5,)):
+            with pytest.raises(DeckError, match="outside a 1x2 matrix"):
+                reveal_row(m, 0, cols, t)
         assert t.events == []
         assert not m.is_face_up(0, 0)
 
@@ -284,6 +271,12 @@ class TestReveal:
             assert [one.is_face_up(r, c) for c in range(3)] == \
                 [row.is_face_up(r, c) for c in range(3)]
 
+    def test_turn_all_down_on_empty_matrix(self):
+        m = fresh_matrix(1, 2)
+        m.take_row(0)
+        turn_all_down(m)
+        assert m.rows == 0
+
     def test_turn_all_down(self):
         m = fresh_matrix(2, 2)
         t = Transcript()
@@ -292,11 +285,6 @@ class TestReveal:
         turn_all_down(m)
         assert not any(m.is_face_up(r, c) for r in range(2) for c in range(2))
         assert m.card_at(0, 0) == CardId("x0", 1)
-
-    def test_turn_all_down_on_empty_matrix(self):
-        m = CardMatrix(2, 2)
-        turn_all_down(m)
-        assert m.card_at(0, 0) is None
 
 
 class TestShifting:
@@ -309,12 +297,6 @@ class TestShifting:
         m = fresh_matrix(1, 3)
         pile_shifting_shuffle(m, StubSource(shifts=[1]))
         assert [c.index for c in row_cards(m, 0)] == [3, 1, 2]
-
-    def test_partial_matrix_rejected(self):
-        m = CardMatrix(1, 2)
-        m.place(0, 0, cell_card("A", 1))
-        with pytest.raises(DeckError):
-            pile_shifting_shuffle(m, RandomSource.from_seed("x"))
 
     def test_rows_ride_together_and_cards_conserved(self):
         src = RandomSource.from_seed("conserve")
@@ -345,12 +327,6 @@ class TestScramble:
         m = fresh_matrix(2, 1)
         pile_scramble_shuffle(m, RandomSource.from_seed("x"))
         assert m.card_at(0, 0) == CardId("x0", 1)
-
-    def test_partial_matrix_rejected(self):
-        m = CardMatrix(2, 2)
-        m.place(0, 0, cell_card("A", 1))
-        with pytest.raises(DeckError):
-            pile_scramble_shuffle(m, RandomSource.from_seed("x"))
 
     def test_two_columns_swap_half_the_time(self):
         trials = 30_000
@@ -405,8 +381,6 @@ class TestTranscript:
         t.append(("reveal", (0, 0), cell_card("A", 2)))
         t.append(("reveal", (0, 1), cell_card("A", 1)))
         t.append(("reveal", (0, 2), cell_card("A", 3)))
-        t.add_pattern("room/A/cells",
-                      (cell_card("A", 2), cell_card("A", 1), cell_card("A", 3)))
         t.append(("rearrange", (1, 0, 2)))
         t.append(("extract", 2, 3))
         t.append(("tail", 2))
@@ -421,7 +395,6 @@ class TestTranscript:
         t = self.all_kinds_transcript()
         back = Transcript.from_text(t.to_text())
         assert back == t
-        assert back.site_patterns == t.site_patterns
 
     def test_every_event_kind_has_a_round_trip_and_a_malformed_line(self):
         kinds = {ev[0] for ev in self.all_kinds_transcript().events}
@@ -443,10 +416,16 @@ class TestTranscript:
         assert len(lines) == len(t)
 
     def test_patterns_group_consecutive_reveals(self):
+        # the tests' grouping oracle, on the events alone
         t = self.all_kinds_transcript()
-        assert t.site_patterns == [
+        assert site_patterns(t.events) == [
             ("room/A/cells",
              (cell_card("A", 2), cell_card("A", 1), cell_card("A", 3)))]
+
+    def test_a_transcript_is_only_its_events(self):
+        assert Transcript.__slots__ == ("events",)
+        t = Transcript.from_text(self.all_kinds_transcript().to_text())
+        assert not hasattr(t, "site_patterns")
 
     def test_equality_is_event_based(self):
         assert self.all_kinds_transcript() == self.all_kinds_transcript()

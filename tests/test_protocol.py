@@ -15,12 +15,12 @@ from makaro_zkp import (
     ProtocolError,
     RandomSource,
     SetupError,
+    SiteHistograms,
     TableState,
     Transcript,
     card_budget,
     cell_card,
     check_solution,
-    collect_site_patterns,
     convert_cell,
     encoding_card,
     make_encoding,
@@ -29,6 +29,7 @@ from makaro_zkp import (
     reveal_site_plan,
     run_full_protocol,
     run_full_protocol_with_table,
+    run_layout,
     serialize_puzzle,
     setup_placement,
     simulate_transcript,
@@ -42,7 +43,7 @@ from makaro_zkp import (
 from makaro_zkp import protocol, puzzle
 from makaro_zkp.deck import _EVENT_FIELDS
 
-from conftest import PUZZLES, load_grid, load_solution
+from conftest import PUZZLES, load_grid, load_solution, site_patterns
 
 BUNDLED = sorted(p.stem for p in PUZZLES.glob("*.makaro") if not p.stem.endswith("_solution"))
 
@@ -66,7 +67,7 @@ def fresh_table(grid, assignment, seed):
 
 
 def patterns_by_site(transcript):
-    return dict(transcript.site_patterns)
+    return dict(site_patterns(transcript.events))
 
 
 def rule_cells(grid, kind, subject) -> list:
@@ -553,7 +554,8 @@ class TestSimulator:
             assert real_ev[0] == sim_ev[0]
             if real_ev[0] not in ("reveal", "rearrange"):
                 assert real_ev == sim_ev  # only card draws and orders differ
-        assert [s for s, _ in real.site_patterns] == [s for s, _ in sim.site_patterns]
+        assert [s for s, _ in site_patterns(real.events)] == \
+            [s for s, _ in site_patterns(sim.events)]
 
     def test_same_seed_reproduces_the_simulation(self, example_grid):
         a = simulate_transcript(example_grid, RandomSource.from_seed("simdet"))
@@ -602,7 +604,7 @@ class TestSitePlan:
         prover = make_prover(example_solution, RandomSource.from_seed("plan"))
         _, transcript = run_full_protocol(example_grid, prover,
                                           RandomSource.from_seed("plan"))
-        assert [site for site, _, _, _ in plan] == [s for s, _ in transcript.site_patterns]
+        assert [site for site, _, _, _ in plan] == [s for s, _ in site_patterns(transcript.events)]
 
     def test_observed_patterns_stay_inside_their_families(self, example_grid,
                                                           example_solution):
@@ -612,7 +614,7 @@ class TestSitePlan:
             prover = make_prover(example_solution, RandomSource.from_seed(f"fam{seed}"))
             _, transcript = run_full_protocol(example_grid, prover,
                                               RandomSource.from_seed(f"fam{seed}"))
-            for site, pattern in transcript.site_patterns:
+            for site, pattern in site_patterns(transcript.events):
                 kind, support, take = plan[site]
                 assert len(pattern) == take
                 assert len(set(pattern)) == take
@@ -626,7 +628,7 @@ class TestSitePlan:
         plan = {site: (kind, support, take)
                 for site, kind, support, take in reveal_site_plan(example_grid)}
         sim = simulate_transcript(example_grid, RandomSource.from_seed("famsim"))
-        for site, pattern in sim.site_patterns:
+        for site, pattern in site_patterns(sim.events):
             kind, support, take = plan[site]
             assert len(pattern) == take
             assert set(pattern) <= set(support)
@@ -654,8 +656,28 @@ class TestTemplates:
                 assert real_ev[0] == sim_ev[0]
                 if real_ev[0] not in ("reveal", "rearrange"):
                     assert real_ev == sim_ev
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_site_slots_read_what_the_events_group(self, name):
+        grid = load_grid(f"{name}.makaro")
+        solution = bundled_solution(name, grid)
+        layout = run_layout(grid)
+        for seed in (0, 1, "demo"):
+            source = RandomSource.for_trial(seed, 0)
+            _, real = run_full_protocol(grid, make_prover(solution, source), source)
+            sim = simulate_transcript(grid, RandomSource.for_trial(seed, 0))
             for transcript in (real, sim):
-                assert collect_site_patterns(transcript.events) == transcript.site_patterns
+                events = transcript.events
+                assert len(events) == layout.length and events[-1] == layout.closing
+                assert all(events[at] == event for at, event, _ in layout.sites)
+                read = [(family.key, tuple(ev[2] for ev in events[at + 1:at + 1 + family.take]))
+                        for at, _, family in layout.sites]
+                assert read == site_patterns(events)
+                # the histograms count the same cards, from the same slots
+                hist = SiteHistograms(grid, marginal_threshold=10 ** 9)
+                hist.add_transcript(transcript)
+                assert [(key, pattern) for key, counter in hist.counts.items()
+                        for pattern in counter] == read
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_fixed_events_are_built_once_per_grid(self, name):
