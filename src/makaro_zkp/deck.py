@@ -2,10 +2,12 @@
 
 Every card is distinct (standard-deck model) but all backs look alike, so a
 face-down card reveals nothing.  The protocol arranges cards into small
-matrices and shuffles whole columns; both shuffle kinds draw from a seedable
-stream so runs are reproducible.  A Transcript records what an onlooker sees:
-placements, shuffle occurrences, reveals, and rearrangements.  Face-down
-cards never put their identity into the transcript.
+matrices and shuffles whole columns.  Every random draw (both shuffle kinds
+and the prover's secret card orders) goes through RandomSource, whose one
+small kernel replays random.Random's draws exactly, so a seed reproduces a
+run bit for bit.  A Transcript records what an onlooker sees: placements,
+shuffle occurrences, reveals, and rearrangements.  Face-down cards never put
+their identity into the transcript.
 """
 
 from __future__ import annotations
@@ -65,19 +67,72 @@ def parse_card(text: str) -> CardId:
     raise DeckError(f"bad card {text!r}")
 
 
+# The draw kernel.  It replays random.Random.shuffle and randrange step for
+# step: shuffling n items swaps, for i from n-1 down to 1, item i with item j,
+# where j is the first getrandbits((i+1).bit_length()) draw below i+1.  So
+# both the results and the stream state left behind equal the standard
+# library's.  The (i, i+1, bits) steps of a length are built on its first
+# shuffle and kept for short lengths, which are all the protocol uses.
+_STEPS_KEPT = 64
+_steps: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
+def _steps_for(length: int) -> tuple[tuple[int, int, int], ...]:
+    steps = tuple((i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+    if length <= _STEPS_KEPT:
+        _steps[length] = steps
+    return steps
+
+
+def _permute(items: list, getrandbits: Callable[[int], int]) -> None:
+    try:
+        steps = _steps[len(items)]
+    except KeyError:
+        steps = _steps_for(len(items))
+    for i, n, bits in steps:
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
+
+
+def _below(n: int, getrandbits: Callable[[int], int]) -> int:
+    if n <= 0:
+        raise ValueError(f"no offset below {n}")
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 class RandomSource:
     """Two independent streams derived from one seed.
 
-    shuffle_stream drives the public shuffles; prover_stream is the prover's
-    private randomness (secret card orders).  Each stream is seeded on its
-    first read, so a run that never draws (one rejected at setup) seeds
-    nothing.  Seeding with the same value reproduces a run bit for bit.
-    Trial i of a batch uses the derived seed "<seed>:<i>", so results are
-    independent of how trials are distributed across workers.
+    The public stream drives the shuffles (permute, offset); the prover's
+    stream is their private randomness (permute_hidden, for secret card
+    orders).  Every draw of the protocol goes through these three methods,
+    which replay random.Random's shuffle and randrange exactly.  Each stream
+    is seeded on its first read, so a run that never draws (one rejected at
+    setup) seeds nothing.  Seeding with the same value reproduces a run bit
+    for bit.  Trial i of a batch uses the derived seed "<seed>:<i>", so
+    results are independent of how trials are distributed across workers.
     """
 
     def __init__(self, seed: int | str):
         self.seed = seed
+
+    def permute(self, items: list) -> None:
+        """Shuffle a list in place from the public stream."""
+        _permute(items, self.shuffle_stream.getrandbits)
+
+    def permute_hidden(self, items: list) -> None:
+        """Shuffle a list in place from the prover's stream."""
+        _permute(items, self.prover_stream.getrandbits)
+
+    def offset(self, n: int) -> int:
+        """A uniform int in range(n) from the public stream."""
+        return _below(n, self.shuffle_stream.getrandbits)
 
     @cached_property
     def shuffle_stream(self) -> random.Random:
@@ -213,10 +268,13 @@ class CardMatrix:
         return matrix
 
     def card_at(self, row: int, col: int) -> CardId:
+        # checked, not indexed: a negative index would wrap to the far end
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise DeckError(f"no slot ({row},{col}) in a {self.rows}x{self.cols} matrix")
         return self._cols[col][row]
 
     def is_face_up(self, row: int, col: int) -> bool:
-        return self._cols[col][row] in self._up
+        return self.card_at(row, col) in self._up
 
     def take_row(self, row: int) -> list[CardId]:
         """Remove a row and return it, left to right; the rows below move up
@@ -241,16 +299,16 @@ def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatri
     Old column c ends up at position (c + s) % cols.  Every column is a
     full pile, so the shuffle hides which is which.
     """
-    s = source.shuffle_stream.randrange(matrix.cols)
-    matrix.permute_columns([(j - s) % matrix.cols for j in range(matrix.cols)])
+    cols = matrix._cols
+    s = source.offset(len(cols))
+    matrix._cols = cols[-s:] + cols[:-s]
     return matrix
 
 
 def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
-    """Rearrange the columns by a uniform hidden permutation."""
-    order = list(range(matrix.cols))
-    source.shuffle_stream.shuffle(order)
-    matrix.permute_columns(order)
+    """Rearrange the columns by a uniform hidden permutation.  The column
+    list is shuffled in place; swaps only permute, so it needs no check."""
+    source.permute(matrix._cols)
     return matrix
 
 

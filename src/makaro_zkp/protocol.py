@@ -32,7 +32,6 @@ each reveal from its distribution, without seeing any solution.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -80,10 +79,6 @@ class ProverState:
 
     secret: Assignment
     source: RandomSource
-
-    @property
-    def rng(self) -> random.Random:
-        return self.source.prover_stream
 
 
 def make_prover(assignment: Assignment, source: RandomSource) -> ProverState:
@@ -201,7 +196,7 @@ def make_encoding(letter: str, length: int, value: int, prover: ProverState,
         raise ProtocolError(f"cannot encode {value} in a sequence of {length}")
     cards = table.take_encoding(letter, length)
     rest = list(cards[1:])
-    prover.rng.shuffle(rest)
+    prover.source.permute_hidden(rest)
     return rest[:value - 1] + [cards[0]] + rest[value - 1:]
 
 
@@ -679,25 +674,24 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 # zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
 
-def _draw(rng: random.Random, site: SiteFamily) -> list[CardId]:
+def _draw(source: RandomSource, site: SiteFamily) -> list[CardId]:
     if site.kind == "perm":
         pattern = list(site.support)
-        rng.shuffle(pattern)
+        source.permute(pattern)
         return pattern
     if site.kind == "arrangement":
-        return rng.sample(site.support, site.take)
+        return source.shuffle_stream.sample(site.support, site.take)
     if site.support[0].index == 1:
         # the window of a one-card sequence can only show its marker
         # (unsatisfiable grids only): nothing to draw
         return list(site.support)
-    return [rng.choice(site.support)]
+    return [site.support[source.offset(len(site.support))]]
 
 
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """A transcript with the exact event structure of an accepting run, every
     reveal drawn from its solution-independent distribution.  Needs no
     assignment; meaningful for satisfiable grids."""
-    rng = source.shuffle_stream
     schedule = _schedule(grid)
     t = Transcript()
     events = t.events
@@ -713,7 +707,7 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
         elif kind is _Start:
             start = shown.index(step.marker)
         else:
-            shown = _draw(rng, step.site)
+            shown = _draw(source, step.site)
             cols = step.cols if kind is _Reveal else step.cols_from[start]
             events.append(step.site_event)
             events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, shown)])

@@ -1,7 +1,9 @@
 """Cards, matrices, the two shuffles, and transcript serialization."""
 
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from scipy.stats import chi2
@@ -22,7 +24,8 @@ from makaro_zkp import (
     reveal_row,
     turn_all_down,
 )
-from makaro_zkp.deck import _EVENT_FIELDS
+import makaro_zkp
+from makaro_zkp.deck import _EVENT_FIELDS, _STEPS_KEPT
 
 from conftest import find_in_row, row_cards, site_patterns
 
@@ -74,22 +77,13 @@ def chi_square_uniform(counts: Counter, bins: int, trials: int) -> float:
 
 
 class StubSource:
-    """RandomSource stand-in whose shuffle stream produces scripted draws."""
+    """RandomSource stand-in whose offsets are scripted."""
 
-    def __init__(self, shifts=(), orders=()):
-        outer = self
+    def __init__(self, shifts=()):
         self._shifts = list(shifts)
-        self._orders = [list(o) for o in orders]
 
-        class _Stream:
-            def randrange(self, n):
-                return outer._shifts.pop(0)
-
-            def shuffle(self, seq):
-                seq[:] = outer._orders.pop(0)
-
-        self.shuffle_stream = _Stream()
-        self.prover_stream = random.Random(0)
+    def offset(self, n):
+        return self._shifts.pop(0)
 
 
 class TestCardIds:
@@ -145,6 +139,51 @@ class TestRandomSource:
         assert [a.shuffle_stream.randrange(1000) for _ in range(8)] != \
                [b.shuffle_stream.randrange(1000) for _ in range(8)]
 
+    def test_draws_replay_the_standard_library(self):
+        # every length from 0 to past the longest kept table, one source per
+        # seed, so each draw starts from the state the previous ones left
+        lengths = range(_STEPS_KEPT + 7)
+        for seed in range(100):
+            src = RandomSource.from_seed(seed)
+            public, hidden = random.Random(f"{seed}/shuffle"), random.Random(f"{seed}/prover")
+            for n in lengths:
+                ours, theirs = list(range(n)), list(range(n))
+                src.permute(ours)
+                public.shuffle(theirs)
+                assert ours == theirs, (seed, n)
+                src.permute_hidden(ours)
+                hidden.shuffle(theirs)
+                assert ours == theirs, (seed, n)
+                if n:
+                    assert src.offset(n) == public.randrange(n), (seed, n)
+                    assert ours[src.offset(n)] == public.choice(theirs), (seed, n)
+            assert src.shuffle_stream.getstate() == public.getstate()
+            assert src.prover_stream.getstate() == hidden.getstate()
+
+    def test_an_empty_range_has_no_offset(self):
+        with pytest.raises(ValueError):
+            RandomSource.from_seed("s").offset(0)
+
+    def test_only_the_kernel_draws(self):
+        # every draw in the library goes through RandomSource's methods,
+        # except the simulator's arrangements, which sample
+        draws = {"shuffle", "randrange", "randint", "choice", "choices", "getrandbits",
+                 "random", "sample", "uniform"}
+        found, reads = set(), 0
+        for path in sorted(Path(makaro_zkp.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reads += sum(isinstance(node, ast.Attribute) and node.attr in draws
+                         for node in ast.walk(tree))
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    found.update((path.name, func.name, node.attr) for node in ast.walk(func)
+                                 if isinstance(node, ast.Attribute) and node.attr in draws)
+        assert reads == 4
+        assert found == {("deck.py", "permute", "getrandbits"),
+                         ("deck.py", "permute_hidden", "getrandbits"),
+                         ("deck.py", "offset", "getrandbits"),
+                         ("protocol.py", "_draw", "sample")}
+
 
 class TestCardMatrix:
     def test_place_and_lookup(self):
@@ -190,6 +229,15 @@ class TestCardMatrix:
     def test_from_rows_needs_equal_non_empty_rows(self, rows):
         with pytest.raises(DeckError):
             CardMatrix.from_rows(rows)
+
+    def test_slots_outside_the_matrix_are_rejected(self):
+        # a negative index would otherwise wrap to the far end
+        m = fresh_matrix(2, 3)
+        for row, col in ((-1, 0), (0, -1), (2, 0), (0, 3)):
+            with pytest.raises(DeckError, match="in a 2x3 matrix"):
+                m.card_at(row, col)
+            with pytest.raises(DeckError, match="in a 2x3 matrix"):
+                m.is_face_up(row, col)
 
     def test_take_row_needs_a_full_row(self):
         # a matrix is full, so the only row without cards is one outside
@@ -320,6 +368,41 @@ class TestShifting:
         for col in range(5):
             assert abs(counts[col] / trials - 0.2) <= 0.02
         assert chi_square_uniform(counts, 5, trials) >= 0.01
+
+
+class TestShufflesReplayTheColumnOrderPath:
+    """Both shuffles move the column list directly; they leave the column
+    order and the stream state that drawing an index list and passing it to
+    permute_columns leaves on a twin source."""
+
+    @staticmethod
+    def columns(m):
+        return [tuple(m.card_at(r, c) for r in range(m.rows)) for c in range(m.cols)]
+
+    @pytest.mark.parametrize("cols", range(1, 10))
+    def test_scramble(self, cols):
+        for seed in range(20):
+            src, twin = RandomSource.from_seed(seed), RandomSource.from_seed(seed)
+            m, old = fresh_matrix(2, cols), fresh_matrix(2, cols)
+            for _ in range(5):
+                pile_scramble_shuffle(m, src)
+                order = list(range(cols))
+                twin.shuffle_stream.shuffle(order)
+                old.permute_columns(order)
+                assert self.columns(m) == self.columns(old)
+            assert src.shuffle_stream.getstate() == twin.shuffle_stream.getstate()
+
+    @pytest.mark.parametrize("cols", range(1, 10))
+    def test_shift(self, cols):
+        for seed in range(20):
+            src, twin = RandomSource.from_seed(seed), RandomSource.from_seed(seed)
+            m, old = fresh_matrix(2, cols), fresh_matrix(2, cols)
+            for _ in range(5):
+                pile_shifting_shuffle(m, src)
+                s = twin.shuffle_stream.randrange(cols)
+                old.permute_columns([(j - s) % cols for j in range(cols)])
+                assert self.columns(m) == self.columns(old)
+            assert src.shuffle_stream.getstate() == twin.shuffle_stream.getstate()
 
 
 class TestScramble:
