@@ -16,20 +16,21 @@ whose full pattern space is too large to populate are replaced by
 per-position marginals (each position of a uniform permutation or partial
 arrangement is itself uniform over the support), and the sweep functions
 control the familywise error rate across sites by Bonferroni correction.
+
+scipy (and with it numpy) is loaded only when a chi-square test first runs:
+`zk-test` and the `compare_*`, `uniformity_*` and `*_comparison` functions
+pay for it, while importing the package, proving, solving and `stats` do not.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable
-
-from scipy.stats import chi2 as _chi2_dist
 
 from .deck import CardId, RandomSource, Transcript
 from .protocol import (
@@ -168,6 +169,16 @@ class SiteReport:
         return rec
 
 
+def _chi2_tail(statistic: float, df: int) -> float:
+    """P(X >= statistic) for X chi-square with df degrees of freedom, the
+    same function scipy.stats.chi2.sf evaluates.  scipy.special is imported
+    here, when a test first runs, so that commands which run no test never
+    load scipy or numpy."""
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, statistic))
+
+
 def _pattern_text(pattern: tuple[CardId, ...]) -> str:
     return " ".join(str(card) for card in pattern)
 
@@ -197,7 +208,7 @@ def uniformity_test(family: SiteFamily, counter: Counter,
     statistic = sum((count - expected) ** 2 / expected for count in counter.values())
     statistic += (size - len(counter)) * expected
     df = size - 1
-    p_value = float(_chi2_dist.sf(statistic, df))
+    p_value = _chi2_tail(statistic, df)
     return SiteReport(family.key, family.kind, size, df, statistic, p_value,
                       p_value >= alpha, draws)
 
@@ -242,7 +253,7 @@ def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counte
             expected = rows * col / total
             statistic += (observed - expected) ** 2 / expected
     df = bins - 1
-    p_value = float(_chi2_dist.sf(statistic, df))
+    p_value = _chi2_tail(statistic, df)
     return SiteReport(family.key, family.kind, bins, df, statistic, p_value,
                       p_value >= alpha, draws_a, draws_b)
 
@@ -282,6 +293,8 @@ def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int
         return chunk(0, trials)
     bounds = [trials * i // workers for i in range(workers + 1)]
     spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         parts = list(pool.map(chunk, *zip(*spans)))
     merged = parts[0]

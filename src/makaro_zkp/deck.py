@@ -194,10 +194,21 @@ def _parse_pos(text: str) -> tuple[int, int]:
     return (_parse_int(r), _parse_int(c))
 
 
+def _format_card(card: Any) -> str:
+    """A card's text, written only if it reads back as the same card, so the
+    writer never emits a line the reader rejects or reads differently."""
+    text = str(card)
+    # the reader splits at the last "#" and takes canonical digits after it
+    if type(card) is CardId and type(card.set) is str and type(card.index) is int \
+            and card.index >= 0 and text.split() == [text]:
+        return text
+    raise DeckError(f"cannot write {card!r} as a card")
+
+
 _TEXT = _Field(str, str)
 _INT = _Field(str, _parse_int)
 _POS = _Field(lambda pos: f"{pos[0]},{pos[1]}", _parse_pos)
-_CARD = _Field(str, parse_card)
+_CARD = _Field(_format_card, parse_card)
 _ORDER = _Field(lambda order: ",".join(str(i) for i in order),
                 lambda text: tuple(_parse_int(i) for i in text.split(",")))
 _RESULT = _Field(lambda ok: "pass" if ok else "fail", {"pass": True, "fail": False}.__getitem__)

@@ -5,6 +5,7 @@ comparison."""
 import ast
 import json
 import math
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -335,6 +336,23 @@ class TestUniformityTest:
         by_site = {r.site: r for r in report.sites}
         assert by_site["room/A/cells"].draws == 3000
         assert by_site["room/A/cells"].bins == 6
+
+
+class TestChiSquareTail:
+    # small dfs, and those of the full pattern spaces of 6, 7 and 8 cards
+    # (6! - 1, 7! - 1, 8! - 1)
+    DFS = [*range(1, 401), 719, 5039, 40319]
+
+    def test_equals_scipy_stats_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        rng = random.Random("chi2-tail")
+        for df in self.DFS:
+            draws = [rng.uniform(0.0, 3.0 * df) for _ in range(8)]
+            draws += [rng.gauss(df, math.sqrt(2 * df)) for _ in range(8)]
+            for statistic in [0.0, 1e-300, 0.5, math.inf, *(abs(x) for x in draws)]:
+                assert analysis._chi2_tail(statistic, df) == float(chi2.sf(statistic, df)), \
+                    (statistic, df)
 
 
 class TestCompareHistograms:

@@ -2,9 +2,14 @@
 reproducibility, and error reporting for every subcommand."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import makaro_zkp
 from makaro_zkp import Transcript
 from makaro_zkp.cli import main
 
@@ -315,3 +320,45 @@ class TestUsageErrors:
             main(["prove", "--puzzle", EXAMPLE, "--solution", EXAMPLE_SOLUTION,
                   "--trials", "0"])
         assert exc.value.code == 2
+
+
+# Run in a fresh interpreter, so no module another test imported counts.
+# Prints the heavy modules loaded after the plain commands, then after
+# zk-test, as two JSON lists.
+IMPORT_BUDGET_SCRIPT = """
+import contextlib, io, json, sys
+import makaro_zkp
+from makaro_zkp.cli import main
+
+def heavy():
+    return sorted(name for name in sys.modules
+                  if name.partition(".")[0] in ("scipy", "numpy")
+                  or name == "concurrent.futures.process")
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+puzzle, solution, quad = sys.argv[1:]
+run("check", "--puzzle", puzzle, "--solution", solution)
+run("solve", "--puzzle", puzzle)
+run("prove", "--puzzle", puzzle, "--solution", solution, "--trials", "1")
+run("stats", "--puzzle", puzzle)
+print(json.dumps(heavy()))
+run("zk-test", "--puzzle", quad, "--trials", "300")
+print(json.dumps(heavy()))
+"""
+
+
+def test_only_the_chi_square_tests_load_scipy():
+    src = Path(makaro_zkp.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT, EXAMPLE,
+                           EXAMPLE_SOLUTION, QUAD],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    plain, after_zk_test = map(json.loads, done.stdout.splitlines())
+    assert plain == []
+    assert "scipy.special" in after_zk_test
+    assert not [name for name in after_zk_test
+                if name.startswith("scipy.stats") or name == "concurrent.futures.process"]

@@ -493,6 +493,35 @@ class TestTranscript:
         with pytest.raises(DeckError):
             Transcript.from_text(line + "\n")
 
+    @pytest.mark.parametrize("other", [None, "help#2"])
+    def test_a_revealed_object_that_is_not_a_card_is_not_written(self, other):
+        # from_rows lays out whatever it is given, so the reveal records it;
+        # the writer is what refuses it
+        m = CardMatrix.from_rows([[other, help_card(1)]])
+        t = Transcript()
+        assert reveal(m, 0, 0, t) == other
+        with pytest.raises(DeckError, match="as a card"):
+            t.to_text()
+
+    @pytest.mark.parametrize("card", [
+        ("help", 1), CardId("help", "1"), CardId(1, 1), CardId("help", -1),
+        CardId("help", True), CardId("help", 1.0), CardId("a b", 1), CardId("a\x1cb", 1),
+    ])
+    @pytest.mark.parametrize("kind", ["place", "marker", "reveal"])
+    def test_a_card_that_would_not_read_back_is_not_written(self, card, kind):
+        event = {"place": ("place", (0, 0), card), "marker": ("marker", card, 0, 0),
+                 "reveal": ("reveal", (0, 0), card)}[kind]
+        t = Transcript()
+        t.append(event)
+        with pytest.raises(DeckError, match="as a card"):
+            t.to_text()
+
+    @pytest.mark.parametrize("card", [CardId("a#b", 0), CardId("", 1), CardId("x=y", 12)])
+    def test_unusual_but_readable_cards_round_trip(self, card):
+        t = Transcript()
+        t.append(("reveal", (0, 0), card))
+        assert Transcript.from_text(t.to_text()).events == [("reveal", (0, 0), card)]
+
     def test_to_text_is_line_per_event(self):
         t = self.all_kinds_transcript()
         lines = t.to_text().splitlines()

@@ -1,5 +1,6 @@
 """Golden transcripts: the sha256 of seeded real and simulated transcript
-text, and of each reveal-site plan, pinned for every bundled puzzle.
+text, and of each reveal-site plan, pinned for every bundled puzzle, plus
+the JSON report of one seeded `zk-test` run, which pins every p-value.
 
 A change to the check schedule, the event text format or the order in which
 random draws are taken changes a hash here.  The pins were recorded once and
@@ -20,6 +21,8 @@ from makaro_zkp import (
     simulate_transcript,
     solve_brute_force,
 )
+
+from makaro_zkp.cli import main
 
 from conftest import PUZZLES, load_grid, load_solution
 
@@ -109,6 +112,10 @@ FORCED = {
         "4ccc5b31ce0876c1843bde8d26c396e07c1ffe81c3ff1da1aea00425844b1482"),
 }
 
+# zk-test --puzzle example5x5 --solution example5x5_solution --trials 300
+# --report-format json (seed 0, one worker)
+ZK_TEST_JSON = "4dcc74d9357a7ef9bc4c5bbca3b65275ab5e03d9a85b3dda444d38f81121494e"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -148,3 +155,12 @@ def test_forced_reveals_are_unchanged(text):
         assert sha256(simulate_transcript(grid, RandomSource.for_trial(seed, 0)).to_text()) \
             == sim_hash, seed
     assert sha256(repr(reveal_site_plan(grid))) == plan_hash
+
+
+def test_zk_test_json_report_is_unchanged(capsys):
+    code = main(["zk-test", "--puzzle", str(PUZZLES / "example5x5.makaro"),
+                 "--solution", str(PUZZLES / "example5x5_solution.makaro"),
+                 "--trials", "300", "--report-format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert sha256(out) == ZK_TEST_JSON
