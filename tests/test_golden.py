@@ -1,6 +1,8 @@
 """Golden transcripts: the sha256 of seeded real and simulated transcript
 text, and of each reveal-site plan, pinned for every bundled puzzle, plus
 the JSON report of one seeded `zk-test` run, which pins every p-value.
+Rejected runs are pinned too: one at setup, one by a neighbor check, one by
+an arrow check, and a room check that finds a card of another room.
 
 A change to the check schedule, the event text format or the order in which
 random draws are taken changes a hash here.  The pins were recorded once and
@@ -13,13 +15,18 @@ import hashlib
 import pytest
 
 from makaro_zkp import (
+    FailedCheck,
     RandomSource,
+    Transcript,
+    all_value_assignments,
     make_prover,
     parse_puzzle,
     reveal_site_plan,
     run_full_protocol,
+    setup_placement,
     simulate_transcript,
     solve_brute_force,
+    verify_room,
 )
 
 from makaro_zkp.cli import main
@@ -112,6 +119,34 @@ FORCED = {
         "4ccc5b31ce0876c1843bde8d26c396e07c1ffe81c3ff1da1aea00425844b1482"),
 }
 
+# Rejected runs on `cross`: filling number (in all_value_assignments order)
+# -> (failing check, seed -> real transcript, trial 0)
+REJECTED = {
+    0: (FailedCheck("room", "A", at_setup=True), {
+        0: "857de7e9d99c48ed6bae93348291286cf43e5c9ac095138d7d1433dc8d3ad697",
+        1: "857de7e9d99c48ed6bae93348291286cf43e5c9ac095138d7d1433dc8d3ad697",
+        "demo": "857de7e9d99c48ed6bae93348291286cf43e5c9ac095138d7d1433dc8d3ad697",
+    }),
+    270: (FailedCheck("neighbor", ((0, 0), (1, 0))), {
+        0: "48924d1b9fa48f74b0bdf19da5c15098c8f29c7f9fa39e24d6201821dce53306",
+        1: "6aa0d2ab668a36334f8b68b47d9ae5baafb7d4d01f433774a6472b5cde21f3d9",
+        "demo": "764ad12c7509d60291ac5cdb2759f93f7aaa26f3bfe47bb36d0d00be2c0f0ae8",
+    }),
+    298: (FailedCheck("arrow", (1, 1)), {
+        0: "398beac48ebe60b2268e223d98ec17d31ec7791d139916de3a21c12ad66fe905",
+        1: "4c446ea5647050d449b1733056688f1f954a220c203e93d3e5ee35a490f74f80",
+        "demo": "a65bc54e0f5bdb582bac8843de8bfe63eb0e7d71d0b6ca9d286478cde5571ef2",
+    }),
+}
+
+# verify_room on `quad`'s room A after its value-1 card is swapped with room
+# B's: seed -> setup and room-check transcript, trial 0
+FOREIGN_CARD = {
+    0: "3d8a474f1444ea8ab269b03bdb602969a6dcdb616f472f0ff161d0634b50c32a",
+    1: "2b7f549674f48ac6bf44863e5d97ed36854256f75a1de64c204521ccaa4a22da",
+    "demo": "2b7f549674f48ac6bf44863e5d97ed36854256f75a1de64c204521ccaa4a22da",
+}
+
 # zk-test --puzzle example5x5 --solution example5x5_solution --trials 300
 # --report-format json (seed 0, one worker)
 ZK_TEST_JSON = "4dcc74d9357a7ef9bc4c5bbca3b65275ab5e03d9a85b3dda444d38f81121494e"
@@ -155,6 +190,31 @@ def test_forced_reveals_are_unchanged(text):
         assert sha256(simulate_transcript(grid, RandomSource.for_trial(seed, 0)).to_text()) \
             == sim_hash, seed
     assert sha256(repr(reveal_site_plan(grid))) == plan_hash
+
+
+@pytest.mark.parametrize("filling", sorted(REJECTED))
+def test_rejected_transcripts_are_unchanged(filling):
+    grid = load_grid("cross.makaro")
+    assignment = list(all_value_assignments(grid))[filling]
+    failing, hashes = REJECTED[filling]
+    for seed, real_hash in hashes.items():
+        source = RandomSource.for_trial(seed, 0)
+        verdict, real = run_full_protocol(grid, make_prover(assignment, source), source)
+        assert verdict.failing_check == failing, seed
+        assert sha256(real.to_text()) == real_hash, seed
+
+
+def test_room_check_with_a_foreign_card_is_unchanged():
+    grid = load_grid("quad.makaro")
+    for seed, real_hash in FOREIGN_CARD.items():
+        source = RandomSource.for_trial(seed, 0)
+        prover = make_prover({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, source)
+        transcript = Transcript()
+        table = setup_placement(grid, prover, transcript)
+        a_card, b_card = table.take_cells([(0, 0), (1, 0)])
+        table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+        assert not verify_room(table, "A", source, transcript), seed
+        assert sha256(transcript.to_text()) == real_hash, seed
 
 
 def test_zk_test_json_report_is_unchanged(capsys):
