@@ -274,21 +274,21 @@ def _simulated_transcript(grid: Grid, seed: str, trial: int) -> Transcript:
     return simulate_transcript(grid, RandomSource.for_trial(seed, trial))
 
 
-def _chunk(transcript_of: Callable[[int], Transcript], grid: Grid, threshold: int,
+def _chunk(transcript_of: Callable[[int], Transcript], grid: Grid,
            start: int, stop: int) -> SiteHistograms:
-    hist = SiteHistograms(grid, threshold)
+    hist = SiteHistograms(grid)
     for trial in range(start, stop):
         hist.add_transcript(transcript_of(trial))
     return hist
 
 
 def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int,
-             workers: int, threshold: int) -> SiteHistograms:
+             workers: int) -> SiteHistograms:
     """Histograms over trials 0..trials-1, split into contiguous chunks, one
     per worker process; transcript_of must pickle when workers > 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    chunk = partial(_chunk, transcript_of, grid, threshold)
+    chunk = partial(_chunk, transcript_of, grid)
     if workers <= 1:
         return chunk(0, trials)
     bounds = [trials * i // workers for i in range(workers + 1)]
@@ -304,19 +304,16 @@ def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int
 
 
 def collect_protocol_histograms(grid: Grid, solution: Assignment, seed: str,
-                                trials: int, workers: int = 1,
-                                marginal_threshold: int = MARGINAL_THRESHOLD) -> SiteHistograms:
+                                trials: int, workers: int = 1) -> SiteHistograms:
     """Histograms over `trials` real runs; trial i draws all randomness from
     a seed derived from (seed, i), so results do not depend on workers."""
-    return _collect(partial(_honest_transcript, grid, solution, seed), grid, trials,
-                    workers, marginal_threshold)
+    return _collect(partial(_honest_transcript, grid, solution, seed), grid, trials, workers)
 
 
-def collect_simulator_histograms(grid: Grid, seed: str, trials: int, workers: int = 1,
-                                 marginal_threshold: int = MARGINAL_THRESHOLD) -> SiteHistograms:
+def collect_simulator_histograms(grid: Grid, seed: str, trials: int,
+                                 workers: int = 1) -> SiteHistograms:
     """Histograms over `trials` simulated transcripts (no solution involved)."""
-    return _collect(partial(_simulated_transcript, grid, seed), grid, trials,
-                    workers, marginal_threshold)
+    return _collect(partial(_simulated_transcript, grid, seed), grid, trials, workers)
 
 
 # --- sweep reports -------------------------------------------------------------
@@ -332,9 +329,6 @@ class ComparisonReport:
     tested_sites: int
     sites: tuple[SiteReport, ...]
     passed: bool
-
-    def failures(self) -> list[SiteReport]:
-        return [s for s in self.sites if not s.passed]
 
     def to_records(self) -> list[dict]:
         return [s.to_record() for s in self.sites]
@@ -394,24 +388,19 @@ def uniformity_sweep(hist: SiteHistograms, label: str = "uniformity",
 
 
 def zk_comparison(grid: Grid, solution: Assignment, seed: str, trials: int,
-                  workers: int = 1, alpha: float = 0.01,
-                  marginal_threshold: int = MARGINAL_THRESHOLD) -> ComparisonReport:
+                  workers: int = 1, alpha: float = 0.01) -> ComparisonReport:
     """The executable zero-knowledge check: `trials` real runs against
     `trials` solution-free simulated transcripts, compared site by site."""
-    real = collect_protocol_histograms(grid, solution, f"{seed}/real", trials,
-                                       workers, marginal_threshold)
-    sim = collect_simulator_histograms(grid, f"{seed}/sim", trials,
-                                       workers, marginal_threshold)
+    real = collect_protocol_histograms(grid, solution, f"{seed}/real", trials, workers)
+    sim = collect_simulator_histograms(grid, f"{seed}/sim", trials, workers)
     return compare_collections("protocol vs simulator", real, sim, alpha)
 
 
 def solution_comparison(grid: Grid, solution_a: Assignment, solution_b: Assignment,
-                        seed: str, trials: int, workers: int = 1, alpha: float = 0.01,
-                        marginal_threshold: int = MARGINAL_THRESHOLD) -> ComparisonReport:
+                        seed: str, trials: int, workers: int = 1,
+                        alpha: float = 0.01) -> ComparisonReport:
     """Indistinguishability of provers: runs built from two different valid
     solutions of the same grid, compared site by site."""
-    hist_a = collect_protocol_histograms(grid, solution_a, f"{seed}/a", trials,
-                                         workers, marginal_threshold)
-    hist_b = collect_protocol_histograms(grid, solution_b, f"{seed}/b", trials,
-                                         workers, marginal_threshold)
+    hist_a = collect_protocol_histograms(grid, solution_a, f"{seed}/a", trials, workers)
+    hist_b = collect_protocol_histograms(grid, solution_b, f"{seed}/b", trials, workers)
     return compare_collections("prover A vs prover B", hist_a, hist_b, alpha)

@@ -23,10 +23,12 @@ in any number.  Each reveal shows a distribution that depends only on the
 grid, never on the hidden values.
 
 Everything but the reveals is fixed by the grid, so each check is compiled
-once per grid into a template: runs of prebuilt events, with holes for the
-revealed cards, the rearrangements they imply and the window start.  Two interpreters
-fill it: the live run from card physics, and simulate_transcript by drawing
-each reveal from its distribution, without seeing any solution.
+once per grid into a template: moves of cards, runs of prebuilt events, and
+holes for the revealed cards, the rearrangements they imply and the window
+start, each reveal with the predicate that judges it.  The live run is one
+loop over those steps that fills the holes from card physics;
+simulate_transcript fills them by drawing each reveal from its
+distribution, without seeing any solution.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .deck import (
     CardId,
@@ -213,10 +215,12 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # may show: all of it follows from the grid alone.  So does every event of an
 # accepting run except the revealed cards, the rearrangements they imply and
 # the window start.  Each check is compiled once per grid into a template:
-# its steps, in run order, are runs of prebuilt events and holes for what the
-# run decides.  The live run fills the holes from the card matrix, the
-# simulator draws them from each site's family, and run_layout finds where
-# each reveal hole lands in a run, so the three cannot drift apart.
+# its steps, in run order, are moves that handle the cards and add no event,
+# runs of prebuilt events, and holes for what the run decides, each reveal
+# hole with its acceptance predicate.  The live run makes the moves and
+# fills the holes from the card matrix, the simulator draws them from each
+# site's family, and run_layout finds where each reveal hole lands in a run;
+# the last two skip the moves.  So the three cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern.
@@ -250,22 +254,25 @@ class SiteFamily(NamedTuple):
 
 
 class _Reveal(NamedTuple):
-    """Hole: the site event, then the cards in columns `cols` of one row."""
+    """Hole: the site event, then the cards in columns `cols` of one row,
+    judged by `accepts` unless the check rests on no rule there (None)."""
 
     site_event: tuple
     site: SiteFamily
     row: int
     cols: tuple[int, ...]
+    accepts: Callable[[tuple[CardId, ...]], bool] | None
 
 
 class _Window(NamedTuple):
     """Hole: the site event, then the cards in columns `cols_from[start]`, a
-    cyclic run from the window start."""
+    cyclic run from the window start, judged by `accepts`."""
 
     site_event: tuple
     site: SiteFamily
     row: int
     cols_from: tuple[tuple[int, ...], ...]
+    accepts: Callable[[tuple[CardId, ...]], bool]
 
 
 class _Sort(NamedTuple):
@@ -280,10 +287,49 @@ class _Start(NamedTuple):
     marker: CardId
 
 
+# Moves handle the cards out of sight, so they add no event.
+class _Take(NamedTuple):
+    """Move: lift the room's cards and as many helping cards, and for a
+    conversion its encoding, marker in `column`; lay them out and scramble."""
+
+    cells: Sequence[Coord]
+    letter: str | None = None
+    length: int = 0
+    column: int = 0
+
+
+class _Hide(NamedTuple):
+    """Move: extract a conversion's encoding row, turn down and scramble."""
+
+    extract: bool
+
+
+class _Stack(NamedTuple):
+    """Move: lay the sequences out as rows, then shift or scramble."""
+
+    shift: bool
+
+
+class _Return(NamedTuple):
+    """Move: the room's cards back on `cells` and the helping cards home, or
+    the encoding sets of `letters` home."""
+
+    cells: Sequence[Coord] = ()
+    letters: tuple[str, ...] = ()
+
+
+_MOVES = (_Take, _Hide, _Stack, _Return)
+
+
+def _no_marker(shown: tuple[CardId, ...]) -> bool:
+    """What a window must show: no marker, so no rival value reaches it."""
+    return all(card.index != 1 for card in shown)
+
+
 # Each event kind is written in one place (tests pin it), so the events that
 # several templates share are built by these three.
-def _hole(kind: type, site: SiteFamily, row: int, cols: tuple) -> tuple:
-    return kind(("site", site.key), site, row, cols)
+def _hole(kind: type, site: SiteFamily, row: int, cols: tuple, accepts=None) -> tuple:
+    return kind(("site", site.key), site, row, cols, accepts)
 
 
 def _collect(src: str, row: int, count: int) -> tuple:
@@ -306,28 +352,15 @@ class RunLayout(NamedTuple):
     sites: tuple[tuple[int, tuple, SiteFamily], ...]
 
 
-class _Conversion(NamedTuple):
-    """A cell turned into an encoding sequence inside a check."""
-
-    cell: Coord
-    letter: str
-    length: int
-    key: str
-    room: str
-    column: int                  # the cell's place in its room: where the marker goes
-    steps: tuple                 # a collection template, as for a room check
-
-
 class _Check(NamedTuple):
-    kind: str                    # "room" | "neighbor" | "arrow"
-    subject: object              # as in FailedCheck
-    key: str                     # of the begin and end events
-    conversions: tuple[_Conversion, ...]
-    # rooms: a collection template; neighbors and arrows: the begin event,
-    # the conversions, the rows stacked and shifted or scrambled, the first
-    # row (whose marker starts the windows), the start, one window per other
-    # row, and the end event of a pass
+    kind: str                    # "room" | "neighbor" | "arrow", or "convert"
+    subject: object              # as in FailedCheck, or the cell converted
+    # rooms and conversions: a collection; neighbors and arrows: the begin
+    # event, each conversion's steps, the rows stacked and shifted or
+    # scrambled, the first row (whose marker starts the windows), the start,
+    # one window per other row, and the encodings returned
     steps: tuple
+    passed: tuple[tuple]         # the end event of a pass
     rejected: tuple[tuple]       # the end event of a fail
 
 
@@ -355,13 +388,13 @@ class _Schedule:
         self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
                     for letter in ENC_LETTERS}
         self._shuffled = {kind: ("shuffle", kind) for kind in ("scramble", "shift")}
-        self._conversions: dict[tuple, _Conversion] = {}
         self.checks: dict[tuple[str, object], _Check] = {}
         for kind, subject, cells in grid.rules:
             if kind == "room":
                 begin, passed, failed = _bracket(kind, subject)
-                self.checks[kind, subject] = _Check(kind, subject, subject, (), self._collection(
-                    begin, passed, f"room/{subject}", subject), (failed,))
+                self.checks[kind, subject] = _Check(kind, subject, self._collection(
+                    subject, _Take(grid.rooms[subject]), f"room/{subject}", begin, ()),
+                    (passed,), (failed,))
                 continue
             where = cells if kind == "neighbor" else (subject,)
             key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
@@ -370,8 +403,8 @@ class _Schedule:
             m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
             length, window = (m, 1) if kind == "neighbor" else (2 * m - 1, m)
             letters = ENC_LETTERS[:len(cells)]
-            conversions = tuple(self.conversion(rc, letter, length, key)
-                                for letter, rc in zip(letters, cells))
+            conversions = [step for letter, rc in zip(letters, cells)
+                           for step in self.conversion(rc, letter, length, key).steps]
             first = SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)
             cycle = tuple(range(length)) * 2
             spans = tuple(cycle[start:start + window] for start in range(length))
@@ -383,21 +416,22 @@ class _Schedule:
                 site = SiteFamily(
                     f"{key}/probe" if kind == "neighbor" else f"{key}/row{row + 1}",
                     "pick" if window == 1 else "arrangement", support, window)
-                windows.append(_hole(_Window, site, row, spans))
+                windows.append(_hole(_Window, site, row, spans, _no_marker))
             stacking = (*(_collect(f"seq:{letter}", row, length)
                           for row, letter in enumerate(letters)),
                         self._shuffled["shift" if kind == "arrow" else "scramble"])
             begin, passed, failed = _bracket(kind, key)
-            self.checks[kind, subject] = _Check(kind, subject, key, conversions, (
-                (begin,), *conversions, stacking, _hole(_Reveal, first, 0, cycle[:length]),
-                _Start(first.support[0]), *windows, (passed,)), (failed,))
+            self.checks[kind, subject] = _Check(kind, subject, (
+                (begin,), *conversions, _Stack(kind == "arrow"), stacking,
+                _hole(_Reveal, first, 0, cycle[:length]), _Start(first.support[0]), *windows,
+                _Return(letters=letters)), (passed,), (failed,))
 
     @cached_property
     def steps(self) -> tuple:
-        """The steps of a whole accepting run after setup, each conversion's
-        in its place: what the simulator and the layout walk."""
-        return tuple(step for check in self.checks.values() for part in check.steps
-                     for step in (part.steps if type(part) is _Conversion else (part,)))
+        """The steps of a whole accepting run after setup, with every end
+        event and without the moves: what the simulator and the layout walk."""
+        return tuple(step for check in self.checks.values()
+                     for step in (*check.steps, check.passed) if type(step) not in _MOVES)
 
     @cached_property
     def layout(self) -> RunLayout:
@@ -414,42 +448,45 @@ class _Schedule:
                 at += 1 + step.site.take
         return RunLayout(at, self.steps[-1][-1], tuple(sites))
 
-    def _collection(self, begin: tuple, end: tuple, sites_key: str, room: str,
-                    marking: tuple = (), extraction: tuple = ()) -> tuple:
-        """The template of a room check, or of a conversion with its marking
-        and extraction events: the room's cards and as many helping cards are
-        collected and scrambled; the room's cards are revealed and sorted; one
-        more scramble, and the helping cards are revealed and sorted, which
-        puts the room's cards back in cell order."""
+    def _collection(self, room: str, take: _Take, sites_key: str, begin: tuple,
+                    closing: tuple, marking: tuple = (), extraction: tuple = ()) -> tuple:
+        """The steps of a room check, or of a conversion with its marking and
+        extraction events: the room's cards and as many helping cards are
+        collected and scrambled; the room's cards are revealed (a room check
+        accepts its full card set only) and sorted; one more scramble, and
+        the helping cards are revealed and sorted, which puts the room's cards
+        back in cell order."""
         cards = self.room_cards[room]
         p = len(cards)
+        converting = take.letter is not None
         cols = tuple(range(p))
         src = f"room:{room}"
         scramble = self._shuffled["scramble"]
         cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
-        return ((begin, _collect(src, 0, p), ("helps", 1, p), *marking, scramble),
-                _hole(_Reveal, cells, 0, cols), _Sort(cells.support),
-                (*extraction, ("turn-down",), scramble),
+        return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, scramble),
+                _hole(_Reveal, cells, 0, cols, None if converting else cells.contains),
+                _Sort(cells.support), _Hide(converting), (*extraction, ("turn-down",), scramble),
                 _hole(_Reveal, helps, 1, cols), _Sort(helps.support),
-                (("restore", src, p), end))
+                _Return(take.cells), (("restore", src, p), *closing))
 
-    def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Conversion:
-        """The conversion of a cell inside the check keyed `prefix`, compiled
-        once per grid."""
-        conv = self._conversions.get((rc, letter, length, prefix))
-        if conv is None:
-            room = self.grid.room_of(rc)
-            key = f"{prefix}/conv-{letter}"
-            column = self.grid.rooms[room].index(rc)
-            p = len(self.room_cards[room])
-            begin, passed, _ = _bracket("convert", key)
-            conv = _Conversion(rc, letter, length, key, room, column, self._collection(
-                begin, passed, key, room,
-                (("marker", self.enc[letter][0], 2, column), ("hidden-fill", 2, p - 1)),
-                (("extract", 2, p), ("tail", length - p))))
-            self._conversions[rc, letter, length, prefix] = conv
-        return conv
+    def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Check:
+        """The conversion of a cell into an encoding sequence inside the check
+        keyed `prefix`; it ends inside its steps and is never rejected."""
+        room = self.grid.room_of(rc)
+        members = self.grid.rooms[room]
+        p = len(members)
+        if length < p:
+            raise ProtocolError(f"sequence of {length} too short for a room of {p}")
+        key = f"{prefix}/conv-{letter}"
+        # the marker lands in the cell's column of row 2, so the first p cards
+        # of the encoding fill that row and the rest wait as its tail
+        column = members.index(rc)
+        begin, passed, _ = _bracket("convert", key)
+        return _Check("convert", rc, self._collection(
+            room, _Take(members, letter, length, column), key, begin, (passed,),
+            (("marker", self.enc[letter][0], 2, column), ("hidden-fill", 2, p - 1)),
+            (("extract", 2, p), ("tail", length - p))), (), ())
 
 
 # Grid holds a dict, so it cannot key a cache; every hot loop runs one grid.
@@ -472,36 +509,59 @@ def _schedule(grid: Grid) -> _Schedule:
 # Card physics produces every revealed card and every rearrangement, since
 # soundness rests on it; each run of fixed events is added in one piece.
 
-def _reveal_site(matrix: CardMatrix, hole: _Reveal | _Window, cols: tuple[int, ...],
-                 transcript: Transcript) -> tuple[CardId, ...]:
-    transcript.events.append(hole.site_event)
-    return reveal_row(matrix, hole.row, cols, transcript)
-
-
-def _sort_columns(matrix: CardMatrix, revealed: tuple[CardId, ...], sort: _Sort,
-                  transcript: Transcript) -> None:
-    event = _rearrange(revealed, sort.canonical)
-    matrix.permute_columns(event[1])
-    transcript.events.append(event)
-
-
-def _collect_room(table: TableState, cells: Sequence[Coord]) -> list[list[CardId]]:
-    """A collection's first rows: the room's cards, then as many helping cards."""
-    return [table.take_cells(cells), table.take_helps(len(cells))]
-
-
-def _return_room(table: TableState, matrix: CardMatrix, cells: list[Coord], steps: tuple,
-                 source: RandomSource, transcript: Transcript) -> None:
-    """Hide the room's sorted cards behind one more scramble, then sort by
-    the helping cards, which puts the room's cards back in cell order."""
-    middle, helps, sort, closing = steps
-    turn_all_down(matrix)
-    pile_scramble_shuffle(matrix, source)
-    transcript.events.extend(middle)
-    _sort_columns(matrix, _reveal_site(matrix, helps, helps.cols, transcript), sort, transcript)
-    table.put_cells(cells, matrix.take_row(0))
-    transcript.events.extend(closing)
-    table.return_helps()
+def _live(table: TableState, check: _Check, prover: ProverState | None,
+          source: RandomSource, transcript: Transcript) -> list[list[CardId]] | None:
+    """Run a check on the table, filling each hole from the card matrix and
+    judging it, and close it with the end event of its verdict.  Returns the
+    sequences extracted, or None if a hole was rejected: a rejected row ends
+    the check at once, since what follows sorts it or starts from it; after
+    a rejected window the check goes on."""
+    events = transcript.events
+    sequences: list[list[CardId]] = []
+    ok = True
+    for step in check.steps:
+        kind = type(step)
+        if kind is tuple:
+            events.extend(step)
+        elif kind is _Reveal or kind is _Window:
+            events.append(step.site_event)
+            shown = reveal_row(matrix, step.row,
+                               step.cols if kind is _Reveal else step.cols_from[start], transcript)
+            if step.accepts is not None and not step.accepts(shown):
+                ok = False
+                if kind is _Reveal:
+                    break
+        elif kind is _Sort:
+            event = _rearrange(shown, step.canonical)
+            matrix.permute_columns(event[1])
+            events.append(event)
+        elif kind is _Start:
+            start = shown.index(step.marker)
+        elif kind is _Take:
+            p = len(step.cells)
+            rows = [table.take_cells(step.cells), table.take_helps(p)]
+            if step.letter is not None:
+                encoding = make_encoding(step.letter, step.length, step.column + 1, prover, table)
+                rows.append(encoding[:p])
+                tail = encoding[p:]
+            matrix = CardMatrix.from_rows(rows)
+            pile_scramble_shuffle(matrix, source)
+        elif kind is _Hide:
+            if step.extract:
+                sequences.append(matrix.take_row(2) + tail)
+            turn_all_down(matrix)
+            pile_scramble_shuffle(matrix, source)
+        elif kind is _Stack:
+            matrix = CardMatrix.from_rows(sequences)
+            (pile_shifting_shuffle if step.shift else pile_scramble_shuffle)(matrix, source)
+        else:
+            if step.cells:
+                table.put_cells(step.cells, matrix.take_row(0))
+                table.return_helps()
+            for letter in step.letters:
+                table.return_encoding(letter)
+    events.extend(check.passed if ok else check.rejected)
+    return sequences if ok else None
 
 
 def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> TableState:
@@ -539,19 +599,8 @@ def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
     shuffled order.  Restores the cards to their cells on success."""
-    check = _schedule(table.grid).checks["room", room]
-    opening, cells, sort, *rest = check.steps
-    members = table.grid.rooms[room]
-    matrix = CardMatrix.from_rows(_collect_room(table, members))
-    pile_scramble_shuffle(matrix, source)
-    transcript.events.extend(opening)
-    revealed = _reveal_site(matrix, cells, cells.cols, transcript)
-    if set(revealed) != set(sort.canonical):
-        transcript.events.extend(check.rejected)
-        return False
-    _sort_columns(matrix, revealed, sort, transcript)
-    _return_room(table, matrix, members, rest, source, transcript)
-    return True
+    return _live(table, _schedule(table.grid).checks["room", room],
+                 None, source, transcript) is not None
 
 
 def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
@@ -566,50 +615,8 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     encodes the target value without anyone seeing it.  The reveal sites
     are keyed under `site_prefix/conv-<letter>`.
     """
-    conv = _schedule(table.grid).conversion(rc, letter, length, site_prefix)
-    opening, cells, sort, *rest = conv.steps
-    p = len(cells.cols)
-    if length < p:
-        raise ProtocolError(f"sequence of {length} too short for a room of {p}")
-    members = table.grid.rooms[conv.room]
-    rows = _collect_room(table, members)
-    # the marker lands in the cell's column of row 2, so the first p cards of
-    # the encoding fill that row and the rest wait as its tail
-    encoding = make_encoding(letter, length, conv.column + 1, prover, table)
-    matrix = CardMatrix.from_rows([*rows, encoding[:p]])
-    pile_scramble_shuffle(matrix, source)
-    transcript.events.extend(opening)
-    _sort_columns(matrix, _reveal_site(matrix, cells, cells.cols, transcript), sort, transcript)
-    sequence = matrix.take_row(2) + encoding[p:]
-    _return_room(table, matrix, members, rest, source, transcript)
-    return sequence
-
-
-def _verify_windows(table: TableState, check: _Check, prover: ProverState,
-                    source: RandomSource, transcript: Transcript) -> bool:
-    """Convert the check's cells into sequences, stack them as rows, shuffle
-    the columns, find the marker of the first row and reveal each other
-    row's window starting in that column.  Any marker in a window rejects."""
-    transcript.events.extend(check.steps[0])
-    sequences = [
-        convert_cell(table, conv.cell, conv.letter, conv.length, prover, source, transcript,
-                     check.key)
-        for conv in check.conversions
-    ]
-    stacking, first, start, *windows, closing = check.steps[1 + len(sequences):]
-    matrix = CardMatrix.from_rows(sequences)
-    shuffle = pile_shifting_shuffle if check.kind == "arrow" else pile_scramble_shuffle
-    shuffle(matrix, source)
-    transcript.events.extend(stacking)
-    at = _reveal_site(matrix, first, first.cols, transcript).index(start.marker)
-    ok = True
-    for window in windows:
-        cards = _reveal_site(matrix, window, window.cols_from[at], transcript)
-        ok = ok and all(card.index != 1 for card in cards)
-    for conv in check.conversions:
-        table.return_encoding(conv.letter)
-    transcript.events.extend(closing if ok else check.rejected)
-    return ok
+    return _live(table, _schedule(table.grid).conversion(rc, letter, length, site_prefix),
+                 prover, source, transcript)[0]
 
 
 def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
@@ -617,8 +624,8 @@ def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
     """Check two adjacent cells differ: convert both to sequences of equal
     length, scramble the two rows as columns, find one marker, and look at the
     card sharing its column.  Equal values pair the markers in every shuffle."""
-    return _verify_windows(table, _schedule(table.grid).checks["neighbor", (a, b)],
-                           prover, source, transcript)
+    return _live(table, _schedule(table.grid).checks["neighbor", (a, b)],
+                 prover, source, transcript) is not None
 
 
 def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
@@ -629,8 +636,8 @@ def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
     column shift, the m columns starting at the pointed marker are revealed in
     each rival row; a rival marker lands there exactly when rival >= pointed.
     """
-    return _verify_windows(table, _schedule(table.grid).checks["arrow", black_rc],
-                           prover, source, transcript)
+    return _live(table, _schedule(table.grid).checks["arrow", black_rc],
+                 prover, source, transcript) is not None
 
 
 def run_full_protocol_with_table(

@@ -471,7 +471,7 @@ class TestComparisonReports:
     def test_real_versus_simulated_runs_pass(self, quad_grid):
         report = zk_comparison(quad_grid, QUAD_SOLUTION, "zkq", trials=800)
         assert report.passed
-        assert not report.failures()
+        assert not [s.site for s in report.sites if not s.passed]
         assert report.tested_sites == 14
         assert report.alpha_site == pytest.approx(0.01 / 14)
 
@@ -488,7 +488,7 @@ class TestComparisonReports:
         fake.counts[key] = Counter({pattern: 400})  # prover who never shuffles
         report = compare_collections("doctored", real, fake)
         assert not report.passed
-        assert [r.site for r in report.failures()] == [key]
+        assert [s.site for s in report.sites if not s.passed] == [key]
 
     def test_uniformity_sweep_needs_enough_trials(self):
         grid = parse_puzzle("makaro 1 3\nA A A\n")

@@ -18,6 +18,8 @@ from makaro_zkp import (
     SiteHistograms,
     TableState,
     Transcript,
+    Verdict,
+    all_value_assignments,
     card_budget,
     cell_card,
     check_solution,
@@ -699,5 +701,41 @@ class TestTemplates:
         kinds = Counter(node.value for node in ast.walk(tree)
                         if isinstance(node, ast.Constant) and node.value in _EVENT_FIELDS)
         assert kinds == Counter(dict.fromkeys(_EVENT_FIELDS, 1))
-        assert not hasattr(protocol, "_sim_collection")
-        assert not hasattr(protocol, "_sim_reveal")
+        # one live loop walks the compiled steps: no per-check glue is left,
+        # and nothing unpacks steps by position
+        for gone in ("_sim_collection", "_sim_reveal", "_Conversion", "_verify_windows",
+                     "_return_room", "_collect_room", "_reveal_site", "_sort_columns"):
+            assert not hasattr(protocol, gone), gone
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)]
+
+    def test_the_verdict_lives_in_the_template(self):
+        # the holes' predicates are the only acceptance rules: with each one
+        # swapped for one that accepts, fillings that a neighbor check and an
+        # arrow check reject run to acceptance
+        grid = load_grid("cross.makaro")
+        fillings = list(all_value_assignments(grid))
+        rejected = {270: FailedCheck("neighbor", ((0, 0), (1, 0))),
+                    298: FailedCheck("arrow", (1, 1))}
+
+        def verdicts():
+            for filling in rejected:
+                for seed in (0, 1, "demo"):
+                    source = RandomSource.for_trial(seed, 0)
+                    prover = make_prover(fillings[filling], source)
+                    yield filling, run_full_protocol(grid, prover, source)[0]
+
+        assert all(verdict.failing_check == rejected[filling]
+                   for filling, verdict in verdicts())
+        schedule = protocol._schedule(grid)
+        holes = (protocol._Reveal, protocol._Window)
+        try:
+            for key, check in schedule.checks.items():
+                schedule.checks[key] = check._replace(steps=tuple(
+                    step._replace(accepts=lambda shown: True) if type(step) in holes else step
+                    for step in check.steps))
+            assert all(verdict == Verdict(True) for _, verdict in verdicts())
+        finally:
+            protocol._last_schedule[0] = (None, None)
+        assert all(verdict.failing_check == rejected[filling]
+                   for filling, verdict in verdicts())
