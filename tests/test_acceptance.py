@@ -22,6 +22,7 @@ figures (visible with `pytest -s`, or in the captured output on failure).
                    files and generated grids reserialize byte-identically
 """
 
+import hashlib
 import time
 from collections import Counter
 from itertools import combinations
@@ -102,8 +103,10 @@ def small_grid_sweep():
     """Protocol verdict vs. plain rule checker over every clue-consistent
     filling of every generated grid (≤ 3x3), with per-run card accounting,
     the failing check of every rejection set against the checker's
-    violations, and a full solver cross-check per grid."""
+    violations, and a full solver cross-check per grid.  `accounting` is a
+    sha256 over every run's verdict and peak card count, in sweep order."""
     grids = enumerate_small_grids()
+    accounting = hashlib.sha256()
     totals = SimpleNamespace(
         grids=grids, assignments=0, placeable=0, accepted=0,
         setup_rejects=0, check_rejects=0,
@@ -120,6 +123,8 @@ def small_grid_sweep():
             verdict, _, table = run_full_protocol_with_table(
                 grid, make_prover(assignment, source), source)
             totals.assignments += 1
+            peak = table.peak_cards if table is not None else None
+            accounting.update(repr((verdict, peak)).encode())
             if table is not None:
                 totals.placeable += 1
                 if table.peak_cards > budget:
@@ -144,6 +149,7 @@ def small_grid_sweep():
         if found != valid:
             totals.solver_mismatches.append(gi)
     totals.elapsed = time.perf_counter() - start
+    totals.accounting = accounting.hexdigest()
     return totals
 
 
@@ -224,6 +230,16 @@ def test_card_budget(example_grid, example_solution, small_grid_sweep):
            f"deck is exactly {budget.total} cards (n=20, k=5); peak in play "
            f"was {max(peaks)} in 50 runs and never exceeded any small grid's "
            f"budget across the exhaustive sweep")
+
+
+# every run's verdict and peak card count over the whole sweep, recorded when
+# the card plan was still counted at run time: compiling it once per grid must
+# leave each run's accounting as it was
+SWEEP_ACCOUNTING = "e6071ad86a2a2ff54b2b9a1e40e98075d148dadbd9a7338f2fbf55b146dd457e"
+
+
+def test_sweep_card_accounting_is_unchanged(small_grid_sweep):
+    assert small_grid_sweep.accounting == SWEEP_ACCOUNTING
 
 
 def test_arrow_window_oracle():
