@@ -59,7 +59,6 @@ from .deck import (
     turn_all_down,
 )
 from .protocol import (
-    CardsUnavailable,
     FailedCheck,
     ProtocolError,
     ProverState,

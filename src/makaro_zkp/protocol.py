@@ -70,10 +70,6 @@ class SetupError(ProtocolError):
         self.room = room
 
 
-class CardsUnavailable(ProtocolError):
-    pass
-
-
 @dataclass
 class ProverState:
     """The prover's secret assignment and the source of their private
@@ -111,31 +107,13 @@ class Verdict:
 
 
 class TableState:
-    """All cards in play: the grid zone plus the helping/encoding free pools.
-
-    Tracks how many cards are simultaneously on the table; peak_cards is
-    checked against the deck budget.
-    """
+    """The grid zone: each white cell's card, or None while a check holds it.
+    peak_cards is the highest _Check.peak so far, held to the deck budget."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        # the sizes and card sets are public and fixed by the grid: shared by every run
-        schedule = _schedule(grid)
-        self.n = schedule.n
-        self.k = schedule.k
-        self.enc_len = 2 * schedule.k - 1
         self.cell_cards: dict[Coord, CardId | None] = {}
-        self.helps = schedule.helps
-        self.enc = schedule.enc
-        self._help_out = 0
-        self._enc_out = dict.fromkeys(ENC_LETTERS, 0)
-        self._in_play = 0
         self.peak_cards = 0
-
-    def _bump(self, count: int) -> None:
-        self._in_play += count
-        if self._in_play > self.peak_cards:
-            self.peak_cards = self._in_play
 
     def put_cells(self, cells: Sequence[Coord], cards: Sequence[CardId]) -> None:
         """Lay cards on empty cells, in order."""
@@ -153,50 +131,19 @@ class TableState:
         self.cell_cards.update(dict.fromkeys(cells))
         return cards
 
-    def take_helps(self, count: int) -> tuple[CardId, ...]:
-        if self._help_out:
-            raise CardsUnavailable("helping cards already in use")
-        if count > self.k:
-            raise CardsUnavailable(f"only {self.k} helping cards exist")
-        self._help_out = count
-        self._bump(count)
-        return self.helps[:count]
-
-    def return_helps(self) -> None:
-        self._in_play -= self._help_out
-        self._help_out = 0
-
-    def take_encoding(self, letter: str, count: int) -> tuple[CardId, ...]:
-        if self._enc_out[letter]:
-            raise CardsUnavailable(f"encoding set {letter} already in use")
-        if count > self.enc_len:
-            raise CardsUnavailable(f"only {self.enc_len} cards in encoding set {letter}")
-        self._enc_out[letter] = count
-        self._bump(count)
-        return self.enc[letter][:count]
-
-    def return_encoding(self, letter: str) -> None:
-        self._in_play -= self._enc_out[letter]
-        self._enc_out[letter] = 0
-
     def assert_settled(self) -> None:
-        # card conservation between checks: grid full, every pool card home
-        # (a card is a non-empty tuple, an empty cell None)
-        placed = sum(map(bool, self.cell_cards.values()))
-        if placed != self.n or self._help_out or any(self._enc_out.values()):
+        # between checks every white cell holds a card again (a card is a
+        # non-empty tuple, an empty cell None)
+        if not all(map(self.cell_cards.get, self.grid.white_set)):
             raise ProtocolError("table out of balance between checks")
-        if self._in_play != self.n:
-            raise ProtocolError("card count drifted")
 
 
-def make_encoding(letter: str, length: int, value: int, prover: ProverState,
-                  table: TableState) -> list[CardId]:
-    """Encode `value` as a card sequence: marker (index 1) at that position,
-    the other length-1 cards in an order only the prover knows.  The set's
-    cards 1..length are drawn from (and tracked in) the table's free pool."""
-    if not 1 <= value <= length:
-        raise ProtocolError(f"cannot encode {value} in a sequence of {length}")
-    cards = table.take_encoding(letter, length)
+def make_encoding(cards: Sequence[CardId], value: int, prover: ProverState) -> list[CardId]:
+    """Encode `value` as a sequence of the given cards: the first, the
+    marker (index 1), at that position, the others in an order only the
+    prover knows."""
+    if not 1 <= value <= len(cards):
+        raise ProtocolError(f"cannot encode {value} in a sequence of {len(cards)}")
     rest = list(cards[1:])
     prover.source.permute_hidden(rest)
     return rest[:value - 1] + [cards[0]] + rest[value - 1:]
@@ -211,16 +158,16 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # --- the check templates -------------------------------------------------------
 #
 # Which checks run, in what order, under which keys, which cells each one
-# converts and with which sequence lengths and letters, and what every reveal
+# converts, which helping and encoding cards it lifts, and what every reveal
 # may show: all of it follows from the grid alone.  So does every event of an
 # accepting run except the revealed cards, the rearrangements they imply and
 # the window start.  Each check is compiled once per grid into a template:
-# its steps, in run order, are moves that handle the cards and add no event,
-# runs of prebuilt events, and holes for what the run decides, each reveal
-# hole with its acceptance predicate.  The live run makes the moves and
-# fills the holes from the card matrix, the simulator draws them from each
-# site's family, and run_layout finds where each reveal hole lands in a run;
-# the last two skip the moves.  So the three cannot drift apart.
+# its steps, in run order (moves that handle the cards and add no event, runs
+# of prebuilt events, holes for what the run decides, each reveal hole with
+# its acceptance predicate), and its card plan, the peak in play.  The live
+# run makes the moves and fills the holes from the card matrix, the simulator
+# draws them from each site's family, and run_layout finds where each reveal
+# hole lands in a run; the last two skip the moves.  So they cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern.
@@ -289,13 +236,13 @@ class _Start(NamedTuple):
 
 # Moves handle the cards out of sight, so they add no event.
 class _Take(NamedTuple):
-    """Move: lift the room's cards and as many helping cards, and for a
-    conversion its encoding, marker in `column`; lay them out and scramble."""
+    """Move: lift the room's cards, as many helping cards and a conversion's
+    encoding, marker in `column`; lay them out and scramble."""
 
     cells: Sequence[Coord]
-    letter: str | None = None
-    length: int = 0
-    column: int = 0
+    helps: tuple[CardId, ...]
+    encoding: tuple[CardId, ...]
+    column: int
 
 
 class _Hide(NamedTuple):
@@ -311,11 +258,9 @@ class _Stack(NamedTuple):
 
 
 class _Return(NamedTuple):
-    """Move: the room's cards back on `cells` and the helping cards home, or
-    the encoding sets of `letters` home."""
+    """Move: the room's cards back on `cells` and the helping cards home."""
 
-    cells: Sequence[Coord] = ()
-    letters: tuple[str, ...] = ()
+    cells: Sequence[Coord]
 
 
 _MOVES = (_Take, _Hide, _Stack, _Return)
@@ -358,10 +303,11 @@ class _Check(NamedTuple):
     # rooms and conversions: a collection; neighbors and arrows: the begin
     # event, each conversion's steps, the rows stacked and shifted or
     # scrambled, the first row (whose marker starts the windows), the start,
-    # one window per other row, and the encodings returned
+    # and one window per other row
     steps: tuple
     passed: tuple[tuple]         # the end event of a pass
     rejected: tuple[tuple]       # the end event of a fail
+    peak: int                    # the most cards in play at once, n included
 
 
 class _Schedule:
@@ -392,9 +338,8 @@ class _Schedule:
         for kind, subject, cells in grid.rules:
             if kind == "room":
                 begin, passed, failed = _bracket(kind, subject)
-                self.checks[kind, subject] = _Check(kind, subject, self._collection(
-                    subject, _Take(grid.rooms[subject]), f"room/{subject}", begin, ()),
-                    (passed,), (failed,))
+                self.checks[kind, subject] = self._check(kind, subject, self._collection(
+                    subject, f"room/{subject}", begin, ()), (passed,), (failed,))
                 continue
             where = cells if kind == "neighbor" else (subject,)
             key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
@@ -421,10 +366,23 @@ class _Schedule:
                           for row, letter in enumerate(letters)),
                         self._shuffled["shift" if kind == "arrow" else "scramble"])
             begin, passed, failed = _bracket(kind, key)
-            self.checks[kind, subject] = _Check(kind, subject, (
+            self.checks[kind, subject] = self._check(kind, subject, (
                 (begin,), *conversions, _Stack(kind == "arrow"), stacking,
-                _hole(_Reveal, first, 0, cycle[:length]), _Start(first.support[0]), *windows,
-                _Return(letters=letters)), (passed,), (failed,))
+                _hole(_Reveal, first, 0, cycle[:length]), _Start(first.support[0]), *windows),
+                (passed,), (failed,))
+
+    def _check(self, kind: str, subject: object, steps: tuple, passed=(), rejected=()) -> _Check:
+        """A check with its peak, counted over its own moves from the n cell
+        cards: each take adds its helping and encoding cards, each room put
+        back sends its helping cards home, and encodings stay out to the end."""
+        in_play = peak = self.n
+        for step in steps:
+            if type(step) is _Take:
+                in_play += len(step.helps) + len(step.encoding)
+                peak = max(peak, in_play)
+            elif type(step) is _Return:
+                in_play -= len(step.cells)  # one helping card per cell of the room
+        return _Check(kind, subject, steps, passed, rejected, peak)
 
     @cached_property
     def steps(self) -> tuple:
@@ -448,45 +406,46 @@ class _Schedule:
                 at += 1 + step.site.take
         return RunLayout(at, self.steps[-1][-1], tuple(sites))
 
-    def _collection(self, room: str, take: _Take, sites_key: str, begin: tuple,
-                    closing: tuple, marking: tuple = (), extraction: tuple = ()) -> tuple:
-        """The steps of a room check, or of a conversion with its marking and
-        extraction events: the room's cards and as many helping cards are
-        collected and scrambled; the room's cards are revealed (a room check
-        accepts its full card set only) and sorted; one more scramble, and
-        the helping cards are revealed and sorted, which puts the room's cards
-        back in cell order."""
+    def _collection(self, room: str, sites_key: str, begin: tuple, closing: tuple,
+                    encoding: tuple = (), column: int = 0) -> tuple:
+        """The steps of a room check, or of a conversion into `encoding`: the
+        room's cards and as many helping cards are collected, a conversion's
+        encoding marked as row 2, and scrambled; the room's cards are revealed
+        (only its full card set is accepted) and sorted; one more scramble,
+        after a conversion's row 2 is extracted, and the helping cards are
+        revealed and sorted, which puts the room's cards back in cell order."""
         cards = self.room_cards[room]
         p = len(cards)
-        converting = take.letter is not None
+        take = _Take(self.grid.rooms[room], self.helps[:p], encoding, column)
+        marking = extraction = ()
+        if encoding:
+            # the marker lands in `column` of row 2, so the first p cards of
+            # the encoding fill that row and the rest wait as its tail
+            marking = (("marker", encoding[0], 2, column), ("hidden-fill", 2, p - 1))
+            extraction = (("extract", 2, p), ("tail", len(encoding) - p))
         cols = tuple(range(p))
         src = f"room:{room}"
         scramble = self._shuffled["scramble"]
         cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
         return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, scramble),
-                _hole(_Reveal, cells, 0, cols, None if converting else cells.contains),
-                _Sort(cells.support), _Hide(converting), (*extraction, ("turn-down",), scramble),
+                _hole(_Reveal, cells, 0, cols, cells.contains), _Sort(cells.support),
+                _Hide(bool(encoding)), (*extraction, ("turn-down",), scramble),
                 _hole(_Reveal, helps, 1, cols), _Sort(helps.support),
                 _Return(take.cells), (("restore", src, p), *closing))
 
     def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Check:
         """The conversion of a cell into an encoding sequence inside the check
-        keyed `prefix`; it ends inside its steps and is never rejected."""
+        keyed `prefix`; it ends inside its steps, or at once on a foreign card."""
         room = self.grid.room_of(rc)
         members = self.grid.rooms[room]
         p = len(members)
-        if length < p:
-            raise ProtocolError(f"sequence of {length} too short for a room of {p}")
+        if not p <= length < 2 * self.k:
+            raise ProtocolError(f"no sequence of {length} cards for a room of {p}, k = {self.k}")
         key = f"{prefix}/conv-{letter}"
-        # the marker lands in the cell's column of row 2, so the first p cards
-        # of the encoding fill that row and the rest wait as its tail
-        column = members.index(rc)
         begin, passed, _ = _bracket("convert", key)
-        return _Check("convert", rc, self._collection(
-            room, _Take(members, letter, length, column), key, begin, (passed,),
-            (("marker", self.enc[letter][0], 2, column), ("hidden-fill", 2, p - 1)),
-            (("extract", 2, p), ("tail", length - p))), (), ())
+        return self._check("convert", rc, self._collection(
+            room, key, begin, (passed,), self.enc[letter][:length], members.index(rc)))
 
 
 # Grid holds a dict, so it cannot key a cache; every hot loop runs one grid.
@@ -539,9 +498,9 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
             start = shown.index(step.marker)
         elif kind is _Take:
             p = len(step.cells)
-            rows = [table.take_cells(step.cells), table.take_helps(p)]
-            if step.letter is not None:
-                encoding = make_encoding(step.letter, step.length, step.column + 1, prover, table)
+            rows = [table.take_cells(step.cells), step.helps]
+            if step.encoding:
+                encoding = make_encoding(step.encoding, step.column + 1, prover)
                 rows.append(encoding[:p])
                 tail = encoding[p:]
             matrix = CardMatrix.from_rows(rows)
@@ -555,11 +514,7 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
             matrix = CardMatrix.from_rows(sequences)
             (pile_shifting_shuffle if step.shift else pile_scramble_shuffle)(matrix, source)
         else:
-            if step.cells:
-                table.put_cells(step.cells, matrix.take_row(0))
-                table.return_helps()
-            for letter in step.letters:
-                table.return_encoding(letter)
+            table.put_cells(step.cells, matrix.take_row(0))
     events.extend(check.passed if ok else check.rejected)
     return sequences if ok else None
 
@@ -591,7 +546,7 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     # the table is built only once every card is known to exist
     table = TableState(grid)
     table.put_cells([rc for rc, _, _ in schedule.setup], placed)
-    table._bump(len(placed))
+    table.peak_cards = len(placed)
     return table
 
 
@@ -613,10 +568,14 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     scramble; sorting the revealed room cards into canonical order drags each
     encoding card to the position of its cell's value, so the extracted row
     encodes the target value without anyone seeing it.  The reveal sites
-    are keyed under `site_prefix/conv-<letter>`.
+    are keyed under `site_prefix/conv-<letter>`.  Raises ProtocolError if
+    the room holds other cards than its own.
     """
-    return _live(table, _schedule(table.grid).conversion(rc, letter, length, site_prefix),
-                 prover, source, transcript)[0]
+    sequences = _live(table, _schedule(table.grid).conversion(rc, letter, length, site_prefix),
+                      prover, source, transcript)
+    if sequences is None:
+        raise ProtocolError(f"room of cell {rc} does not hold its own cards")
+    return sequences[0]
 
 
 def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
@@ -653,6 +612,7 @@ def run_full_protocol_with_table(
         return (Verdict(False, FailedCheck("room", err.room, at_setup=True)),
                 transcript, None)
     for check in _schedule(grid).checks.values():
+        table.peak_cards = max(table.peak_cards, check.peak)
         if check.kind == "room":
             ok = verify_room(table, check.subject, source, transcript)
         elif check.kind == "neighbor":

@@ -356,7 +356,6 @@ def test_conversion_round_trip(example_grid, example_solution):
             assert table.cell_cards == before, (round_, rc)
             marker_at = sequence.index(encoding_card(letter, 1))
             assert marker_at == example_solution[rc] - 1, (round_, rc)
-            table.return_encoding(letter)
             table.assert_settled()
             trials += 1
     elapsed = time.perf_counter() - start

@@ -10,13 +10,11 @@ from pathlib import Path
 import pytest
 
 from makaro_zkp import (
-    CardsUnavailable,
     FailedCheck,
     ProtocolError,
     RandomSource,
     SetupError,
     SiteHistograms,
-    TableState,
     Transcript,
     Verdict,
     all_value_assignments,
@@ -25,6 +23,8 @@ from makaro_zkp import (
     check_solution,
     convert_cell,
     encoding_card,
+    enumerate_small_grids,
+    help_card,
     make_encoding,
     make_prover,
     parse_puzzle,
@@ -42,6 +42,7 @@ from makaro_zkp import (
     verify_room,
     violations,
 )
+import makaro_zkp
 from makaro_zkp import protocol, puzzle
 from makaro_zkp.deck import _EVENT_FIELDS
 
@@ -180,72 +181,70 @@ class TestSetup:
         assert calls == []
 
 
-class TestEncoding:
-    # the example's largest room has 5 cells, so each encoding set holds 9 cards
+def encoding_set(letter: str, length: int) -> tuple:
+    """The first `length` cards of an encoding set, marker first."""
+    return tuple(encoding_card(letter, i) for i in range(1, length + 1))
 
-    def test_marker_sits_at_the_encoded_position(self, example_grid):
-        table = TableState(example_grid)
+
+class TestEncoding:
+    def test_marker_sits_at_the_encoded_position(self):
         source = RandomSource.from_seed("enc")
         prover = make_prover({}, source)
         for value in range(1, 5):
-            seq = make_encoding("a", 4, value, prover, table)
-            table.return_encoding("a")
+            seq = make_encoding(encoding_set("a", 4), value, prover)
             assert seq[value - 1] == encoding_card("a", 1)
             assert sorted(seq) == [encoding_card("a", i) for i in range(1, 5)]
 
-    def test_single_card_sequence(self, example_grid):
+    def test_single_card_sequence(self):
         prover = make_prover({}, RandomSource.from_seed("enc"))
-        seq = make_encoding("b", 1, 1, prover, TableState(example_grid))
+        seq = make_encoding(encoding_set("b", 1), 1, prover)
         assert seq == [encoding_card("b", 1)]
 
-    def test_value_outside_sequence_is_an_error(self, example_grid):
-        table = TableState(example_grid)
+    def test_value_outside_sequence_is_an_error(self):
         prover = make_prover({}, RandomSource.from_seed("enc"))
         with pytest.raises(ProtocolError):
-            make_encoding("a", 4, 5, prover, table)
+            make_encoding(encoding_set("a", 4), 5, prover)
         with pytest.raises(ProtocolError):
-            make_encoding("a", 4, 0, prover, table)
+            make_encoding(encoding_set("a", 4), 0, prover)
 
-    def test_non_marker_order_is_uniform(self, example_grid):
+    def test_non_marker_order_is_uniform(self):
         # value fixed at 2 in a length-4 sequence: the other three cards land
         # in positions (0, 2, 3) in one of 3! secret orders, each equally often
-        table = TableState(example_grid)
         prover = make_prover({}, RandomSource.from_seed("enc-orders"))
         trials = 6000
         orders = Counter()
         for _ in range(trials):
-            seq = make_encoding("a", 4, 2, prover, table)
-            table.return_encoding("a")
+            seq = make_encoding(encoding_set("a", 4), 2, prover)
             orders[(seq[0], seq[2], seq[3])] += 1
         assert len(orders) == 6
         for count in orders.values():
             assert abs(count / trials - 1 / 6) < 0.03
 
-    def test_table_tracks_encoding_sets_in_use(self, quad_grid):
-        table = TableState(quad_grid)
-        prover = make_prover({}, RandomSource.from_seed("enc"))
-        make_encoding("a", 3, 1, prover, table)
-        with pytest.raises(CardsUnavailable):
-            make_encoding("a", 2, 1, prover, table)
-        make_encoding("b", 3, 2, prover, table)  # a different set is fine
-        table.return_encoding("a")
-        make_encoding("a", 3, 3, prover, table)
 
-    def test_table_refuses_more_cards_than_a_set_holds(self, quad_grid):
-        table = TableState(quad_grid)  # k=2, so sets hold 2k-1 = 3 cards
-        prover = make_prover({}, RandomSource.from_seed("enc"))
-        with pytest.raises(CardsUnavailable):
-            make_encoding("a", 4, 1, prover, table)
+class TestCardPlan:
+    """Which helping and encoding cards a check lifts, and its peak, are
+    compiled once per grid."""
 
-    def test_helping_cards_are_a_single_shared_pool(self, quad_grid):
-        table = TableState(quad_grid)
-        table.take_helps(2)
-        with pytest.raises(CardsUnavailable):
-            table.take_helps(1)
-        table.return_helps()
-        table.take_helps(1)
-        with pytest.raises(CardsUnavailable):
-            TableState(quad_grid).take_helps(3)  # only k=2 exist
+    def test_every_check_lifts_what_the_deck_holds_and_peaks_as_counted(self):
+        bundled = [(name, load_grid(f"{name}.makaro")) for name in BUNDLED]
+        for name, grid in bundled + list(enumerate(enumerate_small_grids())):
+            n, k = stats(grid)
+            for (kind, subject), check in protocol._schedule(grid).checks.items():
+                takes = [step for step in check.steps if type(step) is protocol._Take]
+                for take in takes:
+                    assert take.helps == tuple(help_card(i) for i in range(1, len(take.cells) + 1))
+                    assert len(take.helps) <= k, (name, kind, subject)
+                    assert len(take.encoding) <= 2 * k - 1, (name, kind, subject)
+                sets = [take.encoding[0].set for take in takes if take.encoding]
+                assert len(set(sets)) == len(sets), (name, kind, subject)
+                if kind == "room":
+                    assert check.peak == n + grid.room_size(subject), (name, subject)
+                    continue
+                cells = rule_cells(grid, kind, subject)
+                length = len(takes[0].encoding)
+                assert all(len(take.encoding) == length for take in takes)
+                last_room = grid.room_size(grid.room_of(cells[-1]))
+                assert check.peak == n + len(cells) * length + last_room, (name, kind, subject)
 
 
 class TestConvertCell:
@@ -264,7 +263,6 @@ class TestConvertCell:
         seq = convert_cell(table, (2, 3), "c", 5, prover, source, transcript, "cell")
         assert seq[example_solution[(2, 3)] - 1] == encoding_card("c", 1)
         assert table.cell_cards == before
-        table.return_encoding("c")
         table.assert_settled()
 
     def test_single_cell_room_converts(self):
@@ -274,12 +272,32 @@ class TestConvertCell:
         seq = convert_cell(table, (0, 0), "a", 1, prover, source, transcript, "cell")
         assert seq == [encoding_card("a", 1)]
 
+    def test_foreign_card_in_the_room_is_an_error(self, quad_grid):
+        # a card of another room fails the conversion's cell reveal, as it
+        # fails a room check, before any sort is attempted
+        for seed in range(30):
+            source, prover, transcript, table = fresh_table(
+                quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}, f"cvf{seed}")
+            a_card, b_card = table.take_cells([(0, 0), (1, 0)])
+            table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+            with pytest.raises(ProtocolError):
+                convert_cell(table, (0, 0), "a", 2, prover, source, transcript, "cell")
+
     def test_sequence_shorter_than_the_room_is_an_error(self, example_grid,
                                                         example_solution):
         source, prover, transcript, table = fresh_table(
             example_grid, example_solution, "conv3")
         with pytest.raises(ProtocolError):
             convert_cell(table, (2, 3), "a", 4, prover, source, transcript, "cell")
+
+    def test_sequence_longer_than_an_encoding_set_is_an_error(self, example_grid,
+                                                             example_solution):
+        # k = 5, so each encoding set holds 2k-1 = 9 cards
+        source, prover, transcript, table = fresh_table(
+            example_grid, example_solution, "conv4")
+        with pytest.raises(ProtocolError):
+            convert_cell(table, (2, 3), "a", 10, prover, source, transcript, "cell")
+        assert len(convert_cell(table, (2, 3), "a", 9, prover, source, transcript, "cell")) == 9
 
     def test_every_cell_converts_to_its_value(self, example_grid, example_solution):
         length = 2 * stats(example_grid).k - 1
@@ -291,7 +309,6 @@ class TestConvertCell:
                 seq = convert_cell(table, rc, "d", length, prover, source, transcript, "cell")
                 assert seq.index(encoding_card("d", 1)) == example_solution[rc] - 1
                 assert table.cell_cards == before
-                table.return_encoding("d")
                 table.assert_settled()
 
 
@@ -334,6 +351,17 @@ class TestVerifyNeighbor:
         assert verify_neighbor(table, a, b, prover, source, transcript)
         assert table.cell_cards == before
         table.assert_settled()
+
+    def test_foreign_card_in_a_converted_room_fails_the_check(self, quad_grid):
+        # the values differ, but (0,0) and (1,0) hold each other's cards: the
+        # first conversion's cell reveal rejects the check
+        for seed in range(30):
+            source, prover, transcript, table = fresh_table(
+                quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}, f"vnf{seed}")
+            a_card, b_card = table.take_cells([(0, 0), (1, 0)])
+            table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+            assert not verify_neighbor(table, (0, 0), (1, 0), prover, source, transcript)
+            assert transcript.events[-1] == ("end", "neighbor", "neighbor/0.0-1.0", False)
 
     def test_equal_values_fail_in_every_shuffle(self, quad_grid):
         # both cells hold 1: the probe under the marker is the other marker,
@@ -706,6 +734,12 @@ class TestTemplates:
         for gone in ("_sim_collection", "_sim_reveal", "_Conversion", "_verify_windows",
                      "_return_room", "_collect_room", "_reveal_site", "_sort_columns"):
             assert not hasattr(protocol, gone), gone
+        # the card plan is compiled: the table counts no pool cards
+        for gone in ("take_helps", "return_helps", "take_encoding", "return_encoding",
+                     "_bump", "_in_play", "_help_out", "_enc_out"):
+            assert gone not in ast.unparse(tree), gone
+        assert not hasattr(protocol, "CardsUnavailable")
+        assert "CardsUnavailable" not in makaro_zkp.__all__
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)]
 
