@@ -31,7 +31,7 @@ def main() -> None:
     print(f"  {cell_card('A', 2)}   {help_card(3)}   {encoding_card('b', 1)}\n")
 
     cards = [help_card(i) for i in range(1, 6)]
-    source = RandomSource.from_seed("demo:shift")
+    source = RandomSource("demo:shift")
     print(f"Start with a row of five cards: {[str(c) for c in cards]}")
 
     matrix = fresh_row(cards)

@@ -36,7 +36,7 @@ def main() -> None:
           f"{budget.helping_cards} helping cards + {budget.encoding_cards} "
           f"encoding cards = {budget.total} total.\n")
 
-    source = RandomSource.from_seed("demo:honest")
+    source = RandomSource("demo:honest")
     verdict, transcript, table = run_full_protocol_with_table(
         grid, make_prover(solution, source), source)
     print(f"Honest run: accepted = {verdict.accepted}")
@@ -64,7 +64,7 @@ def main() -> None:
     corrupt[(0, 1)], corrupt[(1, 1)] = corrupt[(1, 1)], corrupt[(0, 1)]
     for kind, subject in violations(grid, corrupt):
         print(f"  - {kind}: {subject}")
-    source = RandomSource.from_seed("demo:cheat")
+    source = RandomSource("demo:cheat")
     verdict, transcript, _ = run_full_protocol_with_table(
         grid, make_prover(corrupt, source), source)
     print(f"\nCheating run: accepted = {verdict.accepted}")

@@ -31,9 +31,9 @@ def main() -> None:
     print("The 2x2 puzzle with two horizontal rooms has exactly two")
     print(f"solutions: {first} and {second}.\n")
 
-    source = RandomSource.from_seed("demo:real")
+    source = RandomSource("demo:real")
     _, real = run_full_protocol(grid, make_prover(first, source), source)
-    sim = simulate_transcript(grid, RandomSource.from_seed("demo:sim"))
+    sim = simulate_transcript(grid, RandomSource("demo:sim"))
     print("A real transcript and a simulated one have identical event")
     print("structure; only the revealed cards differ:")
     real_lines = real.to_text().splitlines()

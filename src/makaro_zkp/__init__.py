@@ -92,7 +92,6 @@ from .analysis import (
     compare_histograms,
     site_plan,
     solution_comparison,
-    uniformity_sweep,
     uniformity_test,
     zk_comparison,
 )

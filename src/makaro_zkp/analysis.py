@@ -14,11 +14,12 @@ Chi-square tests are kept honest: expected counts below ``MIN_EXPECTED``
 raise `InsufficientTrials` rather than producing an unreliable p-value, sites
 whose full pattern space is too large to populate are replaced by
 per-position marginals (each position of a uniform permutation or partial
-arrangement is itself uniform over the support), and the sweep functions
-control the familywise error rate across sites by Bonferroni correction.
+arrangement is itself uniform over the support), and the comparisons over
+all sites control the familywise error rate by Bonferroni correction, at
+level ALPHA unless the caller sets another.
 
 scipy (and with it numpy) is loaded only when a chi-square test first runs:
-`zk-test` and the `compare_*`, `uniformity_*` and `*_comparison` functions
+`zk-test` and the `compare_*`, `uniformity_test` and `*_comparison` functions
 pay for it, while importing the package, proving, solving and `stats` do not.
 """
 
@@ -47,6 +48,7 @@ from .puzzle import Assignment, Grid, PuzzleStats, stats
 
 MIN_EXPECTED = 5.0
 MARGINAL_THRESHOLD = 1000
+ALPHA = 0.01
 
 
 class InsufficientTrials(Exception):
@@ -60,8 +62,6 @@ class InsufficientTrials(Exception):
 class CardBudget:
     """How many physical cards a puzzle needs, by role."""
 
-    n: int
-    k: int
     cell_cards: int
     helping_cards: int
     encoding_cards: int
@@ -73,18 +73,18 @@ def card_budget(st: PuzzleStats) -> CardBudget:
     per white cell, one helping card per value up to k, and four encoding
     sets sized for the longest sequence any check can request (2k-1)."""
     encoding = 4 * (2 * st.k - 1)
-    return CardBudget(st.n, st.k, st.n, st.k, encoding, st.n + st.k + encoding)
+    return CardBudget(st.n, st.k, encoding, st.n + st.k + encoding)
 
 
 # --- site families -----------------------------------------------------------
 
-def site_plan(grid: Grid, marginal_threshold: int = MARGINAL_THRESHOLD) -> list[SiteFamily]:
+def site_plan(grid: Grid) -> list[SiteFamily]:
     """Every tested pattern family for a grid, in schedule order.  A site
-    whose full pattern space exceeds marginal_threshold is replaced by one
+    whose full pattern space exceeds MARGINAL_THRESHOLD is replaced by one
     single-position family per revealed position."""
     plan: list[SiteFamily] = []
     for _, _, family in run_layout(grid).sites:
-        if family.size() <= marginal_threshold:
+        if family.size() <= MARGINAL_THRESHOLD:
             plan.append(family)
         else:
             plan.extend(SiteFamily(f"{family.key}/pos{pos}", "pick", family.support, 1)
@@ -98,7 +98,7 @@ class SiteHistograms:
     """Observed pattern counts per tested site, over accepting runs of one
     grid, each site's cards read from its slot in the run."""
 
-    def __init__(self, grid: Grid, marginal_threshold: int = MARGINAL_THRESHOLD):
+    def __init__(self, grid: Grid):
         layout = run_layout(grid)
         # an accepting run is this long, with these events at these indices:
         # each site event, and the closing event last.  Every run has two or
@@ -108,7 +108,7 @@ class SiteHistograms:
         self._fixed = (*[event for _, event, _ in layout.sites], layout.closing)
         self._reveals = itemgetter(*[at + 1 + i for at, _, site in layout.sites
                                      for i in range(site.take)])
-        self.families = site_plan(grid, marginal_threshold)
+        self.families = site_plan(grid)
         self.counts: dict[str, Counter] = {family.key: Counter() for family in self.families}
         # the tested families take the revealed cards in turn: all of a
         # site's, or one each when the site is split
@@ -183,11 +183,10 @@ def _pattern_text(pattern: tuple[CardId, ...]) -> str:
     return " ".join(str(card) for card in pattern)
 
 
-def uniformity_test(family: SiteFamily, counter: Counter,
-                    alpha: float = 0.01) -> SiteReport:
+def uniformity_test(family: SiteFamily, counter: Counter) -> SiteReport:
     """Goodness-of-fit of observed patterns against the family's uniform
     distribution over its full pattern space (unobserved patterns count as
-    zero-observation bins)."""
+    zero-observation bins), passed at level ALPHA."""
     draws = sum(counter.values())
     for pattern in counter:
         if not family.contains(pattern):
@@ -210,15 +209,15 @@ def uniformity_test(family: SiteFamily, counter: Counter,
     df = size - 1
     p_value = _chi2_tail(statistic, df)
     return SiteReport(family.key, family.kind, size, df, statistic, p_value,
-                      p_value >= alpha, draws)
+                      p_value >= ALPHA, draws)
 
 
-def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counter,
-                       alpha: float = 0.01) -> SiteReport:
+def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counter) -> SiteReport:
     """Two-sample chi-square: are the two collections drawn from the same
     distribution?  Bins are the union of observed patterns, pooled (largest
     first, ties by pattern text) until every bin's total keeps expected
-    counts above the validity floor."""
+    counts above the validity floor; passed at level ALPHA, which
+    compare_collections replaces by its per-site level."""
     draws_a = sum(counter_a.values())
     draws_b = sum(counter_b.values())
     if draws_a == 0 or draws_b == 0:
@@ -255,7 +254,7 @@ def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counte
     df = bins - 1
     p_value = _chi2_tail(statistic, df)
     return SiteReport(family.key, family.kind, bins, df, statistic, p_value,
-                      p_value >= alpha, draws_a, draws_b)
+                      p_value >= ALPHA, draws_a, draws_b)
 
 
 # --- collection over many runs -------------------------------------------------
@@ -350,10 +349,17 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _bonferroni(label: str, families: list[SiteFamily], raw: list[SiteReport],
-                alpha: float) -> ComparisonReport:
+def compare_collections(label: str, hist_a: SiteHistograms, hist_b: SiteHistograms,
+                        alpha: float = ALPHA) -> ComparisonReport:
+    """Two-sample comparison at every site, familywise level alpha."""
+    if [f.key for f in hist_a.families] != [f.key for f in hist_b.families]:
+        raise ValueError("histograms cover different reveal sites")
+    raw = [
+        compare_histograms(family, hist_a.counts[family.key], hist_b.counts[family.key])
+        for family in hist_a.families
+    ]
     tested = sum(1 for report in raw if report.df >= 1)
-    if not tested and all(r.passed for r in raw) and any(f.size() > 1 for f in families):
+    if not tested and all(r.passed for r in raw) and any(f.size() > 1 for f in hist_a.families):
         # nothing that could vary was tested, so a pass would be vacuous;
         # a site that failed outright still stands as a failure
         raise InsufficientTrials(f"{label}: no site could be tested; collect more trials")
@@ -367,28 +373,8 @@ def _bonferroni(label: str, families: list[SiteFamily], raw: list[SiteReport],
                             all(s.passed for s in sites))
 
 
-def compare_collections(label: str, hist_a: SiteHistograms, hist_b: SiteHistograms,
-                        alpha: float = 0.01) -> ComparisonReport:
-    """Two-sample comparison at every site, familywise level alpha."""
-    if [f.key for f in hist_a.families] != [f.key for f in hist_b.families]:
-        raise ValueError("histograms cover different reveal sites")
-    raw = [
-        compare_histograms(family, hist_a.counts[family.key], hist_b.counts[family.key])
-        for family in hist_a.families
-    ]
-    return _bonferroni(label, hist_a.families, raw, alpha)
-
-
-def uniformity_sweep(hist: SiteHistograms, label: str = "uniformity",
-                     alpha: float = 0.01) -> ComparisonReport:
-    """Goodness-of-fit at every site against its theoretical distribution,
-    familywise level alpha across the testable sites."""
-    raw = [uniformity_test(family, hist.counts[family.key]) for family in hist.families]
-    return _bonferroni(label, hist.families, raw, alpha)
-
-
 def zk_comparison(grid: Grid, solution: Assignment, seed: str, trials: int,
-                  workers: int = 1, alpha: float = 0.01) -> ComparisonReport:
+                  workers: int = 1, alpha: float = ALPHA) -> ComparisonReport:
     """The executable zero-knowledge check: `trials` real runs against
     `trials` solution-free simulated transcripts, compared site by site."""
     real = collect_protocol_histograms(grid, solution, f"{seed}/real", trials, workers)
@@ -397,10 +383,9 @@ def zk_comparison(grid: Grid, solution: Assignment, seed: str, trials: int,
 
 
 def solution_comparison(grid: Grid, solution_a: Assignment, solution_b: Assignment,
-                        seed: str, trials: int, workers: int = 1,
-                        alpha: float = 0.01) -> ComparisonReport:
+                        seed: str, trials: int) -> ComparisonReport:
     """Indistinguishability of provers: runs built from two different valid
     solutions of the same grid, compared site by site."""
-    hist_a = collect_protocol_histograms(grid, solution_a, f"{seed}/a", trials, workers)
-    hist_b = collect_protocol_histograms(grid, solution_b, f"{seed}/b", trials, workers)
-    return compare_collections("prover A vs prover B", hist_a, hist_b, alpha)
+    hist_a = collect_protocol_histograms(grid, solution_a, f"{seed}/a", trials)
+    hist_b = collect_protocol_histograms(grid, solution_b, f"{seed}/b", trials)
+    return compare_collections("prover A vs prover B", hist_a, hist_b)

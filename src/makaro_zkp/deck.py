@@ -143,10 +143,6 @@ class RandomSource:
         return random.Random(f"{self.seed}/prover")
 
     @classmethod
-    def from_seed(cls, seed: int | str) -> "RandomSource":
-        return cls(seed)
-
-    @classmethod
     def for_trial(cls, seed: int | str, trial: int) -> "RandomSource":
         return cls(f"{seed}:{trial}")
 

@@ -1,18 +1,18 @@
 """Exhaustive enumeration of small grids, for oracle-based testing.
 
 enumerate_small_grids defines the corpus over which the card protocol is
-checked against the plain rule checker: every grid up to the given
-dimensions, all-white or with exactly one black cell, every edge-connected
+checked against the plain rule checker: every grid up to MAX_HEIGHT x
+MAX_WIDTH, all-white or with exactly one black cell, every edge-connected
 partition of the white cells into rooms, every legal arrow direction, no
 clues.  Three caps keep the sweep exhaustive yet affordable; they are part
 of the corpus definition:
 
-* product of room-size factorials <= max_candidates (bounds full protocol
+* product of room-size factorials <= MAX_CANDIDATES (bounds full protocol
   runs per grid),
-* product of size**size over rooms <= max_assignment_space (bounds the
+* product of size**size over rooms <= MAX_ASSIGNMENT_SPACE (bounds the
   clue-consistent assignment loop, which includes room-duplicating fillings
   that reject at setup), and
-* grids larger than all_white_max_cells appear only with a black cell:
+* grids larger than ALL_WHITE_MAX_CELLS appear only with a black cell:
   bigger all-white grids repeat room/neighbor shapes the smaller dimensions
   already cover, while a black cell with up to four white neighbors is what
   the largest dimensions uniquely add.
@@ -28,6 +28,11 @@ from .puzzle import ARROW_DELTAS, Assignment, Black, Coord, Grid, White, build_g
 
 _ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _ROOM_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+MAX_HEIGHT = MAX_WIDTH = 3
+MAX_CANDIDATES = 36
+MAX_ASSIGNMENT_SPACE = 324
+ALL_WHITE_MAX_CELLS = 6
 
 
 def _connected_partitions(cells: frozenset[Coord]) -> Iterator[list[frozenset[Coord]]]:
@@ -60,17 +65,16 @@ def _connected_subsets(seed: Coord, avail: frozenset[Coord]) -> Iterator[frozens
     yield from grow(frozenset([seed]), frozenset())
 
 
-def _grids_for_mask(height: int, width: int, black: dict[Coord, str],
-                    max_candidates: int, max_assignment_space: int) -> Iterator[Grid]:
+def _grids_for_mask(height: int, width: int, black: dict[Coord, str]) -> Iterator[Grid]:
     whites = frozenset((r, c) for r in range(height) for c in range(width)
                        if (r, c) not in black)
     if not whites:
         return
     for partition in _connected_partitions(whites):
         sizes = [len(part) for part in partition]
-        if math.prod(math.factorial(s) for s in sizes) > max_candidates:
+        if math.prod(math.factorial(s) for s in sizes) > MAX_CANDIDATES:
             continue
-        if math.prod(s ** s for s in sizes) > max_assignment_space:
+        if math.prod(s ** s for s in sizes) > MAX_ASSIGNMENT_SPACE:
             continue
         room_of = {}
         parts = sorted(partition, key=min)
@@ -81,26 +85,21 @@ def _grids_for_mask(height: int, width: int, black: dict[Coord, str],
                            for c in range(width)] for r in range(height)])
 
 
-def enumerate_small_grids(max_height: int = 3, max_width: int = 3,
-                          max_candidates: int = 36,
-                          max_assignment_space: int = 324,
-                          all_white_max_cells: int = 6,
-                          include_black: bool = True) -> list[Grid]:
+def enumerate_small_grids() -> list[Grid]:
     """The deterministic small-grid corpus described in the module docstring."""
     grids: list[Grid] = []
-    for height in range(1, max_height + 1):
-        for width in range(1, max_width + 1):
+    for height in range(1, MAX_HEIGHT + 1):
+        for width in range(1, MAX_WIDTH + 1):
             coords = [(r, c) for r in range(height) for c in range(width)]
-            masks: list[dict[Coord, str]] = [{}] if height * width <= all_white_max_cells else []
-            if include_black and height * width >= 2:
+            masks: list[dict[Coord, str]] = [{}] if height * width <= ALL_WHITE_MAX_CELLS else []
+            if height * width >= 2:
                 for rc in coords:
                     for arrow, (dr, dc) in ARROW_DELTAS.items():
                         target = (rc[0] + dr, rc[1] + dc)
                         if 0 <= target[0] < height and 0 <= target[1] < width:
                             masks.append({rc: arrow})
             for mask in masks:
-                grids.extend(_grids_for_mask(height, width, mask,
-                                             max_candidates, max_assignment_space))
+                grids.extend(_grids_for_mask(height, width, mask))
     return grids
 
 

@@ -349,7 +349,7 @@ class _Schedule:
             length, window = (m, 1) if kind == "neighbor" else (2 * m - 1, m)
             letters = ENC_LETTERS[:len(cells)]
             conversions = [step for letter, rc in zip(letters, cells)
-                           for step in self.conversion(rc, letter, length, key).steps]
+                           for step in self.conversion(rc, letter, length, key)]
             first = SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)
             cycle = tuple(range(length)) * 2
             spans = tuple(cycle[start:start + window] for start in range(length))
@@ -434,9 +434,9 @@ class _Schedule:
                 _hole(_Reveal, helps, 1, cols), _Sort(helps.support),
                 _Return(take.cells), (("restore", src, p), *closing))
 
-    def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> _Check:
-        """The conversion of a cell into an encoding sequence inside the check
-        keyed `prefix`; it ends inside its steps, or at once on a foreign card."""
+    def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> tuple:
+        """Steps that convert a cell into an encoding sequence inside the check
+        keyed `prefix`; it ends inside them, or at once on a foreign card."""
         room = self.grid.room_of(rc)
         members = self.grid.rooms[room]
         p = len(members)
@@ -444,8 +444,8 @@ class _Schedule:
             raise ProtocolError(f"no sequence of {length} cards for a room of {p}, k = {self.k}")
         key = f"{prefix}/conv-{letter}"
         begin, passed, _ = _bracket("convert", key)
-        return self._check("convert", rc, self._collection(
-            room, key, begin, (passed,), self.enc[letter][:length], members.index(rc)))
+        return self._collection(room, key, begin, (passed,), self.enc[letter][:length],
+                                members.index(rc))
 
 
 # Grid holds a dict, so it cannot key a cache; every hot loop runs one grid.
@@ -571,8 +571,9 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     are keyed under `site_prefix/conv-<letter>`.  Raises ProtocolError if
     the room holds other cards than its own.
     """
-    sequences = _live(table, _schedule(table.grid).conversion(rc, letter, length, site_prefix),
-                      prover, source, transcript)
+    schedule = _schedule(table.grid)
+    steps = schedule.conversion(rc, letter, length, site_prefix)
+    sequences = _live(table, schedule._check("convert", rc, steps), prover, source, transcript)
     if sequences is None:
         raise ProtocolError(f"room of cell {rc} does not hold its own cards")
     return sequences[0]

@@ -31,6 +31,7 @@ _CLOCKWISE = ("^", ">", "v", "<")
 _ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _ROOM_ID_RE = re.compile(r"[A-Za-z0-9]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
+_NATURAL_RE = re.compile("[1-9][0-9]*")
 
 DEFAULT_SEARCH_BOUND = 10_000_000
 
@@ -249,9 +250,10 @@ def _parse_token(tok: str, line: int, col: int) -> Cell:
 
 
 def _natural(tok: str) -> int:
-    """The value of a token of decimal digits, or 0 for any other token."""
+    """The value of a token as serialize_puzzle writes a number, ASCII digits
+    with no leading zero, or 0 for any other token."""
     try:
-        return int(tok) if tok.isdecimal() else 0
+        return int(tok) if _NATURAL_RE.fullmatch(tok) else 0
     except ValueError:  # more digits than int() converts
         return 0
 

@@ -3,6 +3,8 @@ chi-square tests, and the collection sweeps that drive the zero-knowledge
 comparison."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import math
 import random
@@ -28,16 +30,17 @@ from makaro_zkp import (
     encoding_card,
     make_prover,
     parse_puzzle,
+    reveal_site_plan,
     run_full_protocol,
     simulate_transcript,
     site_plan,
     solution_comparison,
     stats,
-    uniformity_sweep,
     uniformity_test,
     zk_comparison,
 )
-from makaro_zkp import analysis
+import makaro_zkp
+from makaro_zkp import analysis, gridgen
 from makaro_zkp.analysis import MARGINAL_THRESHOLD, MIN_EXPECTED
 
 from conftest import load_grid, site_patterns
@@ -51,8 +54,7 @@ def perm_family(n: int) -> SiteFamily:
 class TestCardBudget:
     def test_example_deck(self, example_grid):
         assert card_budget(stats(example_grid)) == CardBudget(
-            n=20, k=5, cell_cards=20, helping_cards=5,
-            encoding_cards=36, total=61)
+            cell_cards=20, helping_cards=5, encoding_cards=36, total=61)
 
     def test_minimal_deck(self):
         assert card_budget(PuzzleStats(1, 1)).total == 6
@@ -125,24 +127,34 @@ class TestSitePlan:
         assert len(named) == 1
         assert named[0] in list(ast.walk(plan))
 
-    def test_no_splitting_when_threshold_is_huge(self, example_grid):
-        plan = site_plan(example_grid, marginal_threshold=10 ** 9)
-        assert len(plan) == 111
-        assert not any("/pos" in fam.key for fam in plan)
+    def test_splits_exactly_the_sites_above_the_threshold(self, example_grid):
+        sites = [SiteFamily(*site) for site in reveal_site_plan(example_grid)]
+        assert len(sites) == 111
+        expected = []
+        for fam in sites:
+            if fam.size() > MARGINAL_THRESHOLD:
+                expected += [f"{fam.key}/pos{pos}" for pos in range(1, fam.take + 1)]
+            else:
+                expected.append(fam.key)
+        assert [fam.key for fam in site_plan(example_grid)] == expected
 
     def test_small_grid_splits_nothing_by_default(self, quad_grid):
         plan = site_plan(quad_grid)
         assert len(plan) == 16
         assert not any("/pos" in fam.key for fam in plan)
 
-    def test_threshold_one_splits_every_variable_site(self, quad_grid):
-        for fam in site_plan(quad_grid, marginal_threshold=1):
-            assert fam.size() == 1 or (fam.kind == "pick" and fam.take == 1)
+    def test_split_families_pick_over_their_sites_support(self, example_grid):
+        support = {site: cards for site, _, cards, _ in reveal_site_plan(example_grid)}
+        for fam in site_plan(example_grid):
+            assert fam.size() <= MARGINAL_THRESHOLD
+            site, split, _ = fam.key.partition("/pos")
+            if split:
+                assert (fam.kind, fam.support, fam.take) == ("pick", support[site], 1)
 
 
 class TestSiteHistograms:
     def run_transcript(self, grid, solution, seed):
-        source = RandomSource.from_seed(seed)
+        source = RandomSource(seed)
         verdict, transcript = run_full_protocol(grid, make_prover(solution, source),
                                                 source)
         assert verdict.accepted
@@ -203,7 +215,7 @@ class TestSiteHistograms:
             events[at - 1], events[at] = events[at], events[at - 1]
 
         other = parse_puzzle("makaro 1 1\nZ\n")
-        source = RandomSource.from_seed("other")
+        source = RandomSource("other")
         _, from_another_grid = run_full_protocol(other, make_prover({(0, 0): 1}, source),
                                                  source)
         hist = SiteHistograms(example_grid)
@@ -218,7 +230,7 @@ class TestSiteHistograms:
         # line3 "A A B": values 2 1 1 pass both room checks and fail only the
         # last check, so the rejected run is as long as an accepting one
         grid = load_grid("line3.makaro")
-        source = RandomSource.from_seed("rejected")
+        source = RandomSource("rejected")
         verdict, transcript = run_full_protocol(
             grid, make_prover({(0, 0): 2, (0, 1): 1, (0, 2): 1}, source), source)
         assert not verdict.accepted
@@ -232,7 +244,7 @@ class TestSiteHistograms:
 
     def test_transcript_from_another_grid_is_rejected(self, quad_grid):
         other = parse_puzzle("makaro 1 1\nZ\n")
-        source = RandomSource.from_seed("x")
+        source = RandomSource("x")
         _, transcript = run_full_protocol(other, make_prover({(0, 0): 1}, source),
                                           source)
         with pytest.raises(ValueError):
@@ -331,9 +343,12 @@ class TestUniformityTest:
         grid = parse_puzzle("makaro 1 3\nA A A\n")
         hist = collect_protocol_histograms(
             grid, {(0, 0): 1, (0, 1): 2, (0, 2): 3}, "unif", trials=3000)
-        report = uniformity_sweep(hist)
-        assert report.passed
-        by_site = {r.site: r for r in report.sites}
+        reports = [uniformity_test(fam, hist.counts[fam.key]) for fam in hist.families]
+        tested = [r for r in reports if r.df >= 1]
+        assert tested
+        # the familywise 1% level, Bonferroni-corrected over the tested sites
+        assert all(r.p_value >= 0.01 / len(tested) for r in tested)
+        by_site = {r.site: r for r in reports}
         assert by_site["room/A/cells"].draws == 3000
         assert by_site["room/A/cells"].bins == 6
 
@@ -490,13 +505,6 @@ class TestComparisonReports:
         assert not report.passed
         assert [s.site for s in report.sites if not s.passed] == [key]
 
-    def test_uniformity_sweep_needs_enough_trials(self):
-        grid = parse_puzzle("makaro 1 3\nA A A\n")
-        hist = collect_protocol_histograms(
-            grid, {(0, 0): 1, (0, 1): 2, (0, 2): 3}, "few", trials=20)
-        with pytest.raises(InsufficientTrials):
-            uniformity_sweep(hist)  # 6-bin sites need at least 30 draws
-
     def test_a_comparison_that_tests_no_site_raises(self, example_grid, example_solution):
         # one run per side pools every site to a single bin: a PASS would be vacuous
         with pytest.raises(InsufficientTrials):
@@ -522,3 +530,18 @@ class TestComparisonReports:
         rows = json.loads(payload)
         assert len(rows) == len(report.sites)
         assert all(row["passed"] for row in rows)
+
+
+def test_settings_that_no_caller_sets_are_constants():
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(gridgen.enumerate_small_grids) == []
+    assert parameters(site_plan) == parameters(SiteHistograms) == ["grid"]
+    assert "alpha" not in parameters(uniformity_test)
+    assert "alpha" not in parameters(compare_histograms)
+    assert not {"workers", "alpha"} & set(parameters(solution_comparison))
+    assert not hasattr(RandomSource, "from_seed")
+    assert "uniformity_sweep" not in makaro_zkp.__all__
+    assert [field.name for field in dataclasses.fields(CardBudget)] == [
+        "cell_cards", "helping_cards", "encoding_cards", "total"]

@@ -112,21 +112,21 @@ class TestCardIds:
 
 class TestRandomSource:
     def test_same_seed_reproduces_choices(self):
-        a = RandomSource.from_seed("s")
-        b = RandomSource.from_seed("s")
+        a = RandomSource("s")
+        b = RandomSource("s")
         assert [a.shuffle_stream.randrange(100) for _ in range(5)] == \
                [b.shuffle_stream.randrange(100) for _ in range(5)]
         assert [a.prover_stream.randrange(100) for _ in range(5)] == \
                [b.prover_stream.randrange(100) for _ in range(5)]
 
     def test_streams_are_independent(self):
-        src = RandomSource.from_seed("s")
+        src = RandomSource("s")
         assert [src.shuffle_stream.randrange(1000) for _ in range(8)] != \
                [src.prover_stream.randrange(1000) for _ in range(8)]
 
     @pytest.mark.parametrize("seed", ["s", 7, "7:3"])
     def test_streams_draw_as_seeded_from_their_strings(self, seed):
-        src = RandomSource.from_seed(seed)
+        src = RandomSource(seed)
         shuffle, prover = random.Random(f"{seed}/shuffle"), random.Random(f"{seed}/prover")
         assert [src.shuffle_stream.random() for _ in range(5)] == \
                [shuffle.random() for _ in range(5)]
@@ -144,7 +144,7 @@ class TestRandomSource:
         # seed, so each draw starts from the state the previous ones left
         lengths = range(_STEPS_KEPT + 7)
         for seed in range(100):
-            src = RandomSource.from_seed(seed)
+            src = RandomSource(seed)
             public, hidden = random.Random(f"{seed}/shuffle"), random.Random(f"{seed}/prover")
             for n in lengths:
                 ours, theirs = list(range(n)), list(range(n))
@@ -162,7 +162,7 @@ class TestRandomSource:
 
     def test_an_empty_range_has_no_offset(self):
         with pytest.raises(ValueError):
-            RandomSource.from_seed("s").offset(0)
+            RandomSource("s").offset(0)
 
     def test_only_the_kernel_draws(self):
         # every draw in the library goes through RandomSource's methods,
@@ -338,7 +338,7 @@ class TestReveal:
 class TestShifting:
     def test_single_column_is_identity(self):
         m = fresh_matrix(2, 1)
-        pile_shifting_shuffle(m, RandomSource.from_seed("x"))
+        pile_shifting_shuffle(m, RandomSource("x"))
         assert m.card_at(0, 0) == CardId("x0", 1)
 
     def test_shift_of_one_rotates_right(self):
@@ -347,7 +347,7 @@ class TestShifting:
         assert [c.index for c in row_cards(m, 0)] == [3, 1, 2]
 
     def test_rows_ride_together_and_cards_conserved(self):
-        src = RandomSource.from_seed("conserve")
+        src = RandomSource("conserve")
         m = fresh_matrix(3, 5)
         before = {tuple(m.card_at(r, c) for r in range(3)) for c in range(5)}
         for _ in range(20):
@@ -358,7 +358,7 @@ class TestShifting:
     def test_shift_values_uniform(self):
         # 5 columns, 30,000 trials: each shift lands within 1/5 +/- 2%
         trials = 30_000
-        src = RandomSource.from_seed("shift-uniformity")
+        src = RandomSource("shift-uniformity")
         counts = Counter()
         for _ in range(trials):
             m = fresh_matrix(1, 5)
@@ -382,7 +382,7 @@ class TestShufflesReplayTheColumnOrderPath:
     @pytest.mark.parametrize("cols", range(1, 10))
     def test_scramble(self, cols):
         for seed in range(20):
-            src, twin = RandomSource.from_seed(seed), RandomSource.from_seed(seed)
+            src, twin = RandomSource(seed), RandomSource(seed)
             m, old = fresh_matrix(2, cols), fresh_matrix(2, cols)
             for _ in range(5):
                 pile_scramble_shuffle(m, src)
@@ -395,7 +395,7 @@ class TestShufflesReplayTheColumnOrderPath:
     @pytest.mark.parametrize("cols", range(1, 10))
     def test_shift(self, cols):
         for seed in range(20):
-            src, twin = RandomSource.from_seed(seed), RandomSource.from_seed(seed)
+            src, twin = RandomSource(seed), RandomSource(seed)
             m, old = fresh_matrix(2, cols), fresh_matrix(2, cols)
             for _ in range(5):
                 pile_shifting_shuffle(m, src)
@@ -408,12 +408,12 @@ class TestShufflesReplayTheColumnOrderPath:
 class TestScramble:
     def test_single_column_is_identity(self):
         m = fresh_matrix(2, 1)
-        pile_scramble_shuffle(m, RandomSource.from_seed("x"))
+        pile_scramble_shuffle(m, RandomSource("x"))
         assert m.card_at(0, 0) == CardId("x0", 1)
 
     def test_two_columns_swap_half_the_time(self):
         trials = 30_000
-        src = RandomSource.from_seed("swap-frequency")
+        src = RandomSource("swap-frequency")
         swaps = 0
         for _ in range(trials):
             m = fresh_matrix(1, 2)
@@ -424,7 +424,7 @@ class TestScramble:
 
     def test_three_columns_all_orders_equally_likely(self):
         trials = 60_000
-        src = RandomSource.from_seed("perm-frequency")
+        src = RandomSource("perm-frequency")
         counts = Counter()
         for _ in range(trials):
             m = fresh_matrix(1, 3)
@@ -438,7 +438,7 @@ class TestScramble:
     def test_each_cards_final_column_uniform(self):
         # marginal uniformity on 4 columns, 12,000 trials, 1% level per card
         trials = 12_000
-        src = RandomSource.from_seed("scramble-marginals")
+        src = RandomSource("scramble-marginals")
         positions = {i: Counter() for i in range(1, 5)}
         for _ in range(trials):
             m = fresh_matrix(1, 4)

@@ -1,13 +1,14 @@
 """Property tests: the text parsers end in their own typed errors on any
-input, built from the formats' tokens mixed with arbitrary Unicode, and the
-command line ends in an exit code on any small puzzle and solution."""
+input, built from the formats' tokens mixed with arbitrary Unicode, what they
+accept writes back as the same text spaced canonically, and the command line
+ends in an exit code on any small puzzle and solution."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from makaro_zkp import DeckError, PuzzleError, Transcript, parse_puzzle
+from makaro_zkp import DeckError, PuzzleError, Transcript, parse_puzzle, serialize_puzzle
 from makaro_zkp.cli import main
 from makaro_zkp.deck import _EVENT_FIELDS
 
@@ -86,6 +87,44 @@ def test_accepted_lines_write_back_canonically(line):
     except DeckError:
         return
     assert transcript.to_text() == " ".join(line.split()) + "\n"
+
+
+# Puzzle texts of a real layout, one room or two, whose numbers are mostly
+# the writer's numerals and sometimes other digit strings, spaced by runs of
+# whitespace and followed by blank lines.
+NUMERAL = st.sampled_from(["1", "1", "2", "2", "3", "01", "\u0661", "\uff12"])
+
+
+@st.composite
+def spaced_puzzles(draw):
+    def line(tokens):
+        seps = [draw(whitespace(0, 1)), *(draw(whitespace(1, 2)) for _ in tokens[1:])]
+        return "".join(sep + token for sep, token in zip(seps, tokens)) + draw(whitespace(0, 1))
+
+    height, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    header = ["makaro", draw(st.sampled_from([str(height)] * 3 + ["0" + str(height)])),
+              draw(st.sampled_from([str(width)] * 3 + ["\uff10" + str(width)]))]
+    # room A left of room B in every row keeps both rooms connected
+    rows = []
+    for _ in range(height):
+        split = draw(st.integers(0, width))
+        cells = ["A"] * split + ["B"] * (width - split)
+        cells = [draw(st.sampled_from([room, room, room, f"{room}={draw(NUMERAL)}", "B>"]))
+                 for room in cells]
+        rows.append(line(cells))
+    blanks = draw(st.lists(whitespace(0, 2), max_size=2))
+    return "\n".join([line(header), *rows, *blanks])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spaced_puzzles())
+def test_accepted_puzzles_write_back_canonically(text):
+    try:
+        grid = parse_puzzle(text)
+    except PuzzleError:
+        return
+    lines = text.split("\n")[:grid.height + 1]
+    assert serialize_puzzle(grid) == "".join(" ".join(line.split()) + "\n" for line in lines)
 
 
 # Small puzzles and fillings of them, many of them valid: at most 2x3 cells,

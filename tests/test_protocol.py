@@ -44,6 +44,7 @@ from makaro_zkp import (
 )
 import makaro_zkp
 from makaro_zkp import protocol, puzzle
+from makaro_zkp.analysis import MARGINAL_THRESHOLD
 from makaro_zkp.deck import _EVENT_FIELDS
 
 from conftest import PUZZLES, load_grid, load_solution, site_patterns
@@ -62,7 +63,7 @@ def arrow_m2_assignment(x: int, y: int) -> dict:
 
 def fresh_table(grid, assignment, seed):
     """Setup already performed: (source, prover, transcript, table)."""
-    source = RandomSource.from_seed(seed)
+    source = RandomSource(seed)
     prover = make_prover(assignment, source)
     transcript = Transcript()
     table = setup_placement(grid, prover, transcript)
@@ -156,7 +157,7 @@ class TestSetup:
     def test_value_below_one_is_rejected(self, value):
         # no card exists for it; a one-cell room's last card must not stand in
         grid = parse_puzzle("makaro 1 1\nA\n")
-        source = RandomSource.from_seed("low")
+        source = RandomSource("low")
         verdict, _ = run_full_protocol(grid, make_prover({(0, 0): value}, source), source)
         assert not verdict.accepted
         assert verdict.failing_check.kind == "room"
@@ -188,7 +189,7 @@ def encoding_set(letter: str, length: int) -> tuple:
 
 class TestEncoding:
     def test_marker_sits_at_the_encoded_position(self):
-        source = RandomSource.from_seed("enc")
+        source = RandomSource("enc")
         prover = make_prover({}, source)
         for value in range(1, 5):
             seq = make_encoding(encoding_set("a", 4), value, prover)
@@ -196,12 +197,12 @@ class TestEncoding:
             assert sorted(seq) == [encoding_card("a", i) for i in range(1, 5)]
 
     def test_single_card_sequence(self):
-        prover = make_prover({}, RandomSource.from_seed("enc"))
+        prover = make_prover({}, RandomSource("enc"))
         seq = make_encoding(encoding_set("b", 1), 1, prover)
         assert seq == [encoding_card("b", 1)]
 
     def test_value_outside_sequence_is_an_error(self):
-        prover = make_prover({}, RandomSource.from_seed("enc"))
+        prover = make_prover({}, RandomSource("enc"))
         with pytest.raises(ProtocolError):
             make_encoding(encoding_set("a", 4), 5, prover)
         with pytest.raises(ProtocolError):
@@ -210,7 +211,7 @@ class TestEncoding:
     def test_non_marker_order_is_uniform(self):
         # value fixed at 2 in a length-4 sequence: the other three cards land
         # in positions (0, 2, 3) in one of 3! secret orders, each equally often
-        prover = make_prover({}, RandomSource.from_seed("enc-orders"))
+        prover = make_prover({}, RandomSource("enc-orders"))
         trials = 6000
         orders = Counter()
         for _ in range(trials):
@@ -455,9 +456,9 @@ class TestVerifyArrow:
 class TestFullProtocol:
     def test_honest_example_accepted(self, example_grid, example_solution):
         for seed in range(25):
-            prover = make_prover(example_solution, RandomSource.from_seed(f"ok{seed}"))
+            prover = make_prover(example_solution, RandomSource(f"ok{seed}"))
             verdict, transcript = run_full_protocol(
-                example_grid, prover, RandomSource.from_seed(f"ok{seed}"))
+                example_grid, prover, RandomSource(f"ok{seed}"))
             assert verdict.accepted
             assert verdict.failing_check is None
             ends = [ev for ev in transcript.events if ev[0] == "end"]
@@ -468,9 +469,9 @@ class TestFullProtocol:
         dishonest[(0, 1)], dishonest[(1, 1)] = dishonest[(1, 1)], dishonest[(0, 1)]
         kind, subject = violations(example_grid, dishonest)[0]
         for seed in range(10):
-            prover = make_prover(dishonest, RandomSource.from_seed(f"swap{seed}"))
+            prover = make_prover(dishonest, RandomSource(f"swap{seed}"))
             verdict, _ = run_full_protocol(
-                example_grid, prover, RandomSource.from_seed(f"swap{seed}"))
+                example_grid, prover, RandomSource(f"swap{seed}"))
             assert not verdict.accepted
             assert verdict.failing_check == FailedCheck(kind, subject)
 
@@ -479,8 +480,8 @@ class TestFullProtocol:
         bad[(2, 0)] = bad[(0, 0)]  # room A then needs two 1-cards... no such deck
         assert violations(example_grid, bad)[0][0] == "room"
         verdict, transcript = run_full_protocol(
-            example_grid, make_prover(bad, RandomSource.from_seed("dup")),
-            RandomSource.from_seed("dup"))
+            example_grid, make_prover(bad, RandomSource("dup")),
+            RandomSource("dup"))
         assert not verdict.accepted
         assert verdict.failing_check is not None
         assert verdict.failing_check.kind == "room"
@@ -489,9 +490,9 @@ class TestFullProtocol:
 
     def test_minimal_grid_runs_only_its_room_check(self):
         grid = parse_puzzle("makaro 1 1\nA\n")
-        prover = make_prover({(0, 0): 1}, RandomSource.from_seed("one"))
+        prover = make_prover({(0, 0): 1}, RandomSource("one"))
         verdict, transcript = run_full_protocol(grid, prover,
-                                                RandomSource.from_seed("one"))
+                                                RandomSource("one"))
         assert verdict.accepted
         begins = [ev[1] for ev in transcript.events if ev[0] == "begin"]
         assert begins == ["room"]
@@ -499,22 +500,22 @@ class TestFullProtocol:
     def test_same_seeds_reproduce_the_transcript(self, example_grid, example_solution):
         runs = []
         for _ in range(2):
-            prover = make_prover(example_solution, RandomSource.from_seed("det"))
+            prover = make_prover(example_solution, RandomSource("det"))
             _, transcript = run_full_protocol(example_grid, prover,
-                                              RandomSource.from_seed("det"))
+                                              RandomSource("det"))
             runs.append(transcript)
         assert runs[0] == runs[1]
-        prover = make_prover(example_solution, RandomSource.from_seed("det2"))
+        prover = make_prover(example_solution, RandomSource("det2"))
         _, other = run_full_protocol(example_grid, prover,
-                                     RandomSource.from_seed("det2"))
+                                     RandomSource("det2"))
         assert other != runs[0]
 
     def test_peak_cards_equal_the_deck_budget(self, example_grid, example_solution):
         budget = card_budget(stats(example_grid))
         for seed in range(5):
-            prover = make_prover(example_solution, RandomSource.from_seed(f"pk{seed}"))
+            prover = make_prover(example_solution, RandomSource(f"pk{seed}"))
             verdict, _, table = run_full_protocol_with_table(
-                example_grid, prover, RandomSource.from_seed(f"pk{seed}"))
+                example_grid, prover, RandomSource(f"pk{seed}"))
             assert verdict.accepted
             assert table is not None
             assert table.peak_cards == budget.total == 61
@@ -525,8 +526,8 @@ class TestFullProtocol:
         monkeypatch.setattr(protocol, "stats", lambda g: calls.append(g) or stats(g))
         for seed in ("once", "twice"):
             prover = make_prover({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                 RandomSource.from_seed(seed))
-            verdict, _ = run_full_protocol(grid, prover, RandomSource.from_seed(seed))
+                                 RandomSource(seed))
+            verdict, _ = run_full_protocol(grid, prover, RandomSource(seed))
             assert verdict.accepted
         assert len(calls) <= 1
 
@@ -563,9 +564,9 @@ class TestFullProtocol:
         for _ in range(100):
             assert check_solution(grid, example_solution)
         assert solve_brute_force(grid) == [example_solution]
-        source = RandomSource.from_seed("once")
+        source = RandomSource("once")
         assert run_full_protocol(grid, make_prover(example_solution, source), source)[0].accepted
-        simulate_transcript(grid, RandomSource.from_seed("once"))
+        simulate_transcript(grid, RandomSource("once"))
         reveal_site_plan(grid)
         # the pairs once per grid, the cells around each of the 5 arrows once
         assert calls[("white_neighbor_pairs",)] == 1
@@ -575,10 +576,10 @@ class TestFullProtocol:
 
 class TestSimulator:
     def test_mirrors_the_real_event_structure(self, example_grid, example_solution):
-        prover = make_prover(example_solution, RandomSource.from_seed("real"))
+        prover = make_prover(example_solution, RandomSource("real"))
         _, real = run_full_protocol(example_grid, prover,
-                                    RandomSource.from_seed("real"))
-        sim = simulate_transcript(example_grid, RandomSource.from_seed("sim"))
+                                    RandomSource("real"))
+        sim = simulate_transcript(example_grid, RandomSource("sim"))
         assert len(real.events) == len(sim.events)
         for real_ev, sim_ev in zip(real.events, sim.events):
             assert real_ev[0] == sim_ev[0]
@@ -588,8 +589,8 @@ class TestSimulator:
             [s for s, _ in site_patterns(sim.events)]
 
     def test_same_seed_reproduces_the_simulation(self, example_grid):
-        a = simulate_transcript(example_grid, RandomSource.from_seed("simdet"))
-        b = simulate_transcript(example_grid, RandomSource.from_seed("simdet"))
+        a = simulate_transcript(example_grid, RandomSource("simdet"))
+        b = simulate_transcript(example_grid, RandomSource("simdet"))
         assert a == b
 
     def test_room_reveal_orders_are_uniform(self):
@@ -631,9 +632,9 @@ class TestSimulator:
 class TestSitePlan:
     def test_plan_matches_a_real_run_in_order(self, example_grid, example_solution):
         plan = reveal_site_plan(example_grid)
-        prover = make_prover(example_solution, RandomSource.from_seed("plan"))
+        prover = make_prover(example_solution, RandomSource("plan"))
         _, transcript = run_full_protocol(example_grid, prover,
-                                          RandomSource.from_seed("plan"))
+                                          RandomSource("plan"))
         assert [site for site, _, _, _ in plan] == [s for s, _ in site_patterns(transcript.events)]
 
     def test_observed_patterns_stay_inside_their_families(self, example_grid,
@@ -641,9 +642,9 @@ class TestSitePlan:
         plan = {site: (kind, support, take)
                 for site, kind, support, take in reveal_site_plan(example_grid)}
         for seed in range(5):
-            prover = make_prover(example_solution, RandomSource.from_seed(f"fam{seed}"))
+            prover = make_prover(example_solution, RandomSource(f"fam{seed}"))
             _, transcript = run_full_protocol(example_grid, prover,
-                                              RandomSource.from_seed(f"fam{seed}"))
+                                              RandomSource(f"fam{seed}"))
             for site, pattern in site_patterns(transcript.events):
                 kind, support, take = plan[site]
                 assert len(pattern) == take
@@ -657,7 +658,7 @@ class TestSitePlan:
     def test_simulated_patterns_stay_inside_the_same_families(self, example_grid):
         plan = {site: (kind, support, take)
                 for site, kind, support, take in reveal_site_plan(example_grid)}
-        sim = simulate_transcript(example_grid, RandomSource.from_seed("famsim"))
+        sim = simulate_transcript(example_grid, RandomSource("famsim"))
         for site, pattern in site_patterns(sim.events):
             kind, support, take = plan[site]
             assert len(pattern) == take
@@ -703,11 +704,19 @@ class TestTemplates:
                 read = [(family.key, tuple(ev[2] for ev in events[at + 1:at + 1 + family.take]))
                         for at, _, family in layout.sites]
                 assert read == site_patterns(events)
-                # the histograms count the same cards, from the same slots
-                hist = SiteHistograms(grid, marginal_threshold=10 ** 9)
+                # the histograms count the same cards, from the same slots,
+                # one position at a time where the plan splits a site
+                split = []
+                for (key, pattern), (_, _, family) in zip(read, layout.sites):
+                    if family.size() > MARGINAL_THRESHOLD:
+                        split += [(f"{key}/pos{pos}", (card,))
+                                  for pos, card in enumerate(pattern, start=1)]
+                    else:
+                        split.append((key, pattern))
+                hist = SiteHistograms(grid)
                 hist.add_transcript(transcript)
                 assert [(key, pattern) for key, counter in hist.counts.items()
-                        for pattern in counter] == read
+                        for pattern in counter] == split
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_fixed_events_are_built_once_per_grid(self, name):
@@ -715,7 +724,7 @@ class TestTemplates:
         solution = bundled_solution(name, grid)
         runs = []
         for seed in ("once", "twice"):
-            source = RandomSource.from_seed(seed)
+            source = RandomSource(seed)
             runs.append(run_full_protocol(grid, make_prover(solution, source), source)[1])
         first, second = runs
         assert len(first) == len(second)

@@ -95,6 +95,17 @@ class TestParsing:
         with pytest.raises(PuzzleSyntaxError):
             parse_puzzle("makaro 1 1\nA=0\n")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("makaro \u0661 \uff12\nA A\n", 1, 8),  # Arabic-Indic 1, fullwidth 2
+        ("makaro 1 2\nA A=01\n", 2, 3),
+        ("makaro 1 2\nA A=\u0661\n", 2, 3),
+    ])
+    def test_numbers_are_ascii_digits_without_leading_zero(self, text, line, column):
+        # serialize_puzzle writes no other numeral, so no other reads back
+        with pytest.raises(PuzzleSyntaxError) as e:
+            parse_puzzle(text)
+        assert (e.value.line, e.value.column) == (line, column)
+
     def test_roundtrip_is_byte_identical_on_corpus(self, puzzles_dir):
         for path in sorted(puzzles_dir.glob("*.makaro")):
             text = path.read_text(encoding="utf-8")
