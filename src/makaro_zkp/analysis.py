@@ -26,6 +26,7 @@ pay for it, while importing the package, proving, solving and `stats` do not.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -284,10 +285,12 @@ def _chunk(transcript_of: Callable[[int], Transcript], grid: Grid,
 def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int,
              workers: int) -> SiteHistograms:
     """Histograms over trials 0..trials-1, split into contiguous chunks, one
-    per worker process; transcript_of must pickle when workers > 1."""
+    per worker process, with no more workers than CPUs; transcript_of must
+    pickle when workers > 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     chunk = partial(_chunk, transcript_of, grid)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return chunk(0, trials)
     bounds = [trials * i // workers for i in range(workers + 1)]

@@ -24,9 +24,9 @@ grid, never on the hidden values.
 
 Everything but the reveals is fixed by the grid, so each check is compiled
 once per grid into a template: moves of cards, runs of prebuilt events, and
-holes for the revealed cards, the rearrangements they imply and the window
-start, each reveal with the predicate that judges it.  The live run is one
-loop over those steps that fills the holes from card physics;
+two kinds of hole, each with the predicate that judges it: a row reveal,
+which is then sorted or gives the window start, and a window.  The live run
+is one loop over those steps that fills the holes from card physics;
 simulate_transcript fills them by drawing each reveal from its
 distribution, without seeing any solution.
 """
@@ -163,19 +163,18 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # accepting run except the revealed cards, the rearrangements they imply and
 # the window start.  Each check is compiled once per grid into a template:
 # its steps, in run order (moves that handle the cards and add no event, runs
-# of prebuilt events, holes for what the run decides, each reveal hole with
-# its acceptance predicate), and its card plan, the peak in play.  The live
+# of prebuilt events, and holes for what the run decides: row reveals, each
+# then sorted or giving the window start, and windows, each hole with its
+# acceptance predicate), and its card plan, the peak in play.  The live
 # run makes the moves and fills the holes from the card matrix, the simulator
 # draws them from each site's family, and run_layout finds where each reveal
 # hole lands in a run; the last two skip the moves.  So they cannot drift apart.
 
 class SiteFamily(NamedTuple):
-    """One reveal site and the theoretical distribution of its pattern.
-
-    kind "perm": uniform permutation of the support (take == len(support)).
-    kind "pick": one uniform card from the support (take == 1).
-    kind "arrangement": `take` distinct support cards in uniform order.
-    """
+    """One reveal site and the theoretical distribution of its pattern:
+    `take` distinct support cards in uniform order.  The kind names the
+    case: "perm" (take == len(support)), "pick" (take == 1) or
+    "arrangement"."""
 
     key: str
     kind: str
@@ -183,32 +182,26 @@ class SiteFamily(NamedTuple):
     take: int
 
     def size(self) -> int:
-        if self.kind == "perm":
-            return math.factorial(len(self.support))
-        if self.kind == "pick":
-            return len(self.support)
         return math.perm(len(self.support), self.take)
 
     def contains(self, pattern: tuple[CardId, ...]) -> bool:
-        if len(pattern) != self.take:
-            return False
-        members = set(self.support)
-        if self.kind == "perm":
-            return set(pattern) == members
-        if self.kind == "pick":
-            return pattern[0] in members
-        return len(set(pattern)) == self.take and all(c in members for c in pattern)
+        shown = set(pattern)
+        return len(pattern) == self.take == len(shown) and shown <= set(self.support)
 
 
 class _Reveal(NamedTuple):
     """Hole: the site event, then the cards in columns `cols` of one row,
-    judged by `accepts` unless the check rests on no rule there (None)."""
+    judged by `accepts` unless the check rests on no rule there (None).  If
+    `sorts`, the rearrangement that puts the row in `site.support` order
+    follows; if not, the row gives the window start, where it shows
+    `site.support[0]`."""
 
     site_event: tuple
     site: SiteFamily
     row: int
     cols: tuple[int, ...]
     accepts: Callable[[tuple[CardId, ...]], bool] | None
+    sorts: bool
 
 
 class _Window(NamedTuple):
@@ -220,18 +213,6 @@ class _Window(NamedTuple):
     row: int
     cols_from: tuple[tuple[int, ...], ...]
     accepts: Callable[[tuple[CardId, ...]], bool]
-
-
-class _Sort(NamedTuple):
-    """Hole: the rearrangement that puts the row just revealed in this order."""
-
-    canonical: tuple[CardId, ...]
-
-
-class _Start(NamedTuple):
-    """Hole: the window start, where the row just revealed shows `marker`."""
-
-    marker: CardId
 
 
 # Moves handle the cards out of sight, so they add no event.
@@ -273,8 +254,8 @@ def _no_marker(shown: tuple[CardId, ...]) -> bool:
 
 # Each event kind is written in one place (tests pin it), so the events that
 # several templates share are built by these three.
-def _hole(kind: type, site: SiteFamily, row: int, cols: tuple, accepts=None) -> tuple:
-    return kind(("site", site.key), site, row, cols, accepts)
+def _hole(kind: type, site: SiteFamily, row: int, cols: tuple, **fields) -> tuple:
+    return kind(("site", site.key), site, row, cols, **fields)
 
 
 def _collect(src: str, row: int, count: int) -> tuple:
@@ -302,8 +283,8 @@ class _Check(NamedTuple):
     subject: object              # as in FailedCheck, or the cell converted
     # rooms and conversions: a collection; neighbors and arrows: the begin
     # event, each conversion's steps, the rows stacked and shifted or
-    # scrambled, the first row (whose marker starts the windows), the start,
-    # and one window per other row
+    # scrambled, the first row (whose marker starts the windows), and one
+    # window per other row
     steps: tuple
     passed: tuple[tuple]         # the end event of a pass
     rejected: tuple[tuple]       # the end event of a fail
@@ -361,14 +342,14 @@ class _Schedule:
                 site = SiteFamily(
                     f"{key}/probe" if kind == "neighbor" else f"{key}/row{row + 1}",
                     "pick" if window == 1 else "arrangement", support, window)
-                windows.append(_hole(_Window, site, row, spans, _no_marker))
+                windows.append(_hole(_Window, site, row, spans, accepts=_no_marker))
             stacking = (*(_collect(f"seq:{letter}", row, length)
                           for row, letter in enumerate(letters)),
                         self._shuffled["shift" if kind == "arrow" else "scramble"])
             begin, passed, failed = _bracket(kind, key)
             self.checks[kind, subject] = self._check(kind, subject, (
                 (begin,), *conversions, _Stack(kind == "arrow"), stacking,
-                _hole(_Reveal, first, 0, cycle[:length]), _Start(first.support[0]), *windows),
+                _hole(_Reveal, first, 0, cycle[:length], accepts=None, sorts=False), *windows),
                 (passed,), (failed,))
 
     def _check(self, kind: str, subject: object, steps: tuple, passed=(), rejected=()) -> _Check:
@@ -396,14 +377,13 @@ class _Schedule:
         """Where an accepting run puts its events, from the steps' lengths."""
         at, sites = len(self.placements), []
         for step in self.steps:
-            kind = type(step)
-            if kind is tuple:
+            if type(step) is tuple:
                 at += len(step)
-            elif kind is _Sort:
-                at += 1
-            elif kind is not _Start:
+            else:
                 sites.append((at, step.site_event, step.site))
                 at += 1 + step.site.take
+                if type(step) is _Reveal and step.sorts:
+                    at += 1  # the rearrangement
         return RunLayout(at, self.steps[-1][-1], tuple(sites))
 
     def _collection(self, room: str, sites_key: str, begin: tuple, closing: tuple,
@@ -429,9 +409,9 @@ class _Schedule:
         cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
         return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, scramble),
-                _hole(_Reveal, cells, 0, cols, cells.contains), _Sort(cells.support),
+                _hole(_Reveal, cells, 0, cols, accepts=cells.contains, sorts=True),
                 _Hide(bool(encoding)), (*extraction, ("turn-down",), scramble),
-                _hole(_Reveal, helps, 1, cols), _Sort(helps.support),
+                _hole(_Reveal, helps, 1, cols, accepts=None, sorts=True),
                 _Return(take.cells), (("restore", src, p), *closing))
 
     def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> tuple:
@@ -482,20 +462,22 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
         kind = type(step)
         if kind is tuple:
             events.extend(step)
-        elif kind is _Reveal or kind is _Window:
+        elif kind is _Window:
             events.append(step.site_event)
-            shown = reveal_row(matrix, step.row,
-                               step.cols if kind is _Reveal else step.cols_from[start], transcript)
+            if not step.accepts(reveal_row(matrix, step.row, step.cols_from[start], transcript)):
+                ok = False
+        elif kind is _Reveal:
+            events.append(step.site_event)
+            shown = reveal_row(matrix, step.row, step.cols, transcript)
             if step.accepts is not None and not step.accepts(shown):
                 ok = False
-                if kind is _Reveal:
-                    break
-        elif kind is _Sort:
-            event = _rearrange(shown, step.canonical)
-            matrix.permute_columns(event[1])
-            events.append(event)
-        elif kind is _Start:
-            start = shown.index(step.marker)
+                break
+            if step.sorts:
+                event = _rearrange(shown, step.site.support)
+                matrix.permute_columns(event[1])
+                events.append(event)
+            else:
+                start = shown.index(step.site.support[0])
         elif kind is _Take:
             p = len(step.cells)
             rows = [table.take_cells(step.cells), step.helps]
@@ -647,13 +629,12 @@ def _draw(source: RandomSource, site: SiteFamily) -> list[CardId]:
         pattern = list(site.support)
         source.permute(pattern)
         return pattern
-    if site.kind == "arrangement":
-        return source.shuffle_stream.sample(site.support, site.take)
     if site.support[0].index == 1:
         # the window of a one-card sequence can only show its marker
         # (unsatisfiable grids only): nothing to draw
         return list(site.support)
-    return [site.support[source.offset(len(site.support))]]
+    # for one card, sample makes the single draw that offset would
+    return source.shuffle_stream.sample(site.support, site.take)
 
 
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
@@ -664,21 +645,20 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     t = Transcript()
     events = t.events
     events.extend(schedule.placements)
-    shown: list[CardId] = []
     start = 0
     for step in schedule.steps:
         kind = type(step)
         if kind is tuple:
             events.extend(step)
-        elif kind is _Sort:
-            events.append(_rearrange(shown, step.canonical))
-        elif kind is _Start:
-            start = shown.index(step.marker)
-        else:
-            shown = _draw(source, step.site)
-            cols = step.cols if kind is _Reveal else step.cols_from[start]
-            events.append(step.site_event)
-            events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, shown)])
+            continue
+        shown = _draw(source, step.site)
+        cols = step.cols if kind is _Reveal else step.cols_from[start]
+        events.append(step.site_event)
+        events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, shown)])
+        if kind is _Reveal and step.sorts:
+            events.append(_rearrange(shown, step.site.support))
+        elif kind is _Reveal:
+            start = shown.index(step.site.support[0])
     return t
 
 

@@ -18,7 +18,7 @@ def load_solution(name: str):
 
 
 def row_cards(matrix, row: int) -> list:
-    """The cards of one matrix row, left to right (None for an empty slot)."""
+    """The cards of one matrix row, left to right."""
     return [matrix.card_at(row, col) for col in range(matrix.cols)]
 
 

@@ -3,10 +3,13 @@ chi-square tests, and the collection sweeps that drive the zero-knowledge
 comparison."""
 
 import ast
+import concurrent.futures
 import dataclasses
 import inspect
+import itertools
 import json
 import math
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -99,6 +102,27 @@ class TestSiteFamily:
         assert fam.contains((sup[7], sup[0], sup[3], sup[2], sup[5]))
         assert not fam.contains((sup[0], sup[0], sup[3], sup[2], sup[5]))
         assert not fam.contains(sup[:4])
+
+    def test_every_kind_follows_one_law(self):
+        # a family is the arrangements of `take` distinct support cards,
+        # whatever its kind: size and membership match itertools.permutations
+        foreign = encoding_card("d", 9)
+        for n in range(1, 6):
+            sup = tuple(encoding_card("c", i) for i in range(1, n + 1))
+            families = [SiteFamily("t/perm", "perm", sup, n), SiteFamily("t/pick", "pick", sup, 1),
+                        *(SiteFamily("t/arr", "arrangement", sup, take) for take in range(2, n))]
+            for fam in families:
+                arrangements = set(itertools.permutations(sup, fam.take))
+                assert fam.size() == len(arrangements), fam
+                for length in (fam.take - 1, fam.take, fam.take + 1):
+                    for pattern in itertools.product((*sup, foreign), repeat=length):
+                        assert fam.contains(pattern) == (pattern in arrangements), (fam, pattern)
+                shown = sup[:fam.take]
+                assert fam.contains(shown)
+                assert not fam.contains(shown[:-1])                   # wrong length
+                assert not fam.contains((*shown[:-1], foreign))       # foreign card
+                if fam.take > 1:
+                    assert not fam.contains((*shown[:-1], shown[0]))  # repeat
 
 
 class TestSitePlan:
@@ -463,6 +487,37 @@ class TestCollection:
         serial = collect_simulator_histograms(quad_grid, "wks", trials=60)
         parallel = collect_simulator_histograms(quad_grid, "wks", trials=60, workers=3)
         assert serial.counts == parallel.counts
+
+    def test_workers_are_capped_at_the_cpu_count(self, quad_grid, monkeypatch):
+        # an in-process pool stands in for the processes and records how
+        # many would start
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        serial = collect_simulator_histograms(quad_grid, "cap", trials=60)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        capped = collect_simulator_histograms(quad_grid, "cap", trials=60, workers=1000)
+        assert started == [3]
+        assert capped.counts == serial.counts
+        # one CPU, or a count the platform cannot tell, runs in this process
+        for count in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            alone = collect_simulator_histograms(quad_grid, "cap", trials=60, workers=1000)
+            assert alone.counts == serial.counts
+        assert started == [3]
 
     def test_rule_breaking_solution_is_refused(self, quad_grid):
         bad = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}

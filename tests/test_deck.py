@@ -157,6 +157,10 @@ class TestRandomSource:
                 if n:
                     assert src.offset(n) == public.randrange(n), (seed, n)
                     assert ours[src.offset(n)] == public.choice(theirs), (seed, n)
+                    # a one-card sample is the same single draw, so the
+                    # simulator's pick sites may sample
+                    assert public.sample(theirs, 1) == [ours[src.offset(n)]], (seed, n)
+                    assert src.shuffle_stream.getstate() == public.getstate(), (seed, n)
             assert src.shuffle_stream.getstate() == public.getstate()
             assert src.prover_stream.getstate() == hidden.getstate()
 
@@ -166,7 +170,7 @@ class TestRandomSource:
 
     def test_only_the_kernel_draws(self):
         # every draw in the library goes through RandomSource's methods,
-        # except the simulator's arrangements, which sample
+        # except the simulator's pick and arrangement sites, which sample
         draws = {"shuffle", "randrange", "randint", "choice", "choices", "getrandbits",
                  "random", "sample", "uniform"}
         found, reads = set(), 0

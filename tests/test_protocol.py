@@ -741,7 +741,8 @@ class TestTemplates:
         # one live loop walks the compiled steps: no per-check glue is left,
         # and nothing unpacks steps by position
         for gone in ("_sim_collection", "_sim_reveal", "_Conversion", "_verify_windows",
-                     "_return_room", "_collect_room", "_reveal_site", "_sort_columns"):
+                     "_return_room", "_collect_room", "_reveal_site", "_sort_columns",
+                     "_Sort", "_Start"):
             assert not hasattr(protocol, gone), gone
         # the card plan is compiled: the table counts no pool cards
         for gone in ("take_helps", "return_helps", "take_encoding", "return_encoding",
