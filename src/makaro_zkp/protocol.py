@@ -25,10 +25,12 @@ grid, never on the hidden values.
 Everything but the reveals is fixed by the grid, so each check is compiled
 once per grid into a template: moves of cards, runs of prebuilt events, and
 two kinds of hole, each with the predicate that judges it: a row reveal,
-which is then sorted or gives the window start, and a window.  The live run
-is one loop over those steps that fills the holes from card physics;
-simulate_transcript fills them by drawing each reveal from its
-distribution, without seeing any solution.
+which is then sorted or gives the window start, and a window.  Neighbor and
+arrow checks end in one grid-free comparison, the paper's number encoding:
+one card of each kind shows that two numbers differ or that one is the
+largest.  The live run is one loop over those steps that fills the holes
+from card physics; simulate_transcript fills them by drawing each reveal
+from its distribution, without seeing any solution.
 """
 
 from __future__ import annotations
@@ -268,6 +270,35 @@ def _bracket(kind: str, key: str) -> tuple[tuple, tuple, tuple]:
     return ("begin", kind, key), (*end, True), (*end, False)
 
 
+_SCRAMBLE, _SHIFT = (("shuffle", kind) for kind in ("scramble", "shift"))
+
+
+def _comparison(key: str, sequences: Sequence[tuple[CardId, ...]], largest: bool) -> tuple:
+    """The steps that compare numbers held as encoding sequences, named by
+    their cards, marker first, all of one length.  The sequences are stacked
+    as rows and scrambled, to show that row 1's number differs from row 2's
+    ("differ": m cards, a window of 1), or cyclically shifted, to show that
+    it beats every other row's ("largest": 2m-1 cards, a window of m).  Row 1
+    is revealed, and its marker starts a window in every other row, which
+    must show no marker."""
+    length = len(sequences[0])
+    window = (length + 1) // 2 if largest else 1
+    cycle = tuple(range(length)) * 2
+    spans = tuple(cycle[start:start + window] for start in range(length))
+    first = SiteFamily(f"{key}/row1", "perm", sequences[0], length)
+    # a one-card sequence is its marker, so the window can only show it
+    # (unsatisfiable grids only)
+    windows = [_hole(_Window, SiteFamily(f"{key}/row{row + 1}" if largest else f"{key}/probe",
+                                         "pick" if window == 1 else "arrangement",
+                                         sequence[1 if length > 1 else 0:], window),
+                     row, spans, accepts=_no_marker)
+               for row, sequence in enumerate(sequences[1:], start=1)]
+    stacking = (*(_collect("seq:" + sequence[0].set.removeprefix("enc:"), row, length)
+                  for row, sequence in enumerate(sequences)), _SHIFT if largest else _SCRAMBLE)
+    return (_Stack(largest), stacking,
+            _hole(_Reveal, first, 0, cycle[:length], accepts=None, sorts=False), *windows)
+
+
 class RunLayout(NamedTuple):
     """What every accepting run of a grid shares: its length, its last
     event, and per reveal site, in run order, its slot: the index of its site
@@ -314,43 +345,25 @@ class _Schedule:
         self.helps = tuple(help_card(i) for i in range(1, self.k + 1))
         self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
                     for letter in ENC_LETTERS}
-        self._shuffled = {kind: ("shuffle", kind) for kind in ("scramble", "shift")}
         self.checks: dict[tuple[str, object], _Check] = {}
         for kind, subject, cells in grid.rules:
             if kind == "room":
                 begin, passed, failed = _bracket(kind, subject)
-                self.checks[kind, subject] = self._check(kind, subject, self._collection(
-                    subject, f"room/{subject}", begin, ()), (passed,), (failed,))
-                continue
-            where = cells if kind == "neighbor" else (subject,)
-            key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
-            # every sequence is as long as the largest room among the cells
-            # needs: m for a neighbor check, 2m-1 for an arrow
-            m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
-            length, window = (m, 1) if kind == "neighbor" else (2 * m - 1, m)
-            letters = ENC_LETTERS[:len(cells)]
-            conversions = [step for letter, rc in zip(letters, cells)
-                           for step in self.conversion(rc, letter, length, key)]
-            first = SiteFamily(f"{key}/row1", "perm", self.enc["a"][:length], length)
-            cycle = tuple(range(length)) * 2
-            spans = tuple(cycle[start:start + window] for start in range(length))
-            windows = []
-            for row, letter in enumerate(letters[1:], start=1):
-                # a one-card sequence is its marker, so the window can only
-                # show it (unsatisfiable grids only)
-                support = self.enc[letter][1 if length > 1 else 0:length]
-                site = SiteFamily(
-                    f"{key}/probe" if kind == "neighbor" else f"{key}/row{row + 1}",
-                    "pick" if window == 1 else "arrangement", support, window)
-                windows.append(_hole(_Window, site, row, spans, accepts=_no_marker))
-            stacking = (*(_collect(f"seq:{letter}", row, length)
-                          for row, letter in enumerate(letters)),
-                        self._shuffled["shift" if kind == "arrow" else "scramble"])
-            begin, passed, failed = _bracket(kind, key)
-            self.checks[kind, subject] = self._check(kind, subject, (
-                (begin,), *conversions, _Stack(kind == "arrow"), stacking,
-                _hole(_Reveal, first, 0, cycle[:length], accepts=None, sorts=False), *windows),
-                (passed,), (failed,))
+                steps = self._collection(subject, f"room/{subject}", begin, ())
+            else:
+                where = cells if kind == "neighbor" else (subject,)
+                key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
+                # every sequence is as long as the largest room among the cells
+                # needs: m for a neighbor check, 2m-1 for an arrow
+                m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
+                length = m if kind == "neighbor" else 2 * m - 1
+                letters = ENC_LETTERS[:len(cells)]
+                begin, passed, failed = _bracket(kind, key)
+                steps = ((begin,), *(step for letter, rc in zip(letters, cells)
+                                     for step in self.conversion(rc, letter, length, key)),
+                         *_comparison(key, [self.enc[letter][:length] for letter in letters],
+                                      largest=kind == "arrow"))
+            self.checks[kind, subject] = self._check(kind, subject, steps, (passed,), (failed,))
 
     def _check(self, kind: str, subject: object, steps: tuple, passed=(), rejected=()) -> _Check:
         """A check with its peak, counted over its own moves from the n cell
@@ -405,12 +418,11 @@ class _Schedule:
             extraction = (("extract", 2, p), ("tail", len(encoding) - p))
         cols = tuple(range(p))
         src = f"room:{room}"
-        scramble = self._shuffled["scramble"]
         cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
-        return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, scramble),
+        return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, _SCRAMBLE),
                 _hole(_Reveal, cells, 0, cols, accepts=cells.contains, sorts=True),
-                _Hide(bool(encoding)), (*extraction, ("turn-down",), scramble),
+                _Hide(bool(encoding)), (*extraction, ("turn-down",), _SCRAMBLE),
                 _hole(_Reveal, helps, 1, cols, accepts=None, sorts=True),
                 _Return(take.cells), (("restore", src, p), *closing))
 

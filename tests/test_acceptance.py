@@ -11,7 +11,14 @@ figures (visible with `pytest -s`, or in the captured output on failure).
                    and a rejected run fails the checker's first violation
   card-budget      the worked example needs exactly 61 cards and no run ever
                    has more in play at once
-  arrow-window     the shifted reveal window catches a rival marker exactly
+  comparison       the compiled comparison, driven with no grid, accepts
+                   exactly when x != y ("differ", m <= 4) or every rival < x
+                   ("largest", m <= 3 with one rival, m <= 2 with two), on
+                   every value vector, hidden order and scramble or shift;
+                   every accepted vector shows one view distribution, the
+                   simulator's
+  arrow-window     the compiled window of the "largest" comparison and a
+                   hand-built one agree: both catch a rival marker exactly
                    when rival >= pointed, for every size, value pair and shift
   zero-knowledge   real transcripts match the solution-free simulator at 1%
                    over 10,000 trials per side, and two different solutions
@@ -23,9 +30,10 @@ figures (visible with `pytest -s`, or in the captured output on failure).
 """
 
 import hashlib
+import math
 import time
-from collections import Counter
-from itertools import combinations
+from collections import Counter, defaultdict
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -56,6 +64,7 @@ from makaro_zkp import (
     zk_comparison,
     Transcript,
 )
+from makaro_zkp import protocol
 
 from conftest import PUZZLES, find_in_row, load_grid, load_solution
 
@@ -96,6 +105,46 @@ def single_rule_perturbations(grid, solution):
             (kind,) = kinds
             kept.append((kind, {subject for _, subject in found}, assignment))
     return kept
+
+
+def compile_comparison(rows, length, largest):
+    """The cards of `rows` encoding sequences of `length`, marker first, and
+    the row-1 reveal and windows of their compiled comparison."""
+    sequences = [tuple(encoding_card(letter, i) for i in range(1, length + 1))
+                 for letter in "abcd"[:rows]]
+    steps = protocol._comparison("cmp", sequences, largest)
+    assert steps[0] == protocol._Stack(largest)
+    first, *windows = [step for step in steps
+                       if type(step) in (protocol._Reveal, protocol._Window)]
+    return sequences, first, windows
+
+
+def comparison_leaves(m, rows, largest):
+    """(values, view, accepted) on every leaf of a compiled comparison of
+    `rows` numbers in 1..m: every value vector, every hidden order of each
+    sequence's other cards, and every scramble ("differ") or shift
+    ("largest") of the stacked columns.  The view is the row-1 pattern, then
+    each window's, read from the columns the holes name; `accepted` is
+    their predicates' verdict."""
+    length = 2 * m - 1 if largest else m
+    sequences, first, windows = compile_comparison(rows, length, largest)
+    if largest:
+        shuffles = [tuple((j - shift) % length for j in range(length)) for shift in range(length)]
+    else:
+        shuffles = list(permutations(range(length)))
+    for values in product(range(1, m + 1), repeat=rows):
+        for orders in product(*(permutations(cards[1:]) for cards in sequences)):
+            encoded = [[*order[:value - 1], cards[0], *order[value - 1:]]
+                       for cards, order, value in zip(sequences, orders, values)]
+            for shuffle in shuffles:
+                matrix = CardMatrix.from_rows(encoded)
+                matrix.permute_columns(shuffle)
+                shown = tuple(matrix.card_at(first.row, col) for col in first.cols)
+                begin = shown.index(first.site.support[0])
+                patterns = [tuple(matrix.card_at(window.row, col)
+                                  for col in window.cols_from[begin]) for window in windows]
+                yield values, (shown, *patterns), all(
+                    window.accepts(pattern) for window, pattern in zip(windows, patterns))
 
 
 @pytest.fixture(scope="session")
@@ -242,12 +291,50 @@ def test_sweep_card_accounting_is_unchanged(small_grid_sweep):
     assert small_grid_sweep.accounting == SWEEP_ACCOUNTING
 
 
+# (function, largest, rival rows, largest m) for every exhaustive comparison
+COMPARISONS = (("differ", False, 1, 4), ("largest", True, 1, 3), ("largest", True, 2, 2))
+
+
+def test_comparison_is_exact():
+    start = time.perf_counter()
+    leaves = 0
+    wrong, leaks = [], []
+    for name, largest, rivals, top in COMPARISONS:
+        for m in range(1, top + 1):
+            views = defaultdict(Counter)
+            for values, view, accepted in comparison_leaves(m, 1 + rivals, largest):
+                leaves += 1
+                x, *others = values
+                if accepted != (all(y < x for y in others) if largest else x != others[0]):
+                    wrong.append((name, m, values, view))
+                if accepted:
+                    views[values][view] += 1
+            # one distribution for every accepted value vector, and it is the
+            # simulator's: each hole uniform over its site family, independently
+            _, first, windows = compile_comparison(1 + rivals, 2 * m - 1 if largest else m,
+                                                   largest)
+            families = [hole.site for hole in (first, *windows)]
+            for values, counter in views.items():
+                if (len(counter) != math.prod(family.size() for family in families)
+                        or len(set(counter.values())) != 1
+                        or not all(family.contains(pattern) for view in counter
+                                   for family, pattern in zip(families, view))):
+                    leaks.append((name, m, rivals, values))
+    elapsed = time.perf_counter() - start
+    report("comparison", not wrong and not leaks,
+           f"the compiled comparison's verdict is the truth on all {leaves} leaves "
+           f"(\"differ\" m <= 4, \"largest\" m <= 3 with one rival and m <= 2 "
+           f"with two), and every accepted value vector shows the simulator's "
+           f"view distribution, in {elapsed:.2f}s")
+
+
 def test_arrow_window_oracle():
     start = time.perf_counter()
     checked = 0
     counterexamples = []
     for m in range(1, 6):
         length = 2 * m - 1
+        _, first, (window,) = compile_comparison(2, length, largest=True)
         for x in range(1, m + 1):
             for y in range(1, m + 1):
                 for shift in range(length):
@@ -260,17 +347,23 @@ def test_arrow_window_oracle():
                     matrix = CardMatrix.from_rows(rows)
                     matrix.permute_columns(
                         tuple((j - shift) % length for j in range(length)))
+                    # the hand-built window, an oracle independent of the template
                     begin = find_in_row(matrix, 0, encoding_card("a", 1))
-                    window = [matrix.card_at(1, (begin + off) % length)
-                              for off in range(m)]
-                    caught = encoding_card("b", 1) in window
+                    oracle = tuple((begin + off) % length for off in range(m))
+                    caught = encoding_card("b", 1) in [matrix.card_at(1, col) for col in oracle]
+                    # the compiled one: the row-1 reveal's start and the window's columns
+                    shown = [matrix.card_at(first.row, col) for col in first.cols]
+                    cols = window.cols_from[shown.index(first.site.support[0])]
+                    accepted = window.accepts(tuple(matrix.card_at(window.row, col)
+                                                    for col in cols))
                     checked += 1
-                    if caught != (y >= x):
+                    if caught != (y >= x) or accepted == caught or cols != oracle:
                         counterexamples.append((m, x, y, shift))
     elapsed = time.perf_counter() - start
     report("arrow-window", not counterexamples and elapsed < 1.0,
-           f"window holds the rival marker iff rival >= pointed in all "
-           f"{checked} (size, values, shift) combinations, in {elapsed:.3f}s")
+           f"the compiled and the hand-built window agree, and hold the rival "
+           f"marker iff rival >= pointed, in all {checked} (size, values, shift) "
+           f"combinations, in {elapsed:.3f}s")
 
 
 def test_zero_knowledge_real_vs_simulated(example_grid, example_solution):

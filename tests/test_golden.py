@@ -1,6 +1,7 @@
 """Golden transcripts: the sha256 of seeded real and simulated transcript
 text, and of each reveal-site plan, pinned for every bundled puzzle, plus
-the JSON report of one seeded `zk-test` run, which pins every p-value.
+the JSON report of one seeded `zk-test` run, which pins every p-value,
+and the output and exit code of the other commands on the bundled puzzles.
 Rejected runs are pinned too: one at setup, one by a neighbor check, one by
 an arrow check, and a room check that finds a card of another room.
 
@@ -151,6 +152,30 @@ FOREIGN_CARD = {
 # --report-format json (seed 0, one worker)
 ZK_TEST_JSON = "4dcc74d9357a7ef9bc4c5bbca3b65275ab5e03d9a85b3dda444d38f81121494e"
 
+# (command, puzzle) -> (exit code, stdout): `stats` and `solve` on every
+# bundled puzzle; `check` and `prove --trials 3` (seed 0) against the
+# puzzle's solution file
+CLI = {
+    ("stats", "cross"): (0, "d0f1d4d082b7d75bf30a30b103fc09f6ed1ac987af09823dc4a1c40cc3f734dc"),
+    ("stats", "example5x5"): (0, "6fc62371a99e4cc6c48f7b5020d7ba4d9614abd7abfe2d995512ad0daa035156"),
+    ("stats", "line3"): (0, "99a556531b70850b5f6a477b7b5d9ffa717a0d48d27cc92617b507e3886ee684"),
+    ("stats", "pair"): (0, "4258e65f9f819c39a67955be6a8d27c297d478d12cbd5a6631197f6d680a44fc"),
+    ("stats", "quad"): (0, "903e302a3780066d391c4938d20918acf7a9c8cb9348ebbf616721d0dbcd0fd1"),
+    ("stats", "single"): (0, "59caa3a8931a6024cfa9ba5bf64ad9d2b374c7ff4c394480d4ed88c956da739f"),
+    ("stats", "square4"): (0, "a544681d307cdba72476d082fa95a2032f031279e27668393acd3501ee5ffec2"),
+    ("solve", "cross"): (0, "15b2afbe6d770a99facd4d7b53a4121dfea1be17aefe10705e82d2340a4f1d54"),
+    ("solve", "example5x5"): (0, "f676fb0b92c3d056b8f02f661caea3f9016821b4c7b2e43476dc574ce4b926c8"),
+    ("solve", "line3"): (0, "8002af8d90b1338c9c8fa361fcf10600535137ae6896f1e4b3ef1d8020904281"),
+    ("solve", "pair"): (0, "27d439ab66e13a5ed85b1bfbc6f13aa6dd4638194b5138bfea7e86996785a413"),
+    ("solve", "quad"): (0, "6137006251108100cbb844d6631c83431ebdef456b47464a16d4a0fc5769bc98"),
+    ("solve", "single"): (0, "446345079b7774cf1e8f1b5270b7b370bbb95643ecdc97229155b17180e14e30"),
+    ("solve", "square4"): (0, "8d4d9dba1d28e48b0d050f5bec19ef097e0eb69394485319d2f3fc973d1e3ccc"),
+    ("check", "cross"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("check", "example5x5"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("prove", "cross"): (0, "b4b18a5c1dca409cc6debad8c8ec308e10fea30ae3b713c8184f233f8b2729a9"),
+    ("prove", "example5x5"): (0, "c62efe2bc9579b2a546ff2fb37b4814d4ba969701e8f617b66c58fd7a8eaf40b"),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -159,6 +184,8 @@ def sha256(text: str) -> str:
 def test_every_bundled_puzzle_is_pinned():
     names = {p.stem for p in PUZZLES.glob("*.makaro") if not p.stem.endswith("_solution")}
     assert names == set(TRANSCRIPTS) == set(PLANS)
+    assert {(command, name) for command in ("stats", "solve") for name in names} \
+        <= set(CLI)
 
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
@@ -224,3 +251,16 @@ def test_zk_test_json_report_is_unchanged(capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert sha256(out) == ZK_TEST_JSON
+
+
+@pytest.mark.parametrize("command, name", sorted(CLI))
+def test_cli_output_is_unchanged(capsys, command, name):
+    argv = [command, "--puzzle", str(PUZZLES / f"{name}.makaro")]
+    if command in ("check", "prove"):
+        argv += ["--solution", str(PUZZLES / f"{name}_solution.makaro")]
+    if command == "prove":
+        argv += ["--trials", "3", "--seed", "0"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    expected_code, expected_out = CLI[command, name]
+    assert (code, err, sha256(out)) == (expected_code, "", expected_out)

@@ -753,6 +753,20 @@ class TestTemplates:
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)]
 
+    def test_the_schedule_leaves_comparisons_to_their_fragment(self):
+        # `_Schedule.__init__` picks each check's key, letters and length;
+        # the sites, windows, stacking and shuffle of a neighbor or arrow
+        # check are built by `_comparison` alone
+        tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
+        schedule = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "_Schedule")
+        init = next(node for node in schedule.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+        named = {node.id for node in ast.walk(init) if isinstance(node, ast.Name)}
+        assert "_comparison" in named
+        assert not named & {"SiteFamily", "_Window", "_Stack", "_hole", "_SHIFT", "_SCRAMBLE"}
+        assert "_shuffled" not in ast.unparse(tree)
+
     def test_the_verdict_lives_in_the_template(self):
         # the holes' predicates are the only acceptance rules: with each one
         # swapped for one that accepts, fillings that a neighbor check and an
