@@ -2,6 +2,8 @@
 text, and of each reveal-site plan, pinned for every bundled puzzle, plus
 the JSON report of one seeded `zk-test` run, which pins every p-value,
 and the output and exit code of the other commands on the bundled puzzles.
+The compiled check plan of every bundled puzzle and corpus grid is pinned
+too, so a refactor of the compiler shows that it compiles the same plan.
 Rejected runs are pinned too: one at setup, one by a neighbor check, one by
 an arrow check, and a room check that finds a card of another room.
 
@@ -12,14 +14,17 @@ the command-line contract.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from makaro_zkp import (
+    CardId,
     FailedCheck,
     RandomSource,
     Transcript,
     all_value_assignments,
+    enumerate_small_grids,
     make_prover,
     parse_puzzle,
     reveal_site_plan,
@@ -30,6 +35,7 @@ from makaro_zkp import (
     verify_room,
 )
 
+from makaro_zkp import protocol
 from makaro_zkp.cli import main
 
 from conftest import PUZZLES, load_grid, load_solution
@@ -176,6 +182,10 @@ CLI = {
     ("prove", "example5x5"): (0, "c62efe2bc9579b2a546ff2fb37b4814d4ba969701e8f617b66c58fd7a8eaf40b"),
 }
 
+# every compiled check of the bundled puzzles, sorted by name, then of the
+# small-grid corpus, in corpus order (see compiled_plan)
+COMPILED_PLAN = "babbe59cc448e823f6a8d577e9d5bd46a7d635319a61eb28272ee7babf5d8037"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -264,3 +274,39 @@ def test_cli_output_is_unchanged(capsys, command, name):
     out, err = capsys.readouterr()
     expected_code, expected_out = CLI[command, name]
     assert (code, err, sha256(out)) == (expected_code, "", expected_out)
+
+
+def _plan_step(step) -> tuple:
+    """A compiled step by what it holds: the events of a run; a hole's site
+    family, row, columns, predicate and whether it sorts; a move's cards and
+    cells."""
+    if type(step) is tuple:
+        return ("events", step)
+    if hasattr(step, "site"):
+        columns = step.cols if hasattr(step, "cols") else step.cols_from
+        accepts = step.accepts and step.accepts.__qualname__
+        return ("hole", step.site, step.row, columns, accepts, getattr(step, "sorts", None))
+    held = [item for field in step if type(field) is tuple for item in field]
+    return ("move", [item for item in held if isinstance(item, CardId)],
+            [item for item in held if not isinstance(item, CardId)])
+
+
+def compiled_plan(grid) -> str:
+    """What a grid compiles to, as JSON, which writes every tuple as a bare
+    list, so no class or field name shows: every check's key, steps, end
+    events and peak, in run order, then the setup placements and the run
+    layout."""
+    schedule = protocol._schedule(grid)
+    checks = [(key, list(map(_plan_step, check.steps)), check.passed, check.rejected,
+               check.peak) for key, check in schedule.checks.items()]
+    return json.dumps([checks, schedule.placements, schedule.layout])
+
+
+def test_compiled_plan_is_unchanged():
+    grids = [load_grid(f"{name}.makaro") for name in sorted(TRANSCRIPTS)]
+    grids += enumerate_small_grids()
+    assert len(grids) == 7 + 3973
+    digest = hashlib.sha256()
+    for grid in grids:
+        digest.update(compiled_plan(grid).encode("utf-8"))
+    assert digest.hexdigest() == COMPILED_PLAN
