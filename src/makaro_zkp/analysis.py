@@ -25,6 +25,7 @@ pay for it, while importing the package, proving, solving and `stats` do not.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from collections import Counter
@@ -36,6 +37,7 @@ from typing import Callable
 
 from .deck import CardId, RandomSource, Transcript
 from .protocol import (
+    ENC_LETTERS,
     ProtocolError,
     SiteFamily,
     make_prover,
@@ -43,8 +45,8 @@ from .protocol import (
     run_layout,
     simulate_transcript,
 )
-# `stats` is unused here but the benchmark's traced run rebinds it in this
-# module (tests/test_benchmark_contract.py)
+# `stats` is unused here, but the benchmark's traced run rebinds it in this
+# module and perfbench/test_perfbench.py asserts that binding
 from .puzzle import Assignment, Grid, PuzzleStats, stats
 
 MIN_EXPECTED = 5.0
@@ -71,9 +73,9 @@ class CardBudget:
 
 def card_budget(st: PuzzleStats) -> CardBudget:
     """Deck size for a puzzle of n white cells and largest room k: one card
-    per white cell, one helping card per value up to k, and four encoding
-    sets sized for the longest sequence any check can request (2k-1)."""
-    encoding = 4 * (2 * st.k - 1)
+    per white cell, one helping card per value up to k, and an encoding set
+    per ENC_LETTERS letter, as long as any check's sequence can be (2k-1)."""
+    encoding = len(ENC_LETTERS) * (2 * st.k - 1)
     return CardBudget(st.n, st.k, encoding, st.n + st.k + encoding)
 
 
@@ -130,9 +132,13 @@ class SiteHistograms:
             counter[cards[start:stop]] += 1
         self.transcripts += 1
 
+    def _require_same_sites(self, other: "SiteHistograms") -> None:
+        # whole families: two grids can share every site key, not the cards
+        if other.families != self.families:
+            raise ValueError("histograms cover different reveal sites")
+
     def merge(self, other: "SiteHistograms") -> None:
-        if [f.key for f in other.families] != [f.key for f in self.families]:
-            raise ValueError("histograms belong to different site plans")
+        self._require_same_sites(other)
         self.transcripts += other.transcripts
         for key, counter in other.counts.items():
             self.counts[key].update(counter)
@@ -332,9 +338,6 @@ class ComparisonReport:
     sites: tuple[SiteReport, ...]
     passed: bool
 
-    def to_records(self) -> list[dict]:
-        return [s.to_record() for s in self.sites]
-
     def to_text(self) -> str:
         lines = [
             f"{self.label}: {'PASS' if self.passed else 'FAIL'}",
@@ -351,12 +354,24 @@ class ComparisonReport:
                          f"{s.statistic:>11.3f} {s.p_value:>10.4g}  {result}")
         return "\n".join(lines) + "\n"
 
+    def to_json(self) -> str:
+        """The report as JSON.  Every site counts each transcript once, so
+        its draws are the trials per side (side A's, should the two differ)."""
+        return json.dumps({
+            "label": self.label,
+            "trials_per_side": self.sites[0].draws,
+            "alpha_family": self.alpha_family,
+            "alpha_site": float(f"{self.alpha_site:.6g}"),
+            "tested_sites": self.tested_sites,
+            "passed": self.passed,
+            "sites": [s.to_record() for s in self.sites],
+        }, indent=2, sort_keys=True) + "\n"
+
 
 def compare_collections(label: str, hist_a: SiteHistograms, hist_b: SiteHistograms,
                         alpha: float = ALPHA) -> ComparisonReport:
     """Two-sample comparison at every site, familywise level alpha."""
-    if [f.key for f in hist_a.families] != [f.key for f in hist_b.families]:
-        raise ValueError("histograms cover different reveal sites")
+    hist_a._require_same_sites(hist_b)
     raw = [
         compare_histograms(family, hist_a.counts[family.key], hist_b.counts[family.key])
         for family in hist_a.families

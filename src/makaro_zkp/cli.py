@@ -15,7 +15,6 @@ errors.  Output for a fixed seed is byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .analysis import (
     zk_comparison,
 )
 from .deck import RandomSource
-from .protocol import ProtocolError, make_prover, run_full_protocol
+from .protocol import ENC_LETTERS, ProtocolError, make_prover, run_full_protocol
 from .puzzle import (
     DEFAULT_SEARCH_BOUND,
     Grid,
@@ -49,24 +48,21 @@ def _load_grid(path: str) -> Grid:
     return parse_puzzle(text)
 
 
+def _coord(rc) -> str:
+    return f"({rc[0]},{rc[1]})"
+
+
 def _load_solution(grid: Grid, path: str) -> dict:
     solved = _load_grid(path)
     if not same_layout(grid, solved):
         raise PuzzleError(f"{path}: layout does not match the puzzle")
     for rc in solved.white_coords():
-        if solved.cell(rc).clue is None:
-            raise PuzzleError(f"{path}: no value for cell ({rc[0]},{rc[1]})")
-        clue = grid.cell(rc).clue
-        if clue is not None and solved.cell(rc).clue != clue:
-            raise PuzzleError(
-                f"{path}: value {solved.cell(rc).clue} at "
-                f"({rc[0]},{rc[1]}) contradicts the clue {clue}"
-            )
+        value, clue = solved.cell(rc).clue, grid.cell(rc).clue
+        if value is None:
+            raise PuzzleError(f"{path}: no value for cell {_coord(rc)}")
+        if clue is not None and value != clue:
+            raise PuzzleError(f"{path}: value {value} at {_coord(rc)} contradicts the clue {clue}")
     return assignment_from_grid(solved)
-
-
-def _coord(rc) -> str:
-    return f"({rc[0]},{rc[1]})"
 
 
 def _describe_violation(entry: tuple) -> str:
@@ -142,19 +138,7 @@ def cmd_zk_test(args: argparse.Namespace) -> int:
         assignment = found[0]
     report = zk_comparison(grid, assignment, args.seed, args.trials,
                            workers=args.workers)
-    if args.report_format == "json":
-        payload = {
-            "label": report.label,
-            "trials_per_side": args.trials,
-            "alpha_family": report.alpha_family,
-            "alpha_site": float(f"{report.alpha_site:.6g}"),
-            "tested_sites": report.tested_sites,
-            "passed": report.passed,
-            "sites": report.to_records(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.to_text())
+    sys.stdout.write(report.to_json() if args.report_format == "json" else report.to_text())
     return 0 if report.passed else 1
 
 
@@ -169,7 +153,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     rooms = ", ".join(f"{room}({len(cells)})" for room, cells in sorted(grid.rooms.items()))
     print(f"rooms: {rooms}")
     print(f"deck: {budget.cell_cards} cell + {budget.helping_cards} helping + "
-          f"{budget.encoding_cards} encoding (4 sets of {2 * st.k - 1}) "
+          f"{budget.encoding_cards} encoding ({len(ENC_LETTERS)} sets of {2 * st.k - 1}) "
           f"= {budget.total} cards")
     print(f"reveal sites tested: {len(plan)}")
     return 0
@@ -188,6 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--solution", required=True,
                        help="solution file (same layout, every white cell clued)")
 
+    def positive(raw: str) -> int:
+        value = int(raw)
+        if value < 1:
+            raise argparse.ArgumentTypeError("must be at least 1")
+        return value
+
     p = sub.add_parser("check", help="validate a solution against the rules")
     add_puzzle(p)
     add_solution(p)
@@ -195,16 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find all solutions by exhaustive search")
     add_puzzle(p)
-    p.add_argument("--bound", type=int, default=DEFAULT_SEARCH_BOUND,
+    p.add_argument("--bound", type=positive, default=DEFAULT_SEARCH_BOUND,
                    help="refuse the puzzle up front when the product of its rooms' "
                         "permutation counts exceeds this (default %(default)s)")
     p.set_defaults(fn=cmd_solve)
-
-    def positive(raw: str) -> int:
-        value = int(raw)
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be at least 1")
-        return value
 
     p = sub.add_parser("prove", help="run seeded interactive proofs")
     add_puzzle(p)

@@ -26,7 +26,6 @@ from typing import Iterator
 
 from .puzzle import ARROW_DELTAS, Assignment, Black, Coord, Grid, White, build_grid
 
-_ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _ROOM_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 MAX_HEIGHT = MAX_WIDTH = 3
@@ -53,7 +52,7 @@ def _connected_subsets(seed: Coord, avail: frozenset[Coord]) -> Iterator[frozens
         yield current
         frontier = set()
         for rc in current:
-            for dr, dc in _ORTHO:
+            for dr, dc in ARROW_DELTAS.values():
                 nb = (rc[0] + dr, rc[1] + dc)
                 if nb in avail and nb not in current and nb not in banned:
                     frontier.add(nb)

@@ -310,8 +310,6 @@ class RunLayout(NamedTuple):
 
 
 class _Check(NamedTuple):
-    kind: str                    # "room" | "neighbor" | "arrow", or "convert"
-    subject: object              # as in FailedCheck, or the cell converted
     # rooms and conversions: a collection; neighbors and arrows: the begin
     # event, each conversion's steps, the rows stacked and shifted or
     # scrambled, the first row (whose marker starts the windows), and one
@@ -363,9 +361,9 @@ class _Schedule:
                                      for step in self.conversion(rc, letter, length, key)),
                          *_comparison(key, [self.enc[letter][:length] for letter in letters],
                                       largest=kind == "arrow"))
-            self.checks[kind, subject] = self._check(kind, subject, steps, (passed,), (failed,))
+            self.checks[kind, subject] = self._check(steps, (passed,), (failed,))
 
-    def _check(self, kind: str, subject: object, steps: tuple, passed=(), rejected=()) -> _Check:
+    def _check(self, steps: tuple, passed=(), rejected=()) -> _Check:
         """A check with its peak, counted over its own moves from the n cell
         cards: each take adds its helping and encoding cards, each room put
         back sends its helping cards home, and encodings stay out to the end."""
@@ -376,7 +374,7 @@ class _Schedule:
                 peak = max(peak, in_play)
             elif type(step) is _Return:
                 in_play -= len(step.cells)  # one helping card per cell of the room
-        return _Check(kind, subject, steps, passed, rejected, peak)
+        return _Check(steps, passed, rejected, peak)
 
     @cached_property
     def steps(self) -> tuple:
@@ -417,7 +415,7 @@ class _Schedule:
             marking = (("marker", encoding[0], 2, column), ("hidden-fill", 2, p - 1))
             extraction = (("extract", 2, p), ("tail", len(encoding) - p))
         cols = tuple(range(p))
-        src = f"room:{room}"
+        src = cards[0].set
         cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
         return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, _SCRAMBLE),
@@ -519,7 +517,8 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
 def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> TableState:
     """Place one face-down cell card per white cell: clue cards publicly,
     the rest hidden.  Raises SetupError when a needed card does not exist or
-    was already used, which is how bad rooms surface."""
+    was already used, which is how bad rooms surface; ValueError when the
+    values are not integers on exactly the white cells, or defy a clue."""
     secret = prover.secret
     if secret.keys() != grid.white_set:
         raise ValueError("prover assignment must cover exactly the white cells")
@@ -528,6 +527,8 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     used: set[CardId] = set()
     for rc, room, clue in schedule.setup:
         value = secret[rc]
+        if not isinstance(value, int):
+            raise ValueError(f"prover value at {rc} must be an integer")
         if clue is not None and value != clue:
             raise ValueError(f"prover value at {rc} contradicts the clue")
         cards = schedule.room_cards[room]
@@ -570,7 +571,7 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     """
     schedule = _schedule(table.grid)
     steps = schedule.conversion(rc, letter, length, site_prefix)
-    sequences = _live(table, schedule._check("convert", rc, steps), prover, source, transcript)
+    sequences = _live(table, schedule._check(steps), prover, source, transcript)
     if sequences is None:
         raise ProtocolError(f"room of cell {rc} does not hold its own cards")
     return sequences[0]
@@ -609,16 +610,16 @@ def run_full_protocol_with_table(
     except SetupError as err:
         return (Verdict(False, FailedCheck("room", err.room, at_setup=True)),
                 transcript, None)
-    for check in _schedule(grid).checks.values():
+    for (kind, subject), check in _schedule(grid).checks.items():
         table.peak_cards = max(table.peak_cards, check.peak)
-        if check.kind == "room":
-            ok = verify_room(table, check.subject, source, transcript)
-        elif check.kind == "neighbor":
-            ok = verify_neighbor(table, *check.subject, prover, source, transcript)
+        if kind == "room":
+            ok = verify_room(table, subject, source, transcript)
+        elif kind == "neighbor":
+            ok = verify_neighbor(table, *subject, prover, source, transcript)
         else:
-            ok = verify_arrow(table, check.subject, prover, source, transcript)
+            ok = verify_arrow(table, subject, prover, source, transcript)
         if not ok:
-            return Verdict(False, FailedCheck(check.kind, check.subject)), transcript, table
+            return Verdict(False, FailedCheck(kind, subject)), transcript, table
         table.assert_settled()
     return Verdict(True, None), transcript, table
 

@@ -28,7 +28,6 @@ Assignment = dict[Coord, int]
 
 ARROW_DELTAS = {"^": (-1, 0), "v": (1, 0), "<": (0, -1), ">": (0, 1)}
 _CLOCKWISE = ("^", ">", "v", "<")
-_ORTHO = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _ROOM_ID_RE = re.compile(r"[A-Za-z0-9]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
 _NATURAL_RE = re.compile("[1-9][0-9]*")
@@ -123,11 +122,14 @@ class Grid:
         return {rc: self.cell(rc).clue for rc in self.white_coords()
                 if self.cell(rc).clue is not None}
 
-    def arrow_target(self, rc: Coord) -> Coord:
+    def _arrow(self, rc: Coord) -> str:
         cell = self.cell(rc)
         if not isinstance(cell, Black):
             raise ValueError(f"cell {rc} is not black")
-        dr, dc = ARROW_DELTAS[cell.arrow]
+        return cell.arrow
+
+    def arrow_target(self, rc: Coord) -> Coord:
+        dr, dc = ARROW_DELTAS[self._arrow(rc)]
         return (rc[0] + dr, rc[1] + dc)
 
     @cached_property
@@ -171,7 +173,7 @@ def _validate(grid: Grid) -> None:
         frontier = [coords[0]]
         while frontier:
             cur = frontier.pop()
-            for dr, dc in _ORTHO:
+            for dr, dc in ARROW_DELTAS.values():
                 nb = (cur[0] + dr, cur[1] + dc)
                 if nb in member and nb not in seen:
                     seen.add(nb)
@@ -279,9 +281,9 @@ def white_neighbor_pairs(grid: Grid) -> list[tuple[Coord, Coord]]:
 
 
 def arrow_check_cells(grid: Grid, black_rc: Coord) -> list[Coord]:
-    """White neighbors of a black cell: the arrow's target first, then the
-    rest clockwise from it."""
-    turn = _CLOCKWISE.index(grid.cell(black_rc).arrow)  # type: ignore[union-attr]
+    """White neighbors of a black cell (ValueError for any other cell): the
+    arrow's target first, then the rest clockwise from it."""
+    turn = _CLOCKWISE.index(grid._arrow(black_rc))
     around = [ARROW_DELTAS[arrow] for arrow in _CLOCKWISE[turn:] + _CLOCKWISE[:turn]]
     return [nb for nb in ((black_rc[0] + dr, black_rc[1] + dc) for dr, dc in around)
             if nb in grid.white_set]
@@ -366,9 +368,7 @@ class PuzzleStats(NamedTuple):
 
 def stats(grid: Grid) -> PuzzleStats:
     """White-cell count and largest room size; these size the card deck."""
-    n = sum(len(coords) for coords in grid.rooms.values())
-    k = max(len(coords) for coords in grid.rooms.values())
-    return PuzzleStats(n, k)
+    return PuzzleStats(len(grid.white_set), max(map(len, grid.rooms.values())))
 
 
 def assignment_text(grid: Grid, assignment: Assignment) -> str:

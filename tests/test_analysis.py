@@ -287,8 +287,13 @@ class TestSiteHistograms:
             assert sum(a.counts[fam.key].values()) == 3
 
     def test_merge_requires_the_same_site_plan(self, quad_grid, cross_grid):
-        with pytest.raises(ValueError):
-            SiteHistograms(quad_grid).merge(SiteHistograms(cross_grid))
+        # rooms of 2 and of 3 cells give the same site keys, not the same cards
+        pair, line = parse_puzzle("makaro 1 2\nA A\n"), parse_puzzle("makaro 1 3\nA A A\n")
+        for grid_a, grid_b in ((quad_grid, cross_grid), (pair, line)):
+            with pytest.raises(ValueError, match="histograms cover different reveal sites"):
+                SiteHistograms(grid_a).merge(SiteHistograms(grid_b))
+            with pytest.raises(ValueError, match="histograms cover different reveal sites"):
+                compare_collections("mismatch", SiteHistograms(grid_a), SiteHistograms(grid_b))
 
 
 class TestUniformityTest:
@@ -533,7 +538,7 @@ class TestCollection:
                                                              cross_solution):
         a = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "c4", trials=5)
         b = collect_protocol_histograms(cross_grid, cross_solution, "c4", trials=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="histograms cover different reveal sites"):
             compare_collections("mismatch", a, b)
 
 
@@ -581,10 +586,12 @@ class TestComparisonReports:
 
     def test_records_serialize_to_json(self, quad_grid):
         report = zk_comparison(quad_grid, QUAD_SOLUTION, "js", trials=400)
-        payload = json.dumps(report.to_records(), sort_keys=True)
-        rows = json.loads(payload)
+        payload = json.loads(report.to_json())
+        rows = payload["sites"]
         assert len(rows) == len(report.sites)
         assert all(row["passed"] for row in rows)
+        assert (payload["trials_per_side"], payload["passed"]) == (400, True)
+        assert not hasattr(report, "to_records")
 
 
 def test_settings_that_no_caller_sets_are_constants():

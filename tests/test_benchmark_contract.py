@@ -9,6 +9,7 @@ rebind module attributes while it runs.  A change that breaks one of these
 should fail here, not only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -30,6 +31,12 @@ from makaro_zkp import (
 from conftest import load_grid, load_solution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = sorted(path for path in Path(makaro_zkp.__file__).parent.glob("*.py")
+                 if path.stem != "__init__")
+# the only bindings a module imports for the benchmark alone: spans.py traces
+# protocol's `arrow_check_cells`, and perfbench/test_perfbench.py asserts
+# that the traced run rebinds analysis's `stats`
+TRACER_ONLY = {"protocol": ["arrow_check_cells"], "analysis": ["stats"]}
 SPANS_FILE = PERFBENCH / "spans.py"
 # every package attribute the workloads reach, as `api.<name>`
 WORKLOAD_API = sorted(set(re.findall(r"\bapi\.(\w+)",
@@ -73,6 +80,29 @@ def test_arrow_check_cells_is_bound_where_the_tracer_wraps_it():
     # the tracer wraps protocol's binding and every copy of it, so the span
     # counts the calls the grid's rule list makes in puzzle
     assert protocol.arrow_check_cells is puzzle.arrow_check_cells
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports, at any depth, that it never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_the_import_guard_sees_every_module():
+    assert [path.stem for path in MODULES] == [
+        "analysis", "cli", "deck", "gridgen", "protocol", "puzzle"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_a_module_reads_every_name_it_imports(path):
+    # so no import stays behind for a tracer that no longer needs it
+    assert unused_imports(path) == TRACER_ONLY.get(path.stem, [])
 
 
 def test_runs_rebind_no_module_attribute():

@@ -321,6 +321,14 @@ class TestUsageErrors:
                   "--trials", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_search_bound_must_be_positive(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--puzzle", QUAD, "--bound", bound])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --bound: must be at least 1" in err
+
 
 # Run in a fresh interpreter, so no module another test imported counts.
 # Prints the heavy modules loaded after the plain commands, then after

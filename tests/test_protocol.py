@@ -165,6 +165,25 @@ class TestSetup:
         with pytest.raises(SetupError, match=f"no card of value {value} in room 'A'"):
             fresh_table(grid, {(0, 0): value}, "low")
 
+    @pytest.mark.parametrize("value", [1.0, "1", None, 2.5])
+    def test_a_value_that_is_not_an_integer_is_an_error(self, value):
+        # as in check_solution, and as for wrong keys or a contradicted clue
+        grid = parse_puzzle("makaro 1 2\nA A\n")
+        assignment = {(0, 0): value, (0, 1): 2}
+        with pytest.raises(ValueError):
+            check_solution(grid, assignment)
+        source = RandomSource("typed")
+        with pytest.raises(ValueError, match=r"prover value at \(0, 0\) must be an integer"):
+            run_full_protocol(grid, make_prover(assignment, source), source)
+
+    def test_a_bool_value_counts_as_an_integer(self):
+        grid = parse_puzzle("makaro 1 2\nA A\n")
+        source = RandomSource("typed")
+        verdict, _ = run_full_protocol(grid, make_prover({(0, 0): True, (0, 1): 2}, source),
+                                       source)
+        assert verdict.accepted
+        assert check_solution(grid, {(0, 0): True, (0, 1): 2})
+
     def test_setup_reads_the_compiled_placement_plan(self, monkeypatch, example_solution):
         grid = load_grid("example5x5.makaro")  # a fresh grid: nothing cached
         fresh_table(grid, example_solution, "first")
@@ -246,6 +265,12 @@ class TestCardPlan:
                 assert all(len(take.encoding) == length for take in takes)
                 last_room = grid.room_size(grid.room_of(cells[-1]))
                 assert check.peak == n + len(cells) * length + last_room, (name, kind, subject)
+
+    def test_a_compiled_check_is_keyed_by_its_rule(self, example_grid):
+        # the key names the rule, so the check holds only what a run needs
+        assert protocol._Check._fields == ("steps", "passed", "rejected", "peak")
+        checks = protocol._schedule(example_grid).checks
+        assert list(checks) == [(kind, subject) for kind, subject, _ in example_grid.rules]
 
 
 class TestConvertCell:

@@ -1,6 +1,7 @@
 """Grid model, file format, rule checking, and the exhaustive solver."""
 
 import pickle
+from functools import partial
 
 import pytest
 
@@ -8,6 +9,7 @@ from makaro_zkp import (
     PuzzleSemanticError,
     PuzzleSyntaxError,
     SearchBoundExceeded,
+    arrow_check_cells,
     assignment_from_grid,
     assignment_text,
     check_solution,
@@ -187,6 +189,13 @@ class TestRuleList:
             ((2, 4), ((3, 4), (2, 3), (1, 4))),
             ((4, 3), ((3, 3), (4, 4), (4, 2))),
         ]
+
+    def test_only_a_black_cell_has_arrow_cells(self, example_grid):
+        # the rule list and the arrow's target read the arrow through one guard
+        for rc in ((0, 0), (2, 2)):
+            for read in (example_grid.arrow_target, partial(arrow_check_cells, example_grid)):
+                with pytest.raises(ValueError, match=rf"cell \({rc[0]}, {rc[1]}\) is not black"):
+                    read(rc)
 
     def test_rules_survive_pickling(self, example_grid):
         # worker processes receive the grid with its compiled rules
