@@ -86,13 +86,10 @@ from .analysis import (
     SiteHistograms,
     SiteReport,
     card_budget,
-    collect_protocol_histograms,
-    collect_simulator_histograms,
     compare_collections,
     compare_histograms,
     site_plan,
     solution_comparison,
-    uniformity_test,
     zk_comparison,
 )
 

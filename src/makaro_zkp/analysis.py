@@ -5,10 +5,10 @@ an honest run must be distributed independently of the hidden solution.  This
 module makes that claim testable.  It knows, for a given grid, every reveal
 site of a run and the exact distribution each site should follow
 (`site_plan`), collects observed reveal patterns over many runs into
-histograms, and compares them -- either against the theoretical uniform
-distribution (`uniformity_test`) or between two collections
-(`compare_histograms`, e.g. real runs vs. the solution-free simulator, or
-runs built from two different solutions).
+histograms, and compares two collections site by site
+(`compare_histograms`): real runs against the solution-free simulator
+(`zk_comparison`), or runs built from two different solutions
+(`solution_comparison`).
 
 Chi-square tests are kept honest: expected counts below ``MIN_EXPECTED``
 raise `InsufficientTrials` rather than producing an unreliable p-value, sites
@@ -19,14 +19,13 @@ all sites control the familywise error rate by Bonferroni correction, at
 level ALPHA unless the caller sets another.
 
 scipy (and with it numpy) is loaded only when a chi-square test first runs:
-`zk-test` and the `compare_*`, `uniformity_test` and `*_comparison` functions
-pay for it, while importing the package, proving, solving and `stats` do not.
+`zk-test` and the `compare_*` and `*_comparison` functions pay for it, while
+importing the package, proving, solving and `stats` do not.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -104,13 +103,15 @@ class SiteHistograms:
     def __init__(self, grid: Grid):
         layout = run_layout(grid)
         # an accepting run is this long, with these events at these indices:
-        # each site event, and the closing event last.  Every run has two or
-        # more sites and reveals, so each getter returns a tuple.
+        # each site event, and the closing event last, and a reveal event in
+        # each reveal slot.  Every run has two or more sites and reveals, so
+        # each getter returns a tuple.
         self._length = layout.length
         self._fixed_at = itemgetter(*[at for at, _, _ in layout.sites], layout.length - 1)
         self._fixed = (*[event for _, event, _ in layout.sites], layout.closing)
         self._reveals = itemgetter(*[at + 1 + i for at, _, site in layout.sites
                                      for i in range(site.take)])
+        self._revealed = ("reveal",) * sum(site.take for _, _, site in layout.sites)
         self.families = site_plan(grid)
         self.counts: dict[str, Counter] = {family.key: Counter() for family in self.families}
         # the tested families take the revealed cards in turn: all of a
@@ -118,19 +119,20 @@ class SiteHistograms:
         ends = accumulate(family.take for family in self.families)
         self._reads = [(self.counts[family.key], end - family.take, end)
                        for family, end in zip(self.families, ends)]
-        self.transcripts = 0
 
     def add_transcript(self, transcript: Transcript) -> None:
         """Count the cards a transcript reveals at each site.  A transcript
-        not laid out as an accepting run of this grid raises ValueError and
-        counts nothing; the cards themselves are not checked."""
+        not laid out as an accepting run of this grid (its length, its site
+        and closing events, a reveal event in every reveal slot) raises
+        ValueError and counts nothing; the cards themselves are not checked."""
         events = transcript.events
-        if len(events) != self._length or self._fixed_at(events) != self._fixed:
+        revealed = (len(events) == self._length and self._fixed_at(events) == self._fixed
+                    and self._reveals(events))
+        if not revealed or tuple(map(itemgetter(0), revealed)) != self._revealed:
             raise ValueError("transcript is not an accepting run of this grid")
-        cards = tuple(map(itemgetter(2), self._reveals(events)))
+        cards = tuple(map(itemgetter(2), revealed))
         for counter, start, stop in self._reads:
             counter[cards[start:stop]] += 1
-        self.transcripts += 1
 
     def _require_same_sites(self, other: "SiteHistograms") -> None:
         # whole families: two grids can share every site key, not the cards
@@ -139,7 +141,6 @@ class SiteHistograms:
 
     def merge(self, other: "SiteHistograms") -> None:
         self._require_same_sites(other)
-        self.transcripts += other.transcripts
         for key, counter in other.counts.items():
             self.counts[key].update(counter)
 
@@ -188,35 +189,6 @@ def _chi2_tail(statistic: float, df: int) -> float:
 
 def _pattern_text(pattern: tuple[CardId, ...]) -> str:
     return " ".join(str(card) for card in pattern)
-
-
-def uniformity_test(family: SiteFamily, counter: Counter) -> SiteReport:
-    """Goodness-of-fit of observed patterns against the family's uniform
-    distribution over its full pattern space (unobserved patterns count as
-    zero-observation bins), passed at level ALPHA."""
-    draws = sum(counter.values())
-    for pattern in counter:
-        if not family.contains(pattern):
-            return SiteReport(family.key, family.kind, family.size(), 0,
-                              math.inf, 0.0, False, draws,
-                              note=f"pattern outside support: {_pattern_text(pattern)}")
-    size = family.size()
-    if size == 1:
-        return SiteReport(family.key, family.kind, 1, 0, 0.0, 1.0, True, draws,
-                          note="single possible pattern")
-    if draws == 0:
-        raise InsufficientTrials(f"no draws recorded at {family.key}")
-    expected = draws / size
-    if expected < MIN_EXPECTED:
-        raise InsufficientTrials(
-            f"{family.key}: expected count {expected:.2f} per bin is below "
-            f"{MIN_EXPECTED}; need at least {math.ceil(MIN_EXPECTED * size)} draws")
-    statistic = sum((count - expected) ** 2 / expected for count in counter.values())
-    statistic += (size - len(counter)) * expected
-    df = size - 1
-    p_value = _chi2_tail(statistic, df)
-    return SiteReport(family.key, family.kind, size, df, statistic, p_value,
-                      p_value >= ALPHA, draws)
 
 
 def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counter) -> SiteReport:
@@ -292,7 +264,8 @@ def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int
              workers: int) -> SiteHistograms:
     """Histograms over trials 0..trials-1, split into contiguous chunks, one
     per worker process, with no more workers than CPUs; transcript_of must
-    pickle when workers > 1."""
+    pickle when workers > 1.  Trial i draws all its randomness from a seed
+    derived from (seed, i), so the histograms do not depend on workers."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     chunk = partial(_chunk, transcript_of, grid)
@@ -309,19 +282,6 @@ def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int
     for part in parts[1:]:
         merged.merge(part)
     return merged
-
-
-def collect_protocol_histograms(grid: Grid, solution: Assignment, seed: str,
-                                trials: int, workers: int = 1) -> SiteHistograms:
-    """Histograms over `trials` real runs; trial i draws all randomness from
-    a seed derived from (seed, i), so results do not depend on workers."""
-    return _collect(partial(_honest_transcript, grid, solution, seed), grid, trials, workers)
-
-
-def collect_simulator_histograms(grid: Grid, seed: str, trials: int,
-                                 workers: int = 1) -> SiteHistograms:
-    """Histograms over `trials` simulated transcripts (no solution involved)."""
-    return _collect(partial(_simulated_transcript, grid, seed), grid, trials, workers)
 
 
 # --- sweep reports -------------------------------------------------------------
@@ -395,8 +355,9 @@ def zk_comparison(grid: Grid, solution: Assignment, seed: str, trials: int,
                   workers: int = 1, alpha: float = ALPHA) -> ComparisonReport:
     """The executable zero-knowledge check: `trials` real runs against
     `trials` solution-free simulated transcripts, compared site by site."""
-    real = collect_protocol_histograms(grid, solution, f"{seed}/real", trials, workers)
-    sim = collect_simulator_histograms(grid, f"{seed}/sim", trials, workers)
+    real = _collect(partial(_honest_transcript, grid, solution, f"{seed}/real"),
+                    grid, trials, workers)
+    sim = _collect(partial(_simulated_transcript, grid, f"{seed}/sim"), grid, trials, workers)
     return compare_collections("protocol vs simulator", real, sim, alpha)
 
 
@@ -404,6 +365,8 @@ def solution_comparison(grid: Grid, solution_a: Assignment, solution_b: Assignme
                         seed: str, trials: int) -> ComparisonReport:
     """Indistinguishability of provers: runs built from two different valid
     solutions of the same grid, compared site by site."""
-    hist_a = collect_protocol_histograms(grid, solution_a, f"{seed}/a", trials)
-    hist_b = collect_protocol_histograms(grid, solution_b, f"{seed}/b", trials)
+    hist_a = _collect(partial(_honest_transcript, grid, solution_a, f"{seed}/a"),
+                      grid, trials, 1)
+    hist_b = _collect(partial(_honest_transcript, grid, solution_b, f"{seed}/b"),
+                      grid, trials, 1)
     return compare_collections("prover A vs prover B", hist_a, hist_b)

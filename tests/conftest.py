@@ -1,10 +1,13 @@
-"""Shared fixtures: the bundled puzzle corpus and its worked 5x5 example."""
+"""Shared fixtures: the bundled puzzle corpus and its worked 5x5 example,
+and the helpers several test modules share."""
 
+import math
 from pathlib import Path
 
 import pytest
 
-from makaro_zkp import assignment_from_grid, parse_puzzle
+from makaro_zkp import InsufficientTrials, SiteReport, assignment_from_grid, parse_puzzle
+from makaro_zkp import analysis
 
 PUZZLES = Path(__file__).resolve().parent.parent / "puzzles"
 
@@ -46,6 +49,38 @@ def site_patterns(events) -> list:
     if site is not None:
         out.append((site, tuple(cards)))
     return out
+
+
+def uniformity_test(family, counter) -> SiteReport:
+    """Goodness-of-fit of observed patterns against the family's uniform
+    distribution over its full pattern space (unobserved patterns count as
+    zero-observation bins), passed at level ALPHA, with the library's
+    chi-square tail."""
+    draws = sum(counter.values())
+    for pattern in counter:
+        if not family.contains(pattern):
+            outside = analysis._pattern_text(pattern)
+            return SiteReport(family.key, family.kind, family.size(), 0,
+                              math.inf, 0.0, False, draws,
+                              note=f"pattern outside support: {outside}")
+    size = family.size()
+    if size == 1:
+        return SiteReport(family.key, family.kind, 1, 0, 0.0, 1.0, True, draws,
+                          note="single possible pattern")
+    if draws == 0:
+        raise InsufficientTrials(f"no draws recorded at {family.key}")
+    expected = draws / size
+    if expected < analysis.MIN_EXPECTED:
+        raise InsufficientTrials(
+            f"{family.key}: expected count {expected:.2f} per bin is below "
+            f"{analysis.MIN_EXPECTED}; need at least "
+            f"{math.ceil(analysis.MIN_EXPECTED * size)} draws")
+    statistic = sum((count - expected) ** 2 / expected for count in counter.values())
+    statistic += (size - len(counter)) * expected
+    df = size - 1
+    p_value = analysis._chi2_tail(statistic, df)
+    return SiteReport(family.key, family.kind, size, df, statistic, p_value,
+                      p_value >= analysis.ALPHA, draws)
 
 
 @pytest.fixture(scope="session")

@@ -59,14 +59,13 @@ from makaro_zkp import (
     solution_comparison,
     solve_brute_force,
     stats,
-    uniformity_test,
     violations,
     zk_comparison,
     Transcript,
 )
 from makaro_zkp import protocol
 
-from conftest import PUZZLES, find_in_row, load_grid, load_solution
+from conftest import PUZZLES, find_in_row, load_grid, load_solution, uniformity_test
 
 
 def report(name: str, ok: bool, detail: str) -> None:

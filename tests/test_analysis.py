@@ -12,6 +12,7 @@ import math
 import os
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,6 @@ from makaro_zkp import (
     SiteHistograms,
     card_budget,
     cell_card,
-    collect_protocol_histograms,
-    collect_simulator_histograms,
     compare_collections,
     compare_histograms,
     encoding_card,
@@ -39,14 +38,26 @@ from makaro_zkp import (
     site_plan,
     solution_comparison,
     stats,
-    uniformity_test,
     zk_comparison,
 )
 import makaro_zkp
 from makaro_zkp import analysis, gridgen
-from makaro_zkp.analysis import MARGINAL_THRESHOLD, MIN_EXPECTED
+from makaro_zkp.analysis import (
+    MARGINAL_THRESHOLD,
+    MIN_EXPECTED,
+    _collect,
+    _honest_transcript,
+    _simulated_transcript,
+)
 
-from conftest import load_grid, site_patterns
+from conftest import load_grid, site_patterns, uniformity_test
+
+
+def counted(hist: SiteHistograms) -> int:
+    """The transcripts a histogram has counted: each site counts every
+    transcript once, so all the site counters hold that many draws."""
+    (total,) = {sum(counter.values()) for counter in hist.counts.values()}
+    return total
 
 
 def perm_family(n: int) -> SiteFamily:
@@ -189,7 +200,7 @@ class TestSiteHistograms:
         hist = SiteHistograms(quad_grid)
         for seed in ("h1", "h2", "h3"):
             hist.add_transcript(self.run_transcript(quad_grid, solution, seed))
-        assert hist.transcripts == 3
+        assert counted(hist) == 3
         for fam in hist.families:
             assert sum(hist.counts[fam.key].values()) == 3
             for pattern in hist.counts[fam.key]:
@@ -238,16 +249,25 @@ class TestSiteHistograms:
             at = next(i for i, ev in enumerate(events) if ev[0] == "site")
             events[at - 1], events[at] = events[at], events[at - 1]
 
+        def fill_a_reveal_slot(stranger):
+            # the run keeps its length and its site and closing events
+            def edit(events):
+                events[next(i for i, ev in enumerate(events) if ev[0] == "reveal")] = stranger
+            return edit
+
         other = parse_puzzle("makaro 1 1\nZ\n")
         source = RandomSource("other")
         _, from_another_grid = run_full_protocol(other, make_prover({(0, 0): 1}, source),
                                                  source)
         hist = SiteHistograms(example_grid)
         for transcript in (from_another_grid, doctored(drop_a_reveal),
-                           doctored(swap_a_site_event)):
+                           doctored(swap_a_site_event),
+                           # no card to read, and a card-like third field
+                           doctored(fill_a_reveal_slot(("turn-down",))),
+                           doctored(fill_a_reveal_slot(("helps", 1, 3)))):
             with pytest.raises(ValueError):
                 hist.add_transcript(transcript)
-        assert hist.transcripts == 0
+        assert counted(hist) == 0
         assert not any(hist.counts.values())
 
     def test_a_rejected_run_is_rejected(self):
@@ -264,7 +284,7 @@ class TestSiteHistograms:
         with pytest.raises(ValueError):
             hist.add_transcript(transcript)
         hist.add_transcript(accepted)
-        assert hist.transcripts == 1
+        assert counted(hist) == 1
 
     def test_transcript_from_another_grid_is_rejected(self, quad_grid):
         other = parse_puzzle("makaro 1 1\nZ\n")
@@ -282,7 +302,7 @@ class TestSiteHistograms:
         b.add_transcript(self.run_transcript(quad_grid, solution, "mb"))
         b.add_transcript(self.run_transcript(quad_grid, solution, "mc"))
         a.merge(b)
-        assert a.transcripts == 3
+        assert counted(a) == 3
         for fam in a.families:
             assert sum(a.counts[fam.key].values()) == 3
 
@@ -370,8 +390,8 @@ class TestUniformityTest:
 
     def test_real_runs_of_a_single_room_look_uniform(self):
         grid = parse_puzzle("makaro 1 3\nA A A\n")
-        hist = collect_protocol_histograms(
-            grid, {(0, 0): 1, (0, 1): 2, (0, 2): 3}, "unif", trials=3000)
+        hist = _collect(partial(_honest_transcript, grid, {(0, 0): 1, (0, 1): 2, (0, 2): 3},
+                                "unif"), grid, 3000, 1)
         reports = [uniformity_test(fam, hist.counts[fam.key]) for fam in hist.families]
         tested = [r for r in reports if r.df >= 1]
         assert tested
@@ -477,20 +497,22 @@ QUAD_MIRROR = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
 class TestCollection:
     def test_trial_count_and_per_site_draws(self, quad_grid):
-        hist = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "c1", trials=50)
-        assert hist.transcripts == 50
+        hist = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "c1"),
+                        quad_grid, 50, 1)
+        assert counted(hist) == 50
         assert all(sum(c.values()) == 50 for c in hist.counts.values())
 
     def test_worker_count_does_not_change_the_histograms(self, quad_grid):
-        serial = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "wk", trials=60)
-        parallel = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "wk",
-                                               trials=60, workers=2)
-        assert serial.transcripts == parallel.transcripts == 60
+        real_runs = partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "wk")
+        serial = _collect(real_runs, quad_grid, 60, 1)
+        parallel = _collect(real_runs, quad_grid, 60, 2)
+        assert counted(serial) == counted(parallel) == 60
         assert serial.counts == parallel.counts
 
     def test_simulator_collection_matches_across_workers(self, quad_grid):
-        serial = collect_simulator_histograms(quad_grid, "wks", trials=60)
-        parallel = collect_simulator_histograms(quad_grid, "wks", trials=60, workers=3)
+        simulated = partial(_simulated_transcript, quad_grid, "wks")
+        serial = _collect(simulated, quad_grid, 60, 1)
+        parallel = _collect(simulated, quad_grid, 60, 3)
         assert serial.counts == parallel.counts
 
     def test_workers_are_capped_at_the_cpu_count(self, quad_grid, monkeypatch):
@@ -512,32 +534,36 @@ class TestCollection:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        serial = collect_simulator_histograms(quad_grid, "cap", trials=60)
+        simulated = partial(_simulated_transcript, quad_grid, "cap")
+        serial = _collect(simulated, quad_grid, 60, 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        capped = collect_simulator_histograms(quad_grid, "cap", trials=60, workers=1000)
+        capped = _collect(simulated, quad_grid, 60, 1000)
         assert started == [3]
         assert capped.counts == serial.counts
         # one CPU, or a count the platform cannot tell, runs in this process
         for count in (1, None):
             monkeypatch.setattr(os, "cpu_count", lambda: count)
-            alone = collect_simulator_histograms(quad_grid, "cap", trials=60, workers=1000)
+            alone = _collect(simulated, quad_grid, 60, 1000)
             assert alone.counts == serial.counts
         assert started == [3]
 
     def test_rule_breaking_solution_is_refused(self, quad_grid):
         bad = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}
         with pytest.raises(ProtocolError):
-            collect_protocol_histograms(quad_grid, bad, "c2", trials=5)
+            _collect(partial(_honest_transcript, quad_grid, bad, "c2"), quad_grid, 5, 1)
 
     def test_trials_must_be_positive(self, quad_grid):
         with pytest.raises(ValueError):
-            collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "c3", trials=0)
+            _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "c3"),
+                     quad_grid, 0, 1)
 
     def test_collections_from_different_grids_do_not_compare(self, quad_grid,
                                                              cross_grid,
                                                              cross_solution):
-        a = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "c4", trials=5)
-        b = collect_protocol_histograms(cross_grid, cross_solution, "c4", trials=5)
+        a = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "c4"),
+                     quad_grid, 5, 1)
+        b = _collect(partial(_honest_transcript, cross_grid, cross_solution, "c4"),
+                     cross_grid, 5, 1)
         with pytest.raises(ValueError, match="histograms cover different reveal sites"):
             compare_collections("mismatch", a, b)
 
@@ -556,8 +582,10 @@ class TestComparisonReports:
         assert report.passed
 
     def test_doctored_histograms_are_caught(self, quad_grid):
-        real = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "d1", trials=400)
-        fake = collect_protocol_histograms(quad_grid, QUAD_SOLUTION, "d2", trials=400)
+        real = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "d1"),
+                        quad_grid, 400, 1)
+        fake = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "d2"),
+                        quad_grid, 400, 1)
         key = "room/A/cells"
         pattern = (cell_card("A", 1), cell_card("A", 2))
         fake.counts[key] = Counter({pattern: 400})  # prover who never shuffles
