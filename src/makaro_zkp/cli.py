@@ -153,8 +153,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     rooms = ", ".join(f"{room}({len(cells)})" for room, cells in sorted(grid.rooms.items()))
     print(f"rooms: {rooms}")
     print(f"deck: {budget.cell_cards} cell + {budget.helping_cards} helping + "
-          f"{budget.encoding_cards} encoding ({len(ENC_LETTERS)} sets of {2 * st.k - 1}) "
-          f"= {budget.total} cards")
+          f"{budget.encoding_cards} encoding ({len(ENC_LETTERS)} sets of "
+          f"{budget.encoding_cards // len(ENC_LETTERS)}) = {budget.total} cards")
     print(f"reveal sites tested: {len(plan)}")
     return 0
 

@@ -169,10 +169,22 @@ class Transcript:
 
 
 class _Field(NamedTuple):
-    """How one event field is written and read back."""
+    """How one event field is written and read back; parse is its grammar."""
 
+    name: str
     format: Callable[[Any], str]
     parse: Callable[[str], Any]
+
+    def write(self, value: Any) -> str:
+        """The value's text, if it holds no whitespace (the reader splits
+        fields there) and parse reads it back as the value."""
+        try:
+            text = self.format(value)
+            if not any(map(str.isspace, text)) and self.parse(text) == value:
+                return text
+        except (DeckError, LookupError, TypeError, ValueError):
+            pass
+        raise DeckError(f"cannot write {value!r} as a {self.name}")
 
 
 def _parse_pos(text: str) -> tuple[int, int]:
@@ -180,24 +192,14 @@ def _parse_pos(text: str) -> tuple[int, int]:
     return (_parse_int(r), _parse_int(c))
 
 
-def _format_card(card: Any) -> str:
-    """A card's text, written only if it reads back as the same card, so the
-    writer never emits a line the reader rejects or reads differently."""
-    text = str(card)
-    # the reader splits at the last "#" and takes canonical digits after it
-    if type(card) is CardId and type(card.set) is str and type(card.index) is int \
-            and card.index >= 0 and text.split() == [text]:
-        return text
-    raise DeckError(f"cannot write {card!r} as a card")
-
-
-_TEXT = _Field(str, str)
-_INT = _Field(str, _parse_int)
-_POS = _Field(lambda pos: f"{pos[0]},{pos[1]}", _parse_pos)
-_CARD = _Field(_format_card, parse_card)
-_ORDER = _Field(lambda order: ",".join(str(i) for i in order),
+_TEXT = _Field("text", str, str)
+_INT = _Field("int", str, _parse_int)
+_POS = _Field("pos", lambda pos: f"{pos[0]},{pos[1]}", _parse_pos)
+_CARD = _Field("card", str, parse_card)
+_ORDER = _Field("order", lambda order: ",".join(str(i) for i in order),
                 lambda text: tuple(_parse_int(i) for i in text.split(",")))
-_RESULT = _Field(lambda ok: "pass" if ok else "fail", {"pass": True, "fail": False}.__getitem__)
+_RESULT = _Field("result", lambda ok: "pass" if ok else "fail",
+                 {"pass": True, "fail": False}.__getitem__)
 
 # The text form of each event kind: its fields after the kind, in order.
 _EVENT_FIELDS: dict[str, tuple[tuple[str, _Field], ...]] = {
@@ -224,7 +226,7 @@ def _format_event(ev: tuple) -> str:
     spec = _EVENT_FIELDS.get(ev[0])
     if spec is None or len(ev) != len(spec) + 1:
         raise DeckError(f"unknown event {ev!r}")
-    return " ".join([ev[0], *(f"{name}={field.format(value)}"
+    return " ".join([ev[0], *(f"{name}={field.write(value)}"
                               for (name, field), value in zip(spec, ev[1:]))])
 
 

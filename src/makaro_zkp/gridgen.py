@@ -113,7 +113,7 @@ def all_value_assignments(grid: Grid) -> Iterator[Assignment]:
     choices = []
     for rc in coords:
         cell = grid.cell(rc)
-        size = grid.room_size(cell.room)
+        size = len(grid.rooms[cell.room])
         choices.append((cell.clue,) if cell.clue is not None else tuple(range(1, size + 1)))
     for values in product(*choices):
         yield dict(zip(coords, values))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, permutations, product
 from typing import Iterator, NamedTuple
@@ -107,9 +107,6 @@ class Grid:
             raise ValueError(f"cell {rc} is not white")
         return cell.room
 
-    def room_size(self, room: str) -> int:
-        return len(self.rooms[room])
-
     def white_coords(self) -> list[Coord]:
         return [(r, c) for r in range(self.height) for c in range(self.width)
                 if isinstance(self.cells[r][c], White)]
@@ -117,10 +114,6 @@ class Grid:
     @cached_property
     def white_set(self) -> frozenset[Coord]:
         return frozenset(self.white_coords())
-
-    def clues(self) -> dict[Coord, int]:
-        return {rc: self.cell(rc).clue for rc in self.white_coords()
-                if self.cell(rc).clue is not None}
 
     def _arrow(self, rc: Coord) -> str:
         cell = self.cell(rc)
@@ -204,7 +197,7 @@ def parse_puzzle(text: str) -> Grid:
         [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
         for line in lines
     ]
-    if not tokens_by_line or not tokens_by_line[0]:
+    if not tokens_by_line[0]:
         raise PuzzleSyntaxError("missing header", 1, 1)
     header = tokens_by_line[0]
     if header[0][0] != "makaro":
@@ -261,13 +254,18 @@ def _natural(tok: str) -> int:
 
 
 def serialize_puzzle(grid: Grid) -> str:
-    """Canonical text form: single spaces, trailing newline. Inverse of parse_puzzle."""
+    """Canonical text form: single spaces, trailing newline.  parse_puzzle
+    is the format's grammar: the text is returned only if it reads back as
+    the same grid; parse errors propagate, and another grid raises PuzzleError."""
     def token(cell: Cell) -> str:
         if isinstance(cell, Black):
             return "B" + cell.arrow
         return cell.room if cell.clue is None else f"{cell.room}={cell.clue}"
     rows = (" ".join(map(token, row)) for row in grid.cells)
-    return "\n".join([f"makaro {grid.height} {grid.width}", *rows]) + "\n"
+    text = "\n".join([f"makaro {grid.height} {grid.width}", *rows]) + "\n"
+    if parse_puzzle(text) != grid:
+        raise PuzzleError(f"the grid's text reads back as another grid: {text!r}")
+    return text
 
 
 def white_neighbor_pairs(grid: Grid) -> list[tuple[Coord, Coord]]:
@@ -343,14 +341,11 @@ def solve_brute_force(grid: Grid, bound: int = DEFAULT_SEARCH_BOUND) -> list[Ass
     if candidates > bound:
         raise SearchBoundExceeded(
             f"{candidates} candidate fillings exceed the bound of {bound}")
-    clues = grid.clues()
     room_choices: list[list[tuple[int, ...]]] = []
     for room in rooms:
-        coords = grid.rooms[room]
-        fixed = [(i, clues[rc]) for i, rc in enumerate(coords) if rc in clues]
-        perms = [p for p in permutations(range(1, len(coords) + 1))
-                 if all(p[i] == v for i, v in fixed)]
-        room_choices.append(perms)
+        clues = [grid.cell(rc).clue for rc in grid.rooms[room]]
+        room_choices.append([p for p in permutations(range(1, len(clues) + 1))
+                             if all(clue in (None, v) for v, clue in zip(p, clues))])
 
     cells = [rc for room in rooms for rc in grid.rooms[room]]
     solutions: list[Assignment] = []
@@ -377,9 +372,9 @@ def assignment_text(grid: Grid, assignment: Assignment) -> str:
     A fully-clued puzzle file doubles as the solution file format.
     """
     _require_domain(grid, assignment)
-    return serialize_puzzle(build_grid([
-        [White(cell.room, assignment[(r, c)]) if isinstance(cell, White) else cell
-         for c, cell in enumerate(row)] for r, row in enumerate(grid.cells)]))
+    return serialize_puzzle(replace(grid, cells=tuple(
+        tuple(replace(cell, clue=assignment[(r, c)]) if isinstance(cell, White) else cell
+              for c, cell in enumerate(row)) for r, row in enumerate(grid.cells))))
 
 
 def assignment_from_grid(solution: Grid) -> Assignment:

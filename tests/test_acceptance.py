@@ -84,7 +84,7 @@ def single_rule_perturbations(grid, solution):
     for rc in grid.white_coords():
         if rc in clued:
             continue
-        for value in range(1, grid.room_size(grid.room_of(rc)) + 1):
+        for value in range(1, len(grid.rooms[grid.room_of(rc)]) + 1):
             if value != solution[rc]:
                 changed = dict(solution)
                 changed[rc] = value
@@ -441,7 +441,7 @@ def test_conversion_round_trip(example_grid, example_solution):
         before = dict(table.cell_cards)
         for i, rc in enumerate(cells):
             letter = letters[(round_ + i) % 4]
-            room_size = example_grid.room_size(example_grid.room_of(rc))
+            room_size = len(example_grid.rooms[example_grid.room_of(rc)])
             length = full_length if (round_ + i) % 2 else room_size
             sequence = convert_cell(table, rc, letter, length, prover, source,
                                     transcript, "cell")

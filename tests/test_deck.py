@@ -579,6 +579,26 @@ class TestTranscript:
         with pytest.raises(DeckError, match="as a card"):
             t.to_text()
 
+    @pytest.mark.parametrize("event, kind", [
+        (("site", "room/A cells"), "text"),
+        (("site", "room/A\nend kind=room key=A result=pass"), "text"),
+        (("begin", "room", "A\tB"), "text"),
+        (("shuffle", None), "text"),
+        (("helps", -1, 3), "int"),
+        (("tail", True), "int"),
+        (("extract", 2, 1.0), "int"),
+        (("place-hidden", [0, 1]), "pos"),
+        (("reveal", (0, -1), help_card(1)), "pos"),
+        (("rearrange", [1, 0, 2]), "order"),
+        (("rearrange", ()), "order"),
+        (("end", "room", "A", None), "result"),
+    ])
+    def test_a_field_that_would_not_read_back_is_not_written(self, event, kind):
+        t = Transcript()
+        t.append(event)
+        with pytest.raises(DeckError, match=f"as a {kind}$"):
+            t.to_text()
+
     @pytest.mark.parametrize("card", [CardId("a#b", 0), CardId("", 1), CardId("x=y", 12)])
     def test_unusual_but_readable_cards_round_trip(self, card):
         t = Transcript()

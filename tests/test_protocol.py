@@ -258,12 +258,12 @@ class TestCardPlan:
                 sets = [take.encoding[0].set for take in takes if take.encoding]
                 assert len(set(sets)) == len(sets), (name, kind, subject)
                 if kind == "room":
-                    assert check.peak == n + grid.room_size(subject), (name, subject)
+                    assert check.peak == n + len(grid.rooms[subject]), (name, subject)
                     continue
                 cells = rule_cells(grid, kind, subject)
                 length = len(takes[0].encoding)
                 assert all(len(take.encoding) == length for take in takes)
-                last_room = grid.room_size(grid.room_of(cells[-1]))
+                last_room = len(grid.rooms[grid.room_of(cells[-1])])
                 assert check.peak == n + len(cells) * length + last_room, (name, kind, subject)
 
     def test_a_compiled_check_is_keyed_by_its_rule(self, example_grid):

@@ -6,12 +6,14 @@ from functools import partial
 import pytest
 
 from makaro_zkp import (
+    PuzzleError,
     PuzzleSemanticError,
     PuzzleSyntaxError,
     SearchBoundExceeded,
     arrow_check_cells,
     assignment_from_grid,
     assignment_text,
+    build_grid,
     check_solution,
     parse_puzzle,
     same_layout,
@@ -21,6 +23,7 @@ from makaro_zkp import (
     violations,
     white_neighbor_pairs,
 )
+from makaro_zkp.puzzle import White
 
 from conftest import PUZZLES, load_grid, load_solution
 
@@ -41,6 +44,11 @@ EXAMPLE_SOLUTION_ROWS = [
 ]
 
 
+def clues(grid):
+    return {rc: grid.cell(rc).clue for rc in grid.white_coords()
+            if grid.cell(rc).clue is not None}
+
+
 def example_assignment():
     return {(r, c): v
             for r, row in enumerate(EXAMPLE_SOLUTION_ROWS)
@@ -56,7 +64,7 @@ class TestParsing:
         assert len(arrows) == 5
         assert sorted((room, len(cells)) for room, cells in g.rooms.items()) == [
             ("A", 3), ("B", 2), ("C", 5), ("D", 5), ("E", 2), ("F", 3)]
-        assert g.clues() == {(0, 4): 2, (1, 0): 3, (4, 4): 1}
+        assert clues(g) == {(0, 4): 2, (1, 0): 3, (4, 4): 1}
         assert [g.cell(rc).arrow for rc in arrows] == ["<", ">", "v", "v", "^"]
 
     def test_bundled_example_matches_frozen_text(self, puzzles_dir):
@@ -65,7 +73,7 @@ class TestParsing:
     def test_minimal_grid(self):
         g = parse_puzzle("makaro 1 1\nA\n")
         assert stats(g) == (1, 1)
-        assert g.clues() == {}
+        assert clues(g) == {}
 
     def test_arrow_off_grid_rejected(self):
         with pytest.raises(PuzzleSemanticError) as e:
@@ -114,6 +122,18 @@ class TestParsing:
             grid = parse_puzzle(text)
             assert serialize_puzzle(grid) == text, path.name
             assert parse_puzzle(serialize_puzzle(grid)) == grid, path.name
+
+    @pytest.mark.parametrize("cells, error", [
+        # the token A=1 reads back as room A clued 1, and B^ as an arrow
+        ([[White("A=1")], [White("A")]], "another grid"),
+        ([[White("A")], [White("B^")]], "another grid"),
+        ([[White("a b")]], "expected 1 cells, found 2"),
+        ([[White("A", True)]], "bad clue"),
+        ([[White("A", 1.0)]], "bad clue"),
+    ])
+    def test_a_grid_that_would_not_read_back_is_not_written(self, cells, error):
+        with pytest.raises(PuzzleError, match=error):
+            serialize_puzzle(build_grid(cells))
 
 
 class TestRules:
@@ -262,6 +282,19 @@ class TestSolutionFiles:
         solved = parse_puzzle(text)
         assert same_layout(example_grid, solved)
         assert assignment_from_grid(solved) == example_assignment()
+
+    def test_assignment_text_refuses_a_value_that_would_not_read_back(self):
+        grid = parse_puzzle("makaro 1 2\nA A\n")
+        with pytest.raises(PuzzleSyntaxError, match="bad clue"):
+            assignment_text(grid, {(0, 0): True, (0, 1): 2})
+
+    def test_assignment_text_rejects_a_value_outside_its_room(self, example_grid):
+        assignment = example_assignment()
+        assignment[(0, 1)] = 3
+        with pytest.raises(PuzzleSemanticError) as e:
+            assignment_text(example_grid, assignment)
+        assert e.value.cell == (0, 1)
+        assert "clue 3 outside 1..2 for room 'B'" in str(e.value)
 
     def test_same_layout_rejects_different_grid(self, example_grid, quad_grid):
         assert not same_layout(example_grid, quad_grid)
