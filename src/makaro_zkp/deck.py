@@ -223,7 +223,10 @@ _EVENT_FIELDS: dict[str, tuple[tuple[str, _Field], ...]] = {
 
 
 def _format_event(ev: tuple) -> str:
-    spec = _EVENT_FIELDS.get(ev[0])
+    """The event's line.  An event is a non-empty tuple whose first element
+    names its kind, followed by that kind's fields."""
+    kind = ev[0] if isinstance(ev, tuple) and ev else None
+    spec = _EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
     if spec is None or len(ev) != len(spec) + 1:
         raise DeckError(f"unknown event {ev!r}")
     return " ".join([ev[0], *(f"{name}={field.write(value)}"

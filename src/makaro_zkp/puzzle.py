@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, permutations, product
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 Coord = tuple[int, int]
 Assignment = dict[Coord, int]
@@ -84,6 +85,17 @@ class Rule(NamedTuple):
     cells: tuple[Coord, ...]
 
 
+class _CompiledRule(NamedTuple):
+    """A rule as the rule checker reads it: a getter of its cells' values,
+    as a tuple in the order of Rule.cells, and for a room the values 1..size
+    that its sorted values must equal (None for the other kinds)."""
+
+    kind: str
+    subject: object
+    values: Callable[[Assignment], tuple[int, ...]]
+    room: list[int] | None
+
+
 @dataclass(frozen=True)
 class Grid:
     """A validated puzzle grid.
@@ -136,6 +148,15 @@ class Grid:
         return (*(Rule("room", room, self.rooms[room]) for room in sorted(self.rooms)),
                 *(Rule("neighbor", pair, pair) for pair in white_neighbor_pairs(self)),
                 *(Rule("arrow", rc, tuple(arrow_check_cells(self, rc))) for rc in arrows))
+
+    @cached_property
+    def compiled_rules(self) -> tuple[_CompiledRule, ...]:
+        """rules, compiled once for the rule checker: the same rules in the
+        same order, each with its getter built.  It is cached with the grid
+        and pickled with it, so it holds no lambda or closure."""
+        return tuple(_CompiledRule(kind, subject, _values_getter(cells),
+                                   list(range(1, len(cells) + 1)) if kind == "room" else None)
+                     for kind, subject, cells in self.rules)
 
 
 def build_grid(cells: list[list[Cell]]) -> Grid:
@@ -287,6 +308,16 @@ def arrow_check_cells(grid: Grid, black_rc: Coord) -> list[Coord]:
             if nb in grid.white_set]
 
 
+def _values_getter(cells: tuple[Coord, ...]) -> Callable[[Assignment], tuple[int, ...]]:
+    """A picklable getter of the cells' values as a tuple.  itemgetter of one
+    key returns the bare value, so one cell gets its own getter."""
+    return itemgetter(*cells) if len(cells) > 1 else partial(_one_value, cells[0])
+
+
+def _one_value(rc: Coord, assignment: Assignment) -> tuple[int]:
+    return (assignment[rc],)
+
+
 def _require_domain(grid: Grid, assignment: Assignment) -> None:
     if assignment.keys() != grid.white_set:
         raise ValueError("assignment must cover exactly the white cells")
@@ -301,10 +332,10 @@ def _broken_rules(grid: Grid, assignment: Assignment) -> Iterator[tuple]:
     protocol runs its checks in the same order, so the first entry is the
     check a rejecting protocol run fails on."""
     _require_domain(grid, assignment)
-    for kind, subject, cells in grid.rules:
-        values = [assignment[rc] for rc in cells]
+    for kind, subject, get_values, room in grid.compiled_rules:
+        values = get_values(assignment)
         if kind == "room":
-            broken = sorted(values) != list(range(1, len(values) + 1))
+            broken = sorted(values) != room
         elif kind == "neighbor":
             broken = values[0] == values[1]
         else:

@@ -265,6 +265,14 @@ class TestZkTest:
                        "--workers", "2")
         assert base == again == wide
 
+    def test_the_default_report_is_worker_independent(self, capsys):
+        # as CI runs it through the installed script: no --solution, so the
+        # grid is solved, then sent with its compiled checker to the workers
+        argv = ("zk-test", "--puzzle", QUAD, "--trials", "300")
+        one = run_cli(capsys, *argv)
+        assert one[0] == 0
+        assert run_cli(capsys, *argv, "--workers", "2") == one
+
 
 class TestStats:
     def test_example_figures(self, capsys):

@@ -599,6 +599,18 @@ class TestTranscript:
         with pytest.raises(DeckError, match=f"as a {kind}$"):
             t.to_text()
 
+    @pytest.mark.parametrize("event", [
+        (), 5, None, "turn-down", ["turn-down"], (["turn-down"],), ("nonsense",),
+        ("turn-down", 1), ("tail",),
+    ], ids=["empty", "int", "none", "str", "list", "list-kind", "unknown-kind",
+            "extra-field", "missing-field"])
+    def test_an_object_that_is_not_an_event_is_not_written(self, event):
+        # a list would read back as a tuple, so it is not written either
+        t = Transcript()
+        t.append(event)
+        with pytest.raises(DeckError, match="unknown event"):
+            t.to_text()
+
     @pytest.mark.parametrize("card", [CardId("a#b", 0), CardId("", 1), CardId("x=y", 12)])
     def test_unusual_but_readable_cards_round_trip(self, card):
         t = Transcript()

@@ -177,12 +177,18 @@ class TestSetup:
             run_full_protocol(grid, make_prover(assignment, source), source)
 
     def test_a_bool_value_counts_as_an_integer(self):
+        # intended, as README states: True is the integer 1 to setup and to the
+        # rule checker alike, and False is below 1; only assignment_text
+        # refuses True, since it cannot write A=True
         grid = parse_puzzle("makaro 1 2\nA A\n")
         source = RandomSource("typed")
         verdict, _ = run_full_protocol(grid, make_prover({(0, 0): True, (0, 1): 2}, source),
                                        source)
         assert verdict.accepted
         assert check_solution(grid, {(0, 0): True, (0, 1): 2})
+        assert violations(grid, {(0, 0): True, (0, 1): 2}) == []
+        with pytest.raises(ValueError, match=r"value at \(0, 0\) must be a positive integer"):
+            check_solution(grid, {(0, 0): False, (0, 1): 2})
 
     def test_setup_reads_the_compiled_placement_plan(self, monkeypatch, example_solution):
         grid = load_grid("example5x5.makaro")  # a fresh grid: nothing cached

@@ -2,6 +2,7 @@
 
 import pickle
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -10,11 +11,13 @@ from makaro_zkp import (
     PuzzleSemanticError,
     PuzzleSyntaxError,
     SearchBoundExceeded,
+    all_value_assignments,
     arrow_check_cells,
     assignment_from_grid,
     assignment_text,
     build_grid,
     check_solution,
+    enumerate_small_grids,
     parse_puzzle,
     same_layout,
     serialize_puzzle,
@@ -47,6 +50,28 @@ EXAMPLE_SOLUTION_ROWS = [
 def clues(grid):
     return {rc: grid.cell(rc).clue for rc in grid.white_coords()
             if grid.cell(rc).clue is not None}
+
+
+# grids whose rooms or arrows read one cell: a one-cell room, an arrow with
+# no rival, and a one-cell room next to an arrow with one rival
+ONE_CELL_RULES = ["makaro 1 1\nA\n", "makaro 1 2\nB> A\n", "makaro 2 2\nA B\nB> C\n"]
+
+
+def oracle_violations(grid, assignment):
+    """The rule checker's reference: a per-rule loop over grid.rules that
+    builds each rule's value list."""
+    found = []
+    for kind, subject, cells in grid.rules:
+        values = [assignment[rc] for rc in cells]
+        if kind == "room":
+            broken = sorted(values) != list(range(1, len(values) + 1))
+        elif kind == "neighbor":
+            broken = values[0] == values[1]
+        else:
+            broken = max(values[1:], default=0) >= values[0]
+        if broken:
+            found.append((kind, subject))
+    return found
 
 
 def example_assignment():
@@ -173,6 +198,30 @@ class TestRules:
         with pytest.raises(ValueError):
             check_solution(quad_grid, {(0, 0): 1})
 
+    def test_the_compiled_checker_matches_the_per_rule_oracle(self, puzzles_dir):
+        cases = [(grid, a) for grid in enumerate_small_grids()[::40]
+                 for a in all_value_assignments(grid)]
+        for text in ONE_CELL_RULES:
+            grid = parse_puzzle(text)
+            cells = grid.white_coords()
+            cases += [(grid, dict(zip(cells, values)))
+                      for values in product(range(1, 4), repeat=len(cells))]
+        for path in sorted(puzzles_dir.glob("*.makaro")):
+            if path.stem.endswith("_solution"):
+                continue
+            grid = parse_puzzle(path.read_text(encoding="utf-8"))
+            solution = solve_brute_force(grid)[0]
+            cases.append((grid, solution))
+            for rc, value in solution.items():  # each cell moved to the next value
+                corrupted = dict(solution)
+                corrupted[rc] = value % len(grid.rooms[grid.room_of(rc)]) + 1
+                cases.append((grid, corrupted))
+        assert len(cases) == 8_966 + 33 + 49
+        for grid, assignment in cases:
+            expected = oracle_violations(grid, assignment)
+            assert violations(grid, assignment) == expected, (grid, assignment)
+            assert check_solution(grid, assignment) == (expected == []), (grid, assignment)
+
     def test_violation_order_rooms_then_neighbors_then_arrows(self, example_grid):
         a = example_assignment()
         a[(0, 0)] = 7   # breaks room A; any later findings come after it
@@ -223,6 +272,21 @@ class TestRuleList:
         assert clone == example_grid
         assert clone.rules == example_grid.rules
         assert clone.white_set == example_grid.white_set == set(example_grid.white_coords())
+
+    @pytest.mark.parametrize("text", [*ONE_CELL_RULES, (PUZZLES / "cross.makaro").read_text()],
+                             ids=["one-cell-room", "no-rival", "one-rival", "cross"])
+    def test_a_solved_grid_survives_pickling(self, text):
+        # zk-test without --solution solves first, then sends the grid, with
+        # its compiled checker cached in it, to worker processes
+        grid = parse_puzzle(text)  # a fresh grid: nothing cached
+        found = solve_brute_force(grid)
+        assert "compiled_rules" in vars(grid)
+        clone = pickle.loads(pickle.dumps(grid))
+        assert clone == grid
+        assert "compiled_rules" in vars(clone)
+        for assignment in all_value_assignments(grid):
+            assert violations(clone, assignment) == violations(grid, assignment)
+        assert solve_brute_force(clone) == found
 
 
 class TestSolver:
