@@ -1,13 +1,13 @@
 """Physical layer of the card protocol: cards, matrices, shuffles, transcripts.
 
 Every card is distinct (standard-deck model) but all backs look alike, so a
-face-down card reveals nothing.  The protocol arranges cards into small
-matrices and shuffles whole columns.  Every random draw, live or simulated,
-goes through RandomSource's three methods, which replay random.Random's
-draws exactly, so a seed reproduces a run bit for bit.  A Transcript records
-what an onlooker sees: placements, shuffle occurrences, reveals, and
-rearrangements.  Face-down cards never put their identity into the
-transcript.
+face-down card reveals nothing.  The protocol lays cards out in small
+matrices, each kept as laid with one column order that a shuffle of whole
+columns reorders.  Every random draw, live or simulated, goes through
+RandomSource's three methods, which replay random.Random's draws exactly, so
+a seed reproduces a run bit for bit.  A Transcript records what an onlooker
+sees: placements, shuffle occurrences, reveals, and rearrangements.
+Face-down cards never put their identity into the transcript.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ def parse_card(text: str) -> CardId:
 # RandomSource.offset replays randrange: for i from n-1 down to 1, it swaps
 # item i with item j, the first getrandbits((i+1).bit_length()) draw below
 # i+1.  So the results and the stream state left behind equal the standard
-# library's.  A length's (i, i+1, bits) steps are built on its first shuffle
-# and kept; the protocol shuffles only a few short lengths.
+# library's.  A length's (i, i+1, bits) steps, and a matrix width's column
+# set, are built on first use and kept; the protocol uses only a few of each.
 _steps: dict[int, tuple[tuple[int, int, int], ...]] = {}
+_widths: dict[int, frozenset[int]] = {}
 
 
 def _permute(items: list, getrandbits: Callable[[int], int]) -> None:
@@ -248,32 +249,32 @@ def _parse_event(line: str) -> tuple:
 class CardMatrix:
     """A rows x cols arrangement of cards, shuffled by whole columns.
 
-    A matrix is laid out whole (from_rows), so every slot holds a card.
-    Slots are stored column by column, so a column shuffle reorders one list.
+    It is laid out whole (from_rows), so every slot holds a card, and kept as
+    laid with one column order: column j shows laid-out column order[j].
     Every card is distinct, so whether a card lies face up travels with it.
     """
 
-    __slots__ = ("rows", "cols", "_cols", "_up", "_identity", "_columns")
+    __slots__ = ("rows", "cols", "_laid", "_order", "_up", "_columns")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[CardId]]) -> "CardMatrix":
         """A matrix laid out in one move: the given rows of cards, face down."""
-        columns = list(map(list, zip(*rows)))
-        # zip stops at the shortest row, so equal rows fill every column
-        if not columns or sum(map(len, rows)) != len(rows) * len(columns):
+        laid = list(map(tuple, rows))
+        width = len(laid[0]) if laid else 0
+        if not width or any(len(line) != width for line in laid):
             raise DeckError("a matrix needs rows of one length, at least one card long")
+        if width not in _widths:
+            _widths[width] = frozenset(range(width))
         matrix = cls.__new__(cls)
-        matrix.rows, matrix.cols, matrix._cols = len(rows), len(columns), columns
-        # the column order every permutation sorts to, and the column indices
-        matrix._identity = list(range(len(columns)))
-        matrix._up, matrix._columns = set(), frozenset(matrix._identity)
+        matrix.rows, matrix.cols, matrix._laid, matrix._up = len(laid), width, laid, set()
+        matrix._order, matrix._columns = list(range(width)), _widths[width]
         return matrix
 
     def card_at(self, row: int, col: int) -> CardId:
         # checked, not indexed: a negative index would wrap to the far end
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise DeckError(f"no slot ({row},{col}) in a {self.rows}x{self.cols} matrix")
-        return self._cols[col][row]
+        return self._laid[row][self._order[col]]
 
     def is_face_up(self, row: int, col: int) -> bool:
         return self.card_at(row, col) in self._up
@@ -283,16 +284,19 @@ class CardMatrix:
         by one."""
         if not 0 <= row < self.rows:
             raise DeckError(f"no row {row} in a matrix of {self.rows}")
-        cards = [column.pop(row) for column in self._cols]
+        laid, cards = self._laid.pop(row), []
+        for col in self._order:
+            cards.append(laid[col])
         self.rows -= 1
         self._up.difference_update(cards)
         return cards
 
     def permute_columns(self, order: Sequence[int]) -> None:
         """Reorder columns so that new column j is old column order[j]."""
-        if sorted(order) != self._identity:
+        order = tuple(order)
+        if len(order) != self.cols or self._columns != set(order):
             raise DeckError(f"bad column order {order!r}")
-        self._cols = [self._cols[src] for src in order]
+        self._order = [self._order[src] for src in order]
 
 
 def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
@@ -301,16 +305,15 @@ def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatri
     Old column c ends up at position (c + s) % cols.  Every column is a
     full pile, so the shuffle hides which is which.
     """
-    cols = matrix._cols
-    s = source.offset(len(cols))
-    matrix._cols = cols[-s:] + cols[:-s]
+    s = source.offset(matrix.cols)
+    matrix._order = matrix._order[-s:] + matrix._order[:-s]
     return matrix
 
 
 def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
     """Rearrange the columns by a uniform hidden permutation.  The column
-    list is shuffled in place; swaps only permute, so it needs no check."""
-    source.permute(matrix._cols)
+    order is shuffled in place; swaps only permute, so it needs no check."""
+    source.permute(matrix._order)
     return matrix
 
 
@@ -319,22 +322,24 @@ def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
     """Turn face up the face-down cards in the given columns of one row, in
     that order, and record what each shows.  Nothing turns when a slot lies
     outside the matrix or a card is already up."""
+    cols = tuple(cols)
     # checked, not indexed: a negative index would wrap to the far end
     if not (0 <= row < matrix.rows and matrix._columns.issuperset(cols)):
-        raise DeckError(f"row {row}, columns {tuple(cols)} reach outside a "
+        raise DeckError(f"row {row}, columns {cols} reach outside a "
                         f"{matrix.rows}x{matrix.cols} matrix")
-    columns, up = matrix._cols, matrix._up
-    cards = tuple([columns[col][row] for col in cols])
+    laid, order, up = matrix._laid[row], matrix._order, matrix._up
+    cards, events = [], []
+    for col in cols:
+        card = laid[order[col]]
+        cards.append(card)
+        events.append(("reveal", (row, col), card))
     fresh = set(cards)
     if len(fresh) < len(cards) or not up.isdisjoint(fresh):
-        seen = set(up)
-        for col, card in zip(cols, cards):
-            if card in seen:
-                raise DeckError(f"card at ({row},{col}) is already face up")
-            seen.add(card)
+        i = next(i for i, card in enumerate(cards) if card in up or card in cards[:i])
+        raise DeckError(f"card at ({row},{cols[i]}) is already face up")
     up |= fresh
-    transcript.events.extend([("reveal", (row, col), card) for col, card in zip(cols, cards)])
-    return cards
+    transcript.events.extend(events)
+    return tuple(cards)
 
 
 def reveal(matrix: CardMatrix, row: int, col: int, transcript: Transcript) -> CardId:

@@ -468,19 +468,19 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
     sequences extracted, or None if a hole was rejected: a rejected row ends
     the check at once, since what follows sorts it or starts from it; after
     a rejected window the check goes on."""
-    events = transcript.events
+    append, extend = transcript.events.append, transcript.events.extend
     sequences: list[list[CardId]] = []
     ok = True
     for step in check.steps:
         kind = type(step)
         if kind is tuple:
-            events.extend(step)
+            extend(step)
         elif kind is _Window:
-            events.append(step.site_event)
+            append(step.site_event)
             if not step.accepts(reveal_row(matrix, step.row, step.cols_from[start], transcript)):
                 ok = False
         elif kind is _Reveal:
-            events.append(step.site_event)
+            append(step.site_event)
             shown = reveal_row(matrix, step.row, step.cols, transcript)
             if step.accepts is not None and not step.accepts(shown):
                 ok = False
@@ -488,7 +488,7 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
             if step.sorts:
                 event = _rearrange(shown, step.site.support)
                 matrix.permute_columns(event[1])
-                events.append(event)
+                append(event)
             else:
                 start = shown.index(step.site.support[0])
         elif kind is _Take:
@@ -510,7 +510,7 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
             (pile_shifting_shuffle if step.shift else pile_scramble_shuffle)(matrix, source)
         else:
             table.put_cells(step.cells, matrix.take_row(0))
-    events.extend(check.passed if ok else check.rejected)
+    extend(check.passed if ok else check.rejected)
     return sequences if ok else None
 
 

@@ -31,7 +31,9 @@ figures (visible with `pytest -s`, or in the captured output on failure).
 
 import hashlib
 import math
+import sys
 import time
+from array import array
 from collections import Counter, defaultdict
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
@@ -152,9 +154,17 @@ def small_grid_sweep():
     filling of every generated grid (≤ 3x3), with per-run card accounting,
     the failing check of every rejection set against the checker's
     violations, and a full solver cross-check per grid.  `accounting` is a
-    sha256 over every run's verdict and peak card count, in sweep order."""
+    sha256 over every run's verdict and peak card count, in sweep order;
+    `transcripts` one over the events of every run that passes setup, each
+    run as its length and its events' codes, then every event in code order."""
     grids = enumerate_small_grids()
-    accounting = hashlib.sha256()
+    accounting, transcripts = hashlib.sha256(), hashlib.sha256()
+    # each distinct event takes the next code when first seen: a dict lookup
+    # per event keeps the 6.9 million events of the sweep to about a second.
+    # Codes go in as little-endian 4-byte words on every host.
+    assert array("I").itemsize == 4
+    codes = defaultdict()
+    codes.default_factory = codes.__len__
     totals = SimpleNamespace(
         grids=grids, assignments=0, placeable=0, accepted=0,
         setup_rejects=0, check_rejects=0,
@@ -168,13 +178,18 @@ def small_grid_sweep():
             found = violations(grid, assignment)
             truth = not found
             source = RandomSource.for_trial(f"sweep:{gi}", ai)
-            verdict, _, table = run_full_protocol_with_table(
+            verdict, transcript, table = run_full_protocol_with_table(
                 grid, make_prover(assignment, source), source)
             totals.assignments += 1
             peak = table.peak_cards if table is not None else None
             accounting.update(repr((verdict, peak)).encode())
             if table is not None:
                 totals.placeable += 1
+                run = array("I", [len(transcript.events)])
+                run.extend(map(codes.__getitem__, transcript.events))
+                if sys.byteorder == "big":
+                    run.byteswap()
+                transcripts.update(run)
                 if table.peak_cards > budget:
                     totals.budget_breaches.append((gi, ai))
             if verdict.accepted != truth:
@@ -198,6 +213,8 @@ def small_grid_sweep():
             totals.solver_mismatches.append(gi)
     totals.elapsed = time.perf_counter() - start
     totals.accounting = accounting.hexdigest()
+    transcripts.update(repr(list(codes)).encode())
+    totals.transcripts = transcripts.hexdigest()
     return totals
 
 
@@ -288,6 +305,16 @@ SWEEP_ACCOUNTING = "e6071ad86a2a2ff54b2b9a1e40e98075d148dadbd9a7338f2fbf55b146dd
 
 def test_sweep_card_accounting_is_unchanged(small_grid_sweep):
     assert small_grid_sweep.accounting == SWEEP_ACCOUNTING
+
+
+# every event of every run that passes setup over the whole sweep, recorded
+# while a card matrix was still stored column by column: how the deck lays
+# out its cards must leave every transcript as it was
+SWEEP_TRANSCRIPTS = "8b0efff744de62fd209cfded906be0071c4b3fe89f01e6d2b43e8e7a2965f5c1"
+
+
+def test_sweep_transcripts_are_unchanged(small_grid_sweep):
+    assert small_grid_sweep.transcripts == SWEEP_TRANSCRIPTS
 
 
 # (function, largest, rival rows, largest m) for every exhaustive comparison

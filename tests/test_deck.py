@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from makaro_zkp import (
@@ -268,6 +269,14 @@ class TestCardMatrix:
         assert [c.index for c in row_cards(m, 0)] == [3, 1, 2]
         assert [c.index for c in row_cards(m, 1)] == [3, 1, 2]
 
+    # too short, repeated, outside, and every column plus a repeat
+    @pytest.mark.parametrize("order", [(), (0, 1), (0, 0, 1), (0, 1, 3), (-1, 0, 1), (0, 1, 2, 0)])
+    def test_permute_columns_needs_a_permutation(self, order):
+        m = fresh_matrix(2, 3)
+        with pytest.raises(DeckError, match="bad column order"):
+            m.permute_columns(order)
+        assert row_cards(m, 1) == [CardId("x1", c) for c in (1, 2, 3)]
+
     def test_take_row_removes_it(self):
         m = fresh_matrix(3, 3)
         t = Transcript()
@@ -288,7 +297,35 @@ class TestCardMatrix:
         m.permute_columns((1, 0))
         assert row_cards(m, 1) == bottom[::-1]
 
-    @pytest.mark.parametrize("rows", [[], [[]], [[help_card(1)], [help_card(2), help_card(3)]]])
+    def test_permute_columns_reads_a_one_shot_order_once(self):
+        m = fresh_matrix(2, 3)
+        m.permute_columns(iter((1, 0, 2)))
+        assert row_cards(m, 1) == [CardId("x1", c) for c in (2, 1, 3)]
+        with pytest.raises(DeckError, match="bad column order"):
+            m.permute_columns(iter((0, 0, 1)))
+        with pytest.raises(DeckError, match="in a 2x3 matrix"):
+            m.card_at(0, 3)
+
+    def test_a_row_changed_after_the_layout_leaves_the_matrix_as_laid(self):
+        top, bottom = [help_card(1), help_card(2)], [cell_card("A", 1), cell_card("A", 2)]
+        rows = [top, bottom]
+        m = CardMatrix.from_rows(rows)
+        top[0] = cell_card("B", 9)
+        bottom.append(help_card(3))
+        rows.append([help_card(4), help_card(5)])
+        assert (m.rows, m.cols) == (2, 2)
+        assert [row_cards(m, 0), row_cards(m, 1)] == \
+            [[help_card(1), help_card(2)], [cell_card("A", 1), cell_card("A", 2)]]
+
+    # the fourth differs only in its last row; the last two hold as many
+    # cards as their first row's length times their row count, so only a
+    # check of every row rejects them
+    @pytest.mark.parametrize("rows", [
+        [], [[]], [[help_card(1)], [help_card(2), help_card(3)]],
+        [[help_card(1)], [help_card(2)], [help_card(3), help_card(4)]],
+        [[help_card(1)], [help_card(2), help_card(3)], []],
+        [[help_card(1), help_card(2)], [help_card(3), help_card(4), help_card(5)],
+         [help_card(6)]]])
     def test_from_rows_needs_equal_non_empty_rows(self, rows):
         with pytest.raises(DeckError):
             CardMatrix.from_rows(rows)
@@ -368,6 +405,17 @@ class TestReveal:
         assert len(t) == 1
         assert [m.is_face_up(0, c) for c in range(3)] == [False, True, False]
 
+    def test_reveal_row_reads_one_shot_columns_once(self):
+        m = fresh_matrix(1, 3)
+        t = Transcript()
+        assert reveal_row(m, 0, iter((0, 2)), t) == (CardId("x0", 1), CardId("x0", 3))
+        assert t.events == [("reveal", (0, 0), CardId("x0", 1)),
+                            ("reveal", (0, 2), CardId("x0", 3))]
+        assert [m.is_face_up(0, c) for c in range(3)] == [True, False, True]
+        with pytest.raises(DeckError, match="outside a 1x3 matrix"):
+            reveal_row(m, 0, iter((1, 3)), t)
+        assert len(t) == 2 and not m.is_face_up(0, 1)
+
     def test_reveal_row_rejects_a_repeated_column(self):
         with pytest.raises(DeckError, match=r"card at \(0,1\) is already face up"):
             reveal_row(fresh_matrix(1, 2), 0, (1, 1), Transcript())
@@ -396,6 +444,121 @@ class TestReveal:
         turn_all_down(m)
         assert not any(m.is_face_up(r, c) for r in range(2) for c in range(2))
         assert m.card_at(0, 0) == CardId("x0", 1)
+
+
+class ColumnModel:
+    """A naive card matrix: a list of columns, each its cards top to bottom,
+    and the set of face-up cards.  Each move is written out from its
+    definition, to check CardMatrix against."""
+
+    def __init__(self, rows):
+        self.rows, self.columns, self.up = len(rows), [list(c) for c in zip(*rows)], set()
+
+    def scramble(self, twin):
+        twin.shuffle_stream.shuffle(self.columns)
+
+    def shift(self, twin):
+        n = len(self.columns)
+        s = twin.shuffle_stream.randrange(n)
+        self.columns = [self.columns[(j - s) % n] for j in range(n)]
+
+    def permute_columns(self, order):
+        if sorted(order) != list(range(len(self.columns))):
+            raise DeckError(f"bad column order {tuple(order)!r}")
+        self.columns = [self.columns[src] for src in order]
+
+    def reveal_row(self, row, cols, events):
+        if not (0 <= row < self.rows and all(0 <= c < len(self.columns) for c in cols)):
+            raise DeckError(f"row {row}, columns {tuple(cols)} reach outside a "
+                            f"{self.rows}x{len(self.columns)} matrix")
+        cards = tuple(self.columns[c][row] for c in cols)
+        seen = set(self.up)
+        for col, card in zip(cols, cards):
+            if card in seen:
+                raise DeckError(f"card at ({row},{col}) is already face up")
+            seen.add(card)
+        self.up |= set(cards)
+        events += [("reveal", (row, col), card) for col, card in zip(cols, cards)]
+        return cards
+
+    def take_row(self, row):
+        if not 0 <= row < self.rows:
+            raise DeckError(f"no row {row} in a matrix of {self.rows}")
+        cards = [column.pop(row) for column in self.columns]
+        self.rows -= 1
+        self.up -= set(cards)
+        return cards
+
+    def turn_all_down(self):
+        self.up.clear()
+
+
+# reveals weigh double: most other moves only matter through what they show
+MOVES = ("scramble", "shift", "turn_all_down", "permute", "reveal", "reveal", "take")
+
+
+class TestCardMatrixAgainstTheColumnModel:
+    """Random move sequences on a matrix and on the column model from one
+    seed: after every move both hold the same card face up or down in every
+    slot, and each move returns, records, draws and raises the same."""
+
+    @staticmethod
+    def outcome(move, *args):
+        try:
+            return "ok", move(*args)
+        except DeckError as exc:
+            return "error", str(exc)
+
+    @staticmethod
+    def row(rows):
+        outside = st.sampled_from((-1, rows))
+        return st.one_of(st.integers(0, rows - 1), outside) if rows else outside
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32), st.data())
+    def test_moves_match_the_model(self, rows, cols, seed, data):
+        laid = [[CardId(f"r{r}", c + 1) for c in range(cols)] for r in range(rows)]
+        m, model = CardMatrix.from_rows(laid), ColumnModel(laid)
+        src, twin = RandomSource(seed), RandomSource(seed)
+        t, events = Transcript(), []
+        # rows and columns are mostly inside the matrix, else one past either
+        # end; a reveal names distinct columns inside, or any, repeats included
+        column, slot = st.integers(0, cols - 1), st.integers(-1, cols)
+        reveals = st.one_of(st.lists(column, max_size=cols, unique=True), st.lists(slot, max_size=3))
+        orders = st.one_of(st.permutations(range(cols)), st.lists(slot, max_size=cols + 1))
+        for kind in data.draw(st.lists(st.sampled_from(MOVES), min_size=10, max_size=30)):
+            if kind == "scramble":
+                assert pile_scramble_shuffle(m, src) is m
+                model.scramble(twin)
+            elif kind == "shift":
+                assert pile_shifting_shuffle(m, src) is m
+                model.shift(twin)
+            elif kind == "turn_all_down":
+                assert turn_all_down(m) is m
+                model.turn_all_down()
+            elif kind == "permute":
+                order = data.draw(orders)
+                assert self.outcome(m.permute_columns, order) == \
+                    self.outcome(model.permute_columns, order)
+            elif kind == "reveal":
+                row, columns = data.draw(self.row(model.rows)), data.draw(reveals)
+                assert self.outcome(reveal_row, m, row, tuple(columns), t) == \
+                    self.outcome(model.reveal_row, row, columns, events)
+            else:
+                row = data.draw(self.row(model.rows))
+                assert self.outcome(m.take_row, row) == self.outcome(model.take_row, row)
+            assert t.events == events
+            assert src.shuffle_stream.getstate() == twin.shuffle_stream.getstate()
+            assert (m.rows, m.cols) == (model.rows, len(model.columns))
+            for r in range(model.rows):
+                for c, column_cards in enumerate(model.columns):
+                    assert m.card_at(r, c) == column_cards[r]
+                    assert m.is_face_up(r, c) == (column_cards[r] in model.up)
+            for r, c in ((-1, 0), (0, -1), (model.rows, 0), (0, cols)):
+                with pytest.raises(DeckError):
+                    m.card_at(r, c)
+            if not model.rows:
+                break   # every later reveal and take would miss
 
 
 class TestShifting:
@@ -434,9 +597,9 @@ class TestShifting:
 
 
 class TestShufflesReplayTheColumnOrderPath:
-    """Both shuffles move the column list directly; they leave the column
-    order and the stream state that drawing an index list and passing it to
-    permute_columns leaves on a twin source."""
+    """Both shuffles reorder a matrix's column order in place, not through
+    permute_columns; they leave the columns and the stream state that drawing
+    an index list and passing it to permute_columns leaves on a twin source."""
 
     @staticmethod
     def columns(m):
