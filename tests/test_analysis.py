@@ -16,9 +16,11 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from makaro_zkp import (
     CardBudget,
+    CardId,
     InsufficientTrials,
     ProtocolError,
     PuzzleStats,
@@ -134,6 +136,26 @@ class TestSiteFamily:
                 assert not fam.contains((*shown[:-1], foreign))       # foreign card
                 if fam.take > 1:
                     assert not fam.contains((*shown[:-1], shown[0]))  # repeat
+
+    # families over cards of a few sets, some shared between supports, so
+    # two families may hold the same cards in another order or overlap
+    CARDS = st.sampled_from([CardId(name, i) for name in ("enc:a", "help") for i in (1, 2, 3)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.lists(CARDS, min_size=1, max_size=5, unique=True),
+                              st.integers(1, 5), st.lists(CARDS, max_size=6)),
+                    min_size=1, max_size=4))
+    def test_contains_gives_the_verdict_of_its_definition(self, cases):
+        # the drawn patterns repeat cards, miss the length and hold foreign
+        # cards, beside one the family holds; each family is judged twice,
+        # the second time from the kept support
+        for support, take, drawn in cases * 2:
+            fam = SiteFamily("t/any", "arrangement", tuple(support), min(take, len(support)))
+            for pattern in (drawn, support[::-1][:fam.take]):
+                pattern = tuple(CardId(*card) for card in pattern)  # equal, not the same
+                shown = set(pattern)
+                defined = len(pattern) == fam.take == len(shown) and shown <= set(fam.support)
+                assert fam.contains(pattern) == defined, (fam, pattern)
 
 
 class TestSitePlan:

@@ -19,6 +19,7 @@ import pytest
 
 import makaro_zkp
 from makaro_zkp import (
+    FailedCheck,
     RandomSource,
     make_prover,
     protocol,
@@ -108,9 +109,17 @@ def test_a_module_reads_every_name_it_imports(path):
 def test_runs_rebind_no_module_attribute():
     grid = load_grid("cross.makaro")  # a fresh grid object: nothing cached for it
     solution = load_solution("cross_solution.makaro")
+    # room C holding two 2s is rejected at setup; room C swapped puts a 1
+    # beside the clued 1 at (0,0), rejected at that neighbor check
+    rejected = {FailedCheck("room", "C", at_setup=True): {**solution, (2, 0): 2},
+                FailedCheck("neighbor", ((0, 0), (1, 0))): {**solution, (1, 0): 1, (2, 0): 2}}
     before = spans.snapshot()
     source = RandomSource.for_trial(0, 0)
     assert run_full_protocol(grid, make_prover(solution, source), source)[0].accepted
+    for failed, filling in rejected.items():
+        source = RandomSource.for_trial(0, 1)
+        verdict, _ = run_full_protocol(grid, make_prover(filling, source), source)
+        assert verdict.failing_check == failed
     simulate_transcript(grid, RandomSource.for_trial(0, 0))
     reveal_site_plan(grid)
     assert spans.unchanged(before, spans.snapshot())

@@ -416,6 +416,17 @@ class TestReveal:
             reveal_row(m, 0, iter((1, 3)), t)
         assert len(t) == 2 and not m.is_face_up(0, 1)
 
+    def test_a_repeated_card_turns_one_slot_at_a_time(self):
+        # face-up state belongs to the slot, so turning one copy of a card
+        # leaves the other copies face down
+        m = CardMatrix.from_rows([[help_card(1), help_card(2), help_card(4)], [help_card(3)] * 3])
+        t = Transcript()
+        assert reveal(m, 1, 0, t) == help_card(3)
+        assert [m.is_face_up(1, c) for c in range(3)] == [True, False, False]
+        assert reveal(m, 1, 1, t) == help_card(3)
+        assert [m.is_face_up(1, c) for c in range(3)] == [True, True, False]
+        assert t.events == [("reveal", (1, 0), help_card(3)), ("reveal", (1, 1), help_card(3))]
+
     def test_reveal_row_rejects_a_repeated_column(self):
         with pytest.raises(DeckError, match=r"card at \(0,1\) is already face up"):
             reveal_row(fresh_matrix(1, 2), 0, (1, 1), Transcript())
@@ -447,12 +458,13 @@ class TestReveal:
 
 
 class ColumnModel:
-    """A naive card matrix: a list of columns, each its cards top to bottom,
-    and the set of face-up cards.  Each move is written out from its
+    """A naive card matrix: a list of columns, each its slots top to bottom,
+    a slot being [card, face up].  Each move is written out from its
     definition, to check CardMatrix against."""
 
     def __init__(self, rows):
-        self.rows, self.columns, self.up = len(rows), [list(c) for c in zip(*rows)], set()
+        self.rows = len(rows)
+        self.columns = [[[card, False] for card in column] for column in zip(*rows)]
 
     def scramble(self, twin):
         twin.shuffle_stream.shuffle(self.columns)
@@ -471,26 +483,26 @@ class ColumnModel:
         if not (0 <= row < self.rows and all(0 <= c < len(self.columns) for c in cols)):
             raise DeckError(f"row {row}, columns {tuple(cols)} reach outside a "
                             f"{self.rows}x{len(self.columns)} matrix")
-        cards = tuple(self.columns[c][row] for c in cols)
-        seen = set(self.up)
-        for col, card in zip(cols, cards):
-            if card in seen:
+        slots = [self.columns[c][row] for c in cols]
+        for i, (col, slot) in enumerate(zip(cols, slots)):
+            if slot[1] or col in cols[:i]:
                 raise DeckError(f"card at ({row},{col}) is already face up")
-            seen.add(card)
-        self.up |= set(cards)
-        events += [("reveal", (row, col), card) for col, card in zip(cols, cards)]
-        return cards
+        for slot in slots:
+            slot[1] = True
+        events += [("reveal", (row, col), card) for col, (card, _) in zip(cols, slots)]
+        return tuple(card for card, _ in slots)
 
     def take_row(self, row):
         if not 0 <= row < self.rows:
             raise DeckError(f"no row {row} in a matrix of {self.rows}")
-        cards = [column.pop(row) for column in self.columns]
+        cards = [column.pop(row)[0] for column in self.columns]
         self.rows -= 1
-        self.up -= set(cards)
         return cards
 
     def turn_all_down(self):
-        self.up.clear()
+        for column in self.columns:
+            for slot in column:
+                slot[1] = False
 
 
 # reveals weigh double: most other moves only matter through what they show
@@ -500,7 +512,8 @@ MOVES = ("scramble", "shift", "turn_all_down", "permute", "reveal", "reveal", "t
 class TestCardMatrixAgainstTheColumnModel:
     """Random move sequences on a matrix and on the column model from one
     seed: after every move both hold the same card face up or down in every
-    slot, and each move returns, records, draws and raises the same."""
+    slot, and each move returns, records, draws and raises the same.  Half
+    the boards draw their cards from a pool of three, so they repeat cards."""
 
     @staticmethod
     def outcome(move, *args):
@@ -517,7 +530,12 @@ class TestCardMatrixAgainstTheColumnModel:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32), st.data())
     def test_moves_match_the_model(self, rows, cols, seed, data):
-        laid = [[CardId(f"r{r}", c + 1) for c in range(cols)] for r in range(rows)]
+        if data.draw(st.booleans()):
+            laid = [[CardId(f"r{r}", c + 1) for c in range(cols)] for r in range(rows)]
+        else:
+            laid = data.draw(st.lists(st.lists(st.sampled_from([help_card(i) for i in (1, 2, 3)]),
+                                               min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows))
         m, model = CardMatrix.from_rows(laid), ColumnModel(laid)
         src, twin = RandomSource(seed), RandomSource(seed)
         t, events = Transcript(), []
@@ -551,9 +569,8 @@ class TestCardMatrixAgainstTheColumnModel:
             assert src.shuffle_stream.getstate() == twin.shuffle_stream.getstate()
             assert (m.rows, m.cols) == (model.rows, len(model.columns))
             for r in range(model.rows):
-                for c, column_cards in enumerate(model.columns):
-                    assert m.card_at(r, c) == column_cards[r]
-                    assert m.is_face_up(r, c) == (column_cards[r] in model.up)
+                for c, column in enumerate(model.columns):
+                    assert [m.card_at(r, c), m.is_face_up(r, c)] == column[r]
             for r, c in ((-1, 0), (0, -1), (model.rows, 0), (0, cols)):
                 with pytest.raises(DeckError):
                     m.card_at(r, c)

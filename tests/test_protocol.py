@@ -15,6 +15,7 @@ from makaro_zkp import (
     RandomSource,
     SetupError,
     SiteHistograms,
+    TableState,
     Transcript,
     Verdict,
     all_value_assignments,
@@ -482,6 +483,92 @@ class TestVerifyArrow:
             cross_grid, cross_solution, "cross")
         assert verify_arrow(table, black, prover, source, transcript)
         table.assert_settled()
+
+
+def unfilled(table) -> int:
+    """The white cells that hold no card, counted from the cells."""
+    return sum(table.cell_cards.get(rc) is None for rc in table.grid.white_set)
+
+
+class TestTableBalance:
+    """A table counts its white cells that hold no card (empty_cells), so
+    assert_settled reads one number; the count matches the cells after any
+    move, made or refused."""
+
+    def test_the_count_follows_an_honest_run_check_by_check(self, example_grid,
+                                                              example_solution):
+        assert TableState(example_grid).empty_cells == 20 == unfilled(TableState(example_grid))
+        source, prover, transcript, table = fresh_table(example_grid, example_solution, "bal")
+        assert table.empty_cells == unfilled(table) == 0
+        for kind, subject in protocol._schedule(example_grid).checks:
+            if kind == "room":
+                ok = verify_room(table, subject, source, transcript)
+            elif kind == "neighbor":
+                ok = verify_neighbor(table, *subject, prover, source, transcript)
+            else:
+                ok = verify_arrow(table, subject, prover, source, transcript)
+            assert ok and table.empty_cells == unfilled(table) == 0, (kind, subject)
+            table.assert_settled()
+
+    def test_a_check_rejected_at_a_row_keeps_the_room_off_the_table(self, quad_grid):
+        # the foreign card fails the cell reveal, which ends the check with
+        # the room's cards still in the matrix
+        source, _, transcript, table = fresh_table(
+            quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, "balrow")
+        a_card, b_card = table.take_cells([(0, 0), (1, 0)])
+        table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+        assert table.empty_cells == unfilled(table) == 0
+        assert not verify_room(table, "A", source, transcript)
+        assert table.empty_cells == unfilled(table) == 2
+        with pytest.raises(ProtocolError, match="table out of balance between checks"):
+            table.assert_settled()
+
+    def test_a_check_rejected_at_a_window_settles(self, quad_grid):
+        # equal values: the probe shows the other marker after both rooms
+        # are back on the grid
+        source, prover, transcript, table = fresh_table(
+            quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, "balwin")
+        assert not verify_neighbor(table, (0, 0), (1, 0), prover, source, transcript)
+        assert table.empty_cells == unfilled(table) == 0
+        table.assert_settled()
+
+    def test_rejected_runs_leave_the_count_true(self):
+        runs = 0
+        for grid in enumerate_small_grids()[:400:20]:
+            for i, filling in enumerate(all_value_assignments(grid)):
+                source = RandomSource.for_trial("bal", i)
+                verdict, _, table = run_full_protocol_with_table(
+                    grid, make_prover(filling, source), source)
+                if table is not None:
+                    runs += 1
+                    assert table.empty_cells == unfilled(table), (grid, filling)
+        assert runs > 20
+
+    def test_a_lift_not_put_back_unsettles_the_table(self, quad_grid):
+        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                     "lift")
+        cards = table.take_cells([(1, 1)])
+        assert table.empty_cells == unfilled(table) == 1
+        with pytest.raises(ProtocolError, match="table out of balance between checks"):
+            table.assert_settled()
+        table.put_cells([(1, 1)], cards)
+        assert table.empty_cells == unfilled(table) == 0
+        table.assert_settled()
+
+    def test_a_refused_move_changes_nothing(self, quad_grid):
+        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                     "refuse")
+        (card,) = table.take_cells([(0, 0)])
+        before = dict(table.cell_cards)
+        moves = [(table.put_cells, ([(0, 0), (0, 1)], [card, card]), r"cell \(0, 1\) already"),
+                 (table.put_cells, ([(1, 1)], [card]), r"cell \(1, 1\) already"),
+                 (table.take_cells, ([(0, 1), (0, 0)],), r"no card on cell \(0, 0\)"),
+                 (table.take_cells, ([(0, 0)],), r"no card on cell \(0, 0\)")]
+        for move, args, message in moves:
+            with pytest.raises(ProtocolError, match=message):
+                move(*args)
+            assert table.cell_cards == before
+            assert table.empty_cells == unfilled(table) == 1
 
 
 class TestFullProtocol:
