@@ -28,16 +28,16 @@ two kinds of hole, each with the predicate that judges it: a row reveal,
 which is then sorted or gives the window start, and a window.  Neighbor and
 arrow checks end in one grid-free comparison, the paper's number encoding:
 one card of each kind shows that two numbers differ or that one is the
-largest.  The live run is one loop over those steps that fills the holes
-from card physics; simulate_transcript fills them by drawing each reveal
-from its distribution, without seeing any solution.
+largest.  The live run fills a check's holes from card physics; one walk
+writes a whole accepting run, each site showing what a callback gives: the
+simulator draws it without seeing any solution, the layout a placeholder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .deck import (
@@ -111,23 +111,27 @@ class Verdict:
 class TableState:
     """The grid zone: each white cell's card, or None while a check holds it.
     empty_cells counts the white cells that hold no card, so the table is
-    settled when it is 0; put_cells and take_cells keep it, given white
-    cells, each named once, and one card per cell.  peak_cards is the
-    highest _Check.peak so far, held to the deck budget."""
+    settled when it is 0.  put_cells and take_cells move one cell at a time
+    and undo a refused move whole.  peak_cards is the highest _Check.peak so
+    far, held to the deck budget."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.cell_cards: dict[Coord, CardId | None] = {}
+        self.cell_cards: dict[Coord, CardId | None] = dict.fromkeys(grid.white_set)
         self.empty_cells = len(grid.white_set)
         self.peak_cards = 0
 
     def put_cells(self, cells: Sequence[Coord], cards: Sequence[CardId]) -> None:
-        """Lay cards on empty cells, in order."""
+        """Lay one card on each empty white cell, in order."""
+        if len(cells) != len(cards):
+            raise ProtocolError(f"cell count {len(cells)} differs from card count {len(cards)}")
         cell_cards = self.cell_cards
-        for rc in cells:
-            if cell_cards.get(rc) is not None:
-                raise ProtocolError(f"cell {rc} already holds a card")
-        cell_cards.update(zip(cells, cards))
+        for laid, (rc, card) in enumerate(zip(cells, cards)):
+            if rc not in cell_cards or cell_cards[rc] is not None:
+                cell_cards.update(dict.fromkeys(cells[:laid]))
+                raise ProtocolError(f"cell {rc} already holds a card" if rc in cell_cards
+                                    else f"cell {rc} is not a white cell")
+            cell_cards[rc] = card
         self.empty_cells -= len(cells)
 
     def take_cells(self, cells: Sequence[Coord]) -> list[CardId]:
@@ -136,10 +140,10 @@ class TableState:
         for rc in cells:
             card = cell_cards.get(rc)
             if card is None:
+                cell_cards.update(zip(cells, cards))
                 raise ProtocolError(f"no card on cell {rc}")
-            cards.append(card)
-        for rc in cells:
             cell_cards[rc] = None
+            cards.append(card)
         self.empty_cells += len(cells)
         return cards
 
@@ -178,9 +182,9 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # of prebuilt events, and holes for what the run decides: row reveals, each
 # then sorted or giving the window start, and windows, each hole with its
 # acceptance predicate), and its card plan, the peak in play.  The live
-# run makes the moves and fills the holes from the card matrix, the simulator
-# draws them from each site's family, and run_layout finds where each reveal
-# hole lands in a run; the last two skip the moves.  So they cannot drift apart.
+# run makes a check's moves and fills its holes from the card matrix;
+# _Schedule.walk writes an accepting run, each hole's cards drawn by the
+# simulator or a placeholder for the layout.  So they cannot drift apart.
 
 # The card set of each support that SiteFamily.contains has judged, so a
 # verdict looks the support up instead of building its set.  It is filled in
@@ -402,24 +406,40 @@ class _Schedule:
 
     @cached_property
     def steps(self) -> tuple:
-        """The steps of a whole accepting run after setup, with every end
-        event and without the moves: what the simulator and the layout walk."""
-        return tuple(step for check in self.checks.values()
-                     for step in (*check.steps, check.passed) if type(step) not in _MOVES)
+        """The steps of a whole accepting run, setup's placements first, with
+        every end event and without the moves: what walk writes out."""
+        return (self.placements, *(step for check in self.checks.values() for step in
+                                   (*check.steps, check.passed) if type(step) not in _MOVES))
+
+    def walk(self, shown: Callable[[SiteFamily], Sequence[CardId]], events: list) -> None:
+        """Write an accepting run's events, each hole showing the cards
+        `shown(site)` gives, called just before the hole's site event."""
+        start = 0
+        for step in self.steps:
+            kind = type(step)
+            if kind is tuple:
+                events.extend(step)
+                continue
+            cards = shown(step.site)
+            cols = step.cols if kind is _Reveal else step.cols_from[start]
+            events.append(step.site_event)
+            events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, cards)])
+            if kind is _Reveal and step.sorts:
+                events.append(_rearrange(cards, step.site.support))
+            elif kind is _Reveal:
+                start = cards.index(step.site.support[0])
 
     @cached_property
     def layout(self) -> RunLayout:
-        """Where an accepting run puts its events, from the steps' lengths."""
-        at, sites = len(self.placements), []
-        for step in self.steps:
-            if type(step) is tuple:
-                at += len(step)
-            else:
-                sites.append((at, step.site_event, step.site))
-                at += 1 + step.site.take
-                if type(step) is _Reveal and step.sorts:
-                    at += 1  # the rearrangement
-        return RunLayout(at, self.steps[-1][-1], tuple(sites))
+        """Where an accepting run puts its events: walk them, each site
+        showing its first `take` support cards, its slot the count at the call."""
+        events, slots = [], []
+        def placeholder(site: SiteFamily) -> tuple[CardId, ...]:
+            slots.append((len(events), site))
+            return site.support[:site.take]
+        self.walk(placeholder, events)
+        return RunLayout(len(events), events[-1],
+                         tuple((at, events[at], site) for at, site in slots))
 
     def _collection(self, room: str, sites_key: str, begin: tuple, closing: tuple,
                     encoding: tuple = (), column: int = 0) -> tuple:
@@ -659,7 +679,7 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 
 # --- transcript simulator ----------------------------------------------------
 #
-# Fills the same templates as the live run, drawing every reveal from its
+# Walks the same templates as the live run, drawing every reveal from its
 # run-independent distribution.  No assignment is involved, which is the
 # zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
@@ -687,36 +707,16 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """A transcript with the exact event structure of an accepting run, every
     reveal drawn from its solution-independent distribution.  Needs no
     assignment; meaningful for satisfiable grids."""
-    schedule = _schedule(grid)
     t = Transcript()
-    events = t.events
-    events.extend(schedule.placements)
-    start = 0
-    for step in schedule.steps:
-        kind = type(step)
-        if kind is tuple:
-            events.extend(step)
-            continue
-        shown = _draw(source, step.site)
-        cols = step.cols if kind is _Reveal else step.cols_from[start]
-        events.append(step.site_event)
-        events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, shown)])
-        if kind is _Reveal and step.sorts:
-            events.append(_rearrange(shown, step.site.support))
-        elif kind is _Reveal:
-            start = shown.index(step.site.support[0])
+    _schedule(grid).walk(partial(_draw, source), t.events)
     return t
 
 
 def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int]]:
     """Every reveal site of an accepting run, in order, with its pattern
-    family: (site, kind, support cards, take).
-
-    kind "perm": the pattern is a uniform permutation of the support.
-    kind "pick": a single uniform card from the support.
-    kind "arrangement": `take` distinct cards from the support, ordered,
-    uniform over all such sequences.
-    """
+    family: (site, kind, support cards, take).  A pattern is `take` distinct
+    support cards, uniform over all such sequences: kind "perm" takes them
+    all, "pick" one and "arrangement" some."""
     return [tuple(family) for _, _, family in run_layout(grid).sites]
 
 

@@ -559,16 +559,58 @@ class TestTableBalance:
         _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
                                      "refuse")
         (card,) = table.take_cells([(0, 0)])
-        before = dict(table.cell_cards)
         moves = [(table.put_cells, ([(0, 0), (0, 1)], [card, card]), r"cell \(0, 1\) already"),
                  (table.put_cells, ([(1, 1)], [card]), r"cell \(1, 1\) already"),
                  (table.take_cells, ([(0, 1), (0, 0)],), r"no card on cell \(0, 0\)"),
                  (table.take_cells, ([(0, 0)],), r"no card on cell \(0, 0\)")]
         for move, args, message in moves:
-            with pytest.raises(ProtocolError, match=message):
-                move(*args)
-            assert table.cell_cards == before
-            assert table.empty_cells == unfilled(table) == 1
+            self.assert_refused(table, move, args, message)
+        assert table.empty_cells == 1
+
+    @staticmethod
+    def assert_refused(table, move, args, message):
+        before = dict(table.cell_cards), table.empty_cells
+        with pytest.raises(ProtocolError, match=message):
+            move(*args)
+        assert (table.cell_cards, table.empty_cells) == before
+        assert table.empty_cells == unfilled(table)
+
+    def test_a_lift_naming_a_cell_twice_is_refused(self, quad_grid):
+        # the second lift finds the cell its first lift emptied, so one card
+        # cannot come back as two
+        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                     "twice")
+        self.assert_refused(table, table.take_cells, ([(0, 0), (0, 0)],),
+                            r"no card on cell \(0, 0\)")
+        self.assert_refused(table, table.take_cells, ([(0, 1), (1, 1), (0, 1)],),
+                            r"no card on cell \(0, 1\)")
+
+    def test_a_lay_naming_a_cell_twice_is_refused(self, quad_grid):
+        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                     "lay twice")
+        cards = table.take_cells([(0, 0), (0, 1)])
+        self.assert_refused(table, table.put_cells, ([(0, 0), (0, 0)], cards),
+                            r"cell \(0, 0\) already holds a card")
+
+    def test_a_lay_on_a_cell_that_is_not_white_is_refused(self, example_grid, example_solution):
+        _, _, _, table = fresh_table(example_grid, example_solution, "black")
+        cards = table.take_cells([(0, 0), (0, 1)])
+        # (0, 2) holds an arrow and (5, 0) lies off the grid; (0, 0) is laid
+        # first, then lifted again
+        for cell in ((0, 2), (5, 0)):
+            self.assert_refused(table, table.put_cells, ([(0, 0), cell], cards),
+                                rf"cell \({cell[0]}, {cell[1]}\) is not a white cell")
+        table.put_cells([(0, 0), (0, 1)], cards)
+        table.assert_settled()
+
+    def test_a_lay_of_more_or_fewer_cards_than_cells_is_refused(self, quad_grid):
+        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                     "count")
+        cards = table.take_cells([(0, 0), (0, 1)])
+        self.assert_refused(table, table.put_cells, ([(0, 0), (0, 1)], cards[:1]),
+                            "cell count 2 differs from card count 1")
+        self.assert_refused(table, table.put_cells, ([(0, 0)], cards),
+                            "cell count 1 differs from card count 2")
 
 
 class TestFullProtocol:
@@ -870,6 +912,42 @@ class TestTemplates:
         assert "CardsUnavailable" not in makaro_zkp.__all__
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_the_walk_rebuilds_a_run_from_its_reveals(self, name):
+        # a reader that hands each site the next cards a transcript reveals
+        # makes the walk write that transcript back, live or simulated
+        grid = load_grid(f"{name}.makaro")
+        solution = bundled_solution(name, grid)
+        for seed in (0, 1, "demo"):
+            source = RandomSource.for_trial(seed, 0)
+            verdict, real = run_full_protocol(grid, make_prover(solution, source), source)
+            sim = simulate_transcript(grid, RandomSource.for_trial(seed, 0))
+            assert verdict.accepted
+            for transcript in (real, sim):
+                reveals = iter([ev[2] for ev in transcript.events if ev[0] == "reveal"])
+                events = []
+                protocol._schedule(grid).walk(
+                    lambda site: [next(reveals) for _ in range(site.take)], events)
+                assert events == transcript.events, seed
+                assert next(reveals, None) is None
+
+    def test_one_walk_writes_every_accepting_run(self):
+        # the simulator and the layout go through _Schedule.walk: besides it,
+        # only the live run reads steps, one check's, and the steps property
+        # gathers every check's; no slot is counted from a site's take
+        tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
+        reads = Counter((func.name, ast.unparse(node)) for func in ast.walk(tree)
+                        if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+                        if isinstance(node, ast.Attribute) and node.attr == "steps")
+        assert reads == Counter({("walk", "self.steps"): 1, ("_live", "check.steps"): 1,
+                                 ("steps", "check.steps"): 1})
+        assert sum(isinstance(node, ast.Attribute) and node.attr == "steps"
+                   for node in ast.walk(tree)) == 3
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and any(isinstance(part, ast.Attribute) and part.attr == "take"
+                            for part in ast.walk(node))]
 
     def test_the_schedule_leaves_comparisons_to_their_fragment(self):
         # `_Schedule.__init__` picks each check's key, letters and length;
