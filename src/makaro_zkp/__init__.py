@@ -54,7 +54,6 @@ from .deck import (
     parse_card,
     pile_scramble_shuffle,
     pile_shifting_shuffle,
-    reveal,
     reveal_row,
     turn_all_down,
 )
@@ -66,7 +65,6 @@ from .protocol import (
     SiteFamily,
     TableState,
     Verdict,
-    convert_cell,
     make_encoding,
     make_prover,
     reveal_site_plan,
@@ -75,9 +73,6 @@ from .protocol import (
     run_layout,
     setup_placement,
     simulate_transcript,
-    verify_arrow,
-    verify_neighbor,
-    verify_room,
 )
 from .analysis import (
     CardBudget,

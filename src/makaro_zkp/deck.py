@@ -354,6 +354,7 @@ def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
     return tuple(cards)
 
 
+# for the tests and for perfbench/spans.py, which traces it; not exported
 def reveal(matrix: CardMatrix, row: int, col: int, transcript: Transcript) -> CardId:
     """Turn one face-down card face up and record what it shows."""
     return reveal_row(matrix, row, (col,), transcript)[0]

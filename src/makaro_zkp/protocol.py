@@ -127,9 +127,10 @@ class TableState:
             raise ProtocolError(f"cell count {len(cells)} differs from card count {len(cards)}")
         cell_cards = self.cell_cards
         for laid, (rc, card) in enumerate(zip(cells, cards)):
-            if rc not in cell_cards or cell_cards[rc] is not None:
+            if card is None or rc not in cell_cards or cell_cards[rc] is not None:
                 cell_cards.update(dict.fromkeys(cells[:laid]))
-                raise ProtocolError(f"cell {rc} already holds a card" if rc in cell_cards
+                raise ProtocolError(f"no card to lay on cell {rc}" if card is None
+                                    else f"cell {rc} already holds a card" if rc in cell_cards
                                     else f"cell {rc} is not a white cell")
             cell_cards[rc] = card
         self.empty_cells -= len(cells)
@@ -186,14 +187,6 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # _Schedule.walk writes an accepting run, each hole's cards drawn by the
 # simulator or a placeholder for the layout.  So they cannot drift apart.
 
-# The card set of each support that SiteFamily.contains has judged, so a
-# verdict looks the support up instead of building its set.  It is filled in
-# place and never rebound (perfbench's traced run checks that no module
-# attribute changes).  It holds one entry per distinct support; a grid's
-# sites draw theirs from its rooms', helping and encoding card sets.
-_support_sets: dict[tuple[CardId, ...], frozenset[CardId]] = {}
-
-
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
     `take` distinct support cards in uniform order.  The kind names the
@@ -210,13 +203,7 @@ class SiteFamily(NamedTuple):
 
     def contains(self, pattern: tuple[CardId, ...]) -> bool:
         shown = set(pattern)
-        if not len(pattern) == self.take == len(shown):
-            return False
-        try:
-            support = _support_sets[self.support]
-        except KeyError:
-            support = _support_sets[self.support] = frozenset(self.support)
-        return shown <= support
+        return len(pattern) == self.take == len(shown) and shown <= set(self.support)
 
 
 class _Reveal(NamedTuple):
@@ -592,6 +579,8 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     return table
 
 
+# Entries that run one check, for the tests and for perfbench/spans.py, which
+# traces them; a run hands its checks to _live itself, so none is exported.
 def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
@@ -656,13 +645,7 @@ def run_full_protocol_with_table(
                 transcript, None)
     for (kind, subject), check in _schedule(grid).checks.items():
         table.peak_cards = max(table.peak_cards, check.peak)
-        if kind == "room":
-            ok = verify_room(table, subject, source, transcript)
-        elif kind == "neighbor":
-            ok = verify_neighbor(table, *subject, prover, source, transcript)
-        else:
-            ok = verify_arrow(table, subject, prover, source, transcript)
-        if not ok:
+        if _live(table, check, prover, source, transcript) is None:
             return Verdict(False, FailedCheck(kind, subject)), transcript, table
         table.assert_settled()
     return Verdict(True, None), transcript, table

@@ -46,7 +46,6 @@ from makaro_zkp import (
     SiteFamily,
     all_value_assignments,
     card_budget,
-    convert_cell,
     encoding_card,
     enumerate_small_grids,
     help_card,
@@ -66,6 +65,7 @@ from makaro_zkp import (
     Transcript,
 )
 from makaro_zkp import protocol
+from makaro_zkp.protocol import convert_cell
 
 from conftest import PUZZLES, find_in_row, load_grid, load_solution, uniformity_test
 

@@ -148,7 +148,7 @@ class TestSiteFamily:
     def test_contains_gives_the_verdict_of_its_definition(self, cases):
         # the drawn patterns repeat cards, miss the length and hold foreign
         # cards, beside one the family holds; each family is judged twice,
-        # the second time from the kept support
+        # so a verdict cannot rest on what was judged before
         for support, take, drawn in cases * 2:
             fam = SiteFamily("t/any", "arrangement", tuple(support), min(take, len(support)))
             for pattern in (drawn, support[::-1][:fam.take]):

@@ -24,7 +24,6 @@ from makaro_zkp import (
     parse_puzzle,
     pile_scramble_shuffle,
     pile_shifting_shuffle,
-    reveal,
     reveal_row,
     run_full_protocol,
     simulate_transcript,
@@ -32,7 +31,7 @@ from makaro_zkp import (
     turn_all_down,
 )
 import makaro_zkp
-from makaro_zkp.deck import _EVENT_FIELDS
+from makaro_zkp.deck import _EVENT_FIELDS, reveal
 from makaro_zkp.protocol import _draw
 
 from conftest import PUZZLES, find_in_row, load_grid, row_cards, site_patterns

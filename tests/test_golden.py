@@ -32,10 +32,10 @@ from makaro_zkp import (
     setup_placement,
     simulate_transcript,
     solve_brute_force,
-    verify_room,
 )
 
 from makaro_zkp import protocol
+from makaro_zkp.protocol import verify_room
 from makaro_zkp.cli import main
 
 from conftest import PUZZLES, load_grid, load_solution

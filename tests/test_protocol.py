@@ -22,7 +22,6 @@ from makaro_zkp import (
     card_budget,
     cell_card,
     check_solution,
-    convert_cell,
     encoding_card,
     enumerate_small_grids,
     help_card,
@@ -38,15 +37,13 @@ from makaro_zkp import (
     simulate_transcript,
     solve_brute_force,
     stats,
-    verify_arrow,
-    verify_neighbor,
-    verify_room,
     violations,
 )
 import makaro_zkp
 from makaro_zkp import protocol, puzzle
 from makaro_zkp.analysis import MARGINAL_THRESHOLD
 from makaro_zkp.deck import _EVENT_FIELDS
+from makaro_zkp.protocol import convert_cell, verify_arrow, verify_neighbor, verify_room
 
 from conftest import PUZZLES, load_grid, load_solution, site_patterns
 
@@ -592,6 +589,17 @@ class TestTableBalance:
         self.assert_refused(table, table.put_cells, ([(0, 0), (0, 0)], cards),
                             r"cell \(0, 0\) already holds a card")
 
+    def test_a_lay_of_no_card_is_refused(self, quad_grid):
+        # a None card would leave its cell empty while the count calls it
+        # filled, so assert_settled would pass on an unsettled table
+        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
+                                     "no card")
+        cards = table.take_cells([(0, 0), (0, 1)])
+        self.assert_refused(table, table.put_cells, ([(0, 0)], [None]),
+                            r"no card to lay on cell \(0, 0\)")
+        self.assert_refused(table, table.put_cells, ([(0, 0), (0, 1)], [cards[0], None]),
+                            r"no card to lay on cell \(0, 1\)")
+
     def test_a_lay_on_a_cell_that_is_not_white_is_refused(self, example_grid, example_solution):
         _, _, _, table = fresh_table(example_grid, example_solution, "black")
         cards = table.take_cells([(0, 0), (0, 1)])
@@ -948,6 +956,23 @@ class TestTemplates:
                     if isinstance(node, (ast.BinOp, ast.AugAssign))
                     and any(isinstance(part, ast.Attribute) and part.attr == "take"
                             for part in ast.walk(node))]
+
+    def test_a_run_hands_each_compiled_check_to_the_live_run(self, example_grid,
+                                                              example_solution, monkeypatch):
+        # setup and the run each look the schedule up once, and the run
+        # gives _live every check as compiled, with no lookup of its own
+        lookups, run = [], []
+        schedule, live = protocol._schedule, protocol._live
+        monkeypatch.setattr(protocol, "_schedule",
+                            lambda grid: lookups.append(grid) or schedule(grid))
+        monkeypatch.setattr(protocol, "_live",
+                            lambda table, check, *args: run.append(check) or live(table, check, *args))
+        source = RandomSource.for_trial(0, 0)
+        verdict, _ = run_full_protocol(example_grid, make_prover(example_solution, source), source)
+        assert verdict.accepted
+        assert lookups == [example_grid] * 2
+        assert run == list(schedule(example_grid).checks.values())
+        assert len(run) == 20
 
     def test_the_schedule_leaves_comparisons_to_their_fragment(self):
         # `_Schedule.__init__` picks each check's key, letters and length;

@@ -5,9 +5,15 @@ outside `__init__.py`, or when a demo or the benchmark's workloads read it.
 The benchmark's tracer (perfbench/spans.py) wraps names without using them,
 so it does not count.  Names are matched as written, so a read of any
 attribute spelled like a method counts for that method.
+
+A public function of a library module that is not exported stays only for
+the tracer: it must be one of its spans and have no caller outside the
+tests.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -18,16 +24,12 @@ PACKAGE = Path(makaro_zkp.__file__).parent
 CALLERS = [*(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"),
            *sorted((ROOT / "demos").glob("*.py")),
            ROOT / "perfbench" / "workloads.py"]
-# public names that only the tests and the tracer reach, each with the reason
-# it stays
+# public names that only the tests reach, each with the reason it stays
 KEPT = {
-    "convert_cell": "perfbench/spans.py traces it; it goes when the benchmark "
-                    "stops tracing it",
-    "reveal": "perfbench/spans.py traces deck.reveal; it goes when the benchmark "
-              "stops tracing it",
     "CardMatrix.is_face_up": "the one public view of a card's face; the deck "
                              "tests read it to check reveals and turn-downs",
 }
+LIBRARY = ("deck", "protocol", "puzzle", "gridgen", "analysis")
 
 
 class _Reads(ast.NodeVisitor):
@@ -82,3 +84,26 @@ def test_every_public_callable_has_a_caller_outside_the_tests():
     unread = sorted(name for name, written in public_callables().items()
                     if written not in reads)
     assert unread == sorted(KEPT)
+
+
+def traced_names() -> set[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return set(spans.SPANS)
+
+
+def test_a_function_left_out_of_the_exports_is_kept_for_the_tracer_alone():
+    reads, traced, exported = read_names(), traced_names(), set(makaro_zkp.__all__)
+    unexported = {(layer, name)
+                  for layer in LIBRARY
+                  for name, value in vars(importlib.import_module(f"makaro_zkp.{layer}")).items()
+                  if inspect.isfunction(value) and not name.startswith("_")
+                  and value.__module__ == f"makaro_zkp.{layer}" and name not in exported}
+    assert sorted(unexported - traced) == []
+    assert sorted(name for _, name in unexported if name in reads) == []
+    # the entries that run one check, and deck's one-card reveal
+    assert unexported == {("deck", "reveal"), ("protocol", "convert_cell"),
+                          ("protocol", "verify_arrow"), ("protocol", "verify_neighbor"),
+                          ("protocol", "verify_room")}
