@@ -186,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find all solutions by exhaustive search")
     add_puzzle(p)
     p.add_argument("--bound", type=positive, default=DEFAULT_SEARCH_BOUND,
-                   help="refuse the puzzle up front when the product of its rooms' "
-                        "permutation counts exceeds this (default %(default)s)")
+                   help="refuse the puzzle up front when its clue-consistent "
+                        "candidate fillings, the product over rooms of (size - clued "
+                        "cells)!, exceed this (default %(default)s)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("prove", help="run seeded interactive proofs")

@@ -140,9 +140,11 @@ class Grid:
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
         """Every rule of the grid, in the canonical check order: rooms by
-        sorted id, then neighbor pairs and arrows row-major.  The rule
-        checker, the solver and the card protocol's check schedule all read
-        this list, so they check the same rules in the same order."""
+        sorted id, then neighbor pairs and arrows row-major.  violations and
+        the card protocol's check schedule read this list, so they check the
+        same rules in the same order.  check_solution, which the solver calls
+        and which returns only a verdict, checks the same rules with the
+        rooms last."""
         arrows = [(r, c) for r in range(self.height) for c in range(self.width)
                   if isinstance(self.cells[r][c], Black)]
         return (*(Rule("room", room, self.rooms[room]) for room in sorted(self.rooms)),
@@ -321,7 +323,10 @@ def _one_value(rc: Coord, assignment: Assignment) -> tuple[int]:
 def _require_domain(grid: Grid, assignment: Assignment) -> None:
     if assignment.keys() != grid.white_set:
         raise ValueError("assignment must cover exactly the white cells")
-    for rc, v in assignment.items():
+    values = assignment.values()
+    if all(map(int.__instancecheck__, values)) and min(values) >= 1:
+        return
+    for rc, v in assignment.items():  # name the first offending cell
         if not isinstance(v, int) or v < 1:
             raise ValueError(f"assignment value at {rc} must be a positive integer")
 
@@ -330,7 +335,8 @@ def _broken_rules(grid: Grid, assignment: Assignment) -> Iterator[tuple]:
     """Every broken rule of grid.rules, in that order, as (kind, subject):
     ("room", room_id), ("neighbor", (a, b)) or ("arrow", cell).  The card
     protocol runs its checks in the same order, so the first entry is the
-    check a rejecting protocol run fails on."""
+    check a rejecting protocol run fails on.  check_solution keeps the same
+    rules but reads them in another order."""
     _require_domain(grid, assignment)
     for kind, subject, get_values, room in grid.compiled_rules:
         values = get_values(assignment)
@@ -354,36 +360,77 @@ def check_solution(grid: Grid, assignment: Assignment) -> bool:
     """True when the assignment satisfies all three rules.
 
     The assignment must cover exactly the white cells; clues are not consulted
-    (they constrain search, not validity of a filled grid).
+    (they constrain search, not validity of a filled grid).  Only the verdict
+    is returned, so the room rules, which come first in grid.rules, are read
+    last: the solver's candidates keep them by construction, and a room rule
+    costs a sort.  It returns at the first broken rule.
     """
-    return next(_broken_rules(grid, assignment), None) is None
+    _require_domain(grid, assignment)
+    rules = grid.compiled_rules
+    rooms = len(grid.rooms)
+    for kind, _, get_values, room in chain(rules[rooms:], rules[:rooms]):
+        values = get_values(assignment)
+        if kind == "neighbor":
+            if values[0] == values[1]:
+                return False
+        elif kind == "arrow":
+            if max(values[1:], default=0) >= values[0]:
+                return False
+        elif sorted(values) != room:
+            return False
+    return True
+
+
+def _candidate_count(grid: Grid) -> int:
+    """How many fillings solve_brute_force checks: the product over rooms of
+    (size - clued cells)!, or 0 when a room repeats a clue value."""
+    count = 1
+    for coords in grid.rooms.values():
+        clues = list(filter(None, (grid.cell(rc).clue for rc in coords)))
+        if len(set(clues)) < len(clues):
+            return 0
+        count *= math.factorial(len(coords) - len(clues))
+    return count
 
 
 def solve_brute_force(grid: Grid, bound: int = DEFAULT_SEARCH_BOUND) -> list[Assignment]:
     """All solutions, by exhausting room permutations. Deterministic order.
 
     Each room contributes the permutations of 1..size consistent with its
-    clues; the cross product is filtered through check_solution.  Raises
-    SearchBoundExceeded when the unfiltered candidate count (product of
-    room-size factorials) exceeds `bound`.
+    clues; the cross product, in product order, is filtered through
+    check_solution, one call per candidate.  Raises SearchBoundExceeded,
+    before any room is enumerated, when the number of candidates
+    (_candidate_count) exceeds `bound`.  Each solution is its own dict, keyed
+    in the cell order of the rooms by sorted id.
     """
-    rooms = sorted(grid.rooms)
-    candidates = math.prod(math.factorial(len(grid.rooms[r])) for r in rooms)
+    candidates = _candidate_count(grid)
     if candidates > bound:
         raise SearchBoundExceeded(
             f"{candidates} candidate fillings exceed the bound of {bound}")
+    if not candidates:
+        return []
+    rooms = sorted(grid.rooms)
     room_choices: list[list[tuple[int, ...]]] = []
     for room in rooms:
+        # the room's unclued values, sorted, permuted over its unclued cells:
+        # its permutations of 1..size that keep its clues, in the same order
         clues = [grid.cell(rc).clue for rc in grid.rooms[room]]
-        room_choices.append([p for p in permutations(range(1, len(clues) + 1))
-                             if all(clue in (None, v) for v, clue in zip(p, clues))])
+        free = sorted(set(range(1, len(clues) + 1)).difference(clues))
+        room_choices.append([tuple(clue or next(fill) for clue in clues)
+                             for fill in map(iter, permutations(free))])
 
-    cells = [rc for room in rooms for rc in grid.rooms[room]]
+    # the dict is built once per choice of every room but the last, whose
+    # cells are then rewritten in place for each of its choices
+    head_cells = [rc for room in rooms[:-1] for rc in grid.rooms[room]]
+    last_cells = grid.rooms[rooms[-1]]
+    *head_choices, last_choices = room_choices
     solutions: list[Assignment] = []
-    for choice in product(*room_choices):
-        assignment = dict(zip(cells, chain.from_iterable(choice)))
-        if check_solution(grid, assignment):
-            solutions.append(assignment)
+    for head in product(*head_choices):
+        assignment = dict(zip(head_cells, chain.from_iterable(head)))
+        for values in last_choices:
+            assignment.update(zip(last_cells, values))
+            if check_solution(grid, assignment):
+                solutions.append(dict(assignment))
     return solutions
 
 

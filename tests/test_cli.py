@@ -163,6 +163,13 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--puzzle", EXAMPLE, "--bound", "10")
         assert code == 2
         assert err.startswith("error:")
+        # the bound counts the 27,648 of the example's 2,073,600 room
+        # fillings that keep its clues
+        code, out, _ = run_cli(capsys, "solve", "--puzzle", EXAMPLE, "--bound", "27648")
+        assert (code, out.splitlines()[0]) == (0, "1 solution")
+        code, out, err = run_cli(capsys, "solve", "--puzzle", EXAMPLE, "--bound", "27647")
+        assert (code, out) == (2, "")
+        assert "27648 candidate fillings exceed the bound of 27647" in err
 
 
 class TestProve:

@@ -2,7 +2,7 @@
 
 import pickle
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -26,6 +26,7 @@ from makaro_zkp import (
     violations,
     white_neighbor_pairs,
 )
+from makaro_zkp import puzzle
 from makaro_zkp.puzzle import White
 
 from conftest import PUZZLES, load_grid, load_solution
@@ -198,6 +199,33 @@ class TestRules:
         with pytest.raises(ValueError):
             check_solution(quad_grid, {(0, 0): 1})
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None, 2.5, 0, -3, False, -10**100])
+    @pytest.mark.parametrize("at", [0, 10, 19], ids=["first", "middle", "last"])
+    def test_every_entry_names_the_first_bad_value_as_the_cell_loop_does(
+            self, example_grid, bad, at):
+        # the common case is tested over all values at once; a bad value
+        # falls back to a loop over the cells in the assignment's order
+        assignment = example_assignment()
+        cells = list(assignment)
+        assignment[cells[at]] = bad
+        assignment[cells[-1 - at]] = 10**100  # a positive integer, however large, is in the domain
+        first_bad = next(rc for rc, v in assignment.items()
+                         if not isinstance(v, int) or v < 1)
+        assert first_bad == cells[at]
+        message = rf"^assignment value at \({first_bad[0]}, {first_bad[1]}\) must be a positive integer$"
+        for entry in (check_solution, violations, assignment_text):
+            with pytest.raises(ValueError, match=message):
+                entry(example_grid, assignment)
+
+    def test_a_huge_or_bool_value_is_in_the_domain(self, example_grid):
+        assignment = example_assignment()
+        assignment[(0, 0)] = True  # the integer 1, as it already is
+        assert check_solution(example_grid, assignment)
+        assert violations(example_grid, assignment) == []
+        assignment[(0, 0)] = 10**100
+        assert not check_solution(example_grid, assignment)
+        assert violations(example_grid, assignment) == [("room", "A")]
+
     def test_the_compiled_checker_matches_the_per_rule_oracle(self, puzzles_dir):
         cases = [(grid, a) for grid in enumerate_small_grids()[::40]
                  for a in all_value_assignments(grid)]
@@ -314,6 +342,74 @@ class TestSolver:
     def test_search_bound(self, example_grid):
         with pytest.raises(SearchBoundExceeded):
             solve_brute_force(example_grid, bound=10)
+
+    def test_the_bound_counts_the_clue_consistent_candidates(self, example_grid):
+        # the example's rooms allow 2,073,600 fillings; its clues leave 27,648
+        assert solve_brute_force(example_grid, bound=27_648) == [example_assignment()]
+        with pytest.raises(SearchBoundExceeded,
+                           match="^27648 candidate fillings exceed the bound of 27647$"):
+            solve_brute_force(example_grid, bound=27_647)
+
+    def test_a_clued_large_room_is_searched_over_its_unclued_cells(self):
+        # 12! fillings of the room, but nine clues leave 3! candidates
+        grid = parse_puzzle("makaro 3 4\nA=1 A=2 A=3 A=4\nA=5 A=6 A=7 A=8\nA=9 A A A\n")
+        found = solve_brute_force(grid, bound=6)
+        assert [[s[rc] for rc in ((2, 1), (2, 2), (2, 3))] for s in found] == [
+            list(p) for p in permutations((10, 11, 12))]
+        with pytest.raises(SearchBoundExceeded, match="^6 candidate"):
+            solve_brute_force(grid, bound=5)
+
+    def test_a_room_that_repeats_a_clue_has_no_candidates(self, monkeypatch):
+        # nothing is enumerated, not even the twelve-cell room
+        monkeypatch.setattr(puzzle, "permutations", None)
+        monkeypatch.setattr(puzzle, "check_solution", None)
+        grid = parse_puzzle("makaro 1 14\nA=1 A=1" + " B" * 12 + "\n")
+        assert solve_brute_force(grid, bound=1) == []
+
+    def test_a_twelve_cell_room_is_refused_before_any_enumeration(self, monkeypatch):
+        monkeypatch.setattr(puzzle, "permutations", None)
+        grid = parse_puzzle("makaro 3 4\nA A A A\nA A A A\nA A A A\n")
+        with pytest.raises(SearchBoundExceeded,
+                           match="^479001600 candidate fillings exceed the bound of 10000000$"):
+            solve_brute_force(grid)
+
+    def test_one_rule_check_per_clue_consistent_candidate(self, monkeypatch, example_grid,
+                                                          quad_grid, cross_grid):
+        # every candidate is checked, once: the benchmark counts these calls
+        # as the solver's candidates
+        calls = []
+        check = puzzle.check_solution
+        monkeypatch.setattr(puzzle, "check_solution",
+                            lambda grid, assignment: calls.append(1) or check(grid, assignment))
+
+        def candidates(grid):  # per room, its permutations that keep its clues
+            count = 1
+            for cells in grid.rooms.values():
+                clued = [grid.cell(rc).clue for rc in cells]
+                count *= sum(all(clue in (None, v) for v, clue in zip(p, clued))
+                             for p in permutations(range(1, len(cells) + 1)))
+            return count
+
+        # the corpus has no clues; the cross and the last two grids do.  The
+        # last grid's twelve-cell room is too large to count by enumeration:
+        # nine clues leave 3! candidates
+        grids = [example_grid, quad_grid, *enumerate_small_grids()[::40], cross_grid,
+                 parse_puzzle("makaro 2 2\nA=1 A=1\nB B\n"),
+                 parse_puzzle("makaro 3 4\nA=1 A=2 A=3 A=4\nA=5 A=6 A=7 A=8\nA=9 A A A\n")]
+        expected = [*map(candidates, grids[:-1]), 6]
+        assert expected[:2] == [27_648, 4] and expected[-2:] == [0, 6]
+        for grid, count in zip(grids, expected):
+            calls.clear()
+            found = solve_brute_force(grid)
+            assert len(calls) == count, grid
+            order = [rc for room in sorted(grid.rooms) for rc in grid.rooms[room]]
+            assert all(list(s) == order for s in found)
+            assert len({id(s) for s in found}) == len(found)
+
+        first, second = solve_brute_force(quad_grid)
+        kept = dict(first)
+        first[(0, 0)] = second[(0, 0)] = 9
+        assert solve_brute_force(quad_grid)[0] == kept
 
     def test_clues_prune_solutions(self, cross_grid):
         sols = solve_brute_force(cross_grid)
