@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import chain, permutations, product
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 Coord = tuple[int, int]
 Assignment = dict[Coord, int]
@@ -140,11 +140,10 @@ class Grid:
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
         """Every rule of the grid, in the canonical check order: rooms by
-        sorted id, then neighbor pairs and arrows row-major.  violations and
-        the card protocol's check schedule read this list, so they check the
-        same rules in the same order.  check_solution, which the solver calls
-        and which returns only a verdict, checks the same rules with the
-        rooms last."""
+        sorted id, then neighbor pairs and arrows row-major.  The rule
+        checker, the solver and the card protocol's check schedule all read
+        this list, so they check the same rules: violations and the protocol
+        in the same order, check_solution with the rooms last."""
         arrows = [(r, c) for r in range(self.height) for c in range(self.width)
                   if isinstance(self.cells[r][c], Black)]
         return (*(Rule("room", room, self.rooms[room]) for room in sorted(self.rooms)),
@@ -323,22 +322,18 @@ def _one_value(rc: Coord, assignment: Assignment) -> tuple[int]:
 def _require_domain(grid: Grid, assignment: Assignment) -> None:
     if assignment.keys() != grid.white_set:
         raise ValueError("assignment must cover exactly the white cells")
-    values = assignment.values()
-    if all(map(int.__instancecheck__, values)) and min(values) >= 1:
-        return
-    for rc, v in assignment.items():  # name the first offending cell
+    for rc, v in assignment.items():
         if not isinstance(v, int) or v < 1:
             raise ValueError(f"assignment value at {rc} must be a positive integer")
 
 
-def _broken_rules(grid: Grid, assignment: Assignment) -> Iterator[tuple]:
-    """Every broken rule of grid.rules, in that order, as (kind, subject):
-    ("room", room_id), ("neighbor", (a, b)) or ("arrow", cell).  The card
-    protocol runs its checks in the same order, so the first entry is the
-    check a rejecting protocol run fails on.  check_solution keeps the same
-    rules but reads them in another order."""
+def _broken_rules(grid: Grid, assignment: Assignment,
+                  rules: Iterable[_CompiledRule]) -> Iterator[tuple]:
+    """Every broken rule of `rules`, which are grid.compiled_rules in that
+    order or another, as (kind, subject): ("room", room_id), ("neighbor",
+    (a, b)) or ("arrow", cell)."""
     _require_domain(grid, assignment)
-    for kind, subject, get_values, room in grid.compiled_rules:
+    for kind, subject, get_values, room in rules:
         values = get_values(assignment)
         if kind == "room":
             broken = sorted(values) != room
@@ -351,9 +346,10 @@ def _broken_rules(grid: Grid, assignment: Assignment) -> Iterator[tuple]:
 
 
 def violations(grid: Grid, assignment: Assignment) -> list[tuple]:
-    """Every violated condition, in the canonical check order (see
-    _broken_rules)."""
-    return list(_broken_rules(grid, assignment))
+    """Every violated condition, in the canonical check order of grid.rules.
+    The card protocol runs its checks in the same order, so the first entry
+    is the check a rejecting protocol run fails on."""
+    return list(_broken_rules(grid, assignment, grid.compiled_rules))
 
 
 def check_solution(grid: Grid, assignment: Assignment) -> bool:
@@ -363,34 +359,12 @@ def check_solution(grid: Grid, assignment: Assignment) -> bool:
     (they constrain search, not validity of a filled grid).  Only the verdict
     is returned, so the room rules, which come first in grid.rules, are read
     last: the solver's candidates keep them by construction, and a room rule
-    costs a sort.  It returns at the first broken rule.
+    costs a sort.  It stops at the first broken rule.
     """
-    _require_domain(grid, assignment)
     rules = grid.compiled_rules
     rooms = len(grid.rooms)
-    for kind, _, get_values, room in chain(rules[rooms:], rules[:rooms]):
-        values = get_values(assignment)
-        if kind == "neighbor":
-            if values[0] == values[1]:
-                return False
-        elif kind == "arrow":
-            if max(values[1:], default=0) >= values[0]:
-                return False
-        elif sorted(values) != room:
-            return False
-    return True
-
-
-def _candidate_count(grid: Grid) -> int:
-    """How many fillings solve_brute_force checks: the product over rooms of
-    (size - clued cells)!, or 0 when a room repeats a clue value."""
-    count = 1
-    for coords in grid.rooms.values():
-        clues = list(filter(None, (grid.cell(rc).clue for rc in coords)))
-        if len(set(clues)) < len(clues):
-            return 0
-        count *= math.factorial(len(coords) - len(clues))
-    return count
+    return next(_broken_rules(grid, assignment, chain(rules[rooms:], rules[:rooms])),
+                None) is None
 
 
 def solve_brute_force(grid: Grid, bound: int = DEFAULT_SEARCH_BOUND) -> list[Assignment]:
@@ -399,25 +373,27 @@ def solve_brute_force(grid: Grid, bound: int = DEFAULT_SEARCH_BOUND) -> list[Ass
     Each room contributes the permutations of 1..size consistent with its
     clues; the cross product, in product order, is filtered through
     check_solution, one call per candidate.  Raises SearchBoundExceeded,
-    before any room is enumerated, when the number of candidates
-    (_candidate_count) exceeds `bound`.  Each solution is its own dict, keyed
-    in the cell order of the rooms by sorted id.
+    before any room is enumerated, when the number of candidates, the
+    product over rooms of (size - clued cells)!, exceeds `bound`.  Each
+    solution is its own dict, keyed in the cell order of the rooms by
+    sorted id.
     """
-    candidates = _candidate_count(grid)
+    rooms = sorted(grid.rooms)
+    clues = [[grid.cell(rc).clue for rc in grid.rooms[room]] for room in rooms]
+    # each room's values that no clue takes, sorted; a room whose clues
+    # repeat a value has more of them than unclued cells, and no candidates
+    free = [sorted(set(range(1, len(c) + 1)).difference(c)) for c in clues]
+    if any(len(f) != c.count(None) for c, f in zip(clues, free)):
+        return []
+    candidates = math.prod(math.factorial(len(f)) for f in free)
     if candidates > bound:
         raise SearchBoundExceeded(
             f"{candidates} candidate fillings exceed the bound of {bound}")
-    if not candidates:
-        return []
-    rooms = sorted(grid.rooms)
-    room_choices: list[list[tuple[int, ...]]] = []
-    for room in rooms:
-        # the room's unclued values, sorted, permuted over its unclued cells:
-        # its permutations of 1..size that keep its clues, in the same order
-        clues = [grid.cell(rc).clue for rc in grid.rooms[room]]
-        free = sorted(set(range(1, len(clues) + 1)).difference(clues))
-        room_choices.append([tuple(clue or next(fill) for clue in clues)
-                             for fill in map(iter, permutations(free))])
+    # the free values permuted over the unclued cells: the room's
+    # permutations of 1..size that keep its clues, in the same order
+    room_choices = [[tuple(clue or next(fill) for clue in c)
+                     for fill in map(iter, permutations(f))]
+                    for c, f in zip(clues, free)]
 
     # the dict is built once per choice of every room but the last, whose
     # cells are then rewritten in place for each of its choices

@@ -203,8 +203,8 @@ class TestRules:
     @pytest.mark.parametrize("at", [0, 10, 19], ids=["first", "middle", "last"])
     def test_every_entry_names_the_first_bad_value_as_the_cell_loop_does(
             self, example_grid, bad, at):
-        # the common case is tested over all values at once; a bad value
-        # falls back to a loop over the cells in the assignment's order
+        # the first bad value in the assignment's order is named, whatever
+        # follows it
         assignment = example_assignment()
         cells = list(assignment)
         assignment[cells[at]] = bad
