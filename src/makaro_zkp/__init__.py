@@ -73,6 +73,7 @@ from .protocol import (
     run_layout,
     setup_placement,
     simulate_transcript,
+    simulate_view,
 )
 from .analysis import (
     CardBudget,

@@ -8,7 +8,9 @@ site of a run and the exact distribution each site should follow
 histograms, and compares two collections site by site
 (`compare_histograms`): real runs against the solution-free simulator
 (`zk_comparison`), or runs built from two different solutions
-(`solution_comparison`).
+(`solution_comparison`).  A real run is counted from its transcript, whose
+layout is checked first; the simulator's side is counted from its views
+(`simulate_view`), the revealed cards alone, without writing a transcript.
 
 Chi-square tests are kept honest: expected counts below ``MIN_EXPECTED``
 raise `InsufficientTrials` rather than producing an unreliable p-value, sites
@@ -42,7 +44,7 @@ from .protocol import (
     make_prover,
     run_full_protocol,
     run_layout,
-    simulate_transcript,
+    simulate_view,
 )
 # `stats` is unused here, but the benchmark's traced run rebinds it in this
 # module and perfbench/test_perfbench.py asserts that binding
@@ -98,7 +100,8 @@ def site_plan(grid: Grid) -> list[SiteFamily]:
 
 class SiteHistograms:
     """Observed pattern counts per tested site, over accepting runs of one
-    grid, each site's cards read from its slot in the run."""
+    grid, each site's cards read from its slot in the run or, for a view,
+    from its place among the revealed cards."""
 
     def __init__(self, grid: Grid):
         layout = run_layout(grid)
@@ -130,7 +133,14 @@ class SiteHistograms:
                     and self._reveals(events))
         if not revealed or tuple(map(itemgetter(0), revealed)) != self._revealed:
             raise ValueError("transcript is not an accepting run of this grid")
-        cards = tuple(map(itemgetter(2), revealed))
+        self.add_view(tuple(map(itemgetter(2), revealed)))
+
+    def add_view(self, cards: tuple[CardId, ...]) -> None:
+        """Count a view: the cards an accepting run reveals, in run order.  A
+        view not as long as this grid's reveals raises ValueError and counts
+        nothing; the cards themselves are not checked."""
+        if len(cards) != len(self._revealed):
+            raise ValueError("view does not hold this grid's reveals")
         for counter, start, stop in self._reads:
             counter[cards[start:stop]] += 1
 
@@ -238,37 +248,39 @@ def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counte
 
 # --- collection over many runs -------------------------------------------------
 
-def _honest_transcript(grid: Grid, solution: Assignment, seed: str, trial: int) -> Transcript:
+def _honest_trial(grid: Grid, solution: Assignment, seed: str,
+                  hist: SiteHistograms, trial: int) -> None:
     source = RandomSource.for_trial(seed, trial)
     verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
     if not verdict.accepted:
         raise ProtocolError(
             f"run {trial} rejected ({verdict.failing_check}); "
             "histograms need an honest prover with a valid solution")
-    return transcript
+    hist.add_transcript(transcript)
 
 
-def _simulated_transcript(grid: Grid, seed: str, trial: int) -> Transcript:
-    return simulate_transcript(grid, RandomSource.for_trial(seed, trial))
+def _simulated_trial(grid: Grid, seed: str, hist: SiteHistograms, trial: int) -> None:
+    hist.add_view(simulate_view(grid, RandomSource.for_trial(seed, trial)))
 
 
-def _chunk(transcript_of: Callable[[int], Transcript], grid: Grid,
+def _chunk(count_trial: Callable[[SiteHistograms, int], None], grid: Grid,
            start: int, stop: int) -> SiteHistograms:
     hist = SiteHistograms(grid)
     for trial in range(start, stop):
-        hist.add_transcript(transcript_of(trial))
+        count_trial(hist, trial)
     return hist
 
 
-def _collect(transcript_of: Callable[[int], Transcript], grid: Grid, trials: int,
+def _collect(count_trial: Callable[[SiteHistograms, int], None], grid: Grid, trials: int,
              workers: int) -> SiteHistograms:
     """Histograms over trials 0..trials-1, split into contiguous chunks, one
-    per worker process, with no more workers than CPUs; transcript_of must
-    pickle when workers > 1.  Trial i draws all its randomness from a seed
-    derived from (seed, i), so the histograms do not depend on workers."""
+    per worker process, with no more workers than CPUs; `count_trial(hist, i)`
+    counts trial i into hist, and must pickle when workers > 1.  Trial i draws
+    all its randomness from a seed derived from (seed, i), so the histograms
+    do not depend on workers."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    chunk = partial(_chunk, transcript_of, grid)
+    chunk = partial(_chunk, count_trial, grid)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return chunk(0, trials)
@@ -315,7 +327,7 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """The report as JSON.  Every site counts each transcript once, so
+        """The report as JSON.  Every site counts each run once, so
         its draws are the trials per side (side A's, should the two differ)."""
         return json.dumps({
             "label": self.label,
@@ -354,10 +366,10 @@ def compare_collections(label: str, hist_a: SiteHistograms, hist_b: SiteHistogra
 def zk_comparison(grid: Grid, solution: Assignment, seed: str, trials: int,
                   workers: int = 1, alpha: float = ALPHA) -> ComparisonReport:
     """The executable zero-knowledge check: `trials` real runs against
-    `trials` solution-free simulated transcripts, compared site by site."""
-    real = _collect(partial(_honest_transcript, grid, solution, f"{seed}/real"),
+    `trials` solution-free simulated views, compared site by site."""
+    real = _collect(partial(_honest_trial, grid, solution, f"{seed}/real"),
                     grid, trials, workers)
-    sim = _collect(partial(_simulated_transcript, grid, f"{seed}/sim"), grid, trials, workers)
+    sim = _collect(partial(_simulated_trial, grid, f"{seed}/sim"), grid, trials, workers)
     return compare_collections("protocol vs simulator", real, sim, alpha)
 
 
@@ -365,8 +377,8 @@ def solution_comparison(grid: Grid, solution_a: Assignment, solution_b: Assignme
                         seed: str, trials: int) -> ComparisonReport:
     """Indistinguishability of provers: runs built from two different valid
     solutions of the same grid, compared site by site."""
-    hist_a = _collect(partial(_honest_transcript, grid, solution_a, f"{seed}/a"),
+    hist_a = _collect(partial(_honest_trial, grid, solution_a, f"{seed}/a"),
                       grid, trials, 1)
-    hist_b = _collect(partial(_honest_transcript, grid, solution_b, f"{seed}/b"),
+    hist_b = _collect(partial(_honest_trial, grid, solution_b, f"{seed}/b"),
                       grid, trials, 1)
     return compare_collections("prover A vs prover B", hist_a, hist_b)

@@ -30,14 +30,16 @@ arrow checks end in one grid-free comparison, the paper's number encoding:
 one card of each kind shows that two numbers differ or that one is the
 largest.  The live run fills a check's holes from card physics; one walk
 writes a whole accepting run, each site showing what a callback gives: the
-simulator draws it without seeing any solution, the layout a placeholder.
+simulator's cards, drawn as a view without seeing any solution, or the
+layout's placeholder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 from .deck import (
@@ -184,8 +186,8 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # then sorted or giving the window start, and windows, each hole with its
 # acceptance predicate), and its card plan, the peak in play.  The live
 # run makes a check's moves and fills its holes from the card matrix;
-# _Schedule.walk writes an accepting run, each hole's cards drawn by the
-# simulator or a placeholder for the layout.  So they cannot drift apart.
+# _Schedule.walk writes an accepting run, each hole's cards taken from a
+# simulated view or a placeholder for the layout.  So they cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
@@ -662,9 +664,10 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 
 # --- transcript simulator ----------------------------------------------------
 #
-# Walks the same templates as the live run, drawing every reveal from its
-# run-independent distribution.  No assignment is involved, which is the
-# zero-knowledge argument made executable: if real transcripts match these
+# Draws every reveal site's cards from its run-independent distribution, in
+# the layout's site order: a view, which the walk over the same templates as
+# the live run turns into a transcript.  No assignment is involved, which is
+# the zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
 
 def _draw(source: RandomSource, site: SiteFamily) -> list[CardId]:
@@ -686,12 +689,23 @@ def _draw(source: RandomSource, site: SiteFamily) -> list[CardId]:
     return shown
 
 
+def simulate_view(grid: Grid, source: RandomSource) -> tuple[CardId, ...]:
+    """A view: the cards that every reveal site of an accepting run shows,
+    in run order (`run_layout(grid).sites`), each site's `take` cards drawn
+    from its solution-independent distribution.  Needs no assignment;
+    meaningful for satisfiable grids."""
+    view: list[CardId] = []
+    for _, _, site in run_layout(grid).sites:
+        view += _draw(source, site)
+    return tuple(view)
+
+
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
-    """A transcript with the exact event structure of an accepting run, every
-    reveal drawn from its solution-independent distribution.  Needs no
-    assignment; meaningful for satisfiable grids."""
+    """The accepting run that shows a simulated view: its exact event
+    structure, each reveal site fed its cards from `simulate_view`."""
+    cards = iter(simulate_view(grid, source))
     t = Transcript()
-    _schedule(grid).walk(partial(_draw, source), t.events)
+    _schedule(grid).walk(lambda site: tuple(islice(cards, site.take)), t.events)
     return t
 
 

@@ -37,6 +37,7 @@ from makaro_zkp import (
     reveal_site_plan,
     run_full_protocol,
     simulate_transcript,
+    simulate_view,
     site_plan,
     solution_comparison,
     stats,
@@ -48,8 +49,8 @@ from makaro_zkp.analysis import (
     MARGINAL_THRESHOLD,
     MIN_EXPECTED,
     _collect,
-    _honest_transcript,
-    _simulated_transcript,
+    _honest_trial,
+    _simulated_trial,
 )
 
 from conftest import load_grid, site_patterns, uniformity_test
@@ -316,6 +317,25 @@ class TestSiteHistograms:
         with pytest.raises(ValueError):
             SiteHistograms(quad_grid).add_transcript(transcript)
 
+    def test_views_count_as_their_simulated_transcripts(self, example_grid):
+        by_view, by_transcript = SiteHistograms(example_grid), SiteHistograms(example_grid)
+        for i in range(200):
+            by_view.add_view(simulate_view(example_grid, RandomSource.for_trial("views", i)))
+            by_transcript.add_transcript(
+                simulate_transcript(example_grid, RandomSource.for_trial("views", i)))
+        assert counted(by_view) == 200
+        assert by_view.counts == by_transcript.counts
+
+    def test_a_view_of_the_wrong_length_is_refused(self, example_grid):
+        hist = SiteHistograms(example_grid)
+        view = simulate_view(example_grid, RandomSource("view"))
+        hist.add_view(view)
+        before = {key: Counter(counter) for key, counter in hist.counts.items()}
+        for bad in (view[:-1], view + view[:1]):
+            with pytest.raises(ValueError):
+                hist.add_view(bad)
+        assert hist.counts == before
+
     def test_merge_adds_counts(self, quad_grid):
         solution = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}
         a = SiteHistograms(quad_grid)
@@ -412,7 +432,7 @@ class TestUniformityTest:
 
     def test_real_runs_of_a_single_room_look_uniform(self):
         grid = parse_puzzle("makaro 1 3\nA A A\n")
-        hist = _collect(partial(_honest_transcript, grid, {(0, 0): 1, (0, 1): 2, (0, 2): 3},
+        hist = _collect(partial(_honest_trial, grid, {(0, 0): 1, (0, 1): 2, (0, 2): 3},
                                 "unif"), grid, 3000, 1)
         reports = [uniformity_test(fam, hist.counts[fam.key]) for fam in hist.families]
         tested = [r for r in reports if r.df >= 1]
@@ -519,20 +539,20 @@ QUAD_MIRROR = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
 class TestCollection:
     def test_trial_count_and_per_site_draws(self, quad_grid):
-        hist = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "c1"),
+        hist = _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "c1"),
                         quad_grid, 50, 1)
         assert counted(hist) == 50
         assert all(sum(c.values()) == 50 for c in hist.counts.values())
 
     def test_worker_count_does_not_change_the_histograms(self, quad_grid):
-        real_runs = partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "wk")
+        real_runs = partial(_honest_trial, quad_grid, QUAD_SOLUTION, "wk")
         serial = _collect(real_runs, quad_grid, 60, 1)
         parallel = _collect(real_runs, quad_grid, 60, 2)
         assert counted(serial) == counted(parallel) == 60
         assert serial.counts == parallel.counts
 
     def test_simulator_collection_matches_across_workers(self, quad_grid):
-        simulated = partial(_simulated_transcript, quad_grid, "wks")
+        simulated = partial(_simulated_trial, quad_grid, "wks")
         serial = _collect(simulated, quad_grid, 60, 1)
         parallel = _collect(simulated, quad_grid, 60, 3)
         assert serial.counts == parallel.counts
@@ -556,7 +576,7 @@ class TestCollection:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        simulated = partial(_simulated_transcript, quad_grid, "cap")
+        simulated = partial(_simulated_trial, quad_grid, "cap")
         serial = _collect(simulated, quad_grid, 60, 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         capped = _collect(simulated, quad_grid, 60, 1000)
@@ -572,19 +592,19 @@ class TestCollection:
     def test_rule_breaking_solution_is_refused(self, quad_grid):
         bad = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}
         with pytest.raises(ProtocolError):
-            _collect(partial(_honest_transcript, quad_grid, bad, "c2"), quad_grid, 5, 1)
+            _collect(partial(_honest_trial, quad_grid, bad, "c2"), quad_grid, 5, 1)
 
     def test_trials_must_be_positive(self, quad_grid):
         with pytest.raises(ValueError):
-            _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "c3"),
+            _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "c3"),
                      quad_grid, 0, 1)
 
     def test_collections_from_different_grids_do_not_compare(self, quad_grid,
                                                              cross_grid,
                                                              cross_solution):
-        a = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "c4"),
+        a = _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "c4"),
                      quad_grid, 5, 1)
-        b = _collect(partial(_honest_transcript, cross_grid, cross_solution, "c4"),
+        b = _collect(partial(_honest_trial, cross_grid, cross_solution, "c4"),
                      cross_grid, 5, 1)
         with pytest.raises(ValueError, match="histograms cover different reveal sites"):
             compare_collections("mismatch", a, b)
@@ -604,9 +624,9 @@ class TestComparisonReports:
         assert report.passed
 
     def test_doctored_histograms_are_caught(self, quad_grid):
-        real = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "d1"),
+        real = _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "d1"),
                         quad_grid, 400, 1)
-        fake = _collect(partial(_honest_transcript, quad_grid, QUAD_SOLUTION, "d2"),
+        fake = _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "d2"),
                         quad_grid, 400, 1)
         key = "room/A/cells"
         pattern = (cell_card("A", 1), cell_card("A", 2))

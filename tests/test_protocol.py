@@ -35,6 +35,7 @@ from makaro_zkp import (
     serialize_puzzle,
     setup_placement,
     simulate_transcript,
+    simulate_view,
     solve_brute_force,
     stats,
     violations,
@@ -920,6 +921,18 @@ class TestTemplates:
         assert "CardsUnavailable" not in makaro_zkp.__all__
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)]
+
+    def test_a_simulated_transcript_reveals_its_view(self):
+        # one draw path: the walk feeds each site its cards from the view, in
+        # the layout's site order, and draws nothing itself
+        bundled = [load_grid(f"{name}.makaro") for name in BUNDLED]
+        for grid in bundled + enumerate_small_grids()[::40]:
+            layout = run_layout(grid)
+            for seed in (0, 1, "demo"):
+                events = simulate_transcript(grid, RandomSource.for_trial(seed, 3)).events
+                shown = tuple(ev[2] for at, _, site in layout.sites
+                              for ev in events[at + 1:at + 1 + site.take])
+                assert simulate_view(grid, RandomSource.for_trial(seed, 3)) == shown
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_the_walk_rebuilds_a_run_from_its_reveals(self, name):
