@@ -8,9 +8,12 @@ site of a run and the exact distribution each site should follow
 histograms, and compares two collections site by site
 (`compare_histograms`): real runs against the solution-free simulator
 (`zk_comparison`), or runs built from two different solutions
-(`solution_comparison`).  A real run is counted from its transcript, whose
-layout is checked first; the simulator's side is counted from its views
-(`simulate_view`), the revealed cards alone, without writing a transcript.
+(`solution_comparison`).  Both sides are counted as views, the cards a run
+reveals in run order: a real run's view is read from its transcript, whose
+layout is checked first, and the simulator draws its views (`simulate_view`)
+without writing a transcript.  Views are counted a block at a time
+(`SiteHistograms.add_views`), so each site's patterns are built and counted
+in C rather than one view at a time in Python.
 
 Chi-square tests are kept honest: expected counts below ``MIN_EXPECTED``
 raise `InsufficientTrials` rather than producing an unreliable p-value, sites
@@ -34,7 +37,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .deck import CardId, RandomSource, Transcript
 from .protocol import (
@@ -100,8 +103,8 @@ def site_plan(grid: Grid) -> list[SiteFamily]:
 
 class SiteHistograms:
     """Observed pattern counts per tested site, over accepting runs of one
-    grid, each site's cards read from its slot in the run or, for a view,
-    from its place among the revealed cards."""
+    grid, counted from views: each site's cards are read from their place
+    among the cards a run reveals."""
 
     def __init__(self, grid: Grid):
         layout = run_layout(grid)
@@ -125,24 +128,33 @@ class SiteHistograms:
 
     def add_transcript(self, transcript: Transcript) -> None:
         """Count the cards a transcript reveals at each site.  A transcript
-        not laid out as an accepting run of this grid (its length, its site
-        and closing events, a reveal event in every reveal slot) raises
-        ValueError and counts nothing; the cards themselves are not checked."""
+        not laid out as an accepting run of this grid raises ValueError and
+        counts nothing (see `_accepted_view`)."""
+        self.add_views((self._accepted_view(transcript),))
+
+    def _accepted_view(self, transcript: Transcript) -> tuple[CardId, ...]:
+        """The view a transcript shows: the cards it reveals, in run order.
+        A transcript not laid out as an accepting run of this grid (its
+        length, its site and closing events, a reveal event in every reveal
+        slot) raises ValueError; the cards themselves are not checked."""
         events = transcript.events
         revealed = (len(events) == self._length and self._fixed_at(events) == self._fixed
                     and self._reveals(events))
         if not revealed or tuple(map(itemgetter(0), revealed)) != self._revealed:
             raise ValueError("transcript is not an accepting run of this grid")
-        self.add_view(tuple(map(itemgetter(2), revealed)))
+        return tuple(map(itemgetter(2), revealed))
 
-    def add_view(self, cards: tuple[CardId, ...]) -> None:
-        """Count a view: the cards an accepting run reveals, in run order.  A
-        view not as long as this grid's reveals raises ValueError and counts
-        nothing; the cards themselves are not checked."""
-        if len(cards) != len(self._revealed):
+    def add_views(self, views: Sequence[tuple[CardId, ...]]) -> None:
+        """Count a block of views, each the cards an accepting run reveals,
+        in run order.  If any view is not as long as this grid's reveals,
+        ValueError is raised and nothing is counted; the cards themselves
+        are not checked.  The block is read column by column, so each
+        family's patterns are built and counted in one pass in C."""
+        if any(len(view) != len(self._revealed) for view in views):
             raise ValueError("view does not hold this grid's reveals")
+        columns = list(zip(*views))
         for counter, start, stop in self._reads:
-            counter[cards[start:stop]] += 1
+            counter.update(zip(*columns[start:stop]))
 
     def _require_same_sites(self, other: "SiteHistograms") -> None:
         # whole families: two grids can share every site key, not the cards
@@ -248,39 +260,49 @@ def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counte
 
 # --- collection over many runs -------------------------------------------------
 
+# Trials counted together in one `SiteHistograms.add_views` call: large
+# enough that counting runs in C, small enough that a chunk's memory does not
+# grow with its trials.  On the example (2-core x86-64 VM, timeit) a view
+# costs 24 µs to count in a block of 128, 25 in one of 64, 23 in one of 512
+# and 162 alone, against 65 for the one-view-at-a-time loop.
+_BLOCK = 128
+
+
 def _honest_trial(grid: Grid, solution: Assignment, seed: str,
-                  hist: SiteHistograms, trial: int) -> None:
+                  hist: SiteHistograms, trial: int) -> tuple[CardId, ...]:
     source = RandomSource.for_trial(seed, trial)
     verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
     if not verdict.accepted:
         raise ProtocolError(
             f"run {trial} rejected ({verdict.failing_check}); "
             "histograms need an honest prover with a valid solution")
-    hist.add_transcript(transcript)
+    return hist._accepted_view(transcript)
 
 
-def _simulated_trial(grid: Grid, seed: str, hist: SiteHistograms, trial: int) -> None:
-    hist.add_view(simulate_view(grid, RandomSource.for_trial(seed, trial)))
+def _simulated_trial(grid: Grid, seed: str, hist: SiteHistograms,
+                     trial: int) -> tuple[CardId, ...]:
+    return simulate_view(grid, RandomSource.for_trial(seed, trial))
 
 
-def _chunk(count_trial: Callable[[SiteHistograms, int], None], grid: Grid,
+def _chunk(view_of: Callable[[SiteHistograms, int], tuple[CardId, ...]], grid: Grid,
            start: int, stop: int) -> SiteHistograms:
     hist = SiteHistograms(grid)
-    for trial in range(start, stop):
-        count_trial(hist, trial)
+    for low in range(start, stop, _BLOCK):
+        hist.add_views([view_of(hist, trial) for trial in range(low, min(low + _BLOCK, stop))])
     return hist
 
 
-def _collect(count_trial: Callable[[SiteHistograms, int], None], grid: Grid, trials: int,
-             workers: int) -> SiteHistograms:
+def _collect(view_of: Callable[[SiteHistograms, int], tuple[CardId, ...]], grid: Grid,
+             trials: int, workers: int) -> SiteHistograms:
     """Histograms over trials 0..trials-1, split into contiguous chunks, one
-    per worker process, with no more workers than CPUs; `count_trial(hist, i)`
-    counts trial i into hist, and must pickle when workers > 1.  Trial i draws
-    all its randomness from a seed derived from (seed, i), so the histograms
-    do not depend on workers."""
+    per worker process, with no more workers than CPUs; each chunk counts
+    its views _BLOCK at a time.  `view_of(hist, i)` returns trial i's view,
+    read through hist's layout check where it starts from a transcript, and
+    must pickle when workers > 1.  Trial i draws all its randomness from a
+    seed derived from (seed, i), so the histograms do not depend on workers."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    chunk = partial(_chunk, count_trial, grid)
+    chunk = partial(_chunk, view_of, grid)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return chunk(0, trials)

@@ -110,6 +110,11 @@ class Verdict:
     failing_check: FailedCheck | None = None
 
 
+# every accepting run returns this one verdict; each rejecting one returns
+# its grid's verdict for the failed check, built once with the schedule
+_ACCEPTED = Verdict(True)
+
+
 class TableState:
     """The grid zone: each white cell's card, or None while a check holds it.
     empty_cells counts the white cells that hold no card, so the table is
@@ -379,6 +384,10 @@ class _Schedule:
                          *_comparison(key, [self.enc[letter][:length] for letter in letters],
                                       largest=kind == "arrow"))
             self.checks[kind, subject] = self._check(steps, (passed,), (failed,))
+        # what a run rejected at each check, or at setup in each room, returns
+        self.rejections = {key: Verdict(False, FailedCheck(*key)) for key in self.checks}
+        self.setup_rejections = {room: Verdict(False, FailedCheck("room", room, at_setup=True))
+                                 for room in grid.rooms}
 
     def _check(self, steps: tuple, passed=(), rejected=()) -> _Check:
         """A check with its peak, counted over its own moves from the n cell
@@ -640,17 +649,17 @@ def run_full_protocol_with_table(
     inspect physical accounting (notably peak_cards).  The table is None when
     setup itself failed."""
     transcript = Transcript()
+    schedule = _schedule(grid)
     try:
         table = setup_placement(grid, prover, transcript)
     except SetupError as err:
-        return (Verdict(False, FailedCheck("room", err.room, at_setup=True)),
-                transcript, None)
-    for (kind, subject), check in _schedule(grid).checks.items():
+        return schedule.setup_rejections[err.room], transcript, None
+    for key, check in schedule.checks.items():
         table.peak_cards = max(table.peak_cards, check.peak)
         if _live(table, check, prover, source, transcript) is None:
-            return Verdict(False, FailedCheck(kind, subject)), transcript, table
+            return schedule.rejections[key], transcript, table
         table.assert_settled()
-    return Verdict(True, None), transcript, table
+    return _ACCEPTED, transcript, table
 
 
 def run_full_protocol(grid: Grid, prover: ProverState,

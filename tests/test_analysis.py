@@ -40,6 +40,7 @@ from makaro_zkp import (
     simulate_view,
     site_plan,
     solution_comparison,
+    solve_brute_force,
     stats,
     zk_comparison,
 )
@@ -53,7 +54,7 @@ from makaro_zkp.analysis import (
     _simulated_trial,
 )
 
-from conftest import load_grid, site_patterns, uniformity_test
+from conftest import PUZZLES, load_grid, load_solution, site_patterns, uniformity_test
 
 
 def counted(hist: SiteHistograms) -> int:
@@ -61,6 +62,20 @@ def counted(hist: SiteHistograms) -> int:
     transcript once, so all the site counters hold that many draws."""
     (total,) = {sum(counter.values()) for counter in hist.counts.values()}
     return total
+
+
+def counted_one_at_a_time(grid, views) -> dict[str, Counter]:
+    """Each tested family's counts over views taken one at a time, the
+    family reading its own slice of each view: the loop that block counting
+    replaced, kept as the reference."""
+    families = site_plan(grid)
+    counts = {family.key: Counter() for family in families}
+    for view in views:
+        start = 0
+        for family in families:
+            counts[family.key][tuple(view[start:start + family.take])] += 1
+            start += family.take
+    return counts
 
 
 def perm_family(n: int) -> SiteFamily:
@@ -319,8 +334,9 @@ class TestSiteHistograms:
 
     def test_views_count_as_their_simulated_transcripts(self, example_grid):
         by_view, by_transcript = SiteHistograms(example_grid), SiteHistograms(example_grid)
+        by_view.add_views([simulate_view(example_grid, RandomSource.for_trial("views", i))
+                           for i in range(200)])
         for i in range(200):
-            by_view.add_view(simulate_view(example_grid, RandomSource.for_trial("views", i)))
             by_transcript.add_transcript(
                 simulate_transcript(example_grid, RandomSource.for_trial("views", i)))
         assert counted(by_view) == 200
@@ -328,12 +344,18 @@ class TestSiteHistograms:
 
     def test_a_view_of_the_wrong_length_is_refused(self, example_grid):
         hist = SiteHistograms(example_grid)
-        view = simulate_view(example_grid, RandomSource("view"))
-        hist.add_view(view)
+        views = [simulate_view(example_grid, RandomSource.for_trial("view", i))
+                 for i in range(3)]
+        hist.add_views(views[:1])
         before = {key: Counter(counter) for key, counter in hist.counts.items()}
+        view = views[0]
         for bad in (view[:-1], view + view[:1]):
-            with pytest.raises(ValueError):
-                hist.add_view(bad)
+            # alone, or in a block whose other views would count
+            for block in ([bad], [views[1], bad, views[2]]):
+                with pytest.raises(ValueError, match="view does not hold this grid's reveals"):
+                    hist.add_views(block)
+        assert hist.counts == before
+        hist.add_views([])
         assert hist.counts == before
 
     def test_merge_adds_counts(self, quad_grid):
@@ -533,6 +555,7 @@ class TestCompareHistograms:
         assert fwd == rev
 
 
+BUNDLED = sorted(p.stem for p in PUZZLES.glob("*.makaro") if not p.stem.endswith("_solution"))
 QUAD_SOLUTION = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}
 QUAD_MIRROR = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
@@ -589,6 +612,51 @@ class TestCollection:
             assert alone.counts == serial.counts
         assert started == [3]
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_block_counts_what_single_views_count(self, name):
+        grid = load_grid(f"{name}.makaro")
+        solved = PUZZLES / f"{name}_solution.makaro"
+        solution = load_solution(solved.name) if solved.exists() else solve_brute_force(grid)[0]
+        block = analysis._BLOCK
+        runs = (1, block - 1, block, block + 1, 301)
+        transcripts, simulated = [], []
+        for trial in range(max(runs)):
+            source = RandomSource.for_trial("blocks/real", trial)
+            verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
+            assert verdict.accepted
+            transcripts.append(transcript)
+            simulated.append(simulate_view(grid, RandomSource.for_trial("blocks/sim", trial)))
+        real = [tuple(ev[2] for ev in t.events if ev[0] == "reveal") for t in transcripts]
+        one_by_one = SiteHistograms(grid)
+        for transcript in transcripts:
+            one_by_one.add_transcript(transcript)
+        assert one_by_one.counts == counted_one_at_a_time(grid, real)
+        # each side's trials, counted over a block's end, read the same views
+        for views, trial in ((real, partial(_honest_trial, grid, solution, "blocks/real")),
+                             (simulated, partial(_simulated_trial, grid, "blocks/sim"))):
+            assert (_collect(trial, grid, block + 1, 1).counts
+                    == counted_one_at_a_time(grid, views[:block + 1]))
+            for count in runs:
+                expected = counted_one_at_a_time(grid, views[:count])
+                blocks = _collect(lambda hist, i: views[i], grid, count, 1)
+                assert counted(blocks) == count
+                assert blocks.counts == expected
+                whole = SiteHistograms(grid)
+                whole.add_views(views[:count])
+                assert whole.counts == expected
+
+    def test_a_real_trial_checks_its_transcripts_layout(self, quad_grid, monkeypatch):
+        # an accepted run whose transcript lost a reveal is refused, not counted
+        def dropped_reveal(grid, prover, source):
+            verdict, transcript = run_full_protocol(grid, prover, source)
+            events = transcript.events
+            del events[next(i for i, ev in enumerate(events) if ev[0] == "reveal")]
+            return verdict, transcript
+
+        monkeypatch.setattr(analysis, "run_full_protocol", dropped_reveal)
+        with pytest.raises(ValueError, match="transcript is not an accepting run of this grid"):
+            _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "layout"), quad_grid, 3, 1)
+
     def test_rule_breaking_solution_is_refused(self, quad_grid):
         bad = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}
         with pytest.raises(ProtocolError):
@@ -634,6 +702,13 @@ class TestComparisonReports:
         report = compare_collections("doctored", real, fake)
         assert not report.passed
         assert [s.site for s in report.sites if not s.passed] == [key]
+
+    def test_reports_do_not_depend_on_workers(self, quad_grid):
+        # 301 trials split into blocks and chunks at different places
+        reports = [zk_comparison(quad_grid, QUAD_SOLUTION, "split", 301, workers=workers)
+                   for workers in (1, 2, 3)]
+        assert reports[0].tested_sites > 0
+        assert reports[1] == reports[0] == reports[2]
 
     def test_a_comparison_that_tests_no_site_raises(self, example_grid, example_solution):
         # one run per side pools every site to a single bin: a PASS would be vacuous

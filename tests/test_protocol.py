@@ -987,6 +987,54 @@ class TestTemplates:
         assert run == list(schedule(example_grid).checks.values())
         assert len(run) == 20
 
+    def test_each_returned_verdict_equals_a_fresh_one(self):
+        # a grid's runs share one verdict per outcome, built with its
+        # schedule: each equals the verdict built afresh from the rules
+        def perturbed(grid, solution):
+            yield solution
+            free = [rc for rc in grid.white_coords() if grid.cell(rc).clue is None]
+            for rc in free:
+                for value in range(1, len(grid.rooms[grid.room_of(rc)]) + 1):
+                    if value != solution[rc]:
+                        yield {**solution, rc: value}
+            for a in free:
+                for b in free:
+                    if a < b and grid.room_of(a) == grid.room_of(b):
+                        yield {**solution, a: solution[b], b: solution[a]}
+
+        def setup_room(grid, filling):
+            # setup lays the clued cells first, then the others, each row-major
+            used = set()
+            for rc in sorted(grid.white_coords(), key=lambda rc: grid.cell(rc).clue is None):
+                if (grid.room_of(rc), filling[rc]) in used:
+                    return grid.room_of(rc)
+                used.add((grid.room_of(rc), filling[rc]))
+            return None
+
+        runs = [(grid, all_value_assignments(grid)) for grid in enumerate_small_grids()[::40]]
+        for name in BUNDLED:
+            grid = load_grid(f"{name}.makaro")
+            runs.append((grid, perturbed(grid, bundled_solution(name, grid))))
+        outcomes = Counter()
+        for grid, fillings in runs:
+            shared = {}
+            for trial, filling in enumerate(fillings):
+                source = RandomSource.for_trial("verdicts", trial)
+                verdict, _, _ = run_full_protocol_with_table(
+                    grid, make_prover(filling, source), source)
+                room, broken = setup_room(grid, filling), violations(grid, filling)
+                if room is not None:
+                    fresh = Verdict(False, FailedCheck("room", room, at_setup=True))
+                elif broken:
+                    fresh = Verdict(False, FailedCheck(*broken[0]))
+                else:
+                    fresh = Verdict(True, None)
+                assert type(verdict) is Verdict and verdict == fresh, (grid, filling)
+                assert shared.setdefault(fresh, verdict) is verdict
+                outcomes[fresh.failing_check and fresh.failing_check.at_setup] += 1
+        # accepting runs, and rejections at setup and at a check
+        assert set(outcomes) == {None, True, False}
+
     def test_the_schedule_leaves_comparisons_to_their_fragment(self):
         # `_Schedule.__init__` picks each check's key, letters and length;
         # the sites, windows, stacking and shuffle of a neighbor or arrow

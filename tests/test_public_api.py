@@ -28,6 +28,9 @@ CALLERS = [*(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__in
 KEPT = {
     "CardMatrix.is_face_up": "the one public view of a card's face; the deck "
                              "tests read it to check reveals and turn-downs",
+    "SiteHistograms.add_transcript": "counts one transcript; perfbench/spans.py "
+                                     "traces it (the collections count blocks of "
+                                     "views), and the tests count through it",
 }
 LIBRARY = ("deck", "protocol", "puzzle", "gridgen", "analysis")
 
