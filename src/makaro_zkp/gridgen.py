@@ -16,6 +16,10 @@ of the corpus definition:
   bigger all-white grids repeat room/neighbor shapes the smaller dimensions
   already cover, while a black cell with up to four white neighbors is what
   the largest dimensions uniquely add.
+
+The corpus shares its cells and coordinates: every grid lays one White per
+room id and one Black per arrow (cells are frozen, so sharing is safe), and
+build_grid takes each (r, c) from puzzle's table of small coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from typing import Iterator
 
 from .puzzle import ARROW_DELTAS, Assignment, Black, Coord, Grid, White, build_grid
 
-_ROOM_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_WHITES = tuple(map(White, "ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+_BLACKS = {arrow: Black(arrow) for arrow in ARROW_DELTAS}
 
 MAX_HEIGHT = MAX_WIDTH = 3
 MAX_CANDIDATES = 36
@@ -75,13 +80,10 @@ def _grids_for_mask(height: int, width: int, black: dict[Coord, str]) -> Iterato
             continue
         if math.prod(s ** s for s in sizes) > MAX_ASSIGNMENT_SPACE:
             continue
-        room_of = {}
-        parts = sorted(partition, key=min)
-        for idx, part in enumerate(parts):
-            for rc in part:
-                room_of[rc] = _ROOM_IDS[idx]
-        yield build_grid([[Black(black[r, c]) if (r, c) in black else White(room_of[r, c])
-                           for c in range(width)] for r in range(height)])
+        cell_at = {rc: _BLACKS[arrow] for rc, arrow in black.items()}
+        for white, part in zip(_WHITES, sorted(partition, key=min)):
+            cell_at.update(dict.fromkeys(part, white))
+        yield build_grid([[cell_at[r, c] for c in range(width)] for r in range(height)])
 
 
 def enumerate_small_grids() -> list[Grid]:

@@ -482,11 +482,11 @@ class _Schedule:
 
 # Grid holds a dict, so it cannot key a cache.  One entry is kept, for memory:
 # a 3x3 schedule holds about 59 KB, so keeping the sweep's 100-grid slice
-# would add about 5.9 MB to a 43 MiB process (recompiling costs about 7% of a
-# pass), and the small-grid corpus has 3,973 grids.  The entry is one (grid,
-# schedule) tuple swapped inside the list, so a reader never pairs a grid
-# with another grid's schedule and the module attribute itself never changes
-# (perfbench's traced run checks that it does not).
+# would add about 5.9 MB to a 39 MiB process (recompiling costs about a tenth
+# of a pass), and the small-grid corpus has 3,973 grids.  The entry is one
+# (grid, schedule) tuple swapped inside the list, so a reader never pairs a
+# grid with another grid's schedule and the module attribute itself never
+# changes (perfbench's traced run checks that it does not).
 _last_schedule: list[tuple[Grid | None, _Schedule | None]] = [(None, None)]
 
 

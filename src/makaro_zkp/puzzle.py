@@ -35,6 +35,13 @@ _NATURAL_RE = re.compile("[1-9][0-9]*")
 
 DEFAULT_SEARCH_BOUND = 10_000_000
 
+# Every (r, c) of an 8x8 grid, by row.  Grids that fit take their coordinates
+# from here, so the thousands of small grids the tests and the sweep hold
+# share these tuples; a larger grid builds its own, so that parsing it keeps
+# nothing alive here.
+_COORD_SIDE = 8
+_COORDS = tuple(tuple((r, c) for c in range(_COORD_SIDE)) for r in range(_COORD_SIDE))
+
 
 class PuzzleError(Exception):
     """Base class for puzzle format and search errors."""
@@ -120,8 +127,8 @@ class Grid:
         return cell.room
 
     def white_coords(self) -> list[Coord]:
-        return [(r, c) for r in range(self.height) for c in range(self.width)
-                if isinstance(self.cells[r][c], White)]
+        return [rc for row, coords in zip(self.cells, _coord_rows(self.height, self.width))
+                for cell, rc in zip(row, coords) if isinstance(cell, White)]
 
     @cached_property
     def white_set(self) -> frozenset[Coord]:
@@ -167,17 +174,24 @@ def build_grid(cells: list[list[Cell]]) -> Grid:
     if height == 0 or width == 0:
         raise PuzzleSemanticError("grid has no cells", (0, 0))
     rooms: dict[str, list[Coord]] = {}
-    for r in range(height):
-        if len(cells[r]) != width:
+    for r, (row, coords) in enumerate(zip(cells, _coord_rows(height, width))):
+        if len(row) != width:
             raise PuzzleSemanticError("ragged grid row", (r, 0))
-        for c in range(width):
-            cell = cells[r][c]
+        for cell, rc in zip(row, coords):
             if isinstance(cell, White):
-                rooms.setdefault(cell.room, []).append((r, c))
+                rooms.setdefault(cell.room, []).append(rc)
     grid = Grid(height, width, tuple(tuple(row) for row in cells),
                 {room: tuple(coords) for room, coords in rooms.items()})
     _validate(grid)
     return grid
+
+
+def _coord_rows(height: int, width: int) -> tuple[tuple[Coord, ...], ...]:
+    """Each (r, c) of a height x width grid, by row (rows and columns past the
+    grid's may follow): the shared table's own tuples when the grid fits it."""
+    if height <= _COORD_SIDE and width <= _COORD_SIDE:
+        return _COORDS
+    return tuple(tuple((r, c) for c in range(width)) for r in range(height))
 
 
 def _validate(grid: Grid) -> None:

@@ -1,12 +1,13 @@
 """Shared fixtures: the bundled puzzle corpus and its worked 5x5 example,
-and the helpers several test modules share."""
+the generated small-grid corpus, and the helpers several test modules share."""
 
 import math
 from pathlib import Path
 
 import pytest
 
-from makaro_zkp import InsufficientTrials, SiteReport, assignment_from_grid, parse_puzzle
+from makaro_zkp import (InsufficientTrials, SiteReport, assignment_from_grid,
+                        enumerate_small_grids, parse_puzzle)
 from makaro_zkp import analysis
 
 PUZZLES = Path(__file__).resolve().parent.parent / "puzzles"
@@ -114,3 +115,11 @@ def cross_grid():
 @pytest.fixture(scope="session")
 def cross_solution():
     return load_solution("cross_solution.makaro")
+
+
+@pytest.fixture(scope="session")
+def small_grids() -> tuple:
+    """The generated corpus of every grid up to 3x3, built once per session.
+    Its grids keep what tests cache on them; a test that needs a grid with
+    nothing cached loads its own."""
+    return tuple(enumerate_small_grids())

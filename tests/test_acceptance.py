@@ -47,7 +47,6 @@ from makaro_zkp import (
     all_value_assignments,
     card_budget,
     encoding_card,
-    enumerate_small_grids,
     help_card,
     make_prover,
     parse_puzzle,
@@ -149,7 +148,7 @@ def comparison_leaves(m, rows, largest):
 
 
 @pytest.fixture(scope="session")
-def small_grid_sweep():
+def small_grid_sweep(small_grids):
     """Protocol verdict vs. plain rule checker over every clue-consistent
     filling of every generated grid (≤ 3x3), with per-run card accounting,
     the failing check of every rejection set against the checker's
@@ -157,7 +156,7 @@ def small_grid_sweep():
     sha256 over every run's verdict and peak card count, in sweep order;
     `transcripts` one over the events of every run that passes setup, each
     run as its length and its events' codes, then every event in code order."""
-    grids = enumerate_small_grids()
+    grids = small_grids
     accounting, transcripts = hashlib.sha256(), hashlib.sha256()
     # each distinct event takes the next code when first seen: a dict lookup
     # per event keeps the 6.9 million events of the sweep to about a second.

@@ -24,7 +24,6 @@ from makaro_zkp import (
     RandomSource,
     Transcript,
     all_value_assignments,
-    enumerate_small_grids,
     make_prover,
     parse_puzzle,
     reveal_site_plan,
@@ -302,9 +301,9 @@ def compiled_plan(grid) -> str:
     return json.dumps([checks, schedule.placements, schedule.layout])
 
 
-def test_compiled_plan_is_unchanged():
+def test_compiled_plan_is_unchanged(small_grids):
     grids = [load_grid(f"{name}.makaro") for name in sorted(TRANSCRIPTS)]
-    grids += enumerate_small_grids()
+    grids += small_grids
     assert len(grids) == 7 + 3973
     digest = hashlib.sha256()
     for grid in grids:

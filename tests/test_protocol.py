@@ -23,7 +23,6 @@ from makaro_zkp import (
     cell_card,
     check_solution,
     encoding_card,
-    enumerate_small_grids,
     help_card,
     make_encoding,
     make_prover,
@@ -250,9 +249,9 @@ class TestCardPlan:
     """Which helping and encoding cards a check lifts, and its peak, are
     compiled once per grid."""
 
-    def test_every_check_lifts_what_the_deck_holds_and_peaks_as_counted(self):
+    def test_every_check_lifts_what_the_deck_holds_and_peaks_as_counted(self, small_grids):
         bundled = [(name, load_grid(f"{name}.makaro")) for name in BUNDLED]
-        for name, grid in bundled + list(enumerate(enumerate_small_grids())):
+        for name, grid in bundled + list(enumerate(small_grids)):
             n, k = stats(grid)
             for (kind, subject), check in protocol._schedule(grid).checks.items():
                 takes = [step for step in check.steps if type(step) is protocol._Take]
@@ -530,9 +529,9 @@ class TestTableBalance:
         assert table.empty_cells == unfilled(table) == 0
         table.assert_settled()
 
-    def test_rejected_runs_leave_the_count_true(self):
+    def test_rejected_runs_leave_the_count_true(self, small_grids):
         runs = 0
-        for grid in enumerate_small_grids()[:400:20]:
+        for grid in small_grids[:400:20]:
             for i, filling in enumerate(all_value_assignments(grid)):
                 source = RandomSource.for_trial("bal", i)
                 verdict, _, table = run_full_protocol_with_table(
@@ -922,11 +921,11 @@ class TestTemplates:
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)]
 
-    def test_a_simulated_transcript_reveals_its_view(self):
+    def test_a_simulated_transcript_reveals_its_view(self, small_grids):
         # one draw path: the walk feeds each site its cards from the view, in
         # the layout's site order, and draws nothing itself
         bundled = [load_grid(f"{name}.makaro") for name in BUNDLED]
-        for grid in bundled + enumerate_small_grids()[::40]:
+        for grid in [*bundled, *small_grids[::40]]:
             layout = run_layout(grid)
             for seed in (0, 1, "demo"):
                 events = simulate_transcript(grid, RandomSource.for_trial(seed, 3)).events
@@ -987,7 +986,7 @@ class TestTemplates:
         assert run == list(schedule(example_grid).checks.values())
         assert len(run) == 20
 
-    def test_each_returned_verdict_equals_a_fresh_one(self):
+    def test_each_returned_verdict_equals_a_fresh_one(self, small_grids):
         # a grid's runs share one verdict per outcome, built with its
         # schedule: each equals the verdict built afresh from the rules
         def perturbed(grid, solution):
@@ -1011,7 +1010,7 @@ class TestTemplates:
                 used.add((grid.room_of(rc), filling[rc]))
             return None
 
-        runs = [(grid, all_value_assignments(grid)) for grid in enumerate_small_grids()[::40]]
+        runs = [(grid, all_value_assignments(grid)) for grid in small_grids[::40]]
         for name in BUNDLED:
             grid = load_grid(f"{name}.makaro")
             runs.append((grid, perturbed(grid, bundled_solution(name, grid))))

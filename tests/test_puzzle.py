@@ -1,8 +1,9 @@
 """Grid model, file format, rule checking, and the exhaustive solver."""
 
 import pickle
+import sys
 from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 
@@ -17,7 +18,6 @@ from makaro_zkp import (
     assignment_text,
     build_grid,
     check_solution,
-    enumerate_small_grids,
     parse_puzzle,
     same_layout,
     serialize_puzzle,
@@ -27,7 +27,7 @@ from makaro_zkp import (
     white_neighbor_pairs,
 )
 from makaro_zkp import puzzle
-from makaro_zkp.puzzle import White
+from makaro_zkp.puzzle import Black, White
 
 from conftest import PUZZLES, load_grid, load_solution
 
@@ -162,6 +162,37 @@ class TestParsing:
             serialize_puzzle(build_grid(cells))
 
 
+class TestSharedParts:
+    """The small-grid corpus shares its cells and coordinates; a grid larger
+    than the coordinate table builds its own."""
+
+    def test_the_corpus_shares_its_cells_and_coordinates(self, small_grids):
+        cells = {id(cell): cell for grid in small_grids for row in grid.cells for cell in row}
+        kinds = [type(cell) for cell in cells.values()]
+        assert kinds.count(White) <= 26 and kinds.count(Black) <= 4
+        table = puzzle._COORDS
+        assert all(rc is table[rc[0]][rc[1]] for grid in small_grids
+                   for rc in chain(*grid.rooms.values(), grid.white_coords()))
+
+    @pytest.mark.parametrize("height, width", [(1, puzzle._COORD_SIDE + 1),
+                                               (puzzle._COORD_SIDE + 1, 1)])
+    def test_a_grid_past_the_table_builds_its_own_coordinates(self, height, width):
+        text = f"makaro {height} {width}\n" + height * f"{' A' * width}\n"
+        table = [rc for row in puzzle._COORDS for rc in row]
+
+        def module_state():
+            return {name: (len(value), sys.getsizeof(value))
+                    for name, value in vars(puzzle).items()
+                    if isinstance(value, (dict, list, set, tuple)) and not name.startswith("__")}
+
+        before = module_state()
+        grid = parse_puzzle(text)
+        coords = [*grid.rooms["A"], *grid.white_coords()]
+        assert coords == 2 * [(r, c) for r in range(height) for c in range(width)]
+        assert set(map(id, coords)).isdisjoint(map(id, table))
+        assert module_state() == before
+
+
 class TestRules:
     def test_example_solution_is_valid(self, example_grid):
         assert check_solution(example_grid, example_assignment())
@@ -226,8 +257,8 @@ class TestRules:
         assert not check_solution(example_grid, assignment)
         assert violations(example_grid, assignment) == [("room", "A")]
 
-    def test_the_compiled_checker_matches_the_per_rule_oracle(self, puzzles_dir):
-        cases = [(grid, a) for grid in enumerate_small_grids()[::40]
+    def test_the_compiled_checker_matches_the_per_rule_oracle(self, puzzles_dir, small_grids):
+        cases = [(grid, a) for grid in small_grids[::40]
                  for a in all_value_assignments(grid)]
         for text in ONE_CELL_RULES:
             grid = parse_puzzle(text)
@@ -374,7 +405,7 @@ class TestSolver:
             solve_brute_force(grid)
 
     def test_one_rule_check_per_clue_consistent_candidate(self, monkeypatch, example_grid,
-                                                          quad_grid, cross_grid):
+                                                          quad_grid, cross_grid, small_grids):
         # every candidate is checked, once: the benchmark counts these calls
         # as the solver's candidates
         calls = []
@@ -393,7 +424,7 @@ class TestSolver:
         # the corpus has no clues; the cross and the last two grids do.  The
         # last grid's twelve-cell room is too large to count by enumeration:
         # nine clues leave 3! candidates
-        grids = [example_grid, quad_grid, *enumerate_small_grids()[::40], cross_grid,
+        grids = [example_grid, quad_grid, *small_grids[::40], cross_grid,
                  parse_puzzle("makaro 2 2\nA=1 A=1\nB B\n"),
                  parse_puzzle("makaro 3 4\nA=1 A=2 A=3 A=4\nA=5 A=6 A=7 A=8\nA=9 A A A\n")]
         expected = [*map(candidates, grids[:-1]), 6]
