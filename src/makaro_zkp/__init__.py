@@ -67,6 +67,7 @@ from .protocol import (
     Verdict,
     make_encoding,
     make_prover,
+    read_view,
     reveal_site_plan,
     run_full_protocol,
     run_full_protocol_with_table,

@@ -9,11 +9,10 @@ histograms, and compares two collections site by site
 (`compare_histograms`): real runs against the solution-free simulator
 (`zk_comparison`), or runs built from two different solutions
 (`solution_comparison`).  Both sides are counted as views, the cards a run
-reveals in run order: a real run's view is read from its transcript, whose
-layout is checked first, and the simulator draws its views (`simulate_view`)
-without writing a transcript.  Views are counted a block at a time
-(`SiteHistograms.add_views`), so each site's patterns are built and counted
-in C rather than one view at a time in Python.
+reveals in run order: `read_view` reads a real run's from its transcript,
+and the simulator draws its own (`simulate_view`) without writing one.
+Views are counted a block at a time (`SiteHistograms.add_views`), so each
+site's patterns are built and counted in C, not one view at a time.
 
 Chi-square tests are kept honest: expected counts below ``MIN_EXPECTED``
 raise `InsufficientTrials` rather than producing an unreliable p-value, sites
@@ -36,7 +35,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .deck import CardId, RandomSource, Transcript
@@ -45,6 +43,7 @@ from .protocol import (
     ProtocolError,
     SiteFamily,
     make_prover,
+    read_view,
     run_full_protocol,
     run_layout,
     simulate_view,
@@ -107,17 +106,7 @@ class SiteHistograms:
     among the cards a run reveals."""
 
     def __init__(self, grid: Grid):
-        layout = run_layout(grid)
-        # an accepting run is this long, with these events at these indices:
-        # each site event, and the closing event last, and a reveal event in
-        # each reveal slot.  Every run has two or more sites and reveals, so
-        # each getter returns a tuple.
-        self._length = layout.length
-        self._fixed_at = itemgetter(*[at for at, _, _ in layout.sites], layout.length - 1)
-        self._fixed = (*[event for _, event, _ in layout.sites], layout.closing)
-        self._reveals = itemgetter(*[at + 1 + i for at, _, site in layout.sites
-                                     for i in range(site.take)])
-        self._revealed = ("reveal",) * sum(site.take for _, _, site in layout.sites)
+        self.grid = grid
         self.families = site_plan(grid)
         self.counts: dict[str, Counter] = {family.key: Counter() for family in self.families}
         # the tested families take the revealed cards in turn: all of a
@@ -129,28 +118,16 @@ class SiteHistograms:
     def add_transcript(self, transcript: Transcript) -> None:
         """Count the cards a transcript reveals at each site.  A transcript
         not laid out as an accepting run of this grid raises ValueError and
-        counts nothing (see `_accepted_view`)."""
-        self.add_views((self._accepted_view(transcript),))
-
-    def _accepted_view(self, transcript: Transcript) -> tuple[CardId, ...]:
-        """The view a transcript shows: the cards it reveals, in run order.
-        A transcript not laid out as an accepting run of this grid (its
-        length, its site and closing events, a reveal event in every reveal
-        slot) raises ValueError; the cards themselves are not checked."""
-        events = transcript.events
-        revealed = (len(events) == self._length and self._fixed_at(events) == self._fixed
-                    and self._reveals(events))
-        if not revealed or tuple(map(itemgetter(0), revealed)) != self._revealed:
-            raise ValueError("transcript is not an accepting run of this grid")
-        return tuple(map(itemgetter(2), revealed))
+        counts nothing (see `read_view`)."""
+        self.add_views((read_view(self.grid, transcript),))
 
     def add_views(self, views: Sequence[tuple[CardId, ...]]) -> None:
         """Count a block of views, each the cards an accepting run reveals,
-        in run order.  If any view is not as long as this grid's reveals,
-        ValueError is raised and nothing is counted; the cards themselves
-        are not checked.  The block is read column by column, so each
-        family's patterns are built and counted in one pass in C."""
-        if any(len(view) != len(self._revealed) for view in views):
+        in run order.  If any view is not as long as this grid's reveals, so
+        ending where the last family's read does, ValueError is raised and
+        nothing is counted; cards are not checked.  The block is read column
+        by column, so each family's patterns are built and counted in C."""
+        if any(len(view) != self._reads[-1][2] for view in views):
             raise ValueError("view does not hold this grid's reveals")
         columns = list(zip(*views))
         for counter, start, stop in self._reads:
@@ -268,36 +245,33 @@ def compare_histograms(family: SiteFamily, counter_a: Counter, counter_b: Counte
 _BLOCK = 128
 
 
-def _honest_trial(grid: Grid, solution: Assignment, seed: str,
-                  hist: SiteHistograms, trial: int) -> tuple[CardId, ...]:
+def _honest_trial(grid: Grid, solution: Assignment, seed: str, trial: int) -> tuple[CardId, ...]:
     source = RandomSource.for_trial(seed, trial)
     verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
     if not verdict.accepted:
         raise ProtocolError(
             f"run {trial} rejected ({verdict.failing_check}); "
             "histograms need an honest prover with a valid solution")
-    return hist._accepted_view(transcript)
+    return read_view(grid, transcript)
 
 
-def _simulated_trial(grid: Grid, seed: str, hist: SiteHistograms,
-                     trial: int) -> tuple[CardId, ...]:
+def _simulated_trial(grid: Grid, seed: str, trial: int) -> tuple[CardId, ...]:
     return simulate_view(grid, RandomSource.for_trial(seed, trial))
 
 
-def _chunk(view_of: Callable[[SiteHistograms, int], tuple[CardId, ...]], grid: Grid,
+def _chunk(view_of: Callable[[int], tuple[CardId, ...]], grid: Grid,
            start: int, stop: int) -> SiteHistograms:
     hist = SiteHistograms(grid)
     for low in range(start, stop, _BLOCK):
-        hist.add_views([view_of(hist, trial) for trial in range(low, min(low + _BLOCK, stop))])
+        hist.add_views([view_of(trial) for trial in range(low, min(low + _BLOCK, stop))])
     return hist
 
 
-def _collect(view_of: Callable[[SiteHistograms, int], tuple[CardId, ...]], grid: Grid,
+def _collect(view_of: Callable[[int], tuple[CardId, ...]], grid: Grid,
              trials: int, workers: int) -> SiteHistograms:
     """Histograms over trials 0..trials-1, split into contiguous chunks, one
     per worker process, with no more workers than CPUs; each chunk counts
-    its views _BLOCK at a time.  `view_of(hist, i)` returns trial i's view,
-    read through hist's layout check where it starts from a transcript, and
+    its views _BLOCK at a time.  `view_of(i)` returns trial i's view, and
     must pickle when workers > 1.  Trial i draws all its randomness from a
     seed derived from (seed, i), so the histograms do not depend on workers."""
     if trials <= 0:

@@ -72,8 +72,6 @@ def _connected_subsets(seed: Coord, avail: frozenset[Coord]) -> Iterator[frozens
 def _grids_for_mask(height: int, width: int, black: dict[Coord, str]) -> Iterator[Grid]:
     whites = frozenset((r, c) for r in range(height) for c in range(width)
                        if (r, c) not in black)
-    if not whites:
-        return
     for partition in _connected_partitions(whites):
         sizes = [len(part) for part in partition]
         if math.prod(math.factorial(s) for s in sizes) > MAX_CANDIDATES:

@@ -31,7 +31,7 @@ one card of each kind shows that two numbers differ or that one is the
 largest.  The live run fills a check's holes from card physics; one walk
 writes a whole accepting run, each site showing what a callback gives: the
 simulator's cards, drawn as a view without seeing any solution, or the
-layout's placeholder.
+layout's placeholder, whose slots `read_view` reads a run's view from.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .deck import (
@@ -293,6 +294,7 @@ def _bracket(kind: str, key: str) -> tuple[tuple, tuple, tuple]:
 
 
 _SCRAMBLE, _SHIFT = (("shuffle", kind) for kind in ("scramble", "shift"))
+_REVEAL = "reveal"
 
 
 def _comparison(key: str, sequences: Sequence[tuple[CardId, ...]], largest: bool) -> tuple:
@@ -421,7 +423,7 @@ class _Schedule:
             cards = shown(step.site)
             cols = step.cols if kind is _Reveal else step.cols_from[start]
             events.append(step.site_event)
-            events.extend([("reveal", (step.row, col), card) for col, card in zip(cols, cards)])
+            events.extend([(_REVEAL, (step.row, col), card) for col, card in zip(cols, cards)])
             if kind is _Reveal and step.sorts:
                 events.append(_rearrange(cards, step.site.support))
             elif kind is _Reveal:
@@ -438,6 +440,17 @@ class _Schedule:
         self.walk(placeholder, events)
         return RunLayout(len(events), events[-1],
                          tuple((at, events[at], site) for at, site in slots))
+
+    @cached_property
+    def view_getters(self) -> tuple:
+        """read_view's getters, each returning a tuple (a run has two or more
+        sites and reveals): the layout's length, its site and closing events,
+        and its reveal slots, each site's `take` reveals after its event."""
+        layout = self.layout
+        slots = [at + 1 + i for at, _, site in layout.sites for i in range(site.take)]
+        return (layout.length, itemgetter(*[at for at, _, _ in layout.sites], layout.length - 1),
+                (*[event for _, event, _ in layout.sites], layout.closing),
+                itemgetter(*slots), (_REVEAL,) * len(slots))
 
     def _collection(self, room: str, sites_key: str, begin: tuple, closing: tuple,
                     encoding: tuple = (), column: int = 0) -> tuple:
@@ -716,6 +729,19 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     t = Transcript()
     _schedule(grid).walk(lambda site: tuple(islice(cards, site.take)), t.events)
     return t
+
+
+def read_view(grid: Grid, transcript: Transcript) -> tuple[CardId, ...]:
+    """The cards an accepting run of the grid reveals, in run order: the
+    inverse of `simulate_transcript`.  A transcript not laid out as such a run
+    (its length, its site and closing events, a reveal event in every reveal
+    slot) raises ValueError; the cards themselves are not checked."""
+    length, fixed_at, fixed, reveals, kinds = _schedule(grid).view_getters
+    events = transcript.events
+    revealed = len(events) == length and fixed_at(events) == fixed and reveals(events)
+    if not revealed or tuple(map(itemgetter(0), revealed)) != kinds:
+        raise ValueError("transcript is not an accepting run of this grid")
+    return tuple(map(itemgetter(2), revealed))
 
 
 def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int]]:

@@ -34,6 +34,7 @@ from makaro_zkp import (
     encoding_card,
     make_prover,
     parse_puzzle,
+    read_view,
     reveal_site_plan,
     run_full_protocol,
     simulate_transcript,
@@ -225,6 +226,9 @@ class TestSitePlan:
                 assert (fam.kind, fam.support, fam.take) == ("pick", support[site], 1)
 
 
+NOT_ACCEPTING = "transcript is not an accepting run of this grid"
+
+
 class TestSiteHistograms:
     def run_transcript(self, grid, solution, seed):
         source = RandomSource(seed)
@@ -303,8 +307,10 @@ class TestSiteHistograms:
                            # no card to read, and a card-like third field
                            doctored(fill_a_reveal_slot(("turn-down",))),
                            doctored(fill_a_reveal_slot(("helps", 1, 3)))):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=NOT_ACCEPTING):
                 hist.add_transcript(transcript)
+            with pytest.raises(ValueError, match=NOT_ACCEPTING):
+                read_view(example_grid, transcript)
         assert counted(hist) == 0
         assert not any(hist.counts.values())
 
@@ -319,8 +325,10 @@ class TestSiteHistograms:
         hist = SiteHistograms(grid)
         accepted = self.run_transcript(grid, {(0, 0): 1, (0, 1): 2, (0, 2): 1}, "accepted")
         assert len(transcript) == len(accepted)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=NOT_ACCEPTING):
             hist.add_transcript(transcript)
+        with pytest.raises(ValueError, match=NOT_ACCEPTING):
+            read_view(grid, transcript)
         hist.add_transcript(accepted)
         assert counted(hist) == 1
 
@@ -329,8 +337,10 @@ class TestSiteHistograms:
         source = RandomSource("x")
         _, transcript = run_full_protocol(other, make_prover({(0, 0): 1}, source),
                                           source)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=NOT_ACCEPTING):
             SiteHistograms(quad_grid).add_transcript(transcript)
+        with pytest.raises(ValueError, match=NOT_ACCEPTING):
+            read_view(quad_grid, transcript)
 
     def test_views_count_as_their_simulated_transcripts(self, example_grid):
         by_view, by_transcript = SiteHistograms(example_grid), SiteHistograms(example_grid)
@@ -638,7 +648,7 @@ class TestCollection:
                     == counted_one_at_a_time(grid, views[:block + 1]))
             for count in runs:
                 expected = counted_one_at_a_time(grid, views[:count])
-                blocks = _collect(lambda hist, i: views[i], grid, count, 1)
+                blocks = _collect(lambda i: views[i], grid, count, 1)
                 assert counted(blocks) == count
                 assert blocks.counts == expected
                 whole = SiteHistograms(grid)

@@ -27,6 +27,7 @@ from makaro_zkp import (
     make_encoding,
     make_prover,
     parse_puzzle,
+    read_view,
     reveal_site_plan,
     run_full_protocol,
     run_full_protocol_with_table,
@@ -833,6 +834,11 @@ class TestSitePlan:
             assert set(pattern) <= set(support)
 
 
+def revealed_cards(transcript) -> tuple:
+    """The cards a transcript's reveal events show, in order."""
+    return tuple(ev[2] for ev in transcript.events if ev[0] == "reveal")
+
+
 def bundled_solution(name, grid):
     path = PUZZLES / f"{name}_solution.makaro"
     return load_solution(path.name) if path.exists() else solve_brute_force(grid)[0]
@@ -923,15 +929,28 @@ class TestTemplates:
 
     def test_a_simulated_transcript_reveals_its_view(self, small_grids):
         # one draw path: the walk feeds each site its cards from the view, in
-        # the layout's site order, and draws nothing itself
+        # the layout's site order, and draws nothing itself; read_view is its
+        # inverse
         bundled = [load_grid(f"{name}.makaro") for name in BUNDLED]
         for grid in [*bundled, *small_grids[::40]]:
-            layout = run_layout(grid)
             for seed in (0, 1, "demo"):
-                events = simulate_transcript(grid, RandomSource.for_trial(seed, 3)).events
-                shown = tuple(ev[2] for at, _, site in layout.sites
-                              for ev in events[at + 1:at + 1 + site.take])
-                assert simulate_view(grid, RandomSource.for_trial(seed, 3)) == shown
+                transcript = simulate_transcript(grid, RandomSource.for_trial(seed, 3))
+                view = simulate_view(grid, RandomSource.for_trial(seed, 3))
+                assert read_view(grid, transcript) == revealed_cards(transcript) == view
+
+    def test_an_honest_runs_view_is_what_its_reveals_show(self, small_grids):
+        bundled = [(grid, bundled_solution(name, grid))
+                   for name in BUNDLED for grid in [load_grid(f"{name}.makaro")]]
+        solved = [(grid, solutions[0]) for grid in small_grids[::40]
+                  for solutions in [solve_brute_force(grid)] if solutions]
+        assert solved  # most corpus grids have no solution
+        for grid, solution in [*bundled, *solved]:
+            for seed in (0, 1, "demo"):
+                source = RandomSource.for_trial(seed, 3)
+                verdict, transcript = run_full_protocol(grid, make_prover(solution, source),
+                                                        source)
+                assert verdict.accepted
+                assert read_view(grid, transcript) == revealed_cards(transcript)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_the_walk_rebuilds_a_run_from_its_reveals(self, name):

@@ -110,3 +110,29 @@ def test_a_function_left_out_of_the_exports_is_kept_for_the_tracer_alone():
     assert unexported == {("deck", "reveal"), ("protocol", "convert_cell"),
                           ("protocol", "verify_arrow"), ("protocol", "verify_neighbor"),
                           ("protocol", "verify_room")}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` for every parameter of a function or lambda,
+    other than self and cls, that its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+            reads = {name.id for name in ast.walk(body)
+                     if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{getattr(node, 'name', 'lambda')}({param})" for param in params
+                       if param not in reads and param not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # an argument that no body reads only burdens its callers
+    unread = {path.name: unread_parameters(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: params for name, params in unread.items() if params} == {}
+    assert unread_parameters("def f(self, a, *b, c, **d):\n    return a, b, c\n") == ["f(d)"]
+    assert unread_parameters("g = lambda hist, i: i\n") == ["lambda(hist)"]
