@@ -11,8 +11,8 @@ Layout:
     puzzle    grid model, text format, rule checking, exhaustive solver
     gridgen   exhaustive enumerator of small grids for oracle sweeps
     deck      cards, shuffle operations, transcripts
-    protocol  setup, the three check families, full runs, the simulator
-    analysis  deck budgets, reveal-site distributions, chi-square testing
+    protocol  deck budget, setup, the three check families, runs, simulator
+    analysis  reveal-site distributions, chi-square testing
     cli       command-line front end
 """
 
@@ -58,6 +58,7 @@ from .deck import (
     turn_all_down,
 )
 from .protocol import (
+    CardBudget,
     FailedCheck,
     ProtocolError,
     ProverState,
@@ -65,6 +66,7 @@ from .protocol import (
     SiteFamily,
     TableState,
     Verdict,
+    card_budget,
     make_encoding,
     make_prover,
     read_view,
@@ -77,12 +79,10 @@ from .protocol import (
     simulate_view,
 )
 from .analysis import (
-    CardBudget,
     ComparisonReport,
     InsufficientTrials,
     SiteHistograms,
     SiteReport,
-    card_budget,
     compare_collections,
     compare_histograms,
     site_plan,

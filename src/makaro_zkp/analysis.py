@@ -39,7 +39,6 @@ from typing import Callable, Sequence
 
 from .deck import CardId, RandomSource, Transcript
 from .protocol import (
-    ENC_LETTERS,
     ProtocolError,
     SiteFamily,
     make_prover,
@@ -50,7 +49,7 @@ from .protocol import (
 )
 # `stats` is unused here, but the benchmark's traced run rebinds it in this
 # module and perfbench/test_perfbench.py asserts that binding
-from .puzzle import Assignment, Grid, PuzzleStats, stats
+from .puzzle import Assignment, Grid, stats
 
 MIN_EXPECTED = 5.0
 MARGINAL_THRESHOLD = 1000
@@ -60,26 +59,6 @@ ALPHA = 0.01
 class InsufficientTrials(Exception):
     """Raised when a chi-square test would run with expected counts below
     the validity floor; collect more trials instead of trusting the p-value."""
-
-
-# --- deck accounting ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class CardBudget:
-    """How many physical cards a puzzle needs, by role."""
-
-    cell_cards: int
-    helping_cards: int
-    encoding_cards: int
-    total: int
-
-
-def card_budget(st: PuzzleStats) -> CardBudget:
-    """Deck size for a puzzle of n white cells and largest room k: one card
-    per white cell, one helping card per value up to k, and an encoding set
-    per ENC_LETTERS letter, as long as any check's sequence can be (2k-1)."""
-    encoding = len(ENC_LETTERS) * (2 * st.k - 1)
-    return CardBudget(st.n, st.k, encoding, st.n + st.k + encoding)
 
 
 # --- site families -----------------------------------------------------------

@@ -18,14 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (
-    InsufficientTrials,
-    card_budget,
-    site_plan,
-    zk_comparison,
-)
+from .analysis import InsufficientTrials, site_plan, zk_comparison
 from .deck import RandomSource
-from .protocol import ENC_LETTERS, ProtocolError, make_prover, run_full_protocol
+from .protocol import ENC_LETTERS, ProtocolError, card_budget, make_prover, run_full_protocol
 from .puzzle import (
     DEFAULT_SEARCH_BOUND,
     Grid,
@@ -154,7 +149,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"rooms: {rooms}")
     print(f"deck: {budget.cell_cards} cell + {budget.helping_cards} helping + "
           f"{budget.encoding_cards} encoding ({len(ENC_LETTERS)} sets of "
-          f"{budget.encoding_cards // len(ENC_LETTERS)}) = {budget.total} cards")
+          f"{budget.per_set}) = {budget.total} cards")
     print(f"reveal sites tested: {len(plan)}")
     return 0
 

@@ -58,9 +58,33 @@ from .deck import (
 )
 # `arrow_check_cells` is unused here but the benchmark's traced run rebinds
 # it in this module (tests/test_benchmark_contract.py)
-from .puzzle import Assignment, Coord, Grid, arrow_check_cells, stats
+from .puzzle import Assignment, Coord, Grid, PuzzleStats, arrow_check_cells, stats
 
 ENC_LETTERS = ("a", "b", "c", "d")
+
+
+@dataclass(frozen=True)
+class CardBudget:
+    """How many physical cards a puzzle needs, by role."""
+
+    cell_cards: int
+    helping_cards: int
+    encoding_cards: int
+    total: int
+
+    @property
+    def per_set(self) -> int:
+        """The cards of each encoding set."""
+        return self.encoding_cards // len(ENC_LETTERS)
+
+
+def card_budget(st: PuzzleStats) -> CardBudget:
+    """Deck size for a puzzle of n white cells and largest room k: one card
+    per white cell, one helping card per value up to k, and an encoding set
+    per ENC_LETTERS letter, as long as any check's sequence can be (2k-1).
+    A grid's schedule lays exactly these cards, each a different one."""
+    encoding = len(ENC_LETTERS) * (2 * st.k - 1)
+    return CardBudget(st.n, st.k, encoding, st.n + st.k + encoding)
 
 
 class ProtocolError(Exception):
@@ -346,11 +370,13 @@ class _Check(NamedTuple):
 
 class _Schedule:
     """Everything public about the runs on one grid: its white-cell count n
-    and largest room size k, the cards of each set, the setup placement
-    plan, and every check's template, in run order, keyed by (kind, subject)."""
+    and largest room size k, the cards of each set (card_budget's deck), the
+    setup placement plan, and every check's template, in run order, keyed
+    by (kind, subject)."""
 
     def __init__(self, grid: Grid):
-        self.n, self.k = stats(grid)
+        self.n, self.k = st = stats(grid)
+        budget = card_budget(st)
         self.grid = grid
         self.room_cards = {
             room: tuple(cell_card(room, v) for v in range(1, len(cells) + 1))
@@ -364,8 +390,8 @@ class _Schedule:
         self.placements = tuple(("place-hidden", rc) if clue is None
                                 else ("place", rc, self.room_cards[room][clue - 1])
                                 for rc, room, clue in self.setup)
-        self.helps = tuple(help_card(i) for i in range(1, self.k + 1))
-        self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, 2 * self.k))
+        self.helps = tuple(help_card(i) for i in range(1, budget.helping_cards + 1))
+        self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, budget.per_set + 1))
                     for letter in ENC_LETTERS}
         self.checks: dict[tuple[str, object], _Check] = {}
         for kind, subject, cells in grid.rules:
@@ -485,7 +511,7 @@ class _Schedule:
         room = self.grid.room_of(rc)
         members = self.grid.rooms[room]
         p = len(members)
-        if not p <= length < 2 * self.k:
+        if not p <= length <= len(self.enc[letter]):
             raise ProtocolError(f"no sequence of {length} cards for a room of {p}, k = {self.k}")
         key = f"{prefix}/conv-{letter}"
         begin, passed, _ = _bracket("convert", key)

@@ -18,6 +18,7 @@ from conftest import PUZZLES
 EXAMPLE = str(PUZZLES / "example5x5.makaro")
 EXAMPLE_SOLUTION = str(PUZZLES / "example5x5_solution.makaro")
 QUAD = str(PUZZLES / "quad.makaro")
+CROSS = str(PUZZLES / "cross.makaro")
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,16 @@ class TestProve:
         assert lines[1] == "deck budget: 18 cards"
         assert lines[2] == "accepted: 0 of 3"
         assert lines[3] == "first failure: neighbor pair (0, 0)-(1, 0)"
+        # cross's solution with (0, 2) and (1, 2) swapped keeps every room
+        # and neighbor rule and breaks only the arrow at (1, 1)
+        swapped = write(tmp_path, "cross_arrow.makaro",
+                        "makaro 3 3\nA=1 A=2 B=3\nC=2 B> B=1\nC=1 B=2 B=4\n")
+        code, out, _ = run_cli(capsys, "check", "--puzzle", CROSS, "--solution", swapped)
+        assert (code, out) == (1, "arrow (1,1): pointed cell is not the unique maximum\n")
+        code, out, _ = run_cli(capsys, "prove", "--puzzle", CROSS,
+                               "--solution", swapped, "--seed", "s", "--trials", "3")
+        assert code == 1
+        assert out.splitlines()[2:] == ["accepted: 0 of 3", "first failure: arrow at (1, 1)"]
 
     def test_transcript_file_round_trips(self, capsys, tmp_path):
         out_path = tmp_path / "run.transcript"

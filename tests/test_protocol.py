@@ -5,6 +5,7 @@ simulator that mirrors them without the solution."""
 import ast
 import random
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -247,14 +248,20 @@ class TestEncoding:
 
 
 class TestCardPlan:
-    """Which helping and encoding cards a check lifts, and its peak, are
-    compiled once per grid."""
+    """Which cards a schedule lays, which helping and encoding cards a check
+    lifts, and its peak, are compiled once per grid."""
 
     def test_every_check_lifts_what_the_deck_holds_and_peaks_as_counted(self, small_grids):
         bundled = [(name, load_grid(f"{name}.makaro")) for name in BUNDLED]
         for name, grid in bundled + list(enumerate(small_grids)):
             n, k = stats(grid)
-            for (kind, subject), check in protocol._schedule(grid).checks.items():
+            schedule = protocol._schedule(grid)
+            # the standard deck: every card the schedule lays is a different
+            # one, and there are exactly as many as the budget counts
+            laid = [*chain(*schedule.room_cards.values()), *schedule.helps,
+                    *chain(*schedule.enc.values())]
+            assert len(set(laid)) == len(laid) == card_budget(stats(grid)).total, name
+            for (kind, subject), check in schedule.checks.items():
                 takes = [step for step in check.steps if type(step) is protocol._Take]
                 for take in takes:
                     assert take.helps == tuple(help_card(i) for i in range(1, len(take.cells) + 1))

@@ -130,6 +130,32 @@ class TestParsing:
             parse_puzzle("makaro 0 2\nA A\n")
         with pytest.raises(PuzzleSyntaxError):
             parse_puzzle("makaro 1 1\nA=0\n")
+        # a header of the wrong arity, content past the last row, and a
+        # numeral longer than int() converts, as a dimension or as a clue
+        # (a limit of 0, set by PYTHONINTMAXSTRDIGITS=0, converts any length)
+        cases = [("makaro 1\nA\n", "header must read 'makaro <height> <width>'", 1, 1),
+                 ("makaro 1 1 1\nA\n", "header must read 'makaro <height> <width>'", 1, 1),
+                 ("makaro 1 1\nA\nB\n", "unexpected content after grid rows", 3, 1)]
+        if limit := sys.get_int_max_str_digits():
+            long = "1" * (limit + 1)
+            cases += [(f"makaro {long} 1\nA\n", "bad dimension", 1, 8),
+                      (f"makaro 1 1\nA={long}\n", "bad clue", 2, 1)]
+        for text, message, line, column in cases:
+            with pytest.raises(PuzzleSyntaxError, match=message) as e:
+                parse_puzzle(text)
+            assert (e.value.line, e.value.column) == (line, column), text[:20]
+        # a grid of no cells or of ragged rows names the cell at fault
+        for cells, message, cell in [
+                ([], "grid has no cells", (0, 0)),
+                ([[White("A")], [White("A"), White("A")]], "ragged grid row", (1, 0))]:
+            with pytest.raises(PuzzleSemanticError, match=message) as e:
+                build_grid(cells)
+            assert e.value.cell == cell
+        # a black cell has no room, and an unfilled cell is no solution
+        with pytest.raises(ValueError, match=r"^cell \(0, 1\) is not white$"):
+            parse_puzzle("makaro 1 3\nA B< B\n").room_of((0, 1))
+        with pytest.raises(ValueError, match=r"^solution leaves cell \(0, 0\) unfilled$"):
+            assignment_from_grid(parse_puzzle("makaro 1 2\nA A=1\n"))
 
     @pytest.mark.parametrize("text, line, column", [
         ("makaro \u0661 \uff12\nA A\n", 1, 8),  # Arabic-Indic 1, fullwidth 2
