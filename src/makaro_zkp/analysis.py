@@ -9,8 +9,10 @@ histograms, and compares two collections site by site
 (`compare_histograms`): real runs against the solution-free simulator
 (`zk_comparison`), or runs built from two different solutions
 (`solution_comparison`).  Both sides are counted as views, the cards a run
-reveals in run order: `read_view` reads a real run's from its transcript,
-and the simulator draws its own (`simulate_view`) without writing one.
+reveals in run order: a real run's is the live run's own, taken with no
+transcript written, and the simulator draws its own (`simulate_view`)
+without writing one either; `read_view` reads a view from a saved
+transcript.
 Views are counted a block at a time (`SiteHistograms.add_views`), so each
 site's patterns are built and counted in C, not one view at a time.
 
@@ -41,9 +43,9 @@ from .deck import CardId, RandomSource, Transcript
 from .protocol import (
     ProtocolError,
     SiteFamily,
+    _run,
     make_prover,
     read_view,
-    run_full_protocol,
     run_layout,
     simulate_view,
 )
@@ -225,13 +227,14 @@ _BLOCK = 128
 
 
 def _honest_trial(grid: Grid, solution: Assignment, seed: str, trial: int) -> tuple[CardId, ...]:
+    # the live run's view, with no transcript written and none read back
     source = RandomSource.for_trial(seed, trial)
-    verdict, transcript = run_full_protocol(grid, make_prover(solution, source), source)
+    verdict, view, _ = _run(grid, make_prover(solution, source), source)
     if not verdict.accepted:
         raise ProtocolError(
             f"run {trial} rejected ({verdict.failing_check}); "
             "histograms need an honest prover with a valid solution")
-    return read_view(grid, transcript)
+    return tuple(view)
 
 
 def _simulated_trial(grid: Grid, seed: str, trial: int) -> tuple[CardId, ...]:

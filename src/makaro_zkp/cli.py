@@ -20,7 +20,14 @@ from pathlib import Path
 
 from .analysis import InsufficientTrials, site_plan, zk_comparison
 from .deck import RandomSource
-from .protocol import ENC_LETTERS, ProtocolError, card_budget, make_prover, run_full_protocol
+from .protocol import (
+    ENC_LETTERS,
+    ProtocolError,
+    _run,
+    card_budget,
+    make_prover,
+    run_full_protocol,
+)
 from .puzzle import (
     DEFAULT_SEARCH_BOUND,
     Grid,
@@ -102,15 +109,18 @@ def cmd_prove(args: argparse.Namespace) -> int:
     first_failure = None
     for trial in range(args.trials):
         source = RandomSource.for_trial(args.seed, trial)
-        verdict, transcript = run_full_protocol(
-            grid, make_prover(assignment, source), source)
+        prover = make_prover(assignment, source)
+        # only trial 0's transcript is ever written; the others run view-only
+        if trial == 0 and args.transcript_out:
+            verdict, transcript = run_full_protocol(grid, prover, source)
+            Path(args.transcript_out).write_text(transcript.to_text(),
+                                                 encoding="utf-8")
+        else:
+            verdict = _run(grid, prover, source)[0]
         if verdict.accepted:
             accepts += 1
         elif first_failure is None:
             first_failure = verdict.failing_check
-        if trial == 0 and args.transcript_out:
-            Path(args.transcript_out).write_text(transcript.to_text(),
-                                                 encoding="utf-8")
     print(f"puzzle: {grid.height}x{grid.width}, {st.n} white cells, "
           f"{len(grid.rooms)} rooms")
     print(f"deck budget: {budget.total} cards")

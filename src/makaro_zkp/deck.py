@@ -329,10 +329,9 @@ def pile_scramble_shuffle(matrix: CardMatrix, source: RandomSource) -> CardMatri
     return matrix
 
 
-def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
-               transcript: Transcript) -> tuple[CardId, ...]:
+def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int]) -> tuple[CardId, ...]:
     """Turn face up the face-down cards in the given columns of one row, in
-    that order, and record what each shows.  Nothing turns when a slot lies
+    that order, and return what each shows.  Nothing turns when a slot lies
     outside the matrix or is already face up, or a column repeats."""
     cols = tuple(cols)
     # checked, not indexed: a negative index would wrap to the far end
@@ -340,24 +339,21 @@ def reveal_row(matrix: CardMatrix, row: int, cols: Sequence[int],
         raise DeckError(f"row {row}, columns {cols} reach outside a "
                         f"{matrix.rows}x{matrix.cols} matrix")
     laid, order, up = matrix._laid[row], matrix._order, matrix._up[row]
-    cards, events = [], []
+    cards = []
     for col in cols:
         slot = order[col]
         if up >> slot & 1:
             raise DeckError(f"card at ({row},{col}) is already face up")
         up |= 1 << slot
-        card = laid[slot]
-        cards.append(card)
-        events.append(("reveal", (row, col), card))
+        cards.append(laid[slot])
     matrix._up[row] = up
-    transcript.events.extend(events)
     return tuple(cards)
 
 
 # for the tests and for perfbench/spans.py, which traces it; not exported
-def reveal(matrix: CardMatrix, row: int, col: int, transcript: Transcript) -> CardId:
-    """Turn one face-down card face up and record what it shows."""
-    return reveal_row(matrix, row, (col,), transcript)[0]
+def reveal(matrix: CardMatrix, row: int, col: int) -> CardId:
+    """Turn one face-down card face up and return it."""
+    return reveal_row(matrix, row, (col,))[0]
 
 
 def turn_all_down(matrix: CardMatrix) -> CardMatrix:

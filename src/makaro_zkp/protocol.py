@@ -28,18 +28,22 @@ two kinds of hole, each with the predicate that judges it: a row reveal,
 which is then sorted or gives the window start, and a window.  Neighbor and
 arrow checks end in one grid-free comparison, the paper's number encoding:
 one card of each kind shows that two numbers differ or that one is the
-largest.  The live run fills a check's holes from card physics; one walk
-writes a whole accepting run, each site showing what a callback gives: the
-simulator's cards, drawn as a view without seeing any solution, or the
-layout's placeholder, whose slots `read_view` reads a run's view from.
+largest.  A run is its view, the cards it turns face up in run order:
+the live run makes a check's moves, reveals each hole's cards from card
+physics onto the view and judges them, and writes no event.  Each check's
+template compiles to a table of slots, its prebuilt events with a place for
+every reveal and rearrangement, and one writer turns a view into the
+transcript through the tables: a live run's, to where it stopped, or the
+simulator's view, drawn without seeing any solution.  The layout, whose
+slots `read_view` reads a view from, is the tables laid end to end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -198,10 +202,12 @@ def make_encoding(cards: Sequence[CardId], value: int, prover: ProverState) -> l
     return sequence
 
 
-def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tuple:
-    """The rearrange event whose column order puts a revealed row into
-    canonical order."""
-    return ("rearrange", tuple(map(revealed.index, canonical)))
+# Rows repeat: the example's rooms and helping-card sets show a few hundred
+# orders between them, and a cached order costs a third of its search.
+@lru_cache(maxsize=4096)
+def _rearrange(revealed: tuple[CardId, ...]) -> tuple:
+    """The rearrange event whose column order sorts a revealed row."""
+    return ("rearrange", tuple(map(revealed.index, sorted(revealed))))
 
 
 # --- the check templates -------------------------------------------------------
@@ -215,9 +221,9 @@ def _rearrange(revealed: Sequence[CardId], canonical: tuple[CardId, ...]) -> tup
 # of prebuilt events, and holes for what the run decides: row reveals, each
 # then sorted or giving the window start, and windows, each hole with its
 # acceptance predicate), and its card plan, the peak in play.  The live
-# run makes a check's moves and fills its holes from the card matrix;
-# _Schedule.walk writes an accepting run, each hole's cards taken from a
-# simulated view or a placeholder for the layout.  So they cannot drift apart.
+# run makes a check's moves and reveals its holes from the card matrix onto
+# a view; _slots compiles the same steps into the table that _write fills
+# from a view, live or simulated.  So they cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
@@ -241,9 +247,9 @@ class SiteFamily(NamedTuple):
 class _Reveal(NamedTuple):
     """Hole: the site event, then the cards in columns `cols` of one row,
     judged by `accepts` unless the check rests on no rule there (None).  If
-    `sorts`, the rearrangement that puts the row in `site.support` order
-    follows; if not, the row gives the window start, where it shows
-    `site.support[0]`."""
+    `sorts`, the rearrangement that sorts the row follows, which puts it in
+    `site.support` order (a sorted site lists its cards in order); if not,
+    the row gives the window start, where it shows `site.support[0]`."""
 
     site_event: tuple
     site: SiteFamily
@@ -291,9 +297,6 @@ class _Return(NamedTuple):
     """Move: the room's cards back on `cells` and the helping cards home."""
 
     cells: Sequence[Coord]
-
-
-_MOVES = (_Take, _Hide, _Stack, _Return)
 
 
 def _no_marker(shown: tuple[CardId, ...]) -> bool:
@@ -368,6 +371,82 @@ class _Check(NamedTuple):
     peak: int                    # the most cards in play at once, n included
 
 
+class _Slots(NamedTuple):
+    """A check's table: what its transcript is written from."""
+
+    events: tuple               # those of a pass, None in each reveal's and
+                                # rearrangement's slot
+    rejected: tuple             # the end events of a fail
+    rows: tuple                 # where each card its row reveals show lies,
+                                # in run order
+    windows: tuple              # then where each card its windows show lies,
+                                # one tuple per window start
+    holes: tuple                # per hole: the slot of its first reveal (its
+                                # site event's is the one before), the range
+                                # of its cards among the check's, its family,
+                                # and whether a rearrangement sorts them
+    start: tuple | None         # the range of the row that gives the window
+                                # start, and its marker
+
+
+def _slots(check: _Check) -> _Slots:
+    events: list = []
+    holes, rows, windows, start = [], [], [], None
+    shows = 0
+    for step in check.steps:
+        kind = type(step)
+        if kind is tuple:
+            events += step
+        elif kind is _Reveal or kind is _Window:
+            if kind is _Reveal:
+                width, sorts = len(step.cols), step.sorts
+                rows += [(step.row, col) for col in step.cols]
+                if not sorts:
+                    start = (shows, shows + width, step.site.support[0])
+            else:
+                width, sorts = len(step.cols_from[0]), False
+                windows.append(step)
+            holes.append((len(events) + 1, shows, shows + width, step.site, sorts))
+            events += (step.site_event, *[None] * (width + sorts))
+            shows += width
+    # windows close a check, after every row reveal, and start at any column
+    # of the row that gives the start
+    starts = range(start[1] - start[0] if start else 1)
+    return _Slots((*events, *check.passed), check.rejected, tuple(rows),
+                  tuple(tuple((window.row, col) for window in windows
+                              for col in window.cols_from[at]) for at in starts),
+                  tuple(holes), start)
+
+
+def _write(events: list, slots: _Slots, view: tuple[CardId, ...], shown: int,
+           passed: bool) -> int:
+    """Write a check onto a run's events, its holes showing the view's cards
+    from index `shown` on, and return the index past the last card shown.
+    A rejected check (not `passed`) ends with the view: after the hole that
+    shows its last card come none of the events that hole's cards imply,
+    but the end events of a fail."""
+    base = len(events)
+    events += slots.events
+    cards = view[shown:shown + len(slots.rows) + len(slots.windows[0])]
+    start = 0
+    if slots.start is not None and slots.start[1] <= len(cards):
+        first, last, marker = slots.start
+        start = cards.index(marker, first, last) - first
+    reveals = [*zip(repeat(_REVEAL), slots.rows + slots.windows[start], cards)]
+    ends = None if passed else len(view) - shown
+    for at, first, last, _, sorts in slots.holes:
+        at += base
+        stop = at + last - first
+        events[at:stop] = reveals[first:last]
+        if last == ends:
+            del events[stop:]
+            events += slots.rejected
+            break
+        if sorts:
+            events[stop] = _rearrange(cards[first:last])
+    return shown + len(cards)
+
+
 class _Schedule:
     """Everything public about the runs on one grid: its white-cell count n
     and largest room size k, the cards of each set (card_budget's deck), the
@@ -431,41 +510,32 @@ class _Schedule:
         return _Check(steps, passed, rejected, peak)
 
     @cached_property
-    def steps(self) -> tuple:
-        """The steps of a whole accepting run, setup's placements first, with
-        every end event and without the moves: what walk writes out."""
-        return (self.placements, *(step for check in self.checks.values() for step in
-                                   (*check.steps, check.passed) if type(step) not in _MOVES))
+    def tables(self) -> dict[tuple[str, object], _Slots]:
+        """Each check's table, under its key: built on the first run that
+        is written, so a grid whose runs all stop at setup builds none."""
+        return {key: _slots(check) for key, check in self.checks.items()}
 
-    def walk(self, shown: Callable[[SiteFamily], Sequence[CardId]], events: list) -> None:
-        """Write an accepting run's events, each hole showing the cards
-        `shown(site)` gives, called just before the hole's site event."""
-        start = 0
-        for step in self.steps:
-            kind = type(step)
-            if kind is tuple:
-                events.extend(step)
-                continue
-            cards = shown(step.site)
-            cols = step.cols if kind is _Reveal else step.cols_from[start]
-            events.append(step.site_event)
-            events.extend([(_REVEAL, (step.row, col), card) for col, card in zip(cols, cards)])
-            if kind is _Reveal and step.sorts:
-                events.append(_rearrange(cards, step.site.support))
-            elif kind is _Reveal:
-                start = cards.index(step.site.support[0])
+    def write(self, events: list, view: Sequence[CardId], accepted: bool) -> None:
+        """Write the checks of a run that revealed `view` after setup's
+        events: each check's in turn, through all of them if the run was
+        `accepted`, else through the one that showed the view's last card,
+        which rejected."""
+        shown, view = 0, tuple(view)
+        for slots in self.tables.values():
+            shown = _write(events, slots, view, shown, accepted)
+            if shown == len(view) and not accepted:
+                break
 
     @cached_property
     def layout(self) -> RunLayout:
-        """Where an accepting run puts its events: walk them, each site
-        showing its first `take` support cards, its slot the count at the call."""
-        events, slots = [], []
-        def placeholder(site: SiteFamily) -> tuple[CardId, ...]:
-            slots.append((len(events), site))
-            return site.support[:site.take]
-        self.walk(placeholder, events)
-        return RunLayout(len(events), events[-1],
-                         tuple((at, events[at], site) for at, site in slots))
+        """Where an accepting run puts its events: setup's placements, then
+        each check's table, a site's slot the index of its site event."""
+        events, sites = list(self.placements), []
+        for slots in self.tables.values():
+            sites += [(len(events) + at - 1, slots.events[at - 1], site)
+                      for at, _, _, site, _ in slots.holes]
+            events += slots.events
+        return RunLayout(len(events), events[-1], tuple(sites))
 
     @cached_property
     def view_getters(self) -> tuple:
@@ -540,36 +610,36 @@ def _schedule(grid: Grid) -> _Schedule:
 # --- the live run ---------------------------------------------------------------
 #
 # Card physics produces every revealed card and every rearrangement, since
-# soundness rests on it; each run of fixed events is added in one piece.
+# soundness rests on it.  The live run only reveals and judges: it appends
+# each hole's cards to the run's view and adds no event, so a run that needs
+# no transcript (a zk-test trial, a prove trial after the first) writes
+# none, and one that does is written from its view by the check tables.
 
 def _live(table: TableState, check: _Check, prover: ProverState | None,
-          source: RandomSource, transcript: Transcript) -> list[list[CardId]] | None:
-    """Run a check on the table, filling each hole from the card matrix and
-    judging it, and close it with the end event of its verdict.  Returns the
-    sequences extracted, or None if a hole was rejected: a rejected row ends
-    the check at once, since what follows sorts it or starts from it; after
-    a rejected window the check goes on."""
-    append, extend = transcript.events.append, transcript.events.extend
+          source: RandomSource, view: list[CardId]) -> list[list[CardId]] | None:
+    """Run a check on the table, revealing each hole's cards from the card
+    matrix onto the view and judging them.  Returns the sequences extracted,
+    or None if a hole was rejected: a rejected row ends the check at once,
+    since what follows sorts it or starts from it; after a rejected window
+    the check goes on."""
     sequences: list[list[CardId]] = []
     ok = True
     for step in check.steps:
         kind = type(step)
         if kind is tuple:
-            extend(step)
-        elif kind is _Window:
-            append(step.site_event)
-            if not step.accepts(reveal_row(matrix, step.row, step.cols_from[start], transcript)):
+            continue  # events, which the check's table writes
+        if kind is _Window:
+            shown = reveal_row(matrix, step.row, step.cols_from[start])
+            view.extend(shown)
+            if not step.accepts(shown):
                 ok = False
         elif kind is _Reveal:
-            append(step.site_event)
-            shown = reveal_row(matrix, step.row, step.cols, transcript)
+            shown = reveal_row(matrix, step.row, step.cols)
+            view.extend(shown)
             if step.accepts is not None and not step.accepts(shown):
-                ok = False
-                break
+                return None
             if step.sorts:
-                event = _rearrange(shown, step.site.support)
-                matrix.permute_columns(event[1])
-                append(event)
+                matrix.permute_columns(_rearrange(shown)[1])
             else:
                 start = shown.index(step.site.support[0])
         elif kind is _Take:
@@ -591,7 +661,6 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
             (pile_shifting_shuffle if step.shift else pile_scramble_shuffle)(matrix, source)
         else:
             table.put_cells(step.cells, matrix.take_row(0))
-    extend(check.passed if ok else check.rejected)
     return sequences if ok else None
 
 
@@ -629,14 +698,23 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
     return table
 
 
-# Entries that run one check, for the tests and for perfbench/spans.py, which
-# traces them; a run hands its checks to _live itself, so none is exported.
+# Entries that run one check and write it onto the caller's transcript, for
+# the tests and for perfbench/spans.py, which traces them; a run hands its
+# checks to _live itself, so none is exported.
+def _entry(table: TableState, check: _Check, prover: ProverState | None,
+           source: RandomSource, transcript: Transcript) -> list[list[CardId]] | None:
+    view: list[CardId] = []
+    sequences = _live(table, check, prover, source, view)
+    _write(transcript.events, _slots(check), tuple(view), 0, sequences is not None)
+    return sequences
+
+
 def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
     shuffled order.  Restores the cards to their cells on success."""
-    return _live(table, _schedule(table.grid).checks["room", room],
-                 None, source, transcript) is not None
+    return _entry(table, _schedule(table.grid).checks["room", room],
+                  None, source, transcript) is not None
 
 
 def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
@@ -654,7 +732,7 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
     """
     schedule = _schedule(table.grid)
     steps = schedule.conversion(rc, letter, length, site_prefix)
-    sequences = _live(table, schedule._check(steps), prover, source, transcript)
+    sequences = _entry(table, schedule._check(steps), prover, source, transcript)
     if sequences is None:
         raise ProtocolError(f"room of cell {rc} does not hold its own cards")
     return sequences[0]
@@ -665,8 +743,8 @@ def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
     """Check two adjacent cells differ: convert both to sequences of equal
     length, scramble the two rows as columns, find one marker, and look at the
     card sharing its column.  Equal values pair the markers in every shuffle."""
-    return _live(table, _schedule(table.grid).checks["neighbor", (a, b)],
-                 prover, source, transcript) is not None
+    return _entry(table, _schedule(table.grid).checks["neighbor", (a, b)],
+                  prover, source, transcript) is not None
 
 
 def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
@@ -677,8 +755,33 @@ def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
     column shift, the m columns starting at the pointed marker are revealed in
     each rival row; a rival marker lands there exactly when rival >= pointed.
     """
-    return _live(table, _schedule(table.grid).checks["arrow", black_rc],
-                 prover, source, transcript) is not None
+    return _entry(table, _schedule(table.grid).checks["arrow", black_rc],
+                  prover, source, transcript) is not None
+
+
+def _run(grid: Grid, prover: ProverState, source: RandomSource,
+         transcript: Transcript | None = None,
+         ) -> tuple[Verdict, list[CardId], TableState | None]:
+    """Run setup and every check in the canonical order, stopping at the
+    first that rejects: the verdict, the run's view and the table, None when
+    setup failed.  Given a transcript, setup's events go onto it, then the
+    checks', written from the view; without one the run writes none."""
+    schedule = _schedule(grid)
+    view: list[CardId] = []
+    try:
+        table = setup_placement(grid, prover, Transcript() if transcript is None else transcript)
+    except SetupError as err:
+        return schedule.setup_rejections[err.room], view, None
+    verdict = _ACCEPTED
+    for key, check in schedule.checks.items():
+        table.peak_cards = max(table.peak_cards, check.peak)
+        if _live(table, check, prover, source, view) is None:
+            verdict = schedule.rejections[key]
+            break
+        table.assert_settled()
+    if transcript is not None:
+        schedule.write(transcript.events, view, verdict.accepted)
+    return verdict, view, table
 
 
 def run_full_protocol_with_table(
@@ -688,17 +791,8 @@ def run_full_protocol_with_table(
     inspect physical accounting (notably peak_cards).  The table is None when
     setup itself failed."""
     transcript = Transcript()
-    schedule = _schedule(grid)
-    try:
-        table = setup_placement(grid, prover, transcript)
-    except SetupError as err:
-        return schedule.setup_rejections[err.room], transcript, None
-    for key, check in schedule.checks.items():
-        table.peak_cards = max(table.peak_cards, check.peak)
-        if _live(table, check, prover, source, transcript) is None:
-            return schedule.rejections[key], transcript, table
-        table.assert_settled()
-    return _ACCEPTED, transcript, table
+    verdict, _, table = _run(grid, prover, source, transcript)
+    return verdict, transcript, table
 
 
 def run_full_protocol(grid: Grid, prover: ProverState,
@@ -713,8 +807,8 @@ def run_full_protocol(grid: Grid, prover: ProverState,
 # --- transcript simulator ----------------------------------------------------
 #
 # Draws every reveal site's cards from its run-independent distribution, in
-# the layout's site order: a view, which the walk over the same templates as
-# the live run turns into a transcript.  No assignment is involved, which is
+# the layout's site order: a view, which the check tables that write a live
+# run turn into a transcript.  No assignment is involved, which is
 # the zero-knowledge argument made executable: if real transcripts match these
 # distributions, they carry no information about the solution.
 
@@ -751,9 +845,10 @@ def simulate_view(grid: Grid, source: RandomSource) -> tuple[CardId, ...]:
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """The accepting run that shows a simulated view: its exact event
     structure, each reveal site fed its cards from `simulate_view`."""
-    cards = iter(simulate_view(grid, source))
-    t = Transcript()
-    _schedule(grid).walk(lambda site: tuple(islice(cards, site.take)), t.events)
+    view = simulate_view(grid, source)
+    schedule, t = _schedule(grid), Transcript()
+    t.events += schedule.placements
+    schedule.write(t.events, view, True)
     return t
 
 

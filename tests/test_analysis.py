@@ -5,6 +5,7 @@ comparison."""
 import ast
 import concurrent.futures
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
@@ -46,7 +47,7 @@ from makaro_zkp import (
     zk_comparison,
 )
 import makaro_zkp
-from makaro_zkp import analysis, gridgen
+from makaro_zkp import analysis, gridgen, protocol
 from makaro_zkp.analysis import (
     MARGINAL_THRESHOLD,
     MIN_EXPECTED,
@@ -54,8 +55,10 @@ from makaro_zkp.analysis import (
     _honest_trial,
     _simulated_trial,
 )
+from makaro_zkp.cli import main
 
 from conftest import PUZZLES, load_grid, load_solution, site_patterns, uniformity_test
+from test_golden import ZK_TEST_JSON
 
 
 def counted(hist: SiteHistograms) -> int:
@@ -655,17 +658,22 @@ class TestCollection:
                 whole.add_views(views[:count])
                 assert whole.counts == expected
 
-    def test_a_real_trial_checks_its_transcripts_layout(self, quad_grid, monkeypatch):
-        # an accepted run whose transcript lost a reveal is refused, not counted
-        def dropped_reveal(grid, prover, source):
-            verdict, transcript = run_full_protocol(grid, prover, source)
-            events = transcript.events
-            del events[next(i for i, ev in enumerate(events) if ev[0] == "reveal")]
-            return verdict, transcript
+    def test_a_real_trial_neither_writes_nor_reads_a_transcript(self, monkeypatch, capsys):
+        # the real side takes each view from the live run: with read_view
+        # and the transcript writer raising, zk-test prints the report its
+        # golden pins
+        def refused(*args):
+            raise AssertionError("a real trial wrote or read a transcript")
 
-        monkeypatch.setattr(analysis, "run_full_protocol", dropped_reveal)
-        with pytest.raises(ValueError, match="transcript is not an accepting run of this grid"):
-            _collect(partial(_honest_trial, quad_grid, QUAD_SOLUTION, "layout"), quad_grid, 3, 1)
+        for module in (makaro_zkp, protocol, analysis):
+            monkeypatch.setattr(module, "read_view", refused)
+        monkeypatch.setattr(protocol, "_write", refused)
+        code = main(["zk-test", "--puzzle", str(PUZZLES / "example5x5.makaro"),
+                     "--solution", str(PUZZLES / "example5x5_solution.makaro"),
+                     "--trials", "300", "--report-format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ZK_TEST_JSON
 
     def test_rule_breaking_solution_is_refused(self, quad_grid):
         bad = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}

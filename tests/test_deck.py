@@ -278,8 +278,7 @@ class TestCardMatrix:
 
     def test_take_row_removes_it(self):
         m = fresh_matrix(3, 3)
-        t = Transcript()
-        reveal(m, 1, 0, t)
+        reveal(m, 1, 0)
         cards = m.take_row(1)
         assert [c.index for c in cards] == [1, 2, 3]
         assert m.rows == 2
@@ -351,90 +350,74 @@ class TestCardMatrix:
 
 
 class TestReveal:
-    def test_reveal_records_event(self):
+    def test_reveal_shows_the_card_it_turns(self):
         m = CardMatrix.from_rows([[help_card(1), help_card(2)] * 2,
                                   [help_card(4), help_card(5), help_card(3), cell_card("A", 1)]])
-        t = Transcript()
-        assert reveal(m, 1, 2, t) == help_card(3)
-        assert m.is_face_up(1, 2)
-        assert t.events == [("reveal", (1, 2), help_card(3))]
+        assert reveal(m, 1, 2) == help_card(3)
+        assert [m.is_face_up(r, c) for r in range(2) for c in range(4)] == \
+            [False] * 6 + [True, False]
 
     def test_double_reveal_rejected(self):
         m = fresh_matrix(1, 1)
-        t = Transcript()
-        reveal(m, 0, 0, t)
+        reveal(m, 0, 0)
         with pytest.raises(DeckError):
-            reveal(m, 0, 0, t)
+            reveal(m, 0, 0)
 
     def test_reveal_empty_slot_rejected(self):
         # a matrix is full, so the only slots without a card lie outside it;
         # a negative index would otherwise wrap to the far end
         m = fresh_matrix(1, 2)
-        t = Transcript()
         for row, col in ((-1, 0), (0, -1), (0, 5), (1, 0)):
             with pytest.raises(DeckError):
-                reveal(m, row, col, t)
-        assert t.events == []
+                reveal(m, row, col)
         assert not any(m.is_face_up(0, c) for c in range(2))
 
     def test_reveal_row_turns_the_given_columns_in_order(self):
         m = fresh_matrix(2, 3)
-        t = Transcript()
-        assert reveal_row(m, 1, (2, 0), t) == (CardId("x1", 3), CardId("x1", 1))
-        assert t.events == [("reveal", (1, 2), CardId("x1", 3)),
-                            ("reveal", (1, 0), CardId("x1", 1))]
+        assert reveal_row(m, 1, (2, 0)) == (CardId("x1", 3), CardId("x1", 1))
         assert [m.is_face_up(r, c) for r in range(2) for c in range(3)] == \
             [False] * 3 + [True, False, True]
 
     def test_reveal_row_rejects_an_empty_slot_and_turns_nothing(self):
         m = fresh_matrix(1, 2)
-        t = Transcript()
         for cols in ((0, 2), (0, -1), (5,)):
             with pytest.raises(DeckError, match="outside a 1x2 matrix"):
-                reveal_row(m, 0, cols, t)
-        assert t.events == []
-        assert not m.is_face_up(0, 0)
+                reveal_row(m, 0, cols)
+        assert not any(m.is_face_up(0, c) for c in range(2))
 
     def test_reveal_row_rejects_a_card_already_face_up(self):
         m = fresh_matrix(1, 3)
-        t = Transcript()
-        reveal(m, 0, 1, t)
+        reveal(m, 0, 1)
         with pytest.raises(DeckError, match=r"card at \(0,1\) is already face up"):
-            reveal_row(m, 0, (0, 1, 2), t)
-        assert len(t) == 1
+            reveal_row(m, 0, (0, 1, 2))
         assert [m.is_face_up(0, c) for c in range(3)] == [False, True, False]
 
     def test_reveal_row_reads_one_shot_columns_once(self):
         m = fresh_matrix(1, 3)
-        t = Transcript()
-        assert reveal_row(m, 0, iter((0, 2)), t) == (CardId("x0", 1), CardId("x0", 3))
-        assert t.events == [("reveal", (0, 0), CardId("x0", 1)),
-                            ("reveal", (0, 2), CardId("x0", 3))]
+        assert reveal_row(m, 0, iter((0, 2))) == (CardId("x0", 1), CardId("x0", 3))
         assert [m.is_face_up(0, c) for c in range(3)] == [True, False, True]
         with pytest.raises(DeckError, match="outside a 1x3 matrix"):
-            reveal_row(m, 0, iter((1, 3)), t)
-        assert len(t) == 2 and not m.is_face_up(0, 1)
+            reveal_row(m, 0, iter((1, 3)))
+        assert [m.is_face_up(0, c) for c in range(3)] == [True, False, True]
 
     def test_a_repeated_card_turns_one_slot_at_a_time(self):
         # face-up state belongs to the slot, so turning one copy of a card
         # leaves the other copies face down
         m = CardMatrix.from_rows([[help_card(1), help_card(2), help_card(4)], [help_card(3)] * 3])
-        t = Transcript()
-        assert reveal(m, 1, 0, t) == help_card(3)
+        assert reveal(m, 1, 0) == help_card(3)
         assert [m.is_face_up(1, c) for c in range(3)] == [True, False, False]
-        assert reveal(m, 1, 1, t) == help_card(3)
+        assert reveal(m, 1, 1) == help_card(3)
         assert [m.is_face_up(1, c) for c in range(3)] == [True, True, False]
-        assert t.events == [("reveal", (1, 0), help_card(3)), ("reveal", (1, 1), help_card(3))]
 
     def test_reveal_row_rejects_a_repeated_column(self):
+        m = fresh_matrix(1, 2)
         with pytest.raises(DeckError, match=r"card at \(0,1\) is already face up"):
-            reveal_row(fresh_matrix(1, 2), 0, (1, 1), Transcript())
+            reveal_row(m, 0, (1, 1))
+        assert not any(m.is_face_up(0, c) for c in range(2))
 
     def test_reveal_is_the_one_column_row_reveal(self):
         one, row = fresh_matrix(2, 3), fresh_matrix(2, 3)
-        t_one, t_row = Transcript(), Transcript()
-        assert reveal(one, 1, 2, t_one) == reveal_row(row, 1, (2,), t_row)[0]
-        assert t_one.events == t_row.events == [("reveal", (1, 2), CardId("x1", 3))]
+        assert reveal(one, 1, 2) == reveal_row(row, 1, (2,))[0] == CardId("x1", 3)
         for r in range(2):
             assert row_cards(one, r) == row_cards(row, r)
             assert [one.is_face_up(r, c) for c in range(3)] == \
@@ -448,9 +431,8 @@ class TestReveal:
 
     def test_turn_all_down(self):
         m = fresh_matrix(2, 2)
-        t = Transcript()
-        reveal(m, 0, 0, t)
-        reveal(m, 1, 1, t)
+        reveal(m, 0, 0)
+        reveal(m, 1, 1)
         turn_all_down(m)
         assert not any(m.is_face_up(r, c) for r in range(2) for c in range(2))
         assert m.card_at(0, 0) == CardId("x0", 1)
@@ -478,7 +460,7 @@ class ColumnModel:
             raise DeckError(f"bad column order {tuple(order)!r}")
         self.columns = [self.columns[src] for src in order]
 
-    def reveal_row(self, row, cols, events):
+    def reveal_row(self, row, cols):
         if not (0 <= row < self.rows and all(0 <= c < len(self.columns) for c in cols)):
             raise DeckError(f"row {row}, columns {tuple(cols)} reach outside a "
                             f"{self.rows}x{len(self.columns)} matrix")
@@ -488,7 +470,6 @@ class ColumnModel:
                 raise DeckError(f"card at ({row},{col}) is already face up")
         for slot in slots:
             slot[1] = True
-        events += [("reveal", (row, col), card) for col, (card, _) in zip(cols, slots)]
         return tuple(card for card, _ in slots)
 
     def take_row(self, row):
@@ -511,7 +492,7 @@ MOVES = ("scramble", "shift", "turn_all_down", "permute", "reveal", "reveal", "t
 class TestCardMatrixAgainstTheColumnModel:
     """Random move sequences on a matrix and on the column model from one
     seed: after every move both hold the same card face up or down in every
-    slot, and each move returns, records, draws and raises the same.  Half
+    slot, and each move returns, draws and raises the same.  Half
     the boards draw their cards from a pool of three, so they repeat cards."""
 
     @staticmethod
@@ -537,7 +518,6 @@ class TestCardMatrixAgainstTheColumnModel:
                                       min_size=rows, max_size=rows))
         m, model = CardMatrix.from_rows(laid), ColumnModel(laid)
         src, twin = RandomSource(seed), RandomSource(seed)
-        t, events = Transcript(), []
         # rows and columns are mostly inside the matrix, else one past either
         # end; a reveal names distinct columns inside, or any, repeats included
         column, slot = st.integers(0, cols - 1), st.integers(-1, cols)
@@ -559,12 +539,11 @@ class TestCardMatrixAgainstTheColumnModel:
                     self.outcome(model.permute_columns, order)
             elif kind == "reveal":
                 row, columns = data.draw(self.row(model.rows)), data.draw(reveals)
-                assert self.outcome(reveal_row, m, row, tuple(columns), t) == \
-                    self.outcome(model.reveal_row, row, columns, events)
+                assert self.outcome(reveal_row, m, row, tuple(columns)) == \
+                    self.outcome(model.reveal_row, row, columns)
             else:
                 row = data.draw(self.row(model.rows))
                 assert self.outcome(m.take_row, row) == self.outcome(model.take_row, row)
-            assert t.events == events
             assert src.shuffle_stream.getstate() == twin.shuffle_stream.getstate()
             assert (m.rows, m.cols) == (model.rows, len(model.columns))
             for r in range(model.rows):
@@ -737,11 +716,11 @@ class TestTranscript:
 
     @pytest.mark.parametrize("other", [None, "help#2"])
     def test_a_revealed_object_that_is_not_a_card_is_not_written(self, other):
-        # from_rows lays out whatever it is given, so the reveal records it;
-        # the writer is what refuses it
+        # from_rows lays out whatever it is given, so the reveal shows it and
+        # a transcript records it; the writer is what refuses it
         m = CardMatrix.from_rows([[other, help_card(1)]])
         t = Transcript()
-        assert reveal(m, 0, 0, t) == other
+        t.append(("reveal", (0, 0), reveal(m, 0, 0)))
         with pytest.raises(DeckError, match="as a card"):
             t.to_text()
 

@@ -946,6 +946,8 @@ class TestTemplates:
                 assert read_view(grid, transcript) == revealed_cards(transcript) == view
 
     def test_an_honest_runs_view_is_what_its_reveals_show(self, small_grids):
+        # and the private run entry, which writes no transcript, gives that
+        # view and the verdict run_full_protocol gives
         bundled = [(grid, bundled_solution(name, grid))
                    for name in BUNDLED for grid in [load_grid(f"{name}.makaro")]]
         solved = [(grid, solutions[0]) for grid in small_grids[::40]
@@ -958,38 +960,74 @@ class TestTemplates:
                                                         source)
                 assert verdict.accepted
                 assert read_view(grid, transcript) == revealed_cards(transcript)
+                source = RandomSource.for_trial(seed, 3)
+                live, view, _ = protocol._run(grid, make_prover(solution, source), source)
+                assert live == verdict and tuple(view) == read_view(grid, transcript)
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_the_walk_rebuilds_a_run_from_its_reveals(self, name):
-        # a reader that hands each site the next cards a transcript reveals
-        # makes the walk write that transcript back, live or simulated
+    def test_the_writer_rebuilds_a_run_from_its_reveals(self, name):
+        # the writer fed the cards a transcript reveals, after setup's
+        # events, writes that transcript back, live or simulated
         grid = load_grid(f"{name}.makaro")
         solution = bundled_solution(name, grid)
+        schedule = protocol._schedule(grid)
         for seed in (0, 1, "demo"):
             source = RandomSource.for_trial(seed, 0)
             verdict, real = run_full_protocol(grid, make_prover(solution, source), source)
             sim = simulate_transcript(grid, RandomSource.for_trial(seed, 0))
             assert verdict.accepted
             for transcript in (real, sim):
-                reveals = iter([ev[2] for ev in transcript.events if ev[0] == "reveal"])
-                events = []
-                protocol._schedule(grid).walk(
-                    lambda site: [next(reveals) for _ in range(site.take)], events)
+                events = list(schedule.placements)
+                schedule.write(events, revealed_cards(transcript), True)
                 assert events == transcript.events, seed
-                assert next(reveals, None) is None
 
-    def test_one_walk_writes_every_accepting_run(self):
-        # the simulator and the layout go through _Schedule.walk: besides it,
-        # only the live run reads steps, one check's, and the steps property
-        # gathers every check's; no slot is counted from a site's take
+    def test_a_sorted_row_ends_in_its_sites_order(self, small_grids):
+        # the rearrangement sorts a row's cards, which puts them in the
+        # order its site lists them
+        sorted_rows = 0
+        for grid in [*(load_grid(f"{name}.makaro") for name in BUNDLED), *small_grids[::40]]:
+            for check in protocol._schedule(grid).checks.values():
+                for step in check.steps:
+                    if type(step) is protocol._Reveal and step.sorts:
+                        support = step.site.support
+                        for shown in (support[::-1], support[1:] + support[:1]):
+                            _, order = protocol._rearrange(shown)
+                            assert tuple(shown[i] for i in order) == support
+                        sorted_rows += 1
+        assert sorted_rows > 1000
+
+    def test_one_writer_writes_every_run(self):
+        # every run's check events, live or simulated, accepting or not,
+        # come from _write filling a check's table: besides _slots, which
+        # compiles the table, only the live run reads steps, one check's,
+        # and it writes no event; no slot is counted from a site's take
         tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
-        reads = Counter((func.name, ast.unparse(node)) for func in ast.walk(tree)
-                        if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+        funcs = {func.name: func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+        reads = Counter((name, ast.unparse(node)) for name, func in funcs.items()
+                        for node in ast.walk(func)
                         if isinstance(node, ast.Attribute) and node.attr == "steps")
-        assert reads == Counter({("walk", "self.steps"): 1, ("_live", "check.steps"): 1,
-                                 ("steps", "check.steps"): 1})
+        assert reads == Counter({("_slots", "check.steps"): 1, ("_live", "check.steps"): 1})
         assert sum(isinstance(node, ast.Attribute) and node.attr == "steps"
-                   for node in ast.walk(tree)) == 3
+                   for node in ast.walk(tree)) == 2
+
+        def users(name):
+            return {func_name for func_name, func in funcs.items()
+                    if any(isinstance(node, ast.Name) and node.id == name
+                           for node in ast.walk(func))}
+
+        # a reveal event is built in _write alone (read_view's getters
+        # name the kind they expect), and so is a rearrangement: the live
+        # run takes only its column order
+        assert users("_REVEAL") == {"_write", "view_getters"}
+        assert users("_rearrange") == {"_write", "_live"}
+        # runs and the one-check entries write through the schedule's
+        # writer or _write; the live run reaches no transcript or event
+        assert users("_write") == {"write", "_entry"}
+        live = {node.id for node in ast.walk(funcs["_live"]) if isinstance(node, ast.Name)}
+        assert not live & {"Transcript", "transcript", "events", "_write", "_slots"}
+        assert [arg.arg for arg in funcs["_live"].args.args] == \
+            ["table", "check", "prover", "source", "view"]
+        assert not hasattr(protocol._Schedule, "walk")
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, (ast.BinOp, ast.AugAssign))
                     and any(isinstance(part, ast.Attribute) and part.attr == "take"
@@ -998,19 +1036,52 @@ class TestTemplates:
     def test_a_run_hands_each_compiled_check_to_the_live_run(self, example_grid,
                                                               example_solution, monkeypatch):
         # setup and the run each look the schedule up once, and the run
-        # gives _live every check as compiled, with no lookup of its own
+        # gives _live every check as compiled, with no lookup of its own,
+        # whether it writes its transcript or only takes its view
         lookups, run = [], []
         schedule, live = protocol._schedule, protocol._live
         monkeypatch.setattr(protocol, "_schedule",
                             lambda grid: lookups.append(grid) or schedule(grid))
         monkeypatch.setattr(protocol, "_live",
                             lambda table, check, *args: run.append(check) or live(table, check, *args))
-        source = RandomSource.for_trial(0, 0)
-        verdict, _ = run_full_protocol(example_grid, make_prover(example_solution, source), source)
-        assert verdict.accepted
-        assert lookups == [example_grid] * 2
-        assert run == list(schedule(example_grid).checks.values())
-        assert len(run) == 20
+        for entry in (lambda prover, source: run_full_protocol(example_grid, prover, source),
+                      lambda prover, source: protocol._run(example_grid, prover, source)):
+            lookups.clear()
+            run.clear()
+            source = RandomSource.for_trial(0, 0)
+            verdict = entry(make_prover(example_solution, source), source)[0]
+            assert verdict.accepted
+            assert lookups == [example_grid] * 2
+            assert run == list(schedule(example_grid).checks.values())
+            assert len(run) == 20
+
+    def test_the_writers_end_event_is_the_live_verdict(self, small_grids):
+        # on every run of the sweep slice that passes setup, rejected ones
+        # included, the transcript ends with the end event of the live
+        # verdict, and the writer fed its reveals writes it back
+        past_setup = Counter()
+        for index, grid in enumerate(small_grids[::40]):
+            schedule = protocol._schedule(grid)
+            for trial, filling in enumerate(all_value_assignments(grid)):
+                source = RandomSource.for_trial(f"ends/{index}", trial)
+                verdict, view, table = protocol._run(grid, make_prover(filling, source), source)
+                source = RandomSource.for_trial(f"ends/{index}", trial)
+                written, transcript, _ = run_full_protocol_with_table(
+                    grid, make_prover(filling, source), source)
+                assert written == verdict
+                if table is None:
+                    continue
+                failed = verdict.failing_check
+                end = (schedule.layout.closing,) if failed is None else \
+                    schedule.checks[failed.kind, failed.subject].rejected
+                assert tuple(transcript.events[-1:]) == end
+                assert end[0][0] == "end" and end[0][3] is verdict.accepted
+                assert revealed_cards(transcript) == tuple(view)
+                events = list(schedule.placements)
+                schedule.write(events, view, verdict.accepted)
+                assert events == transcript.events
+                past_setup[verdict.accepted] += 1
+        assert sum(past_setup.values()) == 1022 and set(past_setup) == {True, False}
 
     def test_each_returned_verdict_equals_a_fresh_one(self, small_grids):
         # a grid's runs share one verdict per outcome, built with its
