@@ -19,14 +19,13 @@ import sys
 from pathlib import Path
 
 from .analysis import InsufficientTrials, site_plan, zk_comparison
-from .deck import RandomSource
+from .deck import RandomSource, Transcript
 from .protocol import (
     ENC_LETTERS,
     ProtocolError,
     _run,
     card_budget,
     make_prover,
-    run_full_protocol,
 )
 from .puzzle import (
     DEFAULT_SEARCH_BOUND,
@@ -109,14 +108,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
     first_failure = None
     for trial in range(args.trials):
         source = RandomSource.for_trial(args.seed, trial)
-        prover = make_prover(assignment, source)
         # only trial 0's transcript is ever written; the others run view-only
-        if trial == 0 and args.transcript_out:
-            verdict, transcript = run_full_protocol(grid, prover, source)
-            Path(args.transcript_out).write_text(transcript.to_text(),
-                                                 encoding="utf-8")
-        else:
-            verdict = _run(grid, prover, source)[0]
+        transcript = Transcript() if trial == 0 and args.transcript_out else None
+        verdict = _run(grid, make_prover(assignment, source), source, transcript)[0]
+        if transcript is not None:
+            Path(args.transcript_out).write_text(transcript.to_text(), encoding="utf-8")
         if verdict.accepted:
             accepts += 1
         elif first_failure is None:

@@ -30,12 +30,13 @@ arrow checks end in one grid-free comparison, the paper's number encoding:
 one card of each kind shows that two numbers differ or that one is the
 largest.  A run is its view, the cards it turns face up in run order:
 the live run makes a check's moves, reveals each hole's cards from card
-physics onto the view and judges them, and writes no event.  Each check's
-template compiles to a table of slots, its prebuilt events with a place for
-every reveal and rearrangement, and one writer turns a view into the
-transcript through the tables: a live run's, to where it stopped, or the
-simulator's view, drawn without seeing any solution.  The layout, whose
-slots `read_view` reads a view from, is the tables laid end to end.
+physics onto the view and judges them, and writes no event.  The pass
+that compiles a check also lays out its table of slots, its prebuilt events
+with a place for every reveal and rearrangement, so one record per check
+serves both the live run and the one writer, which turns a view into the
+transcript through the checks' tables: a live run's, to where it stopped,
+or the simulator's view, drawn without seeing any solution.  The layout,
+whose slots `read_view` reads a view from, is the tables laid end to end.
 """
 
 from __future__ import annotations
@@ -220,10 +221,11 @@ def _rearrange(revealed: tuple[CardId, ...]) -> tuple:
 # its steps, in run order (moves that handle the cards and add no event, runs
 # of prebuilt events, and holes for what the run decides: row reveals, each
 # then sorted or giving the window start, and windows, each hole with its
-# acceptance predicate), and its card plan, the peak in play.  The live
-# run makes a check's moves and reveals its holes from the card matrix onto
-# a view; _slots compiles the same steps into the table that _write fills
-# from a view, live or simulated.  So they cannot drift apart.
+# acceptance predicate), its card plan, the peak in play, and the table
+# that _write fills from a view, live or simulated, all laid out by
+# _Schedule._check in one pass over the steps.  The live run makes the same
+# steps' moves and reveals their holes from the card matrix onto a view.
+# So the two cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
@@ -245,13 +247,12 @@ class SiteFamily(NamedTuple):
 
 
 class _Reveal(NamedTuple):
-    """Hole: the site event, then the cards in columns `cols` of one row,
-    judged by `accepts` unless the check rests on no rule there (None).  If
-    `sorts`, the rearrangement that sorts the row follows, which puts it in
-    `site.support` order (a sorted site lists its cards in order); if not,
-    the row gives the window start, where it shows `site.support[0]`."""
+    """Hole: the cards in columns `cols` of one row, after their site's
+    event, judged by `accepts` unless the check rests on no rule there
+    (None).  If `sorts`, the rearrangement that sorts the row follows, which
+    puts it in `site.support` order (a sorted site lists its cards in order);
+    if not, the row gives the window start, where it shows `site.support[0]`."""
 
-    site_event: tuple
     site: SiteFamily
     row: int
     cols: tuple[int, ...]
@@ -260,10 +261,9 @@ class _Reveal(NamedTuple):
 
 
 class _Window(NamedTuple):
-    """Hole: the site event, then the cards in columns `cols_from[start]`, a
-    cyclic run from the window start, judged by `accepts`."""
+    """Hole: the cards in columns `cols_from[start]`, a cyclic run from the
+    window start, after their site's event, judged by `accepts`."""
 
-    site_event: tuple
     site: SiteFamily
     row: int
     cols_from: tuple[tuple[int, ...], ...]
@@ -305,11 +305,7 @@ def _no_marker(shown: tuple[CardId, ...]) -> bool:
 
 
 # Each event kind is written in one place (tests pin it), so the events that
-# several templates share are built by these three.
-def _hole(kind: type, site: SiteFamily, row: int, cols: tuple, **fields) -> tuple:
-    return kind(("site", site.key), site, row, cols, **fields)
-
-
+# several templates share are built by these two.
 def _collect(src: str, row: int, count: int) -> tuple:
     return ("collect", src, row, count)
 
@@ -339,15 +335,15 @@ def _comparison(key: str, sequences: Sequence[tuple[CardId, ...]], largest: bool
     first = SiteFamily(f"{key}/row1", "perm", sequences[0], length)
     # a one-card sequence is its marker, so the window can only show it
     # (unsatisfiable grids only)
-    windows = [_hole(_Window, SiteFamily(f"{key}/row{row + 1}" if largest else f"{key}/probe",
-                                         "pick" if window == 1 else "arrangement",
-                                         sequence[1 if length > 1 else 0:], window),
-                     row, spans, accepts=_no_marker)
+    windows = [_Window(SiteFamily(f"{key}/row{row + 1}" if largest else f"{key}/probe",
+                              "pick" if window == 1 else "arrangement",
+                              sequence[1 if length > 1 else 0:], window),
+                       row, spans, accepts=_no_marker)
                for row, sequence in enumerate(sequences[1:], start=1)]
     stacking = (*(_collect("seq:" + sequence[0].set.removeprefix("enc:"), row, length)
                   for row, sequence in enumerate(sequences)), _SHIFT if largest else _SCRAMBLE)
     return (_Stack(largest), stacking,
-            _hole(_Reveal, first, 0, cycle[:length], accepts=None, sorts=False), *windows)
+            _Reveal(first, 0, cycle[:length], accepts=None, sorts=False), *windows)
 
 
 class RunLayout(NamedTuple):
@@ -369,56 +365,22 @@ class _Check(NamedTuple):
     passed: tuple[tuple]         # the end event of a pass
     rejected: tuple[tuple]       # the end event of a fail
     peak: int                    # the most cards in play at once, n included
+    # the table the check's transcript is written from
+    events: tuple                # those of a pass, None in each reveal's and
+                                 # rearrangement's slot
+    rows: tuple                  # where each card its row reveals show lies,
+                                 # in run order
+    windows: tuple               # then where each card its windows show lies,
+                                 # one tuple per window start
+    holes: tuple                 # per hole: the slot of its first reveal (its
+                                 # site event's is the one before), the range
+                                 # of its cards among the check's, its family,
+                                 # and whether a rearrangement sorts them
+    start: tuple | None          # the range of the row that gives the window
+                                 # start, and its marker
 
 
-class _Slots(NamedTuple):
-    """A check's table: what its transcript is written from."""
-
-    events: tuple               # those of a pass, None in each reveal's and
-                                # rearrangement's slot
-    rejected: tuple             # the end events of a fail
-    rows: tuple                 # where each card its row reveals show lies,
-                                # in run order
-    windows: tuple              # then where each card its windows show lies,
-                                # one tuple per window start
-    holes: tuple                # per hole: the slot of its first reveal (its
-                                # site event's is the one before), the range
-                                # of its cards among the check's, its family,
-                                # and whether a rearrangement sorts them
-    start: tuple | None         # the range of the row that gives the window
-                                # start, and its marker
-
-
-def _slots(check: _Check) -> _Slots:
-    events: list = []
-    holes, rows, windows, start = [], [], [], None
-    shows = 0
-    for step in check.steps:
-        kind = type(step)
-        if kind is tuple:
-            events += step
-        elif kind is _Reveal or kind is _Window:
-            if kind is _Reveal:
-                width, sorts = len(step.cols), step.sorts
-                rows += [(step.row, col) for col in step.cols]
-                if not sorts:
-                    start = (shows, shows + width, step.site.support[0])
-            else:
-                width, sorts = len(step.cols_from[0]), False
-                windows.append(step)
-            holes.append((len(events) + 1, shows, shows + width, step.site, sorts))
-            events += (step.site_event, *[None] * (width + sorts))
-            shows += width
-    # windows close a check, after every row reveal, and start at any column
-    # of the row that gives the start
-    starts = range(start[1] - start[0] if start else 1)
-    return _Slots((*events, *check.passed), check.rejected, tuple(rows),
-                  tuple(tuple((window.row, col) for window in windows
-                              for col in window.cols_from[at]) for at in starts),
-                  tuple(holes), start)
-
-
-def _write(events: list, slots: _Slots, view: tuple[CardId, ...], shown: int,
+def _write(events: list, check: _Check, view: tuple[CardId, ...], shown: int,
            passed: bool) -> int:
     """Write a check onto a run's events, its holes showing the view's cards
     from index `shown` on, and return the index past the last card shown.
@@ -426,21 +388,21 @@ def _write(events: list, slots: _Slots, view: tuple[CardId, ...], shown: int,
     shows its last card come none of the events that hole's cards imply,
     but the end events of a fail."""
     base = len(events)
-    events += slots.events
-    cards = view[shown:shown + len(slots.rows) + len(slots.windows[0])]
+    events += check.events
+    cards = view[shown:shown + len(check.rows) + len(check.windows[0])]
     start = 0
-    if slots.start is not None and slots.start[1] <= len(cards):
-        first, last, marker = slots.start
+    if check.start is not None and check.start[1] <= len(cards):
+        first, last, marker = check.start
         start = cards.index(marker, first, last) - first
-    reveals = [*zip(repeat(_REVEAL), slots.rows + slots.windows[start], cards)]
+    reveals = [*zip(repeat(_REVEAL), check.rows + check.windows[start], cards)]
     ends = None if passed else len(view) - shown
-    for at, first, last, _, sorts in slots.holes:
+    for at, first, last, _, sorts in check.holes:
         at += base
         stop = at + last - first
         events[at:stop] = reveals[first:last]
         if last == ends:
             del events[stop:]
-            events += slots.rejected
+            events += check.rejected
             break
         if sorts:
             events[stop] = _rearrange(cards[first:last])
@@ -497,23 +459,44 @@ class _Schedule:
                                  for room in grid.rooms}
 
     def _check(self, steps: tuple, passed=(), rejected=()) -> _Check:
-        """A check with its peak, counted over its own moves from the n cell
-        cards: each take adds its helping and encoding cards, each room put
-        back sends its helping cards home, and encodings stay out to the end."""
+        """A check, compiled in one pass over its steps.  Its peak is counted
+        over its own moves from the n cell cards: each take adds its helping
+        and encoding cards, each room put back sends its helping cards home,
+        and encodings stay out to the end.  Its table holds its events, each
+        hole's site event and a slot for every card the hole shows and for
+        the rearrangement that sorts them."""
         in_play = peak = self.n
+        events: list = []
+        holes, rows, windows, start = [], [], [], None
+        shows = 0
         for step in steps:
-            if type(step) is _Take:
+            kind = type(step)
+            if kind is tuple:
+                events += step
+            elif kind is _Take:
                 in_play += len(step.helps) + len(step.encoding)
                 peak = max(peak, in_play)
-            elif type(step) is _Return:
+            elif kind is _Return:
                 in_play -= len(step.cells)  # one helping card per cell of the room
-        return _Check(steps, passed, rejected, peak)
-
-    @cached_property
-    def tables(self) -> dict[tuple[str, object], _Slots]:
-        """Each check's table, under its key: built on the first run that
-        is written, so a grid whose runs all stop at setup builds none."""
-        return {key: _slots(check) for key, check in self.checks.items()}
+            elif kind is _Reveal or kind is _Window:
+                if kind is _Reveal:
+                    width, sorts = len(step.cols), step.sorts
+                    rows += [(step.row, col) for col in step.cols]
+                    if not sorts:
+                        start = (shows, shows + width, step.site.support[0])
+                else:
+                    width, sorts = len(step.cols_from[0]), False
+                    windows.append(step)
+                holes.append((len(events) + 1, shows, shows + width, step.site, sorts))
+                events += (("site", step.site.key), *[None] * (width + sorts))
+                shows += width
+        # windows close a check, after every row reveal, and start at any
+        # column of the row that gives the start
+        starts = range(start[1] - start[0] if start else 1)
+        return _Check(steps, passed, rejected, peak, (*events, *passed), tuple(rows),
+                      tuple(tuple((window.row, col) for window in windows
+                                  for col in window.cols_from[at]) for at in starts),
+                      tuple(holes), start)
 
     def write(self, events: list, view: Sequence[CardId], accepted: bool) -> None:
         """Write the checks of a run that revealed `view` after setup's
@@ -521,8 +504,8 @@ class _Schedule:
         `accepted`, else through the one that showed the view's last card,
         which rejected."""
         shown, view = 0, tuple(view)
-        for slots in self.tables.values():
-            shown = _write(events, slots, view, shown, accepted)
+        for check in self.checks.values():
+            shown = _write(events, check, view, shown, accepted)
             if shown == len(view) and not accepted:
                 break
 
@@ -531,10 +514,10 @@ class _Schedule:
         """Where an accepting run puts its events: setup's placements, then
         each check's table, a site's slot the index of its site event."""
         events, sites = list(self.placements), []
-        for slots in self.tables.values():
-            sites += [(len(events) + at - 1, slots.events[at - 1], site)
-                      for at, _, _, site, _ in slots.holes]
-            events += slots.events
+        for check in self.checks.values():
+            sites += [(len(events) + at - 1, check.events[at - 1], site)
+                      for at, _, _, site, _ in check.holes]
+            events += check.events
         return RunLayout(len(events), events[-1], tuple(sites))
 
     @cached_property
@@ -570,9 +553,9 @@ class _Schedule:
         cells = SiteFamily(f"{sites_key}/cells", "perm", cards, p)
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
         return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, _SCRAMBLE),
-                _hole(_Reveal, cells, 0, cols, accepts=cells.contains, sorts=True),
+                _Reveal(cells, 0, cols, accepts=cells.contains, sorts=True),
                 _Hide(bool(encoding)), (*extraction, ("turn-down",), _SCRAMBLE),
-                _hole(_Reveal, helps, 1, cols, accepts=None, sorts=True),
+                _Reveal(helps, 1, cols, accepts=None, sorts=True),
                 _Return(take.cells), (("restore", src, p), *closing))
 
     def conversion(self, rc: Coord, letter: str, length: int, prefix: str) -> tuple:
@@ -705,7 +688,7 @@ def _entry(table: TableState, check: _Check, prover: ProverState | None,
            source: RandomSource, transcript: Transcript) -> list[list[CardId]] | None:
     view: list[CardId] = []
     sequences = _live(table, check, prover, source, view)
-    _write(transcript.events, _slots(check), tuple(view), 0, sequences is not None)
+    _write(transcript.events, check, tuple(view), 0, sequences is not None)
     return sequences
 
 

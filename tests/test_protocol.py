@@ -279,8 +279,10 @@ class TestCardPlan:
                 assert check.peak == n + len(cells) * length + last_room, (name, kind, subject)
 
     def test_a_compiled_check_is_keyed_by_its_rule(self, example_grid):
-        # the key names the rule, so the check holds only what a run needs
-        assert protocol._Check._fields == ("steps", "passed", "rejected", "peak")
+        # the key names the rule, so the check holds only what a run needs:
+        # the steps the live run makes and the table the writer fills
+        assert protocol._Check._fields == ("steps", "passed", "rejected", "peak",
+                                           "events", "rows", "windows", "holes", "start")
         checks = protocol._schedule(example_grid).checks
         assert list(checks) == [(kind, subject) for kind, subject, _ in example_grid.rules]
 
@@ -923,8 +925,12 @@ class TestTemplates:
         # and nothing unpacks steps by position
         for gone in ("_sim_collection", "_sim_reveal", "_Conversion", "_verify_windows",
                      "_return_room", "_collect_room", "_reveal_site", "_sort_columns",
-                     "_Sort", "_Start"):
+                     "_Sort", "_Start", "_Slots", "_slots", "_hole"):
             assert not hasattr(protocol, gone), gone
+        # a check compiles once, its table with it: no second table per
+        # check is kept beside it, and no hole holds a prebuilt site event
+        assert not hasattr(protocol._Schedule, "tables")
+        assert "site_event" not in ast.unparse(tree)
         # the card plan is compiled: the table counts no pool cards
         for gone in ("take_helps", "return_helps", "take_encoding", "return_encoding",
                      "_bump", "_in_play", "_help_out", "_enc_out"):
@@ -981,6 +987,29 @@ class TestTemplates:
                 schedule.write(events, revealed_cards(transcript), True)
                 assert events == transcript.events, seed
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_the_one_check_entries_write_the_runs_transcript(self, name):
+        # the one-check entries, run in schedule order after setup, write
+        # exactly the run's transcript: each fills the compiled check that
+        # the run's writer fills
+        grid = load_grid(f"{name}.makaro")
+        solution = bundled_solution(name, grid)
+        for seed in (0, 1, "demo"):
+            source = RandomSource.for_trial(seed, 0)
+            verdict, run = run_full_protocol(grid, make_prover(solution, source), source)
+            assert verdict.accepted
+            source = RandomSource.for_trial(seed, 0)
+            prover, transcript = make_prover(solution, source), Transcript()
+            table = setup_placement(grid, prover, transcript)
+            for kind, subject in protocol._schedule(grid).checks:
+                if kind == "room":
+                    assert verify_room(table, subject, source, transcript)
+                elif kind == "neighbor":
+                    assert verify_neighbor(table, *subject, prover, source, transcript)
+                else:
+                    assert verify_arrow(table, subject, prover, source, transcript)
+            assert transcript.events == run.events, seed
+
     def test_a_sorted_row_ends_in_its_sites_order(self, small_grids):
         # the rearrangement sorts a row's cards, which puts them in the
         # order its site lists them
@@ -998,17 +1027,23 @@ class TestTemplates:
 
     def test_one_writer_writes_every_run(self):
         # every run's check events, live or simulated, accepting or not,
-        # come from _write filling a check's table: besides _slots, which
-        # compiles the table, only the live run reads steps, one check's,
-        # and it writes no event; no slot is counted from a site's take
+        # come from _write filling a compiled check's table: only the live
+        # run reads a compiled check's steps, and it writes no event; the
+        # only loops over steps are its and _check's, which compiles them
+        # with the table in one pass; no slot is counted from a site's take
         tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
         funcs = {func.name: func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
         reads = Counter((name, ast.unparse(node)) for name, func in funcs.items()
                         for node in ast.walk(func)
                         if isinstance(node, ast.Attribute) and node.attr == "steps")
-        assert reads == Counter({("_slots", "check.steps"): 1, ("_live", "check.steps"): 1})
+        assert reads == Counter({("_live", "check.steps"): 1})
         assert sum(isinstance(node, ast.Attribute) and node.attr == "steps"
-                   for node in ast.walk(tree)) == 2
+                   for node in ast.walk(tree)) == 1
+        walks = Counter((name, ast.unparse(node.iter)) for name, func in funcs.items()
+                        for node in ast.walk(func)
+                        if isinstance(node, (ast.For, ast.comprehension))
+                        and "steps" in ast.unparse(node.iter))
+        assert walks == Counter({("_check", "steps"): 1, ("_live", "check.steps"): 1})
 
         def users(name):
             return {func_name for func_name, func in funcs.items()
