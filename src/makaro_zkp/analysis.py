@@ -12,7 +12,7 @@ histograms, and compares two collections site by site
 reveals in run order: a real run's is the live run's own, taken with no
 transcript written, and the simulator draws its own (`simulate_view`)
 without writing one either; `read_view` reads a view from a saved
-transcript.
+transcript, the accepting run that the writer writes from that view.
 Views are counted a block at a time (`SiteHistograms.add_views`), so each
 site's patterns are built and counted in C, not one view at a time.
 
@@ -70,7 +70,7 @@ def site_plan(grid: Grid) -> list[SiteFamily]:
     whose full pattern space exceeds MARGINAL_THRESHOLD is replaced by one
     single-position family per revealed position."""
     plan: list[SiteFamily] = []
-    for _, _, family in run_layout(grid).sites:
+    for _, family in run_layout(grid):
         if family.size() <= MARGINAL_THRESHOLD:
             plan.append(family)
         else:
@@ -98,8 +98,8 @@ class SiteHistograms:
 
     def add_transcript(self, transcript: Transcript) -> None:
         """Count the cards a transcript reveals at each site.  A transcript
-        not laid out as an accepting run of this grid raises ValueError and
-        counts nothing (see `read_view`)."""
+        that is not the accepting run of this grid that its cards write
+        raises ValueError and counts nothing (see `read_view`)."""
         self.add_views((read_view(self.grid, transcript),))
 
     def add_views(self, views: Sequence[tuple[CardId, ...]]) -> None:

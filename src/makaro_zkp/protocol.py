@@ -35,8 +35,9 @@ that compiles a check also lays out its table of slots, its prebuilt events
 with a place for every reveal and rearrangement, so one record per check
 serves both the live run and the one writer, which turns a view into the
 transcript through the checks' tables: a live run's, to where it stopped,
-or the simulator's view, drawn without seeing any solution.  The layout,
-whose slots `read_view` reads a view from, is the tables laid end to end.
+or the simulator's view, drawn without seeing any solution.  The layout is
+the tables laid end to end; `read_view` takes a view from its reveal slots
+and accepts it only if the writer writes that view back as the transcript.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .deck import (
@@ -346,32 +346,19 @@ def _comparison(key: str, sequences: Sequence[tuple[CardId, ...]], largest: bool
             _Reveal(first, 0, cycle[:length], accepts=None, sorts=False), *windows)
 
 
-class RunLayout(NamedTuple):
-    """What every accepting run of a grid shares: its length, its last
-    event, and per reveal site, in run order, its slot: the index of its site
-    event, that event and its family, whose `take` reveals follow."""
-
-    length: int
-    closing: tuple
-    sites: tuple[tuple[int, tuple, SiteFamily], ...]
-
-
 class _Check(NamedTuple):
     # rooms and conversions: a collection; neighbors and arrows: the begin
     # event, each conversion's steps, the rows stacked and shifted or
     # scrambled, the first row (whose marker starts the windows), and one
     # window per other row
     steps: tuple
-    passed: tuple[tuple]         # the end event of a pass
     rejected: tuple[tuple]       # the end event of a fail
     peak: int                    # the most cards in play at once, n included
     # the table the check's transcript is written from
     events: tuple                # those of a pass, None in each reveal's and
                                  # rearrangement's slot
-    rows: tuple                  # where each card its row reveals show lies,
-                                 # in run order
-    windows: tuple               # then where each card its windows show lies,
-                                 # one tuple per window start
+    positions: tuple             # per window start, where each card the
+                                 # check shows lies, in run order
     holes: tuple                 # per hole: the slot of its first reveal (its
                                  # site event's is the one before), the range
                                  # of its cards among the check's, its family,
@@ -389,12 +376,12 @@ def _write(events: list, check: _Check, view: tuple[CardId, ...], shown: int,
     but the end events of a fail."""
     base = len(events)
     events += check.events
-    cards = view[shown:shown + len(check.rows) + len(check.windows[0])]
+    cards = view[shown:shown + len(check.positions[0])]
     start = 0
     if check.start is not None and check.start[1] <= len(cards):
         first, last, marker = check.start
         start = cards.index(marker, first, last) - first
-    reveals = [*zip(repeat(_REVEAL), check.rows + check.windows[start], cards)]
+    reveals = [*zip(repeat(_REVEAL), check.positions[start], cards)]
     ends = None if passed else len(view) - shown
     for at, first, last, _, sorts in check.holes:
         at += base
@@ -493,9 +480,9 @@ class _Schedule:
         # windows close a check, after every row reveal, and start at any
         # column of the row that gives the start
         starts = range(start[1] - start[0] if start else 1)
-        return _Check(steps, passed, rejected, peak, (*events, *passed), tuple(rows),
-                      tuple(tuple((window.row, col) for window in windows
-                                  for col in window.cols_from[at]) for at in starts),
+        return _Check(steps, rejected, peak, (*events, *passed),
+                      tuple((*rows, *((window.row, col) for window in windows
+                                      for col in window.cols_from[at])) for at in starts),
                       tuple(holes), start)
 
     def write(self, events: list, view: Sequence[CardId], accepted: bool) -> None:
@@ -510,26 +497,15 @@ class _Schedule:
                 break
 
     @cached_property
-    def layout(self) -> RunLayout:
-        """Where an accepting run puts its events: setup's placements, then
-        each check's table, a site's slot the index of its site event."""
-        events, sites = list(self.placements), []
+    def layout(self) -> tuple[tuple[int, SiteFamily], ...]:
+        """Where an accepting run puts its reveal sites, in run order: after
+        setup's placements, the check tables laid end to end, each site's
+        slot the index of its site event, and its family."""
+        sites, base = [], len(self.placements)
         for check in self.checks.values():
-            sites += [(len(events) + at - 1, check.events[at - 1], site)
-                      for at, _, _, site, _ in check.holes]
-            events += check.events
-        return RunLayout(len(events), events[-1], tuple(sites))
-
-    @cached_property
-    def view_getters(self) -> tuple:
-        """read_view's getters, each returning a tuple (a run has two or more
-        sites and reveals): the layout's length, its site and closing events,
-        and its reveal slots, each site's `take` reveals after its event."""
-        layout = self.layout
-        slots = [at + 1 + i for at, _, site in layout.sites for i in range(site.take)]
-        return (layout.length, itemgetter(*[at for at, _, _ in layout.sites], layout.length - 1),
-                (*[event for _, event, _ in layout.sites], layout.closing),
-                itemgetter(*slots), (_REVEAL,) * len(slots))
+            sites += [(base + at - 1, site) for at, _, _, site, _ in check.holes]
+            base += len(check.events)
+        return tuple(sites)
 
     def _collection(self, room: str, sites_key: str, begin: tuple, closing: tuple,
                     encoding: tuple = (), column: int = 0) -> tuple:
@@ -816,11 +792,11 @@ def _draw(source: RandomSource, site: SiteFamily) -> list[CardId]:
 
 def simulate_view(grid: Grid, source: RandomSource) -> tuple[CardId, ...]:
     """A view: the cards that every reveal site of an accepting run shows,
-    in run order (`run_layout(grid).sites`), each site's `take` cards drawn
+    in run order (`run_layout(grid)`), each site's `take` cards drawn
     from its solution-independent distribution.  Needs no assignment;
     meaningful for satisfiable grids."""
     view: list[CardId] = []
-    for _, _, site in run_layout(grid).sites:
+    for _, site in run_layout(grid):
         view += _draw(source, site)
     return tuple(view)
 
@@ -837,15 +813,22 @@ def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
 
 def read_view(grid: Grid, transcript: Transcript) -> tuple[CardId, ...]:
     """The cards an accepting run of the grid reveals, in run order: the
-    inverse of `simulate_transcript`.  A transcript not laid out as such a run
-    (its length, its site and closing events, a reveal event in every reveal
-    slot) raises ValueError; the cards themselves are not checked."""
-    length, fixed_at, fixed, reveals, kinds = _schedule(grid).view_getters
-    events = transcript.events
-    revealed = len(events) == length and fixed_at(events) == fixed and reveals(events)
-    if not revealed or tuple(map(itemgetter(0), revealed)) != kinds:
+    inverse of `simulate_transcript`.  The cards in its reveal slots, each
+    site's `take` after its slot, are written back after setup's placements;
+    unless that rewrite is the transcript, event for event, ValueError is
+    raised.  The cards are not checked against their sites' families."""
+    schedule, events = _schedule(grid), transcript.events
+    written = list(schedule.placements)
+    try:
+        view = tuple(events[at + 1 + i][2] for at, site in schedule.layout
+                     for i in range(site.take))
+        schedule.write(written, view, True)
+    except (LookupError, TypeError, ValueError):
+        # a slot with no card, a row that does not sort or shows no marker
+        written = None
+    if written != events or not all(isinstance(card, CardId) for card in view):
         raise ValueError("transcript is not an accepting run of this grid")
-    return tuple(map(itemgetter(2), revealed))
+    return view
 
 
 def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int]]:
@@ -853,11 +836,11 @@ def reveal_site_plan(grid: Grid) -> list[tuple[str, str, tuple[CardId, ...], int
     family: (site, kind, support cards, take).  A pattern is `take` distinct
     support cards, uniform over all such sequences: kind "perm" takes them
     all, "pick" one and "arrangement" some."""
-    return [tuple(family) for _, _, family in run_layout(grid).sites]
+    return [tuple(family) for _, family in run_layout(grid)]
 
 
-def run_layout(grid: Grid) -> RunLayout:
+def run_layout(grid: Grid) -> tuple[tuple[int, SiteFamily], ...]:
     """The layout that every accepting run of the grid shares, computed once
-    per grid: where each reveal site sits, so a transcript needs nothing but
-    its events."""
+    per grid: each reveal site's slot, the index of its site event, and its
+    family, in run order, so a transcript needs nothing but its events."""
     return _schedule(grid).layout

@@ -28,6 +28,7 @@ from makaro_zkp import (
     RandomSource,
     SiteFamily,
     SiteHistograms,
+    Transcript,
     card_budget,
     cell_card,
     compare_collections,
@@ -316,6 +317,61 @@ class TestSiteHistograms:
                 read_view(example_grid, transcript)
         assert counted(hist) == 0
         assert not any(hist.counts.values())
+
+    def test_a_reveal_slot_without_a_card_is_refused(self, quad_grid):
+        # a reveal event with no card, or with a third field that is not a
+        # card (and does not hash), in any reveal slot: ValueError, and no
+        # other exception, from the reader and the histograms alike
+        solution = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}
+        accepted = self.run_transcript(quad_grid, solution, "slots")
+        slots = [at for at, ev in enumerate(accepted.events) if ev[0] == "reveal"]
+        assert len(slots) > 10
+        hist = SiteHistograms(quad_grid)
+        for at in slots:
+            pos = accepted.events[at][1]
+            for stranger in (("reveal",), ("reveal", pos), ("reveal", pos, [1])):
+                transcript = Transcript()
+                transcript.events = [*accepted.events[:at], stranger, *accepted.events[at + 1:]]
+                with pytest.raises(ValueError, match=NOT_ACCEPTING):
+                    hist.add_transcript(transcript)
+                with pytest.raises(ValueError, match=NOT_ACCEPTING):
+                    read_view(quad_grid, transcript)
+        assert counted(hist) == 0
+        assert not any(hist.counts.values())
+
+    def test_a_run_changed_outside_its_reveals_is_refused(self, example_grid,
+                                                          example_solution):
+        # the reader takes only the reveal slots' cards, so it accepts a
+        # transcript only if the writer writes those cards back as it
+        accepted = self.run_transcript(example_grid, example_solution, "outside")
+
+        def changed(kind, edit, pick=0):
+            events = list(accepted.events)
+            at = [i for i, ev in enumerate(events) if ev[0] == kind][pick]
+            events[at] = edit(events[at])
+            transcript = Transcript()
+            transcript.events = events
+            return transcript
+
+        ends = sum(ev[0] == "end" for ev in accepted.events)
+        assert ends > 2
+        hist = SiteHistograms(example_grid)
+        for transcript in (
+                changed("rearrange", lambda ev: (ev[0], ev[1][::-1])),
+                changed("collect", lambda ev: (*ev[:3], ev[3] + 1)),
+                changed("end", lambda ev: (*ev[:3], not ev[3]), pick=ends // 2),
+                # a clued cell shows another card of its room
+                changed("place", lambda ev: (ev[0], ev[1],
+                                             ev[2]._replace(index=ev[2].index % 2 + 1)))):
+            assert len(transcript) == len(accepted) and transcript != accepted
+            with pytest.raises(ValueError, match=NOT_ACCEPTING):
+                hist.add_transcript(transcript)
+            with pytest.raises(ValueError, match=NOT_ACCEPTING):
+                read_view(example_grid, transcript)
+        assert counted(hist) == 0
+        assert not any(hist.counts.values())
+        hist.add_transcript(accepted)
+        assert counted(hist) == 1
 
     def test_a_rejected_run_is_rejected(self):
         # line3 "A A B": values 2 1 1 pass both room checks and fail only the

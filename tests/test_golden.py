@@ -15,6 +15,7 @@ the command-line contract.
 
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 
@@ -296,9 +297,16 @@ def compiled_plan(grid) -> str:
     events and peak, in run order, then the setup placements and the run
     layout."""
     schedule = protocol._schedule(grid)
-    checks = [(key, list(map(_plan_step, check.steps)), check.passed, check.rejected,
+    # a pass's end event is the last of its check's table
+    checks = [(key, list(map(_plan_step, check.steps)), check.events[-1:], check.rejected,
                check.peak) for key, check in schedule.checks.items()]
-    return json.dumps([checks, schedule.placements, schedule.layout])
+    # the layout as [length, closing, [slot, site event, family]...], laid
+    # from the tables
+    events = [*schedule.placements, *chain.from_iterable(
+        check.events for check in schedule.checks.values())]
+    layout = [len(events), events[-1],
+              [(at, events[at], family) for at, family in schedule.layout]]
+    return json.dumps([checks, schedule.placements, layout])
 
 
 def test_compiled_plan_is_unchanged(small_grids):

@@ -281,8 +281,8 @@ class TestCardPlan:
     def test_a_compiled_check_is_keyed_by_its_rule(self, example_grid):
         # the key names the rule, so the check holds only what a run needs:
         # the steps the live run makes and the table the writer fills
-        assert protocol._Check._fields == ("steps", "passed", "rejected", "peak",
-                                           "events", "rows", "windows", "holes", "start")
+        assert protocol._Check._fields == ("steps", "rejected", "peak",
+                                           "events", "positions", "holes", "start")
         checks = protocol._schedule(example_grid).checks
         assert list(checks) == [(kind, subject) for kind, subject, _ in example_grid.rules]
 
@@ -876,21 +876,26 @@ class TestTemplates:
         grid = load_grid(f"{name}.makaro")
         solution = bundled_solution(name, grid)
         layout = run_layout(grid)
+        # an accepting run is setup's placements, then every check's table
+        schedule = protocol._schedule(grid)
+        checks = list(schedule.checks.values())
+        length = len(schedule.placements) + sum(len(check.events) for check in checks)
+        closing = checks[-1].events[-1]
         for seed in (0, 1, "demo"):
             source = RandomSource.for_trial(seed, 0)
             _, real = run_full_protocol(grid, make_prover(solution, source), source)
             sim = simulate_transcript(grid, RandomSource.for_trial(seed, 0))
             for transcript in (real, sim):
                 events = transcript.events
-                assert len(events) == layout.length and events[-1] == layout.closing
-                assert all(events[at] == event for at, event, _ in layout.sites)
+                assert len(events) == length and events[-1] == closing
+                assert all(events[at] == ("site", family.key) for at, family in layout)
                 read = [(family.key, tuple(ev[2] for ev in events[at + 1:at + 1 + family.take]))
-                        for at, _, family in layout.sites]
+                        for at, family in layout]
                 assert read == site_patterns(events)
                 # the histograms count the same cards, from the same slots,
                 # one position at a time where the plan splits a site
                 split = []
-                for (key, pattern), (_, _, family) in zip(read, layout.sites):
+                for (key, pattern), (_, family) in zip(read, layout):
                     if family.size() > MARGINAL_THRESHOLD:
                         split += [(f"{key}/pos{pos}", (card,))
                                   for pos, card in enumerate(pattern, start=1)]
@@ -1050,10 +1055,10 @@ class TestTemplates:
                     if any(isinstance(node, ast.Name) and node.id == name
                            for node in ast.walk(func))}
 
-        # a reveal event is built in _write alone (read_view's getters
-        # name the kind they expect), and so is a rearrangement: the live
-        # run takes only its column order
-        assert users("_REVEAL") == {"_write", "view_getters"}
+        # a reveal event is built in _write alone, which read_view reads
+        # through, and so is a rearrangement: the live run takes only its
+        # column order
+        assert users("_REVEAL") == {"_write"}
         assert users("_rearrange") == {"_write", "_live"}
         # runs and the one-check entries write through the schedule's
         # writer or _write; the live run reaches no transcript or event
@@ -1062,7 +1067,9 @@ class TestTemplates:
         assert not live & {"Transcript", "transcript", "events", "_write", "_slots"}
         assert [arg.arg for arg in funcs["_live"].args.args] == \
             ["table", "check", "prover", "source", "view"]
-        assert not hasattr(protocol._Schedule, "walk")
+        for gone in ("walk", "view_getters"):
+            assert not hasattr(protocol._Schedule, gone), gone
+        assert not hasattr(protocol, "RunLayout")
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, (ast.BinOp, ast.AugAssign))
                     and any(isinstance(part, ast.Attribute) and part.attr == "take"
@@ -1097,6 +1104,7 @@ class TestTemplates:
         past_setup = Counter()
         for index, grid in enumerate(small_grids[::40]):
             schedule = protocol._schedule(grid)
+            closing = list(schedule.checks.values())[-1].events[-1]
             for trial, filling in enumerate(all_value_assignments(grid)):
                 source = RandomSource.for_trial(f"ends/{index}", trial)
                 verdict, view, table = protocol._run(grid, make_prover(filling, source), source)
@@ -1107,7 +1115,7 @@ class TestTemplates:
                 if table is None:
                     continue
                 failed = verdict.failing_check
-                end = (schedule.layout.closing,) if failed is None else \
+                end = (closing,) if failed is None else \
                     schedule.checks[failed.kind, failed.subject].rejected
                 assert tuple(transcript.events[-1:]) == end
                 assert end[0][0] == "end" and end[0][3] is verdict.accepted
