@@ -227,9 +227,9 @@ _BLOCK = 128
 
 
 def _honest_trial(grid: Grid, solution: Assignment, seed: str, trial: int) -> tuple[CardId, ...]:
-    # the live run's view, with no transcript written and none read back
+    # the live run's view; its transcript is never read, so never written
     source = RandomSource.for_trial(seed, trial)
-    verdict, view, _ = _run(grid, make_prover(solution, source), source)
+    verdict, _, _, view = _run(grid, make_prover(solution, source), source)
     if not verdict.accepted:
         raise ProtocolError(
             f"run {trial} rejected ({verdict.failing_check}); "

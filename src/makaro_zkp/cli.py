@@ -19,13 +19,13 @@ import sys
 from pathlib import Path
 
 from .analysis import InsufficientTrials, site_plan, zk_comparison
-from .deck import RandomSource, Transcript
+from .deck import RandomSource
 from .protocol import (
     ENC_LETTERS,
     ProtocolError,
-    _run,
     card_budget,
     make_prover,
+    run_full_protocol,
 )
 from .puzzle import (
     DEFAULT_SEARCH_BOUND,
@@ -108,10 +108,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
     first_failure = None
     for trial in range(args.trials):
         source = RandomSource.for_trial(args.seed, trial)
-        # only trial 0's transcript is ever written; the others run view-only
-        transcript = Transcript() if trial == 0 and args.transcript_out else None
-        verdict = _run(grid, make_prover(assignment, source), source, transcript)[0]
-        if transcript is not None:
+        # a transcript is written when first read, so only a saved trial 0's is
+        verdict, transcript = run_full_protocol(grid, make_prover(assignment, source), source)
+        if trial == 0 and args.transcript_out:
             Path(args.transcript_out).write_text(transcript.to_text(), encoding="utf-8")
         if verdict.accepted:
             accepts += 1

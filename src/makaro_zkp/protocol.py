@@ -34,8 +34,10 @@ physics onto the view and judges them, and writes no event.  The pass
 that compiles a check also lays out its table of slots, its prebuilt events
 with a place for every reveal and rearrangement, so one record per check
 serves both the live run and the one writer, which turns a view into the
-transcript through the checks' tables: a live run's, to where it stopped,
-or the simulator's view, drawn without seeing any solution.  The layout is
+transcript through the checks' tables: the simulator's view, drawn
+without seeing any solution, or a live run's, to where it stopped, when
+its transcript is first read, so a transcript never read is never
+written.  The layout is
 the tables laid end to end; `read_view` takes a view from its reveal slots
 and accepts it only if the writer writes that view back as the transcript.
 """
@@ -549,8 +551,9 @@ class _Schedule:
 
 
 # Grid holds a dict, so it cannot key a cache.  One entry is kept, for memory:
-# a 3x3 schedule holds about 59 KB, so keeping the sweep's 100-grid slice
-# would add about 5.9 MB to a 39 MiB process (recompiling costs about a tenth
+# with its check tables and layout, a schedule of the sweep's 100-grid slice
+# holds about 81 KB (92 KB for a 3x3 grid; tracemalloc), so keeping the slice
+# would add about 8.1 MB to a 39 MiB process (recompiling costs about a tenth
 # of a pass), and the small-grid corpus has 3,973 grids.  The entry is one
 # (grid, schedule) tuple swapped inside the list, so a reader never pairs a
 # grid with another grid's schedule and the module attribute itself never
@@ -570,9 +573,10 @@ def _schedule(grid: Grid) -> _Schedule:
 #
 # Card physics produces every revealed card and every rearrangement, since
 # soundness rests on it.  The live run only reveals and judges: it appends
-# each hole's cards to the run's view and adds no event, so a run that needs
-# no transcript (a zk-test trial, a prove trial after the first) writes
-# none, and one that does is written from its view by the check tables.
+# each hole's cards to the run's view and adds no event.  The check tables
+# write a run's transcript from its view when it is first read, so a run
+# whose transcript is never read (a zk-test trial, a prove trial after the
+# first, a soundness sweep's) writes none.
 
 def _live(table: TableState, check: _Check, prover: ProverState | None,
           source: RandomSource, view: list[CardId]) -> list[list[CardId]] | None:
@@ -718,19 +722,46 @@ def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
                   prover, source, transcript) is not None
 
 
+class _RunTranscript(Transcript):
+    """A run's transcript past setup, written when first read.  Until then
+    it holds the grid, setup's events, the run's view and whether the run
+    was accepted, but no events: so the first read of them (`len`, `==`,
+    `to_text`, a copy or a pickle) lands in __getattr__, which writes the
+    checks after setup's events through the grid's schedule, as the run
+    would have, and drops the four."""
+
+    __slots__ = ("_unwritten",)
+
+    def __init__(self, grid: Grid, placed: list, view: list[CardId], accepted: bool):
+        self._unwritten = grid, placed, view, accepted
+
+    def __getattr__(self, name: str):
+        if name != "events":
+            raise AttributeError(name)
+        grid, events, view, accepted = self._unwritten
+        _schedule(grid).write(events, view, accepted)
+        self.events = events
+        del self._unwritten
+        return events
+
+    def __reduce__(self):
+        # a copy or a pickle is a plain transcript of the written events
+        return Transcript, (), (None, {"events": self.events})
+
+
 def _run(grid: Grid, prover: ProverState, source: RandomSource,
-         transcript: Transcript | None = None,
-         ) -> tuple[Verdict, list[CardId], TableState | None]:
+         ) -> tuple[Verdict, Transcript, TableState | None, list[CardId]]:
     """Run setup and every check in the canonical order, stopping at the
-    first that rejects: the verdict, the run's view and the table, None when
-    setup failed.  Given a transcript, setup's events go onto it, then the
-    checks', written from the view; without one the run writes none."""
+    first that rejects: the verdict, the transcript, the table (None when
+    setup failed) and the run's view.  The transcript is setup's events, and
+    past setup the checks' too, written from the view on its first read, so
+    a run whose transcript is never read writes none."""
     schedule = _schedule(grid)
-    view: list[CardId] = []
+    placed, view = Transcript(), []
     try:
-        table = setup_placement(grid, prover, Transcript() if transcript is None else transcript)
+        table = setup_placement(grid, prover, placed)
     except SetupError as err:
-        return schedule.setup_rejections[err.room], view, None
+        return schedule.setup_rejections[err.room], placed, None, view
     verdict = _ACCEPTED
     for key, check in schedule.checks.items():
         table.peak_cards = max(table.peak_cards, check.peak)
@@ -738,9 +769,7 @@ def _run(grid: Grid, prover: ProverState, source: RandomSource,
             verdict = schedule.rejections[key]
             break
         table.assert_settled()
-    if transcript is not None:
-        schedule.write(transcript.events, view, verdict.accepted)
-    return verdict, view, table
+    return verdict, _RunTranscript(grid, placed.events, view, verdict.accepted), table, view
 
 
 def run_full_protocol_with_table(
@@ -749,16 +778,15 @@ def run_full_protocol_with_table(
     """Like run_full_protocol, but also hands back the table so callers can
     inspect physical accounting (notably peak_cards).  The table is None when
     setup itself failed."""
-    transcript = Transcript()
-    verdict, _, table = _run(grid, prover, source, transcript)
-    return verdict, transcript, table
+    return _run(grid, prover, source)[:3]
 
 
 def run_full_protocol(grid: Grid, prover: ProverState,
                       source: RandomSource) -> tuple[Verdict, Transcript]:
     """Run setup and every check in the canonical order, stopping at the
     first failure.  Room problems surface at setup (a standard deck has one
-    card per value per room), reported as that room's check failing."""
+    card per value per room), reported as that room's check failing.  The
+    transcript's check events are written when it is first read."""
     verdict, transcript, _ = run_full_protocol_with_table(grid, prover, source)
     return verdict, transcript
 

@@ -3,7 +3,11 @@ the room/neighbor/arrow verifications, full runs, and the transcript
 simulator that mirrors them without the solution."""
 
 import ast
+import copy
+import gc
+import pickle
 import random
+import types
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -853,6 +857,17 @@ def bundled_solution(name, grid):
     return load_solution(path.name) if path.exists() else solve_brute_force(grid)[0]
 
 
+def room_swaps(grid, solution):
+    """The solution, then the solution with each two unclued cells of one
+    room swapped: accepting and check-rejected runs."""
+    yield solution
+    free = [rc for rc in grid.white_coords() if grid.cell(rc).clue is None]
+    for a in free:
+        for b in free:
+            if a < b and grid.room_of(a) == grid.room_of(b):
+                yield {**solution, a: solution[b], b: solution[a]}
+
+
 class TestTemplates:
     """The live run and the simulator fill one compiled template per check."""
 
@@ -972,7 +987,7 @@ class TestTemplates:
                 assert verdict.accepted
                 assert read_view(grid, transcript) == revealed_cards(transcript)
                 source = RandomSource.for_trial(seed, 3)
-                live, view, _ = protocol._run(grid, make_prover(solution, source), source)
+                live, _, _, view = protocol._run(grid, make_prover(solution, source), source)
                 assert live == verdict and tuple(view) == read_view(grid, transcript)
 
     @pytest.mark.parametrize("name", BUNDLED)
@@ -1107,7 +1122,7 @@ class TestTemplates:
             closing = list(schedule.checks.values())[-1].events[-1]
             for trial, filling in enumerate(all_value_assignments(grid)):
                 source = RandomSource.for_trial(f"ends/{index}", trial)
-                verdict, view, table = protocol._run(grid, make_prover(filling, source), source)
+                verdict, _, table, view = protocol._run(grid, make_prover(filling, source), source)
                 source = RandomSource.for_trial(f"ends/{index}", trial)
                 written, transcript, _ = run_full_protocol_with_table(
                     grid, make_prover(filling, source), source)
@@ -1130,16 +1145,12 @@ class TestTemplates:
         # a grid's runs share one verdict per outcome, built with its
         # schedule: each equals the verdict built afresh from the rules
         def perturbed(grid, solution):
-            yield solution
-            free = [rc for rc in grid.white_coords() if grid.cell(rc).clue is None]
-            for rc in free:
-                for value in range(1, len(grid.rooms[grid.room_of(rc)]) + 1):
-                    if value != solution[rc]:
-                        yield {**solution, rc: value}
-            for a in free:
-                for b in free:
-                    if a < b and grid.room_of(a) == grid.room_of(b):
-                        yield {**solution, a: solution[b], b: solution[a]}
+            yield from room_swaps(grid, solution)
+            for rc in grid.white_coords():
+                if grid.cell(rc).clue is None:
+                    for value in range(1, len(grid.rooms[grid.room_of(rc)]) + 1):
+                        if value != solution[rc]:
+                            yield {**solution, rc: value}
 
         def setup_room(grid, filling):
             # setup lays the clued cells first, then the others, each row-major
@@ -1218,3 +1229,86 @@ class TestTemplates:
             protocol._last_schedule[0] = (None, None)
         assert all(verdict.failing_check == rejected[filling]
                    for filling, verdict in verdicts())
+
+
+def sweep_and_bundled_runs(small_grids):
+    """(grid, filling) for every filling of the sweep slice, rejected at
+    setup, at a check or accepted, then the bundled puzzles' room swaps."""
+    for grid in small_grids[::40]:
+        for filling in all_value_assignments(grid):
+            yield grid, filling
+    for name in BUNDLED:
+        grid = load_grid(f"{name}.makaro")
+        for filling in room_swaps(grid, bundled_solution(name, grid)):
+            yield grid, filling
+
+
+def reachable(root) -> list:
+    """Every object reachable from root through instances and containers,
+    not through classes, modules or functions."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen[id(ref)] = ref
+                todo.append(ref)
+    return list(seen.values())
+
+
+# Each way a caller reads a transcript's events.
+READS = (len, lambda t: t.events, lambda t: t != Transcript(), Transcript.to_text,
+         lambda t: [*t.events])
+
+
+class TestUnreadTranscripts:
+    """A run's transcript is written by the one writer when it is first
+    read, and a run whose transcript nobody reads writes none."""
+
+    def test_an_unread_transcript_is_never_written(self, small_grids, monkeypatch):
+        writes = []
+        write = protocol._Schedule.write
+        monkeypatch.setattr(protocol._Schedule, "write",
+                            lambda self, *args: writes.append(self) or write(self, *args))
+        runs = []
+        for trial, (grid, filling) in enumerate(sweep_and_bundled_runs(small_grids)):
+            source = RandomSource.for_trial("unread", trial)
+            _, transcript, table = run_full_protocol_with_table(
+                grid, make_prover(filling, source), source)
+            runs.append((transcript, table is not None))
+        assert not writes
+        # any mix of reads, in any number, writes a run past setup once;
+        # a run rejected at setup is its placements and is never written
+        rng = random.Random("reads")
+        for transcript, past_setup in runs:
+            before = len(writes)
+            for read in rng.choices(READS, k=rng.randint(1, 6)):
+                read(transcript)
+            assert len(writes) - before == past_setup
+        assert sum(past_setup for _, past_setup in runs) > 1022
+
+    def test_a_transcript_read_late_is_the_one_read_at_once(self, small_grids):
+        # read after other grids' runs have displaced the schedule memo, or
+        # copied, deep-copied or pickled into a plain Transcript, a
+        # transcript is the one read at once; unread, it reaches no
+        # schedule, and read, not its grid
+        copies = (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)))
+        runs, kinds = [], Counter()
+        for trial, (grid, filling) in enumerate(sweep_and_bundled_runs(small_grids)):
+            now, late = [run_full_protocol(grid, make_prover(filling, source), source)
+                         for _ in range(2)
+                         for source in [RandomSource.for_trial("late", trial)]]
+            assert now[0] == late[0]
+            now[1].events  # read at once
+            runs.append((now[1], late[1]))
+            failed = now[0].failing_check
+            kinds[failed and failed.at_setup] += 1
+        assert set(kinds) == {None, True, False}  # accepted, at setup, at a check
+        for index, (now, late) in enumerate(reversed(runs)):
+            if index % 7 == 0:
+                assert not any(isinstance(ref, protocol._Schedule) for ref in reachable(late))
+            if index % 4 < len(copies):
+                copied = copies[index % 4](late)
+                assert type(copied) is Transcript and copied == now
+            assert late == now
+            assert not any(isinstance(ref, puzzle.Grid) for ref in reachable(late))
