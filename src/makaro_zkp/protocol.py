@@ -23,9 +23,11 @@ in any number.  Each reveal shows a distribution that depends only on the
 grid, never on the hidden values.
 
 Everything but the reveals is fixed by the grid, so each check is compiled
-once per grid into a template: moves of cards, runs of prebuilt events, and
-two kinds of hole, each with the predicate that judges it: a row reveal,
-which is then sorted or gives the window start, and a window.  Neighbor and
+once per grid, when a run first reaches it, into a template (a run
+rejected at setup, which raises nothing, reaches none): moves of cards,
+runs of prebuilt events, and two kinds of hole, each with the predicate
+that judges it: a row reveal, which is then sorted or gives the window
+start, and a window.  Neighbor and
 arrow checks end in one grid-free comparison, the paper's number encoding:
 one card of each kind shows that two numbers differ or that one is the
 largest.  A run is its view, the cards it turns face up in run order:
@@ -219,7 +221,8 @@ def _rearrange(revealed: tuple[CardId, ...]) -> tuple:
 # converts, which helping and encoding cards it lifts, and what every reveal
 # may show: all of it follows from the grid alone.  So does every event of an
 # accepting run except the revealed cards, the rearrangements they imply and
-# the window start.  Each check is compiled once per grid into a template:
+# the window start.  Each check is compiled into a template once per grid,
+# by _Schedule.check the first time a run or a reader reaches it:
 # its steps, in run order (moves that handle the cards and add no event, runs
 # of prebuilt events, and holes for what the run decides: row reveals, each
 # then sorted or giving the window start, and windows, each hole with its
@@ -402,7 +405,7 @@ class _Schedule:
     """Everything public about the runs on one grid: its white-cell count n
     and largest room size k, the cards of each set (card_budget's deck), the
     setup placement plan, and every check's template, in run order, keyed
-    by (kind, subject)."""
+    by (kind, subject), each compiled on its first reach."""
 
     def __init__(self, grid: Grid):
         self.n, self.k = st = stats(grid)
@@ -423,29 +426,47 @@ class _Schedule:
         self.helps = tuple(help_card(i) for i in range(1, budget.helping_cards + 1))
         self.enc = {letter: tuple(encoding_card(letter, i) for i in range(1, budget.per_set + 1))
                     for letter in ENC_LETTERS}
-        self.checks: dict[tuple[str, object], _Check] = {}
-        for kind, subject, cells in grid.rules:
-            if kind == "room":
-                begin, passed, failed = _bracket(kind, subject)
-                steps = self._collection(subject, f"room/{subject}", begin, ())
-            else:
-                where = cells if kind == "neighbor" else (subject,)
-                key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
-                # every sequence is as long as the largest room among the cells
-                # needs: m for a neighbor check, 2m-1 for an arrow
-                m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
-                length = m if kind == "neighbor" else 2 * m - 1
-                letters = ENC_LETTERS[:len(cells)]
-                begin, passed, failed = _bracket(kind, key)
-                steps = ((begin,), *(step for letter, rc in zip(letters, cells)
-                                     for step in self.conversion(rc, letter, length, key)),
-                         *_comparison(key, [self.enc[letter][:length] for letter in letters],
-                                      largest=kind == "arrow"))
-            self.checks[kind, subject] = self._check(steps, (passed,), (failed,))
+        # each check's cells, by key, in run order
+        self.rules = {(kind, subject): cells for kind, subject, cells in grid.rules}
+        self._compiled: dict[tuple[str, object], _Check] = {}
         # what a run rejected at each check, or at setup in each room, returns
-        self.rejections = {key: Verdict(False, FailedCheck(*key)) for key in self.checks}
+        self.rejections = {key: Verdict(False, FailedCheck(*key)) for key in self.rules}
         self.setup_rejections = {room: Verdict(False, FailedCheck("room", room, at_setup=True))
                                  for room in grid.rooms}
+
+    def check(self, key: tuple[str, object]) -> _Check:
+        """The check keyed (kind, subject), compiled on its first reach and
+        kept, so a grid compiles only the checks its runs reach."""
+        check = self._compiled.get(key)
+        if check is None:
+            check = self._compiled[key] = self._compile(*key)
+        return check
+
+    @property
+    def checks(self) -> dict[tuple[str, object], _Check]:
+        """Every check, in run order, keyed by (kind, subject)."""
+        return {key: self.check(key) for key in self.rules}
+
+    def _compile(self, kind: str, subject: object) -> _Check:
+        """The steps of one rule's check, compiled."""
+        cells, grid = self.rules[kind, subject], self.grid
+        if kind == "room":
+            begin, passed, failed = _bracket(kind, subject)
+            steps = self._collection(subject, f"room/{subject}", begin, ())
+        else:
+            where = cells if kind == "neighbor" else (subject,)
+            key = f"{kind}/" + "-".join(f"{r}.{c}" for r, c in where)
+            # every sequence is as long as the largest room among the cells
+            # needs: m for a neighbor check, 2m-1 for an arrow
+            m = max(len(grid.rooms[grid.room_of(rc)]) for rc in cells)
+            length = m if kind == "neighbor" else 2 * m - 1
+            letters = ENC_LETTERS[:len(cells)]
+            begin, passed, failed = _bracket(kind, key)
+            steps = ((begin,), *(step for letter, rc in zip(letters, cells)
+                                 for step in self.conversion(rc, letter, length, key)),
+                     *_comparison(key, [self.enc[letter][:length] for letter in letters],
+                                  largest=kind == "arrow"))
+        return self._check(steps, (passed,), (failed,))
 
     def _check(self, steps: tuple, passed=(), rejected=()) -> _Check:
         """A check, compiled in one pass over its steps.  Its peak is counted
@@ -493,8 +514,8 @@ class _Schedule:
         `accepted`, else through the one that showed the view's last card,
         which rejected."""
         shown, view = 0, tuple(view)
-        for check in self.checks.values():
-            shown = _write(events, check, view, shown, accepted)
+        for key in self.rules:
+            shown = _write(events, self.check(key), view, shown, accepted)
             if shown == len(view) and not accepted:
                 break
 
@@ -551,10 +572,11 @@ class _Schedule:
 
 
 # Grid holds a dict, so it cannot key a cache.  One entry is kept, for memory:
-# with its check tables and layout, a schedule of the sweep's 100-grid slice
-# holds about 81 KB (92 KB for a 3x3 grid; tracemalloc), so keeping the slice
-# would add about 8.1 MB to a 39 MiB process (recompiling costs about a tenth
-# of a pass), and the small-grid corpus has 3,973 grids.  The entry is one
+# a schedule of the sweep's 100-grid slice holds about 47 KB with the checks
+# the sweep's runs reach (49 KB for a 3x3 grid), 85 KB with every check and
+# the layout (94 KB; tracemalloc), so keeping the slice would add about
+# 4.7 MB to a 39 MiB process (recompiling costs about a tenth of a pass),
+# and the small-grid corpus has 3,973 grids.  The entry is one
 # (grid, schedule) tuple swapped inside the list, so a reader never pairs a
 # grid with another grid's schedule and the module attribute itself never
 # changes (perfbench's traced run checks that it does not).
@@ -627,15 +649,12 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
     return sequences if ok else None
 
 
-def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> TableState:
-    """Place one face-down cell card per white cell: clue cards publicly,
-    the rest hidden.  Raises SetupError when a needed card does not exist or
-    was already used, which is how bad rooms surface; ValueError when the
-    values are not integers on exactly the white cells, or defy a clue."""
-    secret = prover.secret
-    if secret.keys() != grid.white_set:
+def _place(schedule: _Schedule, secret: Assignment) -> tuple[list[CardId], str | None]:
+    """The cell cards setup lays, in setup order, up to the first that does
+    not exist or was already used, and that card's room (None if all were
+    laid).  Raises ValueError as setup_placement does."""
+    if secret.keys() != schedule.grid.white_set:
         raise ValueError("prover assignment must cover exactly the white cells")
-    schedule = _schedule(grid)
     placed: list[CardId] = []
     used: set[CardId] = set()
     for rc, room, clue in schedule.setup:
@@ -647,18 +666,35 @@ def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> 
         cards = schedule.room_cards[room]
         card = cards[value - 1] if 1 <= value <= len(cards) else None
         if card is None or card in used:
-            # the cards already laid stay on record
-            transcript.events.extend(schedule.placements[:len(placed)])
-            raise SetupError(f"no card of value {value} in room {room!r}" if card is None
-                             else f"two cards of value {value} needed in room {room!r}", room)
+            return placed, room
         used.add(card)
         placed.append(card)
-    transcript.events.extend(schedule.placements)
-    # the table is built only once every card is known to exist
-    table = TableState(grid)
+    return placed, None
+
+
+def _lay(schedule: _Schedule, placed: list[CardId]) -> TableState:
+    """The table once every cell card is known to exist: each on its cell."""
+    table = TableState(schedule.grid)
     table.put_cells([rc for rc, _, _ in schedule.setup], placed)
     table.peak_cards = len(placed)
     return table
+
+
+def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> TableState:
+    """Place one face-down cell card per white cell: clue cards publicly,
+    the rest hidden.  Raises SetupError when a needed card does not exist or
+    was already used, which is how bad rooms surface; ValueError when the
+    values are not integers on exactly the white cells, or defy a clue."""
+    schedule = _schedule(grid)
+    placed, room = _place(schedule, prover.secret)
+    # the cards already laid stay on record
+    transcript.events += schedule.placements[:len(placed)]
+    if room is not None:
+        value = prover.secret[schedule.setup[len(placed)][0]]
+        raise SetupError(f"no card of value {value} in room {room!r}"
+                         if not 1 <= value <= len(schedule.room_cards[room])
+                         else f"two cards of value {value} needed in room {room!r}", room)
+    return _lay(schedule, placed)
 
 
 # Entries that run one check and write it onto the caller's transcript, for
@@ -757,19 +793,22 @@ def _run(grid: Grid, prover: ProverState, source: RandomSource,
     past setup the checks' too, written from the view on its first read, so
     a run whose transcript is never read writes none."""
     schedule = _schedule(grid)
-    placed, view = Transcript(), []
-    try:
-        table = setup_placement(grid, prover, placed)
-    except SetupError as err:
-        return schedule.setup_rejections[err.room], placed, None, view
+    placed, room = _place(schedule, prover.secret)
+    if room is not None:
+        setup = Transcript()
+        setup.events += schedule.placements[:len(placed)]
+        return schedule.setup_rejections[room], setup, None, []
+    table, view = _lay(schedule, placed), []
     verdict = _ACCEPTED
-    for key, check in schedule.checks.items():
+    for key in schedule.rules:
+        check = schedule.check(key)
         table.peak_cards = max(table.peak_cards, check.peak)
         if _live(table, check, prover, source, view) is None:
             verdict = schedule.rejections[key]
             break
         table.assert_settled()
-    return verdict, _RunTranscript(grid, placed.events, view, verdict.accepted), table, view
+    transcript = _RunTranscript(grid, list(schedule.placements), view, verdict.accepted)
+    return verdict, transcript, table, view
 
 
 def run_full_protocol_with_table(

@@ -1092,9 +1092,9 @@ class TestTemplates:
 
     def test_a_run_hands_each_compiled_check_to_the_live_run(self, example_grid,
                                                               example_solution, monkeypatch):
-        # setup and the run each look the schedule up once, and the run
-        # gives _live every check as compiled, with no lookup of its own,
-        # whether it writes its transcript or only takes its view
+        # the run looks the schedule up once, for setup and every check,
+        # and gives _live every check as compiled, whether it writes its
+        # transcript or only takes its view
         lookups, run = [], []
         schedule, live = protocol._schedule, protocol._live
         monkeypatch.setattr(protocol, "_schedule",
@@ -1108,7 +1108,7 @@ class TestTemplates:
             source = RandomSource.for_trial(0, 0)
             verdict = entry(make_prover(example_solution, source), source)[0]
             assert verdict.accepted
-            assert lookups == [example_grid] * 2
+            assert lookups == [example_grid]
             assert run == list(schedule(example_grid).checks.values())
             assert len(run) == 20
 
@@ -1186,17 +1186,20 @@ class TestTemplates:
         assert set(outcomes) == {None, True, False}
 
     def test_the_schedule_leaves_comparisons_to_their_fragment(self):
-        # `_Schedule.__init__` picks each check's key, letters and length;
-        # the sites, windows, stacking and shuffle of a neighbor or arrow
-        # check are built by `_comparison` alone
+        # `_Schedule._compile` picks each check's key, letters and length,
+        # and `__init__` only which checks there are; the sites, windows,
+        # stacking and shuffle of a neighbor or arrow check are built by
+        # `_comparison` alone
         tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
         schedule = next(node for node in tree.body
                         if isinstance(node, ast.ClassDef) and node.name == "_Schedule")
-        init = next(node for node in schedule.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-        named = {node.id for node in ast.walk(init) if isinstance(node, ast.Name)}
-        assert "_comparison" in named
-        assert not named & {"SiteFamily", "_Window", "_Stack", "_hole", "_SHIFT", "_SCRAMBLE"}
+        methods = {node.name: {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+                   for node in schedule.body if isinstance(node, ast.FunctionDef)}
+        assert "_comparison" in methods["_compile"]
+        assert "_comparison" not in methods["__init__"]
+        for name in ("__init__", "check", "_compile"):
+            assert not methods[name] & {"SiteFamily", "_Window", "_Stack", "_hole", "_SHIFT",
+                                        "_SCRAMBLE"}, name
         assert "_shuffled" not in ast.unparse(tree)
 
     def test_the_verdict_lives_in_the_template(self):
@@ -1220,8 +1223,9 @@ class TestTemplates:
         schedule = protocol._schedule(grid)
         holes = (protocol._Reveal, protocol._Window)
         try:
+            # each compiled check, in place, as the run reaches it
             for key, check in schedule.checks.items():
-                schedule.checks[key] = check._replace(steps=tuple(
+                schedule._compiled[key] = check._replace(steps=tuple(
                     step._replace(accepts=lambda shown: True) if type(step) in holes else step
                     for step in check.steps))
             assert all(verdict == Verdict(True) for _, verdict in verdicts())
@@ -1312,3 +1316,96 @@ class TestUnreadTranscripts:
                 assert type(copied) is Transcript and copied == now
             assert late == now
             assert not any(isinstance(ref, puzzle.Grid) for ref in reachable(late))
+
+
+def slice_runs(small_grids, seed):
+    """(grid, filling, source) for every filling of the sweep slice, grid by
+    grid."""
+    for index, grid in enumerate(small_grids[::40]):
+        for trial, filling in enumerate(all_value_assignments(grid)):
+            yield grid, filling, RandomSource.for_trial(f"{seed}/{index}", trial)
+
+
+class TestReachedChecks:
+    """A run pays only for what it reaches: a grid compiles a check the
+    first time one of its runs reaches it, and a run rejected at setup
+    raises nothing."""
+
+    def test_only_the_checks_a_run_reaches_are_compiled(self, small_grids, monkeypatch):
+        # every check compiled, by key, and every template compiled
+        compiled, templates = [], []
+        compile_, check = protocol._Schedule._compile, protocol._Schedule._check
+        monkeypatch.setattr(protocol._Schedule, "_compile",
+                            lambda self, *key: compiled.append(key) or compile_(self, *key))
+        monkeypatch.setattr(protocol._Schedule, "_check",
+                            lambda self, *args: templates.append(args) or check(self, *args))
+        protocol._last_schedule[0] = (None, None)  # no grid compiled yet
+        reached_in_all = checks_in_all = at_setup = 0
+        for index, grid in enumerate(small_grids[::40]):
+            compiled.clear()
+            templates.clear()
+            keys = [(kind, subject) for kind, subject, _ in grid.rules]
+            reached, past_setup = set(), []
+
+            def laid(filling):
+                # setup lays every card unless a room repeats a value
+                return all(len({filling[rc] for rc in cells}) == len(cells)
+                           for cells in grid.rooms.values())
+
+            # the runs rejected at setup first: until one passes, the grid's
+            # runs have all failed at setup, and compiled nothing
+            for trial, filling in enumerate(sorted(all_value_assignments(grid), key=laid)):
+                source = RandomSource.for_trial(f"reach/{index}", trial)
+                verdict, transcript, table = run_full_protocol_with_table(
+                    grid, make_prover(filling, source), source)
+                if table is None:
+                    assert not compiled and not templates, index
+                    at_setup += 1
+                    continue
+                # an accepted run reaches every check, a rejected one each
+                # check up to the one that rejected
+                failed = verdict.failing_check
+                last = len(keys) if failed is None else keys.index(
+                    (failed.kind, failed.subject)) + 1
+                reached.update(keys[:last])
+                past_setup.append(transcript)
+            assert Counter(compiled) == Counter(reached), index
+            assert len(templates) == len(compiled)
+            # reading a transcript, rejected or not, writes it from the
+            # checks its run reached
+            for transcript in past_setup:
+                transcript.to_text()
+            assert Counter(compiled) == Counter(reached), index
+            assert len(templates) == len(compiled)
+            reached_in_all += len(reached)
+            checks_in_all += len(keys)
+        # most runs fail at setup, and some checks no run reaches
+        assert at_setup and 0 < reached_in_all < checks_in_all
+
+    def test_a_run_rejected_at_setup_builds_no_setup_error(self, small_grids, monkeypatch):
+        def refused(self, *args):
+            raise AssertionError("a run built a SetupError")
+
+        runs = []
+        with monkeypatch.context() as patch:
+            patch.setattr(SetupError, "__init__", refused)
+            for grid, filling, source in slice_runs(small_grids, "setup"):
+                verdict, transcript, table, _ = protocol._run(
+                    grid, make_prover(filling, source), source)
+                runs.append((verdict, None if table else transcript.events))
+        # setup_placement raises for exactly the runs rejected at setup, and
+        # writes the placements each run's partial transcript holds
+        at_setup = 0
+        for (grid, filling, source), (verdict, events) in zip(
+                slice_runs(small_grids, "setup"), runs, strict=True):
+            transcript = Transcript()
+            try:
+                setup_placement(grid, make_prover(filling, source), transcript)
+            except SetupError as err:
+                assert verdict == Verdict(False, FailedCheck("room", err.room, at_setup=True))
+                assert events == transcript.events
+                at_setup += 1
+            else:
+                assert events is None
+                assert transcript.events == list(protocol._schedule(grid).placements)
+        assert 0 < at_setup < len(runs)

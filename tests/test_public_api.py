@@ -31,6 +31,9 @@ KEPT = {
     "SiteHistograms.add_transcript": "counts one transcript; perfbench/spans.py "
                                      "traces it (the collections count blocks of "
                                      "views), and the tests count through it",
+    "setup_placement": "setup alone, raising SetupError with its message; a run "
+                       "places through the private loop beneath it, which raises "
+                       "nothing, and the one-check entries' tests start from it",
 }
 LIBRARY = ("deck", "protocol", "puzzle", "gridgen", "analysis")
 
