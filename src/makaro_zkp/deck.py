@@ -1,10 +1,11 @@
 """Physical layer of the card protocol: cards, matrices, shuffles, transcripts.
 
 The protocol's cards are all distinct (standard-deck model) but all backs
-look alike, so a face-down card reveals nothing.  The protocol lays cards
-out in small matrices, each kept as laid with one column order that a
-shuffle of whole columns reorders; face-up state is kept per slot, so a
-matrix laid with a repeated card still turns one card at a time.  Every
+look alike, so a face-down card reveals nothing.  A card matrix is kept
+as laid with one column order that a shuffle of whole columns reorders;
+face-up state is kept per slot, so a matrix laid with a repeated card
+still turns one card at a time.  The protocol checks each compiled
+check's moves on one, and its live run holds the same form.  Every
 random draw, live or simulated, goes through RandomSource's three methods,
 which replay random.Random's draws exactly, so a seed reproduces a run bit
 for bit.  A Transcript records what an onlooker

@@ -60,8 +60,6 @@ from .deck import (
     cell_card,
     encoding_card,
     help_card,
-    pile_scramble_shuffle,
-    pile_shifting_shuffle,
     reveal_row,
     turn_all_down,
 )
@@ -228,9 +226,9 @@ def _rearrange(revealed: tuple[CardId, ...]) -> tuple:
 # then sorted or giving the window start, and windows, each hole with its
 # acceptance predicate), its card plan, the peak in play, and the table
 # that _write fills from a view, live or simulated, all laid out by
-# _Schedule._check in one pass over the steps.  The live run makes the same
-# steps' moves and reveals their holes from the card matrix onto a view.
-# So the two cannot drift apart.
+# _Schedule._check in one pass over the steps, which also checks the moves
+# on a card matrix.  The live run makes the same steps' moves on laid rows
+# and reveals their holes onto a view.  So the two cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
@@ -248,7 +246,7 @@ class SiteFamily(NamedTuple):
 
     def contains(self, pattern: tuple[CardId, ...]) -> bool:
         shown = set(pattern)
-        return len(pattern) == self.take == len(shown) and shown <= set(self.support)
+        return len(pattern) == self.take == len(shown) and shown.issubset(self.support)
 
 
 class _Reveal(NamedTuple):
@@ -474,10 +472,15 @@ class _Schedule:
         and encoding cards, each room put back sends its helping cards home,
         and encodings stay out to the end.  Its table holds its events, each
         hole's site event and a slot for every card the hole shows and for
-        the rearrangement that sorts them."""
+        the rearrangement that sorts them.  The pass also makes the moves
+        on one card matrix per fragment, laid with the check's own cards: no
+        draws, each sort by the identity order, each window at every start.
+        So a step that breaks a matrix guard raises DeckError here, and the
+        live run lays no matrix."""
         in_play = peak = self.n
         events: list = []
         holes, rows, windows, start = [], [], [], None
+        sequences: list[list[CardId]] = []
         shows = 0
         for step in steps:
             kind = type(step)
@@ -486,16 +489,33 @@ class _Schedule:
             elif kind is _Take:
                 in_play += len(step.helps) + len(step.encoding)
                 peak = max(peak, in_play)
+                p, encoding = len(step.cells), step.encoding
+                room = self.grid.room_of(step.cells[0])
+                laid = (self.room_cards[room], step.helps, encoding[:p])
+                matrix = CardMatrix.from_rows(laid if encoding else laid[:2])
+            elif kind is _Hide:
+                if step.extract:
+                    sequences.append([*matrix.take_row(2), *encoding[p:]])
+                turn_all_down(matrix)
+            elif kind is _Stack:
+                matrix = CardMatrix.from_rows(sequences)
             elif kind is _Return:
                 in_play -= len(step.cells)  # one helping card per cell of the room
+                matrix.take_row(0)
             elif kind is _Reveal or kind is _Window:
                 if kind is _Reveal:
                     width, sorts = len(step.cols), step.sorts
+                    reveal_row(matrix, step.row, step.cols)
                     rows += [(step.row, col) for col in step.cols]
-                    if not sorts:
+                    if sorts:
+                        matrix.permute_columns(range(width))
+                    else:
                         start = (shows, shows + width, step.site.support[0])
                 else:
                     width, sorts = len(step.cols_from[0]), False
+                    for cols in step.cols_from:
+                        reveal_row(matrix, step.row, cols)
+                        turn_all_down(matrix)
                     windows.append(step)
                 holes.append((len(events) + 1, shows, shows + width, step.site, sorts))
                 events += (("site", step.site.key), *[None] * (width + sorts))
@@ -602,50 +622,54 @@ def _schedule(grid: Grid) -> _Schedule:
 
 def _live(table: TableState, check: _Check, prover: ProverState | None,
           source: RandomSource, view: list[CardId]) -> list[list[CardId]] | None:
-    """Run a check on the table, revealing each hole's cards from the card
-    matrix onto the view and judging them.  Returns the sequences extracted,
-    or None if a hole was rejected: a rejected row ends the check at once,
-    since what follows sorts it or starts from it; after a rejected window
-    the check goes on."""
+    """Run a check on the table, revealing each hole's cards onto the view
+    and judging them.  A fragment's cards stay in the rows it laid (a
+    conversion's whole encoding is row 2, its tail past the columns),
+    under one column order that scrambles, shifts and sorts reorder and
+    every read goes through.  Returns the sequences extracted, or None if
+    a hole was rejected: a rejected row ends the check at once, since what
+    follows sorts it or starts from it; after a rejected window the check
+    goes on."""
     sequences: list[list[CardId]] = []
     ok = True
     for step in check.steps:
         kind = type(step)
         if kind is tuple:
             continue  # events, which the check's table writes
-        if kind is _Window:
-            shown = reveal_row(matrix, step.row, step.cols_from[start])
+        if kind is _Window or kind is _Reveal:
+            row = rows[step.row]
+            cols = step.cols if kind is _Reveal else step.cols_from[start]
+            shown = tuple([row[order[col]] for col in cols])
             view.extend(shown)
-            if not step.accepts(shown):
-                ok = False
-        elif kind is _Reveal:
-            shown = reveal_row(matrix, step.row, step.cols)
-            view.extend(shown)
-            if step.accepts is not None and not step.accepts(shown):
+            if kind is _Window:
+                ok &= step.accepts(shown)
+            elif step.accepts is not None and not step.accepts(shown):
                 return None
-            if step.sorts:
-                matrix.permute_columns(_rearrange(shown)[1])
+            elif step.sorts:
+                order = [order[col] for col in _rearrange(shown)[1]]
             else:
                 start = shown.index(step.site.support[0])
         elif kind is _Take:
-            p = len(step.cells)
             rows = [table.take_cells(step.cells), step.helps]
             if step.encoding:
-                encoding = make_encoding(step.encoding, step.column + 1, prover)
-                rows.append(encoding[:p])
-                tail = encoding[p:]
-            matrix = CardMatrix.from_rows(rows)
-            pile_scramble_shuffle(matrix, source)
+                rows.append(make_encoding(step.encoding, step.column + 1, prover))
+            order = list(range(len(step.cells)))
+            source.permute(order)
         elif kind is _Hide:
             if step.extract:
-                sequences.append(matrix.take_row(2) + tail)
-            turn_all_down(matrix)
-            pile_scramble_shuffle(matrix, source)
+                encoding = rows[2]
+                sequences.append([encoding[col] for col in order] + encoding[len(order):])
+            source.permute(order)
         elif kind is _Stack:
-            matrix = CardMatrix.from_rows(sequences)
-            (pile_shifting_shuffle if step.shift else pile_scramble_shuffle)(matrix, source)
+            rows, order = sequences, list(range(len(sequences[0])))
+            if step.shift:
+                shift = source.offset(len(order))
+                order = order[-shift:] + order[:-shift]
+            else:
+                source.permute(order)
         else:
-            table.put_cells(step.cells, matrix.take_row(0))
+            cells = rows[0]
+            table.put_cells(step.cells, [cells[col] for col in order])
     return sequences if ok else None
 
 

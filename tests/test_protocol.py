@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from makaro_zkp import (
+    CardMatrix,
+    DeckError,
     FailedCheck,
     ProtocolError,
     RandomSource,
@@ -1409,3 +1411,56 @@ class TestReachedChecks:
                 assert events is None
                 assert transcript.events == list(protocol._schedule(grid).placements)
         assert 0 < at_setup < len(runs)
+
+
+def breaking_window(cols_from):
+    """A window's columns with one past the end of its row added."""
+    return tuple((*cols, len(cols_from)) for cols in cols_from)
+
+
+def repeating_column(cols_from):
+    """A window's columns with its first column repeated."""
+    return tuple((*cols, cols[0]) for cols in cols_from)
+
+
+class TestMatrixGuards:
+    """The matrix guards depend only on a check's steps, so each compiled
+    check applies them once, and the live run lays no matrix."""
+
+    @pytest.mark.parametrize("broken", [breaking_window, repeating_column])
+    def test_a_check_breaking_a_guard_fails_to_compile_before_any_draw(
+            self, monkeypatch, example_solution, broken):
+        comparison = protocol._comparison
+
+        def broken_comparison(key, sequences, largest):
+            *steps, window = comparison(key, sequences, largest)
+            return (*steps, window._replace(cols_from=broken(window.cols_from)))
+
+        monkeypatch.setattr(protocol, "_comparison", broken_comparison)
+        grid = load_grid("example5x5.makaro")  # a fresh grid: nothing compiled
+        schedule = protocol._schedule(grid)
+        (a, b) = next(subject for kind, subject in schedule.rules if kind == "neighbor")
+        with pytest.raises(DeckError):
+            schedule.check(("neighbor", (a, b)))
+        # the one-check entry compiles it before its conversions draw
+        source, prover, transcript, table = fresh_table(grid, example_solution, "guard")
+        with pytest.raises(DeckError):
+            verify_neighbor(table, a, b, prover, source, transcript)
+        assert not {"shuffle_stream", "prover_stream"} & vars(source).keys()
+
+    def test_an_honest_run_lays_no_matrix(self, monkeypatch, example_grid, example_solution):
+        schedule = protocol._schedule(example_grid)
+        fragments = sum(type(step) in (protocol._Take, protocol._Stack)
+                        for check in schedule.checks.values() for step in check.steps)
+        laid, from_rows = [], CardMatrix.from_rows.__func__
+        monkeypatch.setattr(CardMatrix, "from_rows",
+                            classmethod(lambda cls, rows: laid.append(rows) or from_rows(cls, rows)))
+        for trial in range(50):
+            source = RandomSource.for_trial("unlaid", trial)
+            verdict, _ = run_full_protocol(example_grid, make_prover(example_solution, source),
+                                           source)
+            assert verdict.accepted
+        assert laid == []
+        # compiling lays one matrix per fragment: 39 collections, 14 comparisons
+        protocol._Schedule(example_grid).checks
+        assert len(laid) == fragments == 39 + 14
