@@ -74,10 +74,9 @@ def parse_card(text: str) -> CardId:
 # RandomSource.offset replays randrange: for i from n-1 down to 1, it swaps
 # item i with item j, the first getrandbits((i+1).bit_length()) draw below
 # i+1.  So the results and the stream state left behind equal the standard
-# library's.  A length's (i, i+1, bits) steps, and a matrix width's column
-# set, are built on first use and kept; the protocol uses only a few of each.
+# library's.  A length's (i, i+1, bits) steps are built on first use and
+# kept; the protocol uses only a few lengths.
 _steps: dict[int, tuple[tuple[int, int, int], ...]] = {}
-_widths: dict[int, frozenset[int]] = {}
 
 
 def _permute(items: list, getrandbits: Callable[[int], int]) -> None:
@@ -272,11 +271,10 @@ class CardMatrix:
                 width = 0
         if not width:
             raise DeckError("a matrix needs rows of one length, at least one card long")
-        if width not in _widths:
-            _widths[width] = frozenset(range(width))
         matrix = cls.__new__(cls)
         matrix.rows, matrix.cols, matrix._laid = len(laid), width, laid
-        matrix._order, matrix._up, matrix._columns = list(range(width)), [0] * len(laid), _widths[width]
+        matrix._order, matrix._up = list(range(width)), [0] * len(laid)
+        matrix._columns = frozenset(range(width))
         return matrix
 
     def card_at(self, row: int, col: int) -> CardId:

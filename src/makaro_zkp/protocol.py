@@ -528,16 +528,17 @@ class _Schedule:
                                       for col in window.cols_from[at])) for at in starts),
                       tuple(holes), start)
 
-    def write(self, events: list, view: Sequence[CardId], accepted: bool) -> None:
-        """Write the checks of a run that revealed `view` after setup's
-        events: each check's in turn, through all of them if the run was
-        `accepted`, else through the one that showed the view's last card,
-        which rejected."""
-        shown, view = 0, tuple(view)
+    def write(self, view: Sequence[CardId], accepted: bool) -> list[tuple]:
+        """The events of a run past setup that revealed `view`: setup's
+        placements, then each check's in turn, through all of them if the
+        run was `accepted`, else through the one that showed the view's last
+        card, which rejected."""
+        events, shown, view = list(self.placements), 0, tuple(view)
         for key in self.rules:
             shown = _write(events, self.check(key), view, shown, accepted)
             if shown == len(view) and not accepted:
                 break
+        return events
 
     @cached_property
     def layout(self) -> tuple[tuple[int, SiteFamily], ...]:
@@ -736,7 +737,7 @@ def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
     shuffled order.  Restores the cards to their cells on success."""
-    return _entry(table, _schedule(table.grid).checks["room", room],
+    return _entry(table, _schedule(table.grid).check(("room", room)),
                   None, source, transcript) is not None
 
 
@@ -766,7 +767,7 @@ def verify_neighbor(table: TableState, a: Coord, b: Coord, prover: ProverState,
     """Check two adjacent cells differ: convert both to sequences of equal
     length, scramble the two rows as columns, find one marker, and look at the
     card sharing its column.  Equal values pair the markers in every shuffle."""
-    return _entry(table, _schedule(table.grid).checks["neighbor", (a, b)],
+    return _entry(table, _schedule(table.grid).check(("neighbor", (a, b))),
                   prover, source, transcript) is not None
 
 
@@ -778,29 +779,27 @@ def verify_arrow(table: TableState, black_rc: Coord, prover: ProverState,
     column shift, the m columns starting at the pointed marker are revealed in
     each rival row; a rival marker lands there exactly when rival >= pointed.
     """
-    return _entry(table, _schedule(table.grid).checks["arrow", black_rc],
+    return _entry(table, _schedule(table.grid).check(("arrow", black_rc)),
                   prover, source, transcript) is not None
 
 
 class _RunTranscript(Transcript):
     """A run's transcript past setup, written when first read.  Until then
-    it holds the grid, setup's events, the run's view and whether the run
-    was accepted, but no events: so the first read of them (`len`, `==`,
-    `to_text`, a copy or a pickle) lands in __getattr__, which writes the
-    checks after setup's events through the grid's schedule, as the run
-    would have, and drops the four."""
+    it holds the grid, the run's view and whether the run was accepted, but
+    no events: so the first read of them (`len`, `==`, `to_text`, a copy or
+    a pickle) lands in __getattr__, which has the grid's schedule write
+    them, as the run would have, and drops the three."""
 
     __slots__ = ("_unwritten",)
 
-    def __init__(self, grid: Grid, placed: list, view: list[CardId], accepted: bool):
-        self._unwritten = grid, placed, view, accepted
+    def __init__(self, grid: Grid, view: list[CardId], accepted: bool):
+        self._unwritten = grid, view, accepted
 
     def __getattr__(self, name: str):
         if name != "events":
             raise AttributeError(name)
-        grid, events, view, accepted = self._unwritten
-        _schedule(grid).write(events, view, accepted)
-        self.events = events
+        grid, view, accepted = self._unwritten
+        self.events = events = _schedule(grid).write(view, accepted)
         del self._unwritten
         return events
 
@@ -813,9 +812,10 @@ def _run(grid: Grid, prover: ProverState, source: RandomSource,
          ) -> tuple[Verdict, Transcript, TableState | None, list[CardId]]:
     """Run setup and every check in the canonical order, stopping at the
     first that rejects: the verdict, the transcript, the table (None when
-    setup failed) and the run's view.  The transcript is setup's events, and
-    past setup the checks' too, written from the view on its first read, so
-    a run whose transcript is never read writes none."""
+    setup failed) and the run's view.  The transcript of a run rejected at
+    setup is the placements it laid; past setup, the schedule writes it
+    whole from the view on its first read, so a run whose transcript is
+    never read writes none."""
     schedule = _schedule(grid)
     placed, room = _place(schedule, prover.secret)
     if room is not None:
@@ -831,8 +831,7 @@ def _run(grid: Grid, prover: ProverState, source: RandomSource,
             verdict = schedule.rejections[key]
             break
         table.assert_settled()
-    transcript = _RunTranscript(grid, list(schedule.placements), view, verdict.accepted)
-    return verdict, transcript, table, view
+    return verdict, _RunTranscript(grid, view, verdict.accepted), table, view
 
 
 def run_full_protocol_with_table(
@@ -895,25 +894,22 @@ def simulate_view(grid: Grid, source: RandomSource) -> tuple[CardId, ...]:
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """The accepting run that shows a simulated view: its exact event
     structure, each reveal site fed its cards from `simulate_view`."""
-    view = simulate_view(grid, source)
-    schedule, t = _schedule(grid), Transcript()
-    t.events += schedule.placements
-    schedule.write(t.events, view, True)
+    t = Transcript()
+    t.events = _schedule(grid).write(simulate_view(grid, source), True)
     return t
 
 
 def read_view(grid: Grid, transcript: Transcript) -> tuple[CardId, ...]:
     """The cards an accepting run of the grid reveals, in run order: the
     inverse of `simulate_transcript`.  The cards in its reveal slots, each
-    site's `take` after its slot, are written back after setup's placements;
+    site's `take` after its slot, are written back as an accepting run;
     unless that rewrite is the transcript, event for event, ValueError is
     raised.  The cards are not checked against their sites' families."""
     schedule, events = _schedule(grid), transcript.events
-    written = list(schedule.placements)
     try:
         view = tuple(events[at + 1 + i][2] for at, site in schedule.layout
                      for i in range(site.take))
-        schedule.write(written, view, True)
+        written = schedule.write(view, True)
     except (LookupError, TypeError, ValueError):
         # a slot with no card, a row that does not sort or shows no marker
         written = None

@@ -994,8 +994,8 @@ class TestTemplates:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_the_writer_rebuilds_a_run_from_its_reveals(self, name):
-        # the writer fed the cards a transcript reveals, after setup's
-        # events, writes that transcript back, live or simulated
+        # the writer fed the cards a transcript reveals writes that
+        # transcript back, setup's events included, live or simulated
         grid = load_grid(f"{name}.makaro")
         solution = bundled_solution(name, grid)
         schedule = protocol._schedule(grid)
@@ -1005,8 +1005,7 @@ class TestTemplates:
             sim = simulate_transcript(grid, RandomSource.for_trial(seed, 0))
             assert verdict.accepted
             for transcript in (real, sim):
-                events = list(schedule.placements)
-                schedule.write(events, revealed_cards(transcript), True)
+                events = schedule.write(revealed_cards(transcript), True)
                 assert events == transcript.events, seed
 
     @pytest.mark.parametrize("name", BUNDLED)
@@ -1137,8 +1136,7 @@ class TestTemplates:
                 assert tuple(transcript.events[-1:]) == end
                 assert end[0][0] == "end" and end[0][3] is verdict.accepted
                 assert revealed_cards(transcript) == tuple(view)
-                events = list(schedule.placements)
-                schedule.write(events, view, verdict.accepted)
+                events = schedule.write(view, verdict.accepted)
                 assert events == transcript.events
                 past_setup[verdict.accepted] += 1
         assert sum(past_setup.values()) == 1022 and set(past_setup) == {True, False}
@@ -1319,6 +1317,23 @@ class TestUnreadTranscripts:
             assert late == now
             assert not any(isinstance(ref, puzzle.Grid) for ref in reachable(late))
 
+    def test_an_unread_transcript_holds_none_of_setups_events(self, small_grids):
+        # setup's placements are laid in front of a run's check events only
+        # when the writer writes it, so before its first read a transcript
+        # past setup reaches none of them; one rejected at setup is its
+        # placements
+        past_setup = 0
+        for trial, (grid, filling) in enumerate(sweep_and_bundled_runs(small_grids)):
+            source = RandomSource.for_trial("unread-setup", trial)
+            _, transcript, table = run_full_protocol_with_table(
+                grid, make_prover(filling, source), source)
+            if table is None:
+                continue
+            placements = set(map(id, protocol._schedule(grid).placements))
+            assert placements.isdisjoint(map(id, reachable(transcript))), trial
+            past_setup += 1
+        assert past_setup > 1022
+
 
 def slice_runs(small_grids, seed):
     """(grid, filling, source) for every filling of the sweep slice, grid by
@@ -1383,6 +1398,17 @@ class TestReachedChecks:
             checks_in_all += len(keys)
         # most runs fail at setup, and some checks no run reaches
         assert at_setup and 0 < reached_in_all < checks_in_all
+
+    def test_a_one_check_entry_compiles_only_its_check(self, example_solution, monkeypatch):
+        compiled = []
+        compile_ = protocol._Schedule._compile
+        monkeypatch.setattr(protocol._Schedule, "_compile",
+                            lambda self, *key: compiled.append(key) or compile_(self, *key))
+        grid = load_grid("example5x5.makaro")  # a fresh grid: nothing compiled
+        source, _, transcript, table = fresh_table(grid, example_solution, "one-check")
+        assert compiled == []
+        assert verify_room(table, "C", source, transcript)
+        assert compiled == [("room", "C")]
 
     def test_a_run_rejected_at_setup_builds_no_setup_error(self, small_grids, monkeypatch):
         def refused(self, *args):
