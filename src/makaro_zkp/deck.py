@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 
 class DeckError(Exception):
@@ -142,16 +142,14 @@ class RandomSource:
 
 class Transcript:
     """Everything the verifier observes, in order: events, tuples whose first
-    element is the kind.  Nothing else is kept; which reveals form which site
+    element is the kind.  A transcript is built from its events, kept in a
+    list of its own.  Nothing else is kept; which reveals form which site
     follows from the grid (protocol.run_layout)."""
 
     __slots__ = ("events",)
 
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
-
-    def append(self, event: tuple) -> None:
-        self.events.append(event)
+    def __init__(self, events: Iterable[tuple] = ()) -> None:
+        self.events: list[tuple] = list(events)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Transcript) and self.events == other.events
@@ -164,11 +162,7 @@ class Transcript:
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
-        t = cls()
-        for line in text.splitlines():
-            if line.strip():
-                t.append(_parse_event(line))
-        return t
+        return cls(_parse_event(line) for line in text.splitlines() if line.strip())
 
 
 class _Field(NamedTuple):

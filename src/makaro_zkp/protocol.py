@@ -530,13 +530,14 @@ class _Schedule:
 
     def write(self, view: Sequence[CardId], accepted: bool) -> list[tuple]:
         """The events of a run past setup that revealed `view`: setup's
-        placements, then each check's in turn, through all of them if the
-        run was `accepted`, else through the one that showed the view's last
-        card, which rejected."""
+        placements, then each check's in turn, through the one that showed
+        the view's last card.  Every check shows a card, so an `accepted`
+        run's view runs out at its last check; `accepted` chooses only the end
+        events of the last check written, a pass's or a fail's."""
         events, shown, view = list(self.placements), 0, tuple(view)
         for key in self.rules:
             shown = _write(events, self.check(key), view, shown, accepted)
-            if shown == len(view) and not accepted:
+            if shown == len(view):
                 break
         return events
 
@@ -805,7 +806,7 @@ class _RunTranscript(Transcript):
 
     def __reduce__(self):
         # a copy or a pickle is a plain transcript of the written events
-        return Transcript, (), (None, {"events": self.events})
+        return Transcript, (self.events,)
 
 
 def _run(grid: Grid, prover: ProverState, source: RandomSource,
@@ -819,8 +820,7 @@ def _run(grid: Grid, prover: ProverState, source: RandomSource,
     schedule = _schedule(grid)
     placed, room = _place(schedule, prover.secret)
     if room is not None:
-        setup = Transcript()
-        setup.events += schedule.placements[:len(placed)]
+        setup = Transcript(schedule.placements[:len(placed)])
         return schedule.setup_rejections[room], setup, None, []
     table, view = _lay(schedule, placed), []
     verdict = _ACCEPTED
@@ -894,9 +894,7 @@ def simulate_view(grid: Grid, source: RandomSource) -> tuple[CardId, ...]:
 def simulate_transcript(grid: Grid, source: RandomSource) -> Transcript:
     """The accepting run that shows a simulated view: its exact event
     structure, each reveal site fed its cards from `simulate_view`."""
-    t = Transcript()
-    t.events = _schedule(grid).write(simulate_view(grid, source), True)
-    return t
+    return Transcript(_schedule(grid).write(simulate_view(grid, source), True))
 
 
 def read_view(grid: Grid, transcript: Transcript) -> tuple[CardId, ...]:

@@ -330,8 +330,8 @@ class TestSiteHistograms:
         for at in slots:
             pos = accepted.events[at][1]
             for stranger in (("reveal",), ("reveal", pos), ("reveal", pos, [1])):
-                transcript = Transcript()
-                transcript.events = [*accepted.events[:at], stranger, *accepted.events[at + 1:]]
+                transcript = Transcript(
+                    [*accepted.events[:at], stranger, *accepted.events[at + 1:]])
                 with pytest.raises(ValueError, match=NOT_ACCEPTING):
                     hist.add_transcript(transcript)
                 with pytest.raises(ValueError, match=NOT_ACCEPTING):
@@ -349,9 +349,7 @@ class TestSiteHistograms:
             events = list(accepted.events)
             at = [i for i, ev in enumerate(events) if ev[0] == kind][pick]
             events[at] = edit(events[at])
-            transcript = Transcript()
-            transcript.events = events
-            return transcript
+            return Transcript(events)
 
         ends = sum(ev[0] == "end" for ev in accepted.events)
         assert ends > 2

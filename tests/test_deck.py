@@ -672,28 +672,28 @@ class TestScramble:
 
 class TestTranscript:
     def all_kinds_transcript(self):
-        t = Transcript()
-        t.append(("place", (0, 1), cell_card("A", 3)))
-        t.append(("place-hidden", (2, 2)))
-        t.append(("begin", "room", "A"))
-        t.append(("collect", "room:A", 0, 3))
-        t.append(("helps", 1, 3))
-        t.append(("marker", encoding_card("a", 1), 2, 1))
-        t.append(("hidden-fill", 2, 2))
-        t.append(("shuffle", "scramble"))
-        t.append(("site", "room/A/cells"))
-        t.append(("reveal", (0, 0), cell_card("A", 2)))
-        t.append(("reveal", (0, 1), cell_card("A", 1)))
-        t.append(("reveal", (0, 2), cell_card("A", 3)))
-        t.append(("rearrange", (1, 0, 2)))
-        t.append(("extract", 2, 3))
-        t.append(("tail", 2))
-        t.append(("turn-down",))
-        t.append(("shuffle", "shift"))
-        t.append(("restore", "room:A", 3))
-        t.append(("end", "room", "A", True))
-        t.append(("end", "neighbor", "neighbor/0.0-0.1", False))
-        return t
+        return Transcript([
+            ("place", (0, 1), cell_card("A", 3)),
+            ("place-hidden", (2, 2)),
+            ("begin", "room", "A"),
+            ("collect", "room:A", 0, 3),
+            ("helps", 1, 3),
+            ("marker", encoding_card("a", 1), 2, 1),
+            ("hidden-fill", 2, 2),
+            ("shuffle", "scramble"),
+            ("site", "room/A/cells"),
+            ("reveal", (0, 0), cell_card("A", 2)),
+            ("reveal", (0, 1), cell_card("A", 1)),
+            ("reveal", (0, 2), cell_card("A", 3)),
+            ("rearrange", (1, 0, 2)),
+            ("extract", 2, 3),
+            ("tail", 2),
+            ("turn-down",),
+            ("shuffle", "shift"),
+            ("restore", "room:A", 3),
+            ("end", "room", "A", True),
+            ("end", "neighbor", "neighbor/0.0-0.1", False),
+        ])
 
     def test_text_roundtrip_covers_every_event_kind(self):
         t = self.all_kinds_transcript()
@@ -719,8 +719,7 @@ class TestTranscript:
         # from_rows lays out whatever it is given, so the reveal shows it and
         # a transcript records it; the writer is what refuses it
         m = CardMatrix.from_rows([[other, help_card(1)]])
-        t = Transcript()
-        t.append(("reveal", (0, 0), reveal(m, 0, 0)))
+        t = Transcript([("reveal", (0, 0), reveal(m, 0, 0))])
         with pytest.raises(DeckError, match="as a card"):
             t.to_text()
 
@@ -732,8 +731,7 @@ class TestTranscript:
     def test_a_card_that_would_not_read_back_is_not_written(self, card, kind):
         event = {"place": ("place", (0, 0), card), "marker": ("marker", card, 0, 0),
                  "reveal": ("reveal", (0, 0), card)}[kind]
-        t = Transcript()
-        t.append(event)
+        t = Transcript([event])
         with pytest.raises(DeckError, match="as a card"):
             t.to_text()
 
@@ -752,8 +750,7 @@ class TestTranscript:
         (("end", "room", "A", None), "result"),
     ])
     def test_a_field_that_would_not_read_back_is_not_written(self, event, kind):
-        t = Transcript()
-        t.append(event)
+        t = Transcript([event])
         with pytest.raises(DeckError, match=f"as a {kind}$"):
             t.to_text()
 
@@ -764,15 +761,13 @@ class TestTranscript:
             "extra-field", "missing-field"])
     def test_an_object_that_is_not_an_event_is_not_written(self, event):
         # a list would read back as a tuple, so it is not written either
-        t = Transcript()
-        t.append(event)
+        t = Transcript([event])
         with pytest.raises(DeckError, match="unknown event"):
             t.to_text()
 
     @pytest.mark.parametrize("card", [CardId("a#b", 0), CardId("", 1), CardId("x=y", 12)])
     def test_unusual_but_readable_cards_round_trip(self, card):
-        t = Transcript()
-        t.append(("reveal", (0, 0), card))
+        t = Transcript([("reveal", (0, 0), card)])
         assert Transcript.from_text(t.to_text()).events == [("reveal", (0, 0), card)]
 
     def test_to_text_is_line_per_event(self):
@@ -795,5 +790,17 @@ class TestTranscript:
     def test_equality_is_event_based(self):
         assert self.all_kinds_transcript() == self.all_kinds_transcript()
         other = self.all_kinds_transcript()
-        other.append(("turn-down",))
+        other.events.append(("turn-down",))
         assert other != self.all_kinds_transcript()
+
+    def test_a_transcript_holds_its_own_list_of_its_events(self):
+        events = [("turn-down",)]
+        for given in (events, (ev for ev in events)):
+            t = Transcript(given)
+            events.append(("tail", 2))
+            assert t.events == [("turn-down",)]
+            t.events.append(("tail", 3))
+            assert events == [("turn-down",), ("tail", 2)]
+            del events[1:]
+        assert Transcript() == Transcript([]) == Transcript.from_text("\n \n")
+        assert Transcript().events == [] and len(Transcript.from_text("\n \n")) == 0
