@@ -23,24 +23,21 @@ in any number.  Each reveal shows a distribution that depends only on the
 grid, never on the hidden values.
 
 Everything but the reveals is fixed by the grid, so each check is compiled
-once per grid, when a run first reaches it, into a template (a run
-rejected at setup, which raises nothing, reaches none): moves of cards,
-runs of prebuilt events, and two kinds of hole, each with the predicate
-that judges it: a row reveal, which is then sorted or gives the window
-start, and a window.  Neighbor and
-arrow checks end in one grid-free comparison, the paper's number encoding:
+once per grid, when a run first reaches it (a run rejected at setup, which
+raises nothing, reaches none), from the paper's two primitives: the room
+collection (a room check, or a conversion that encodes a cell's number as
+all-different cards) and the grid-free comparison of encoded numbers, where
 one card of each kind shows that two numbers differ or that one is the
-largest.  A run is its view, the cards it turns face up in run order:
-the live run makes a check's moves, reveals each hole's cards from card
-physics onto the view and judges them, and writes no event.  The pass
-that compiles a check also lays out its table of slots, its prebuilt events
-with a place for every reveal and rearrangement, so one record per check
-serves both the live run and the one writer, which turns a view into the
-transcript through the checks' tables: the simulator's view, drawn
-without seeing any solution, or a live run's, to where it stopped, when
-its transcript is first read, so a transcript never read is never
-written.  The layout is
-the tables laid end to end; `read_view` takes a view from its reveal slots
+largest.  Its template holds moves of cards, runs of prebuilt events, and
+holes, each with the predicate that judges it: row reveals, each then
+sorted or giving the window start, and windows.  A run is its view, the
+cards it turns face up in run order: the live run runs each primitive as
+one kernel, revealing each hole's cards onto the view and judging them.
+The same pass lays out the check's table of slots, its prebuilt events
+with a place for every reveal and rearrangement, which the one writer
+fills from a view: the simulator's, drawn without seeing any solution, or
+a live run's, when its transcript is first read.  The layout is the
+tables laid end to end; `read_view` takes a view from its reveal slots
 and accepts it only if the writer writes that view back as the transcript.
 """
 
@@ -219,16 +216,13 @@ def _rearrange(revealed: tuple[CardId, ...]) -> tuple:
 # converts, which helping and encoding cards it lifts, and what every reveal
 # may show: all of it follows from the grid alone.  So does every event of an
 # accepting run except the revealed cards, the rearrangements they imply and
-# the window start.  Each check is compiled into a template once per grid,
-# by _Schedule.check the first time a run or a reader reaches it:
-# its steps, in run order (moves that handle the cards and add no event, runs
-# of prebuilt events, and holes for what the run decides: row reveals, each
-# then sorted or giving the window start, and windows, each hole with its
-# acceptance predicate), its card plan, the peak in play, and the table
-# that _write fills from a view, live or simulated, all laid out by
-# _Schedule._check in one pass over the steps, which also checks the moves
-# on a card matrix.  The live run makes the same steps' moves on laid rows
-# and reveals their holes onto a view.  So the two cannot drift apart.
+# the window start.  So _Schedule.check compiles each check once per grid,
+# the first time a run or a reader reaches it, from its steps in run order
+# (moves that handle the cards and add no event, runs of prebuilt events,
+# and holes for what the run decides, each with its acceptance predicate),
+# in one pass that checks the moves on a card matrix: its card plan and
+# peak, the fragments the live run runs and the table that _write fills
+# from a view, live or simulated.  So the two cannot drift apart.
 
 class SiteFamily(NamedTuple):
     """One reveal site and the theoretical distribution of its pattern:
@@ -349,12 +343,33 @@ def _comparison(key: str, sequences: Sequence[tuple[CardId, ...]], largest: bool
             _Reveal(first, 0, cycle[:length], accepts=None, sorts=False), *windows)
 
 
+class _Collection(NamedTuple):
+    """Fragment: a room's cards on `cells`, as many helping cards and a
+    conversion's encoding of `value`, extracted if `extract`; `accepts`
+    judges the cells row, then the helping row (None: no rule)."""
+
+    cells: Sequence[Coord]
+    helps: tuple[CardId, ...]
+    encoding: tuple[CardId, ...]
+    value: int
+    extract: bool
+    accepts: tuple
+
+
+class _Comparison(NamedTuple):
+    """Fragment: the sequences stacked and shifted or scrambled; row 0's
+    `marker` starts each window, a (row, cols_from, accepts)."""
+
+    shift: bool
+    marker: CardId
+    windows: tuple
+
+
 class _Check(NamedTuple):
-    # rooms and conversions: a collection; neighbors and arrows: the begin
-    # event, each conversion's steps, the rows stacked and shifted or
-    # scrambled, the first row (whose marker starts the windows), and one
-    # window per other row
+    # a collection's, or the begin event, each conversion's and a comparison's
     steps: tuple
+    fragments: tuple             # what the live run runs: a _Collection per
+                                 # _Take, then a _Comparison if a _Stack
     rejected: tuple[tuple]       # the end event of a fail
     peak: int                    # the most cards in play at once, n included
     # the table the check's transcript is written from
@@ -476,10 +491,10 @@ class _Schedule:
         on one card matrix per fragment, laid with the check's own cards: no
         draws, each sort by the identity order, each window at every start.
         So a step that breaks a matrix guard raises DeckError here, and the
-        live run lays no matrix."""
+        live run, which runs the fragments compiled here, lays no matrix."""
         in_play = peak = self.n
         events: list = []
-        holes, rows, windows, start = [], [], [], None
+        holes, rows, windows, fragments, start = [], [], [], [], None
         sequences: list[list[CardId]] = []
         shows = 0
         for step in steps:
@@ -493,15 +508,19 @@ class _Schedule:
                 room = self.grid.room_of(step.cells[0])
                 laid = (self.room_cards[room], step.helps, encoding[:p])
                 matrix = CardMatrix.from_rows(laid if encoding else laid[:2])
+                take, rules = step, []
             elif kind is _Hide:
-                if step.extract:
+                extract = step.extract
+                if extract:
                     sequences.append([*matrix.take_row(2), *encoding[p:]])
                 turn_all_down(matrix)
             elif kind is _Stack:
                 matrix = CardMatrix.from_rows(sequences)
+                shift = step.shift
             elif kind is _Return:
                 in_play -= len(step.cells)  # one helping card per cell of the room
                 matrix.take_row(0)
+                fragments.append(_Collection(*take[:3], take.column + 1, extract, tuple(rules)))
             elif kind is _Reveal or kind is _Window:
                 if kind is _Reveal:
                     width, sorts = len(step.cols), step.sorts
@@ -509,6 +528,7 @@ class _Schedule:
                     rows += [(step.row, col) for col in step.cols]
                     if sorts:
                         matrix.permute_columns(range(width))
+                        rules.append(step.accepts)
                     else:
                         start = (shows, shows + width, step.site.support[0])
                 else:
@@ -523,7 +543,9 @@ class _Schedule:
         # windows close a check, after every row reveal, and start at any
         # column of the row that gives the start
         starts = range(start[1] - start[0] if start else 1)
-        return _Check(steps, rejected, peak, (*events, *passed),
+        if start:  # a window's row, columns and predicate
+            fragments.append(_Comparison(shift, start[2], tuple(w[1:] for w in windows)))
+        return _Check(steps, tuple(fragments), rejected, peak, (*events, *passed),
                       tuple((*rows, *((window.row, col) for window in windows
                                       for col in window.cols_from[at])) for at in starts),
                       tuple(holes), start)
@@ -616,62 +638,60 @@ def _schedule(grid: Grid) -> _Schedule:
 # --- the live run ---------------------------------------------------------------
 #
 # Card physics produces every revealed card and every rearrangement, since
-# soundness rests on it.  The live run only reveals and judges: it appends
-# each hole's cards to the run's view and adds no event.  The check tables
+# soundness rests on it.  The live run runs the paper's two primitives as
+# one straight-line kernel each, on laid rows under one column order that
+# scrambles, shifts and sorts (by a row's cards) reorder: a collection
+# judges and sorts the cells row, extracts any encoding, sorts the helping
+# row and lays the room back; a comparison reveals row 0, whose marker
+# starts a window in every other row.  It adds no event: the check tables
 # write a run's transcript from its view when it is first read, so a run
 # whose transcript is never read (a zk-test trial, a prove trial after the
 # first, a soundness sweep's) writes none.
 
 def _live(table: TableState, check: _Check, prover: ProverState | None,
           source: RandomSource, view: list[CardId]) -> list[list[CardId]] | None:
-    """Run a check on the table, revealing each hole's cards onto the view
-    and judging them.  A fragment's cards stay in the rows it laid (a
-    conversion's whole encoding is row 2, its tail past the columns),
-    under one column order that scrambles, shifts and sorts reorder and
-    every read goes through.  Returns the sequences extracted, or None if
-    a hole was rejected: a rejected row ends the check at once, since what
-    follows sorts it or starts from it; after a rejected window the check
-    goes on."""
+    """Run a check's fragments on the table, revealing each hole's cards
+    onto the view.  Returns the sequences extracted, or None if a hole was
+    rejected: a rejected row ends the check at once, since what follows
+    sorts it or starts from it; after a rejected window it goes on."""
     sequences: list[list[CardId]] = []
     ok = True
-    for step in check.steps:
-        kind = type(step)
-        if kind is tuple:
-            continue  # events, which the check's table writes
-        if kind is _Window or kind is _Reveal:
-            row = rows[step.row]
-            cols = step.cols if kind is _Reveal else step.cols_from[start]
-            shown = tuple([row[order[col]] for col in cols])
-            view.extend(shown)
-            if kind is _Window:
-                ok &= step.accepts(shown)
-            elif step.accepts is not None and not step.accepts(shown):
-                return None
-            elif step.sorts:
-                order = [order[col] for col in _rearrange(shown)[1]]
-            else:
-                start = shown.index(step.site.support[0])
-        elif kind is _Take:
-            rows = [table.take_cells(step.cells), step.helps]
-            if step.encoding:
-                rows.append(make_encoding(step.encoding, step.column + 1, prover))
-            order = list(range(len(step.cells)))
+    for fragment in check.fragments:
+        if type(fragment) is _Collection:
+            cells, helps, encoding, value, extract, (cells_rule, helps_rule) = fragment
+            cards = table.take_cells(cells)
+            encoding = encoding and make_encoding(encoding, value, prover)
+            order = list(range(len(cards)))
             source.permute(order)
-        elif kind is _Hide:
-            if step.extract:
-                encoding = rows[2]
+            shown = tuple([cards[col] for col in order])
+            view.extend(shown)
+            if cells_rule is not None and not cells_rule(shown):
+                return None
+            order = sorted(order, key=cards.__getitem__)
+            if extract:
                 sequences.append([encoding[col] for col in order] + encoding[len(order):])
             source.permute(order)
-        elif kind is _Stack:
-            rows, order = sequences, list(range(len(sequences[0])))
-            if step.shift:
+            shown = tuple([helps[col] for col in order])
+            view.extend(shown)
+            if helps_rule is not None and not helps_rule(shown):
+                return None
+            order = sorted(order, key=helps.__getitem__)
+            table.put_cells(cells, [cards[col] for col in order])
+        else:
+            shift, marker, windows = fragment
+            order = list(range(len(sequences[0])))
+            if shift:
                 shift = source.offset(len(order))
                 order = order[-shift:] + order[:-shift]
             else:
                 source.permute(order)
-        else:
-            cells = rows[0]
-            table.put_cells(step.cells, [cells[col] for col in order])
+            shown = tuple([sequences[0][col] for col in order])
+            view.extend(shown)
+            start = shown.index(marker)
+            for row, cols_from, accepts in windows:
+                shown = tuple([sequences[row][order[col]] for col in cols_from[start]])
+                view.extend(shown)
+                ok &= accepts(shown)
     return sequences if ok else None
 
 

@@ -286,8 +286,9 @@ class TestCardPlan:
 
     def test_a_compiled_check_is_keyed_by_its_rule(self, example_grid):
         # the key names the rule, so the check holds only what a run needs:
-        # the steps the live run makes and the table the writer fills
-        assert protocol._Check._fields == ("steps", "rejected", "peak",
+        # its steps, the fragments the live run compiles them to and the
+        # table the writer fills
+        assert protocol._Check._fields == ("steps", "fragments", "rejected", "peak",
                                            "events", "positions", "holes", "start")
         checks = protocol._schedule(example_grid).checks
         assert list(checks) == [(kind, subject) for kind, subject, _ in example_grid.rules]
@@ -1049,22 +1050,24 @@ class TestTemplates:
     def test_one_writer_writes_every_run(self):
         # every run's check events, live or simulated, accepting or not,
         # come from _write filling a compiled check's table: only the live
-        # run reads a compiled check's steps, and it writes no event; the
-        # only loops over steps are its and _check's, which compiles them
-        # with the table in one pass; no slot is counted from a site's take
+        # run reads a compiled check's fragments, and it writes no event;
+        # nothing reads a compiled check's steps, and the only loop over
+        # steps is _check's, which compiles them with the fragments and the
+        # table in one pass; no slot is counted from a site's take
         tree = ast.parse(Path(protocol.__file__).read_text(encoding="utf-8"))
         funcs = {func.name: func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+        compiled = ("steps", "fragments")
         reads = Counter((name, ast.unparse(node)) for name, func in funcs.items()
                         for node in ast.walk(func)
-                        if isinstance(node, ast.Attribute) and node.attr == "steps")
-        assert reads == Counter({("_live", "check.steps"): 1})
-        assert sum(isinstance(node, ast.Attribute) and node.attr == "steps"
+                        if isinstance(node, ast.Attribute) and node.attr in compiled)
+        assert reads == Counter({("_live", "check.fragments"): 1})
+        assert sum(isinstance(node, ast.Attribute) and node.attr in compiled
                    for node in ast.walk(tree)) == 1
         walks = Counter((name, ast.unparse(node.iter)) for name, func in funcs.items()
                         for node in ast.walk(func)
                         if isinstance(node, (ast.For, ast.comprehension))
-                        and "steps" in ast.unparse(node.iter))
-        assert walks == Counter({("_check", "steps"): 1, ("_live", "check.steps"): 1})
+                        and any(field in ast.unparse(node.iter) for field in compiled))
+        assert walks == Counter({("_check", "steps"): 1, ("_live", "check.fragments"): 1})
 
         def users(name):
             return {func_name for func_name, func in funcs.items()
@@ -1072,10 +1075,10 @@ class TestTemplates:
                            for node in ast.walk(func))}
 
         # a reveal event is built in _write alone, which read_view reads
-        # through, and so is a rearrangement: the live run takes only its
-        # column order
+        # through, and so is a rearrangement: the live run sorts a row by
+        # its cards
         assert users("_REVEAL") == {"_write"}
-        assert users("_rearrange") == {"_write", "_live"}
+        assert users("_rearrange") == {"_write"}
         # runs and the one-check entries write through the schedule's
         # writer or _write; the live run reaches no transcript or event
         assert users("_write") == {"write", "_entry"}
@@ -1204,8 +1207,9 @@ class TestTemplates:
 
     def test_the_verdict_lives_in_the_template(self):
         # the holes' predicates are the only acceptance rules: with each one
-        # swapped for one that accepts, fillings that a neighbor check and an
-        # arrow check reject run to acceptance
+        # swapped for one that accepts, and each check recompiled from the
+        # swapped steps, fillings that a neighbor check and an arrow check
+        # reject run to acceptance
         grid = load_grid("cross.makaro")
         fillings = list(all_value_assignments(grid))
         rejected = {270: FailedCheck("neighbor", ((0, 0), (1, 0))),
@@ -1225,9 +1229,10 @@ class TestTemplates:
         try:
             # each compiled check, in place, as the run reaches it
             for key, check in schedule.checks.items():
-                schedule._compiled[key] = check._replace(steps=tuple(
-                    step._replace(accepts=lambda shown: True) if type(step) in holes else step
-                    for step in check.steps))
+                steps = tuple(step._replace(accepts=lambda shown: True)
+                              if type(step) in holes else step for step in check.steps)
+                schedule._compiled[key] = schedule._check(steps, check.events[-1:],
+                                                          check.rejected)
             assert all(verdict == Verdict(True) for _, verdict in verdicts())
         finally:
             protocol._last_schedule[0] = (None, None)
