@@ -32,7 +32,9 @@ largest.  Its template holds moves of cards, runs of prebuilt events, and
 holes, each with the predicate that judges it: row reveals, each then
 sorted or giving the window start, and windows.  A run is its view, the
 cards it turns face up in run order: the live run runs each primitive as
-one kernel, revealing each hole's cards onto the view and judging them.
+one kernel over that primitive's own steps (a collection's take and cells
+row; a comparison's stack, start row and windows), revealing each hole's
+cards onto the view and judging them.
 The same pass lays out the check's table of slots, its prebuilt events
 with a place for every reveal and rearrangement, which the one writer
 fills from a view: the simulator's, drawn without seeing any solution, or
@@ -281,8 +283,6 @@ class _Take(NamedTuple):
 class _Hide(NamedTuple):
     """Move: extract a conversion's encoding row, turn down and scramble."""
 
-    extract: bool
-
 
 class _Stack(NamedTuple):
     """Move: lay the sequences out as rows, then shift or scramble."""
@@ -343,33 +343,14 @@ def _comparison(key: str, sequences: Sequence[tuple[CardId, ...]], largest: bool
             _Reveal(first, 0, cycle[:length], accepts=None, sorts=False), *windows)
 
 
-class _Collection(NamedTuple):
-    """Fragment: a room's cards on `cells`, as many helping cards and a
-    conversion's encoding of `value`, extracted if `extract`; `accepts`
-    judges the cells row, then the helping row (None: no rule)."""
-
-    cells: Sequence[Coord]
-    helps: tuple[CardId, ...]
-    encoding: tuple[CardId, ...]
-    value: int
-    extract: bool
-    accepts: tuple
-
-
-class _Comparison(NamedTuple):
-    """Fragment: the sequences stacked and shifted or scrambled; row 0's
-    `marker` starts each window, a (row, cols_from, accepts)."""
-
-    shift: bool
-    marker: CardId
-    windows: tuple
-
-
 class _Check(NamedTuple):
     # a collection's, or the begin event, each conversion's and a comparison's
     steps: tuple
-    fragments: tuple             # what the live run runs: a _Collection per
-                                 # _Take, then a _Comparison if a _Stack
+    fragments: tuple             # what the live run runs, of the steps: per
+                                 # collection its _Take and its cells row's
+                                 # _Reveal, then per comparison its _Stack,
+                                 # the _Reveal giving the window start and
+                                 # its _Windows
     rejected: tuple[tuple]       # the end event of a fail
     peak: int                    # the most cards in play at once, n included
     # the table the check's transcript is written from
@@ -508,19 +489,17 @@ class _Schedule:
                 room = self.grid.room_of(step.cells[0])
                 laid = (self.room_cards[room], step.helps, encoding[:p])
                 matrix = CardMatrix.from_rows(laid if encoding else laid[:2])
-                take, rules = step, []
+                take = step
             elif kind is _Hide:
-                extract = step.extract
-                if extract:
+                if encoding:
                     sequences.append([*matrix.take_row(2), *encoding[p:]])
                 turn_all_down(matrix)
             elif kind is _Stack:
                 matrix = CardMatrix.from_rows(sequences)
-                shift = step.shift
+                stack = step
             elif kind is _Return:
                 in_play -= len(step.cells)  # one helping card per cell of the room
                 matrix.take_row(0)
-                fragments.append(_Collection(*take[:3], take.column + 1, extract, tuple(rules)))
             elif kind is _Reveal or kind is _Window:
                 if kind is _Reveal:
                     width, sorts = len(step.cols), step.sorts
@@ -528,9 +507,11 @@ class _Schedule:
                     rows += [(step.row, col) for col in step.cols]
                     if sorts:
                         matrix.permute_columns(range(width))
-                        rules.append(step.accepts)
+                        if step.row == 0:  # the cells row, which the collection judges
+                            fragments.append((take, step))
                     else:
                         start = (shows, shows + width, step.site.support[0])
+                        opening = step
                 else:
                     width, sorts = len(step.cols_from[0]), False
                     for cols in step.cols_from:
@@ -543,8 +524,8 @@ class _Schedule:
         # windows close a check, after every row reveal, and start at any
         # column of the row that gives the start
         starts = range(start[1] - start[0] if start else 1)
-        if start:  # a window's row, columns and predicate
-            fragments.append(_Comparison(shift, start[2], tuple(w[1:] for w in windows)))
+        if start:
+            fragments.append((stack, opening, tuple(windows)))
         return _Check(steps, tuple(fragments), rejected, peak, (*events, *passed),
                       tuple((*rows, *((window.row, col) for window in windows
                                       for col in window.cols_from[at])) for at in starts),
@@ -597,7 +578,7 @@ class _Schedule:
         helps = SiteFamily(f"{sites_key}/helps", "perm", self.helps[:p], p)
         return (take, (begin, _collect(src, 0, p), ("helps", 1, p), *marking, _SCRAMBLE),
                 _Reveal(cells, 0, cols, accepts=cells.contains, sorts=True),
-                _Hide(bool(encoding)), (*extraction, ("turn-down",), _SCRAMBLE),
+                _Hide(), (*extraction, ("turn-down",), _SCRAMBLE),
                 _Reveal(helps, 1, cols, accepts=None, sorts=True),
                 _Return(take.cells), (("restore", src, p), *closing))
 
@@ -637,15 +618,18 @@ def _schedule(grid: Grid) -> _Schedule:
 
 # --- the live run ---------------------------------------------------------------
 #
-# Card physics produces every revealed card and every rearrangement, since
-# soundness rests on it.  The live run runs the paper's two primitives as
-# one straight-line kernel each, on laid rows under one column order that
-# scrambles, shifts and sorts (by a row's cards) reorder: a collection
-# judges and sorts the cells row, extracts any encoding, sorts the helping
-# row and lays the room back; a comparison reveals row 0, whose marker
-# starts a window in every other row.  It adds no event: the check tables
-# write a run's transcript from its view when it is first read, so a run
-# whose transcript is never read (a zk-test trial, a prove trial after the
+# The live run produces every revealed card and every column order, since
+# soundness rests on them; _write computes each rearrangement from the view
+# (_rearrange).  It runs the paper's two primitives as one straight-line
+# kernel each, over the check's own steps, on laid rows under one column
+# order that scrambles, shifts and sorts (by a row's cards) reorder: a
+# collection, its take and cells row, judges and sorts the cells row,
+# extracts the encoding its take carries, if any, sorts the helping row,
+# which no rule judges, and lays the room back; a comparison, its stack,
+# start row and windows, reveals row 0, whose marker starts a window in
+# every other row.  It adds no event: the check tables write a run's
+# transcript from its view when it is first read, so a run whose
+# transcript is never read (a zk-test trial, a prove trial after the
 # first, a soundness sweep's) writes none.
 
 def _live(table: TableState, check: _Check, prover: ProverState | None,
@@ -657,38 +641,35 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
     sequences: list[list[CardId]] = []
     ok = True
     for fragment in check.fragments:
-        if type(fragment) is _Collection:
-            cells, helps, encoding, value, extract, (cells_rule, helps_rule) = fragment
+        if type(fragment[0]) is _Take:
+            (cells, helps, encoding, column), hole = fragment
             cards = table.take_cells(cells)
-            encoding = encoding and make_encoding(encoding, value, prover)
+            encoding = encoding and make_encoding(encoding, column + 1, prover)
             order = list(range(len(cards)))
             source.permute(order)
             shown = tuple([cards[col] for col in order])
             view.extend(shown)
-            if cells_rule is not None and not cells_rule(shown):
+            if not hole.accepts(shown):
                 return None
             order = sorted(order, key=cards.__getitem__)
-            if extract:
+            if encoding:
                 sequences.append([encoding[col] for col in order] + encoding[len(order):])
             source.permute(order)
-            shown = tuple([helps[col] for col in order])
-            view.extend(shown)
-            if helps_rule is not None and not helps_rule(shown):
-                return None
+            view.extend([helps[col] for col in order])
             order = sorted(order, key=helps.__getitem__)
             table.put_cells(cells, [cards[col] for col in order])
         else:
-            shift, marker, windows = fragment
+            stack, hole, windows = fragment
             order = list(range(len(sequences[0])))
-            if shift:
+            if stack.shift:
                 shift = source.offset(len(order))
                 order = order[-shift:] + order[:-shift]
             else:
                 source.permute(order)
             shown = tuple([sequences[0][col] for col in order])
             view.extend(shown)
-            start = shown.index(marker)
-            for row, cols_from, accepts in windows:
+            start = shown.index(hole.site.support[0])
+            for _, row, cols_from, accepts in windows:
                 shown = tuple([sequences[row][order[col]] for col in cols_from[start]])
                 view.extend(shown)
                 ok &= accepts(shown)

@@ -44,14 +44,16 @@ def play_on_matrix(table, check, prover, source, view):
         elif kind is protocol._Take:
             p = len(step.cells)
             rows = [table.take_cells(step.cells), step.helps]
-            if step.encoding:
+            extract = bool(step.encoding)
+            if extract:
                 encoding = make_encoding(step.encoding, step.column + 1, prover)
                 rows.append(encoding[:p])
                 tail = encoding[p:]
             matrix = CardMatrix.from_rows(rows)
             pile_scramble_shuffle(matrix, source)
         elif kind is protocol._Hide:
-            if step.extract:
+            # a collection extracts the encoding its take carries, if any
+            if extract:
                 sequences.append(matrix.take_row(2) + tail)
             turn_all_down(matrix)
             pile_scramble_shuffle(matrix, source)
@@ -110,3 +112,35 @@ def test_the_kernels_make_the_matrix_moves(small_grids):
             if live[1] is None:
                 break
     assert checks > 7000 and outcomes == {True, False}
+
+
+def test_each_fragment_is_built_from_its_checks_own_steps(small_grids):
+    # a fragment holds the check's step objects themselves, no copy of
+    # their fields, one fragment per take or stack, in run order; the
+    # collection kernel judges only the cells row, which holds because no
+    # helping row rests on a rule and every cells row does
+    grids = [*(load_grid(f"{name}.makaro") for name in BUNDLED), *small_grids[::40]]
+    checks = 0
+    for grid in grids:
+        for check in protocol._Schedule(grid).checks.values():
+            steps = {id(step) for step in check.steps}
+            opened = [id(step) for step in check.steps
+                      if type(step) in (protocol._Take, protocol._Stack)]
+            assert [id(fragment[0]) for fragment in check.fragments] == opened
+            for fragment in check.fragments:
+                first, *rest = fragment
+                if type(first) is protocol._Take:
+                    (hole,) = rest
+                    assert type(hole) is protocol._Reveal and hole.row == 0 and hole.sorts
+                    held = [hole]
+                else:
+                    hole, windows = rest
+                    assert type(hole) is protocol._Reveal and not hole.sorts
+                    assert all(type(window) is protocol._Window for window in windows)
+                    held = [hole, *windows]
+                assert all(id(step) in steps for step in held)
+            for step in check.steps:
+                if type(step) is protocol._Reveal and step.sorts:
+                    assert (step.accepts is None) == (step.row == 1), step.site.key
+            checks += 1
+    assert checks > 1000
