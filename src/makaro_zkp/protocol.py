@@ -18,9 +18,10 @@ room).  Three check families then run, in a fixed public schedule:
   the pointed marker is revealed in every rival row.  A rival marker can land
   in that window exactly when its value is >= the pointed value.
 
-Conversions return each room's cards to the grid untouched, so checks can run
-in any number.  Each reveal shows a distribution that depends only on the
-grid, never on the hidden values.
+Sorting a collection's helping row lays the room's cards back on their cells
+as they were, so checks can run in any number and the live run reads them
+where setup laid them.  Each reveal shows a distribution that depends only
+on the grid, never on the hidden values.
 
 Everything but the reveals is fixed by the grid, so each check is compiled
 once per grid, when a run first reaches it (a run rejected at setup, which
@@ -147,49 +148,15 @@ _ACCEPTED = Verdict(True)
 
 
 class TableState:
-    """The grid zone: each white cell's card, or None while a check holds it.
-    empty_cells counts the white cells that hold no card, so the table is
-    settled when it is 0.  put_cells and take_cells move one cell at a time
-    and undo a refused move whole.  peak_cards is the highest _Check.peak so
-    far, held to the deck budget."""
+    """The grid zone: each white cell's card, as setup laid it.  A check's
+    collections put every room back where it was, so the live run reads
+    their cards in place and the table never changes.  peak_cards is the
+    highest _Check.peak so far, held to the deck budget."""
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, cell_cards: dict[Coord, CardId]):
         self.grid = grid
-        self.cell_cards: dict[Coord, CardId | None] = dict.fromkeys(grid.white_set)
-        self.empty_cells = len(grid.white_set)
-        self.peak_cards = 0
-
-    def put_cells(self, cells: Sequence[Coord], cards: Sequence[CardId]) -> None:
-        """Lay one card on each empty white cell, in order."""
-        if len(cells) != len(cards):
-            raise ProtocolError(f"cell count {len(cells)} differs from card count {len(cards)}")
-        cell_cards = self.cell_cards
-        for laid, (rc, card) in enumerate(zip(cells, cards)):
-            if card is None or rc not in cell_cards or cell_cards[rc] is not None:
-                cell_cards.update(dict.fromkeys(cells[:laid]))
-                raise ProtocolError(f"no card to lay on cell {rc}" if card is None
-                                    else f"cell {rc} already holds a card" if rc in cell_cards
-                                    else f"cell {rc} is not a white cell")
-            cell_cards[rc] = card
-        self.empty_cells -= len(cells)
-
-    def take_cells(self, cells: Sequence[Coord]) -> list[CardId]:
-        """Lift the cards off the given cells, in order."""
-        cell_cards, cards = self.cell_cards, []
-        for rc in cells:
-            card = cell_cards.get(rc)
-            if card is None:
-                cell_cards.update(zip(cells, cards))
-                raise ProtocolError(f"no card on cell {rc}")
-            cell_cards[rc] = None
-            cards.append(card)
-        self.empty_cells += len(cells)
-        return cards
-
-    def assert_settled(self) -> None:
-        # between checks every white cell holds a card again
-        if self.empty_cells:
-            raise ProtocolError("table out of balance between checks")
+        self.cell_cards = cell_cards
+        self.peak_cards = len(cell_cards)
 
 
 def make_encoding(cards: Sequence[CardId], value: int, prover: ProverState) -> list[CardId]:
@@ -271,8 +238,9 @@ class _Window(NamedTuple):
 
 # Moves handle the cards out of sight, so they add no event.
 class _Take(NamedTuple):
-    """Move: lift the room's cards, as many helping cards and a conversion's
-    encoding, marker in `column`; lay them out and scramble."""
+    """Move: lift the room's cards, as many helping cards (in increasing
+    order, so sorting their row lays the room back in cell order) and a
+    conversion's encoding, marker in `column`; lay them out and scramble."""
 
     cells: Sequence[Coord]
     helps: tuple[CardId, ...]
@@ -623,9 +591,10 @@ def _schedule(grid: Grid) -> _Schedule:
 # (_rearrange).  It runs the paper's two primitives as one straight-line
 # kernel each, over the check's own steps, on laid rows under one column
 # order that scrambles, shifts and sorts (by a row's cards) reorder: a
-# collection, its take and cells row, judges and sorts the cells row,
-# extracts the encoding its take carries, if any, sorts the helping row,
-# which no rule judges, and lays the room back; a comparison, its stack,
+# collection, its take and cells row, reads the room's cards in place,
+# judges and sorts the cells row, extracts the encoding its take carries, if
+# any, and reveals the helping row, which no rule judges and whose sort
+# only lays the room back as it was; a comparison, its stack,
 # start row and windows, reveals row 0, whose marker starts a window in
 # every other row.  It adds no event: the check tables write a run's
 # transcript from its view when it is first read, so a run whose
@@ -634,16 +603,16 @@ def _schedule(grid: Grid) -> _Schedule:
 
 def _live(table: TableState, check: _Check, prover: ProverState | None,
           source: RandomSource, view: list[CardId]) -> list[list[CardId]] | None:
-    """Run a check's fragments on the table, revealing each hole's cards
-    onto the view.  Returns the sequences extracted, or None if a hole was
-    rejected: a rejected row ends the check at once, since what follows
+    """Run a check's fragments on the table's cards, revealing each hole's
+    cards onto the view.  Returns the sequences extracted, or None if a hole
+    was rejected: a rejected row ends the check at once, since what follows
     sorts it or starts from it; after a rejected window it goes on."""
     sequences: list[list[CardId]] = []
-    ok = True
+    ok, cell_cards = True, table.cell_cards
     for fragment in check.fragments:
         if type(fragment[0]) is _Take:
             (cells, helps, encoding, column), hole = fragment
-            cards = table.take_cells(cells)
+            cards = [cell_cards[rc] for rc in cells]
             encoding = encoding and make_encoding(encoding, column + 1, prover)
             order = list(range(len(cards)))
             source.permute(order)
@@ -656,8 +625,6 @@ def _live(table: TableState, check: _Check, prover: ProverState | None,
                 sequences.append([encoding[col] for col in order] + encoding[len(order):])
             source.permute(order)
             view.extend([helps[col] for col in order])
-            order = sorted(order, key=helps.__getitem__)
-            table.put_cells(cells, [cards[col] for col in order])
         else:
             stack, hole, windows = fragment
             order = list(range(len(sequences[0])))
@@ -701,10 +668,7 @@ def _place(schedule: _Schedule, secret: Assignment) -> tuple[list[CardId], str |
 
 def _lay(schedule: _Schedule, placed: list[CardId]) -> TableState:
     """The table once every cell card is known to exist: each on its cell."""
-    table = TableState(schedule.grid)
-    table.put_cells([rc for rc, _, _ in schedule.setup], placed)
-    table.peak_cards = len(placed)
-    return table
+    return TableState(schedule.grid, dict(zip([rc for rc, _, _ in schedule.setup], placed)))
 
 
 def setup_placement(grid: Grid, prover: ProverState, transcript: Transcript) -> TableState:
@@ -738,7 +702,7 @@ def _entry(table: TableState, check: _Check, prover: ProverState | None,
 def verify_room(table: TableState, room: str, source: RandomSource,
                 transcript: Transcript) -> bool:
     """Check that a room's cards are exactly its full set, revealing only a
-    shuffled order.  Restores the cards to their cells on success."""
+    shuffled order.  The cards stay on their cells."""
     return _entry(table, _schedule(table.grid).check(("room", room)),
                   None, source, transcript) is not None
 
@@ -747,7 +711,7 @@ def convert_cell(table: TableState, rc: Coord, letter: str, length: int,
                  prover: ProverState, source: RandomSource, transcript: Transcript,
                  site_prefix: str) -> list[CardId]:
     """Turn a cell's hidden value into an encoding sequence of the given
-    length, leaving the room's cards back on the grid exactly as they were.
+    length; the room's cards end on the grid exactly as they were.
 
     The room's cards and the prepared encoding row ride the same column
     scramble; sorting the revealed room cards into canonical order drags each
@@ -831,7 +795,6 @@ def _run(grid: Grid, prover: ProverState, source: RandomSource,
         if _live(table, check, prover, source, view) is None:
             verdict = schedule.rejections[key]
             break
-        table.assert_settled()
     return verdict, _RunTranscript(grid, view, verdict.accepted), table, view
 
 

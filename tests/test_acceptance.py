@@ -67,6 +67,7 @@ from makaro_zkp import protocol
 from makaro_zkp.protocol import convert_cell
 
 from conftest import PUZZLES, find_in_row, load_grid, load_solution, uniformity_test
+from test_live_oracle import laid, play_on_matrix
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -454,9 +455,13 @@ def test_shuffle_uniformity():
 
 
 def test_conversion_round_trip(example_grid, example_solution):
+    # each conversion runs live, where the marker must encode the cell's
+    # value, and is played from the same streams on a physical table, which
+    # must extract the same sequence and lay the room back on its cells
     cells = example_grid.white_coords()
     letters = ("a", "b", "c", "d")
     full_length = 2 * stats(example_grid).k - 1
+    schedule, conversions = protocol._schedule(example_grid), {}
     trials = 0
     start = time.perf_counter()
     for round_ in range(500):
@@ -464,17 +469,25 @@ def test_conversion_round_trip(example_grid, example_solution):
         prover = make_prover(example_solution, source)
         transcript = Transcript()
         table = setup_placement(example_grid, prover, transcript)
-        before = dict(table.cell_cards)
+        played = RandomSource(f"acceptance:roundtrip:{round_}")
+        played_prover = make_prover(example_solution, played)
+        held = laid(table)
+        before = dict(held.cell_cards)
         for i, rc in enumerate(cells):
             letter = letters[(round_ + i) % 4]
             room_size = len(example_grid.rooms[example_grid.room_of(rc)])
             length = full_length if (round_ + i) % 2 else room_size
             sequence = convert_cell(table, rc, letter, length, prover, source,
                                     transcript, "cell")
-            assert table.cell_cards == before, (round_, rc)
             marker_at = sequence.index(encoding_card(letter, 1))
             assert marker_at == example_solution[rc] - 1, (round_, rc)
-            table.assert_settled()
+            key = rc, letter, length
+            if key not in conversions:
+                conversions[key] = schedule._check(schedule.conversion(*key, "cell"))
+            assert play_on_matrix(held, conversions[key], played_prover, played, []) \
+                == [sequence], (round_, rc)
+            assert held.cell_cards == before, (round_, rc)
+            held.assert_settled()
             trials += 1
     elapsed = time.perf_counter() - start
     report("conversion-round-trip", trials == 10_000,

@@ -248,8 +248,8 @@ def test_room_check_with_a_foreign_card_is_unchanged():
         prover = make_prover({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, source)
         transcript = Transcript()
         table = setup_placement(grid, prover, transcript)
-        a_card, b_card = table.take_cells([(0, 0), (1, 0)])
-        table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+        cards = table.cell_cards
+        cards[(0, 0)], cards[(1, 0)] = cards[(1, 0)], cards[(0, 0)]
         assert not verify_room(table, "A", source, transcript), seed
         assert sha256(transcript.to_text()) == real_hash, seed
 

@@ -22,7 +22,6 @@ from makaro_zkp import (
     RandomSource,
     SetupError,
     SiteHistograms,
-    TableState,
     Transcript,
     Verdict,
     all_value_assignments,
@@ -310,7 +309,6 @@ class TestConvertCell:
         seq = convert_cell(table, (2, 3), "c", 5, prover, source, transcript, "cell")
         assert seq[example_solution[(2, 3)] - 1] == encoding_card("c", 1)
         assert table.cell_cards == before
-        table.assert_settled()
 
     def test_single_cell_room_converts(self):
         grid = parse_puzzle("makaro 1 2\nA B\n")
@@ -325,8 +323,8 @@ class TestConvertCell:
         for seed in range(30):
             source, prover, transcript, table = fresh_table(
                 quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}, f"cvf{seed}")
-            a_card, b_card = table.take_cells([(0, 0), (1, 0)])
-            table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+            cards = table.cell_cards
+            cards[(0, 0)], cards[(1, 0)] = cards[(1, 0)], cards[(0, 0)]
             with pytest.raises(ProtocolError):
                 convert_cell(table, (0, 0), "a", 2, prover, source, transcript, "cell")
 
@@ -356,7 +354,6 @@ class TestConvertCell:
                 seq = convert_cell(table, rc, "d", length, prover, source, transcript, "cell")
                 assert seq.index(encoding_card("d", 1)) == example_solution[rc] - 1
                 assert table.cell_cards == before
-                table.assert_settled()
 
 
 class TestVerifyRoom:
@@ -365,7 +362,6 @@ class TestVerifyRoom:
         before = dict(table.cell_cards)
         assert verify_room(table, "C", source, transcript)
         assert table.cell_cards == before
-        table.assert_settled()
         assert transcript.events[-1] == ("end", "room", "C", True)
 
     def test_single_cell_room_passes(self):
@@ -380,8 +376,8 @@ class TestVerifyRoom:
         for seed in range(30):
             source, _, transcript, table = fresh_table(
                 quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, f"vrf{seed}")
-            a_card, b_card = table.take_cells([(0, 0), (1, 0)])
-            table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+            cards = table.cell_cards
+            cards[(0, 0)], cards[(1, 0)] = cards[(1, 0)], cards[(0, 0)]
             assert not verify_room(table, "A", source, transcript)
             assert transcript.events[-1] == ("end", "room", "A", False)
 
@@ -397,7 +393,6 @@ class TestVerifyNeighbor:
         before = dict(table.cell_cards)
         assert verify_neighbor(table, a, b, prover, source, transcript)
         assert table.cell_cards == before
-        table.assert_settled()
 
     def test_foreign_card_in_a_converted_room_fails_the_check(self, quad_grid):
         # the values differ, but (0,0) and (1,0) hold each other's cards: the
@@ -405,8 +400,8 @@ class TestVerifyNeighbor:
         for seed in range(30):
             source, prover, transcript, table = fresh_table(
                 quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}, f"vnf{seed}")
-            a_card, b_card = table.take_cells([(0, 0), (1, 0)])
-            table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
+            cards = table.cell_cards
+            cards[(0, 0)], cards[(1, 0)] = cards[(1, 0)], cards[(0, 0)]
             assert not verify_neighbor(table, (0, 0), (1, 0), prover, source, transcript)
             assert transcript.events[-1] == ("end", "neighbor", "neighbor/0.0-1.0", False)
 
@@ -432,7 +427,6 @@ class TestVerifyNeighbor:
             pats = patterns_by_site(transcript)
             assert pats["neighbor/0.0-1.0/probe"] == (encoding_card("b", 2),)
             marker_cols.add(pats["neighbor/0.0-1.0/row1"].index(encoding_card("a", 1)))
-            table.assert_settled()
         assert marker_cols == {0, 1}
 
     def test_rooms_of_unequal_size_use_the_larger_length(self, example_grid):
@@ -451,7 +445,6 @@ class TestVerifyArrow:
         before = dict(table.cell_cards)
         assert verify_arrow(table, black, prover, source, transcript)
         assert table.cell_cards == before
-        table.assert_settled()
 
     def test_strict_maximum_accepted_under_every_shift(self):
         grid = parse_puzzle(ARROW_M2)
@@ -496,146 +489,6 @@ class TestVerifyArrow:
         source, prover, transcript, table = fresh_table(
             cross_grid, cross_solution, "cross")
         assert verify_arrow(table, black, prover, source, transcript)
-        table.assert_settled()
-
-
-def unfilled(table) -> int:
-    """The white cells that hold no card, counted from the cells."""
-    return sum(table.cell_cards.get(rc) is None for rc in table.grid.white_set)
-
-
-class TestTableBalance:
-    """A table counts its white cells that hold no card (empty_cells), so
-    assert_settled reads one number; the count matches the cells after any
-    move, made or refused."""
-
-    def test_the_count_follows_an_honest_run_check_by_check(self, example_grid,
-                                                              example_solution):
-        assert TableState(example_grid).empty_cells == 20 == unfilled(TableState(example_grid))
-        source, prover, transcript, table = fresh_table(example_grid, example_solution, "bal")
-        assert table.empty_cells == unfilled(table) == 0
-        for kind, subject in protocol._schedule(example_grid).checks:
-            if kind == "room":
-                ok = verify_room(table, subject, source, transcript)
-            elif kind == "neighbor":
-                ok = verify_neighbor(table, *subject, prover, source, transcript)
-            else:
-                ok = verify_arrow(table, subject, prover, source, transcript)
-            assert ok and table.empty_cells == unfilled(table) == 0, (kind, subject)
-            table.assert_settled()
-
-    def test_a_check_rejected_at_a_row_keeps_the_room_off_the_table(self, quad_grid):
-        # the foreign card fails the cell reveal, which ends the check with
-        # the room's cards still in the matrix
-        source, _, transcript, table = fresh_table(
-            quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, "balrow")
-        a_card, b_card = table.take_cells([(0, 0), (1, 0)])
-        table.put_cells([(0, 0), (1, 0)], [b_card, a_card])
-        assert table.empty_cells == unfilled(table) == 0
-        assert not verify_room(table, "A", source, transcript)
-        assert table.empty_cells == unfilled(table) == 2
-        with pytest.raises(ProtocolError, match="table out of balance between checks"):
-            table.assert_settled()
-
-    def test_a_check_rejected_at_a_window_settles(self, quad_grid):
-        # equal values: the probe shows the other marker after both rooms
-        # are back on the grid
-        source, prover, transcript, table = fresh_table(
-            quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2}, "balwin")
-        assert not verify_neighbor(table, (0, 0), (1, 0), prover, source, transcript)
-        assert table.empty_cells == unfilled(table) == 0
-        table.assert_settled()
-
-    def test_rejected_runs_leave_the_count_true(self, small_grids):
-        runs = 0
-        for grid in small_grids[:400:20]:
-            for i, filling in enumerate(all_value_assignments(grid)):
-                source = RandomSource.for_trial("bal", i)
-                verdict, _, table = run_full_protocol_with_table(
-                    grid, make_prover(filling, source), source)
-                if table is not None:
-                    runs += 1
-                    assert table.empty_cells == unfilled(table), (grid, filling)
-        assert runs > 20
-
-    def test_a_lift_not_put_back_unsettles_the_table(self, quad_grid):
-        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                     "lift")
-        cards = table.take_cells([(1, 1)])
-        assert table.empty_cells == unfilled(table) == 1
-        with pytest.raises(ProtocolError, match="table out of balance between checks"):
-            table.assert_settled()
-        table.put_cells([(1, 1)], cards)
-        assert table.empty_cells == unfilled(table) == 0
-        table.assert_settled()
-
-    def test_a_refused_move_changes_nothing(self, quad_grid):
-        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                     "refuse")
-        (card,) = table.take_cells([(0, 0)])
-        moves = [(table.put_cells, ([(0, 0), (0, 1)], [card, card]), r"cell \(0, 1\) already"),
-                 (table.put_cells, ([(1, 1)], [card]), r"cell \(1, 1\) already"),
-                 (table.take_cells, ([(0, 1), (0, 0)],), r"no card on cell \(0, 0\)"),
-                 (table.take_cells, ([(0, 0)],), r"no card on cell \(0, 0\)")]
-        for move, args, message in moves:
-            self.assert_refused(table, move, args, message)
-        assert table.empty_cells == 1
-
-    @staticmethod
-    def assert_refused(table, move, args, message):
-        before = dict(table.cell_cards), table.empty_cells
-        with pytest.raises(ProtocolError, match=message):
-            move(*args)
-        assert (table.cell_cards, table.empty_cells) == before
-        assert table.empty_cells == unfilled(table)
-
-    def test_a_lift_naming_a_cell_twice_is_refused(self, quad_grid):
-        # the second lift finds the cell its first lift emptied, so one card
-        # cannot come back as two
-        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                     "twice")
-        self.assert_refused(table, table.take_cells, ([(0, 0), (0, 0)],),
-                            r"no card on cell \(0, 0\)")
-        self.assert_refused(table, table.take_cells, ([(0, 1), (1, 1), (0, 1)],),
-                            r"no card on cell \(0, 1\)")
-
-    def test_a_lay_naming_a_cell_twice_is_refused(self, quad_grid):
-        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                     "lay twice")
-        cards = table.take_cells([(0, 0), (0, 1)])
-        self.assert_refused(table, table.put_cells, ([(0, 0), (0, 0)], cards),
-                            r"cell \(0, 0\) already holds a card")
-
-    def test_a_lay_of_no_card_is_refused(self, quad_grid):
-        # a None card would leave its cell empty while the count calls it
-        # filled, so assert_settled would pass on an unsettled table
-        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                     "no card")
-        cards = table.take_cells([(0, 0), (0, 1)])
-        self.assert_refused(table, table.put_cells, ([(0, 0)], [None]),
-                            r"no card to lay on cell \(0, 0\)")
-        self.assert_refused(table, table.put_cells, ([(0, 0), (0, 1)], [cards[0], None]),
-                            r"no card to lay on cell \(0, 1\)")
-
-    def test_a_lay_on_a_cell_that_is_not_white_is_refused(self, example_grid, example_solution):
-        _, _, _, table = fresh_table(example_grid, example_solution, "black")
-        cards = table.take_cells([(0, 0), (0, 1)])
-        # (0, 2) holds an arrow and (5, 0) lies off the grid; (0, 0) is laid
-        # first, then lifted again
-        for cell in ((0, 2), (5, 0)):
-            self.assert_refused(table, table.put_cells, ([(0, 0), cell], cards),
-                                rf"cell \({cell[0]}, {cell[1]}\) is not a white cell")
-        table.put_cells([(0, 0), (0, 1)], cards)
-        table.assert_settled()
-
-    def test_a_lay_of_more_or_fewer_cards_than_cells_is_refused(self, quad_grid):
-        _, _, _, table = fresh_table(quad_grid, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-                                     "count")
-        cards = table.take_cells([(0, 0), (0, 1)])
-        self.assert_refused(table, table.put_cells, ([(0, 0), (0, 1)], cards[:1]),
-                            "cell count 2 differs from card count 1")
-        self.assert_refused(table, table.put_cells, ([(0, 0)], cards),
-                            "cell count 1 differs from card count 2")
 
 
 class TestFullProtocol:
@@ -704,6 +557,21 @@ class TestFullProtocol:
             assert verdict.accepted
             assert table is not None
             assert table.peak_cards == budget.total == 61
+
+    def test_a_run_keeps_setups_cards_on_the_table(self, small_grids):
+        # a run reads each room's cards in place, so accepted and rejected
+        # runs alike end with the cards setup laid
+        runs = 0
+        for grid in small_grids[:400:20]:
+            for i, filling in enumerate(all_value_assignments(grid)):
+                source = RandomSource.for_trial("bal", i)
+                verdict, _, table = run_full_protocol_with_table(
+                    grid, make_prover(filling, source), source)
+                if table is not None:
+                    runs += 1
+                    laid = setup_placement(grid, make_prover(filling, source), Transcript())
+                    assert table.cell_cards == laid.cell_cards, (grid, filling)
+        assert runs > 20
 
     def test_grid_sizes_are_computed_once_per_grid(self, monkeypatch, quad_grid):
         grid = parse_puzzle(serialize_puzzle(quad_grid))  # a fresh grid: nothing cached
