@@ -284,12 +284,15 @@ class TestZkTest:
         assert base == again == wide
 
     def test_the_default_report_is_worker_independent(self, capsys):
-        # as CI runs it through the installed script: no --solution, so the
-        # grid is solved, then sent with its compiled checker to the workers
-        argv = ("zk-test", "--puzzle", QUAD, "--trials", "300")
-        one = run_cli(capsys, *argv)
-        assert one[0] == 0
-        assert run_cli(capsys, *argv, "--workers", "2") == one
+        # the text report: quad has no --solution, so the grid is solved,
+        # then sent with its compiled checker to the workers; the example
+        # has the largest layout
+        for puzzle in (["--puzzle", QUAD],
+                       ["--puzzle", EXAMPLE, "--solution", EXAMPLE_SOLUTION]):
+            argv = ("zk-test", *puzzle, "--trials", "300")
+            one = run_cli(capsys, *argv)
+            assert one[0] == 0
+            assert run_cli(capsys, *argv, "--workers", "2") == one
 
 
 class TestStats:
@@ -384,15 +387,28 @@ print(json.dumps(heavy()))
 """
 
 
-def test_only_the_chi_square_tests_load_scipy():
+def run_python(*args):
+    """Run a fresh interpreter on the package this module imported."""
     src = Path(makaro_zkp.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT, EXAMPLE,
-                           EXAMPLE_SOLUTION, QUAD],
-                          env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_only_the_chi_square_tests_load_scipy():
+    done = run_python("-c", IMPORT_BUDGET_SCRIPT, EXAMPLE, EXAMPLE_SOLUTION, QUAD)
     assert done.returncode == 0, done.stderr
     plain, after_zk_test = map(json.loads, done.stdout.splitlines())
     assert plain == []
     assert "scipy.special" in after_zk_test
     assert not [name for name in after_zk_test
                 if name.startswith("scipy.stats") or name == "concurrent.futures.process"]
+
+
+def test_the_console_script_exits_with_mains_code(tmp_path):
+    # the installed makaro-zkp script calls cli.entry, as python -m does
+    bad = write(tmp_path, "bad.makaro", "makaro 2 2\nA=1 A=2\nB=1 B=2\n")
+    for puzzle, solution, code in ((EXAMPLE, EXAMPLE_SOLUTION, 0), (QUAD, bad, 1),
+                                   (QUAD, EXAMPLE_SOLUTION, 2)):
+        done = run_python("-m", "makaro_zkp.cli", "check", "--puzzle", puzzle,
+                          "--solution", solution)
+        assert done.returncode == code, done.stderr

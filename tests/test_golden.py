@@ -5,7 +5,8 @@ and the output and exit code of the other commands on the bundled puzzles.
 The compiled check plan of every bundled puzzle and corpus grid is pinned
 too, so a refactor of the compiler shows that it compiles the same plan.
 Rejected runs are pinned too: one at setup, one by a neighbor check, one by
-an arrow check, and a room check that finds a card of another room.
+an arrow check, and a room check that finds a card of another room, and so
+are the transcripts `prove --transcript-out` saves.
 
 A change to the check schedule, the event text format or the order in which
 random draws are taken changes a hash here.  The pins were recorded once and
@@ -27,10 +28,12 @@ from makaro_zkp import (
     all_value_assignments,
     make_prover,
     parse_puzzle,
+    read_view,
     reveal_site_plan,
     run_full_protocol,
     setup_placement,
     simulate_transcript,
+    simulate_view,
     solve_brute_force,
 )
 
@@ -154,6 +157,19 @@ FOREIGN_CARD = {
     "demo": "2b7f549674f48ac6bf44863e5d97ed36854256f75a1de64c204521ccaa4a22da",
 }
 
+# prove --transcript-out (seed 0, one trial) on cross's solution file edited
+# so that (0, 2) and (1, 2) swap, which breaks only the arrow at (1, 1), or
+# so that room B holds a second B=3, which fails it at setup: case ->
+# (solution rows, first failure, saved transcript's lines, saved transcript)
+SAVED_REJECTED = {
+    "arrow": (
+        "A=1 A=2 B=3\nC=2 B> B=1\nC=1 B=2 B=4\n", "arrow at (1, 1)", 340,
+        "14aa54eef27cc487804905bf17bccfa724076b904866770cc97fb921576cea0e"),
+    "setup": (
+        "A=1 A=2 B=3\nC=2 B> B=3\nC=1 B=2 B=4\n", "room B (at setup)", 5,
+        "baf7f3fb7b27e69e3da977d52f3bc1752a46ba36ba7869ffe7603439dead0a3e"),
+}
+
 # zk-test --puzzle example5x5 --solution example5x5_solution --trials 300
 # --report-format json (seed 0, one worker)
 ZK_TEST_JSON = "4dcc74d9357a7ef9bc4c5bbca3b65275ab5e03d9a85b3dda444d38f81121494e"
@@ -212,6 +228,10 @@ def test_seeded_transcripts_are_unchanged(name):
         assert verdict.accepted, seed
         assert sha256(real.to_text()) == real_hash, seed
         assert sha256(sim.to_text()) == sim_hash, seed
+        # read_view inverts the simulator, and shows as many cards as a run
+        view = read_view(grid, sim)
+        assert view == simulate_view(grid, RandomSource.for_trial(seed, 0)), seed
+        assert len(view) == len(read_view(grid, real)), seed
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
@@ -239,6 +259,44 @@ def test_rejected_transcripts_are_unchanged(filling):
         verdict, real = run_full_protocol(grid, make_prover(assignment, source), source)
         assert verdict.failing_check == failing, seed
         assert sha256(real.to_text()) == real_hash, seed
+
+
+@pytest.mark.parametrize("case", sorted(SAVED_REJECTED))
+def test_saved_rejected_transcripts_are_unchanged(capsys, tmp_path, case):
+    rows, failure, lines, transcript_hash = SAVED_REJECTED[case]
+    solution, saved = tmp_path / "solution.makaro", tmp_path / "run.transcript"
+    solution.write_text(f"makaro 3 3\n{rows}", encoding="utf-8")
+    argv = ["prove", "--puzzle", str(PUZZLES / "cross.makaro"), "--solution", str(solution)]
+    # one trial, saved, then 20, none of which raises inside the run: all
+    # fail at the same check
+    for more, accepted in ((["--transcript-out", str(saved)], "accepted: 0 of 1"),
+                           (["--trials", "20"], "accepted: 0 of 20")):
+        assert main(argv + more) == 1
+        assert capsys.readouterr().out.splitlines()[2:4] == [accepted,
+                                                             f"first failure: {failure}"]
+    text = saved.read_text(encoding="utf-8")
+    assert (len(text.splitlines()), sha256(text)) == (lines, transcript_hash)
+    transcript = Transcript.from_text(text)
+    assert transcript.to_text() == text
+    with pytest.raises(ValueError):
+        read_view(load_grid("cross.makaro"), transcript)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 200])
+def test_the_saved_transcript_is_trial_0s(capsys, tmp_path, trials):
+    # prove's one trial loop writes only trial 0's transcript, the pinned
+    # seed-0 run, which reads back as its 421 revealed cards
+    saved = tmp_path / "run.transcript"
+    code = main(["prove", "--puzzle", str(PUZZLES / "example5x5.makaro"),
+                 "--solution", str(PUZZLES / "example5x5_solution.makaro"),
+                 "--trials", str(trials), "--transcript-out", str(saved)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2] == f"accepted: {trials} of {trials}"
+    text = saved.read_text(encoding="utf-8")
+    assert sha256(text) == TRANSCRIPTS["example5x5"][0][0]
+    transcript = Transcript.from_text(text)
+    assert transcript.to_text() == text
+    assert len(read_view(load_grid("example5x5.makaro"), transcript)) == 421
 
 
 def test_room_check_with_a_foreign_card_is_unchanged():
